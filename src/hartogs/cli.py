@@ -83,6 +83,10 @@ def _cmd_coeffs(config: dict, rng):
     m = _parse_m(config, P.n)
     bounds = _parse_bounds(config, P.n)
     method = config.get("method", "auto")
+    if method not in ("auto", "product", "convolution"):
+        raise InvalidConfig(f"'method' must be 'auto', 'product' or 'convolution', got {method!r}")
+    if method == "product" and not admissibility_degree(P).admissible:
+        raise InvalidConfig("'method' 'product' needs each P_j to depend on z_j alone")
     table = coeff_function(P, m, bounds, method=method)
     header = [f"alpha_{j + 1}" for j in range(P.n)] + ["value"]
     rows = [[*alpha, format_rational(table.value(alpha))] for alpha in box(bounds)]

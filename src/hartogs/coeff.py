@@ -9,9 +9,10 @@ Two independent routes compute the same numbers:
   sum_l C(k+l-1, k-1) Q(z)^l, exact on the box once l exceeds the box's
   total degree.
 
-The product table for an n-tuple is the n-fold convolution of the component
-tables; for tuples whose components each depend on their own variable only,
-it factors into univariate tables.
+The product table for an n-tuple comes from the same recursion: starting from
+the indicator table, divide by (1-P_j) m_j times for each j.  For tuples whose
+components each depend on their own variable only, it also factors into
+univariate tables.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ConstantTermPresent, NegativeCoefficient, WindowTooSmall
 from .polytuple import (
@@ -113,7 +114,7 @@ def reciprocal_power_coeffs(
         raise ValueError(f"power k must be >= 0, got {k}")
     _check_expandable(q)
     if mode == "recursion":
-        values = _recursion_values(q, k, bounds)
+        values = _divided(bounds, [(q, k)])
     elif mode == "oracle":
         values = _oracle_values(q, k, bounds)
     else:
@@ -121,24 +122,40 @@ def reciprocal_power_coeffs(
     return CoeffTable(bounds=tuple(bounds), values=tuple(values))
 
 
-def _recursion_values(q: Mapping[MultiIndex, Fraction], k: int, bounds: MultiIndex) -> list[Fraction]:
+def _divided(bounds: MultiIndex,
+             factors: Iterable[tuple[Mapping[MultiIndex, Fraction], int]]) -> list[Fraction]:
+    """Coefficients of prod 1/(1-Q)^k over the pairs (Q, k) in factors, on the box.
+
+    Starting from the indicator table, each division by (1-Q) solves
+    new(alpha) = old(alpha) + sum_gamma q_gamma new(alpha - gamma) in place;
+    row-major order finishes alpha - gamma before alpha because gamma != 0.
+    The arithmetic runs in int on B(alpha) = d^|alpha| A(alpha), where d is the
+    lcm of all coefficient denominators, so each q_gamma d^|gamma| is an integer.
+    """
+    factors = list(factors)
+    d = math.lcm(*(c.denominator for q, _ in factors for c in q.values()))
     strides = _strides(bounds)
     cells = list(box(bounds))
-    # Offsets of alpha - gamma relative to alpha are constant shifts; row-major
-    # order visits alpha - gamma before alpha because gamma != 0.
-    shifts = [(tuple(g), coeff, sum(gi * si for gi, si in zip(g, strides)))
-              for g, coeff in q.items()]
-    prev = _indicator(bounds)
-    for _ in range(k):
-        cur = [Fraction(0)] * len(prev)
-        for off, alpha in enumerate(cells):
-            val = prev[off]
-            for gamma, coeff, shift in shifts:
-                if all(a >= g for a, g in zip(alpha, gamma)):
-                    val += coeff * cur[off - shift]
-            cur[off] = val
-        prev = cur
-    return prev
+    table = [0] * len(cells)
+    table[0] = 1
+    for q, k in factors:
+        # Offsets of alpha - gamma relative to alpha are constant shifts.
+        shifts = [(tuple(g), c.numerator * (d ** total_degree(g) // c.denominator),
+                   sum(gi * si for gi, si in zip(g, strides)))
+                  for g, c in q.items() if c]
+        for _ in range(k):
+            for off, alpha in enumerate(cells):
+                val = table[off]
+                for gamma, coeff, shift in shifts:
+                    if all(a >= g for a, g in zip(alpha, gamma)):
+                        val += coeff * table[off - shift]
+                table[off] = val
+    if d == 1:
+        return [Fraction(b) for b in table]
+    # Convert in place, so that the int table is freed as the Fractions appear.
+    for off, alpha in enumerate(cells):
+        table[off] = Fraction(table[off], d ** sum(alpha))
+    return table
 
 
 def _truncated_mul(a: TermMap, b: Mapping[MultiIndex, Fraction], bounds: MultiIndex) -> TermMap:
@@ -169,40 +186,11 @@ def _oracle_values(q: Mapping[MultiIndex, Fraction], k: int, bounds: MultiIndex)
     return values
 
 
-def convolve(a: CoeffTable, b: CoeffTable, bounds: MultiIndex) -> CoeffTable:
-    """Convolution (a*b)(alpha) = sum_{gamma <= alpha} a(gamma) b(alpha-gamma) on the box."""
-    if not a.covers(bounds) or not b.covers(bounds):
-        raise WindowTooSmall("convolution operands must cover the requested bounds")
-    strides = _strides(bounds)
-    a_nz = [(alpha, a.value(alpha)) for alpha in box(bounds) if a.value(alpha)]
-    b_nz = [(alpha, b.value(alpha)) for alpha in box(bounds) if b.value(alpha)]
-    integral = all(v.denominator == 1 for _, v in a_nz) and all(v.denominator == 1 for _, v in b_nz)
-    if integral:
-        acc: list = [0] * box_size(bounds)
-        a_items = [(alpha, v.numerator) for alpha, v in a_nz]
-        b_items = [(alpha, v.numerator) for alpha, v in b_nz]
-    else:
-        acc = [Fraction(0)] * box_size(bounds)
-        a_items, b_items = a_nz, b_nz
-    for ga, va in a_items:
-        room = tuple(bound - g for g, bound in zip(ga, bounds))
-        base = sum(g * s for g, s in zip(ga, strides))
-        for gb, vb in b_items:
-            if all(x <= y for x, y in zip(gb, room)):
-                acc[base + sum(g * s for g, s in zip(gb, strides))] += va * vb
-    return CoeffTable(bounds=tuple(bounds), values=tuple(Fraction(v) for v in acc))
-
-
 def univariate_coeffs(p: Mapping[int, Fraction], k: int, kmax: int, mode: str = "recursion") -> list[Fraction]:
     """Coefficients of 1/(1-p(t))^k up to degree kmax, for univariate p."""
     q = {(e,): Fraction(c) for e, c in p.items()}
     table = reciprocal_power_coeffs(q, k, (kmax,), mode=mode)
     return [table.value((l,)) for l in range(kmax + 1)]
-
-
-def component_tables(P: PolyTuple, m: Sequence[int], bounds: MultiIndex) -> list[CoeffTable]:
-    """Per-component tables of 1/(1-P_j)^{m_j} on the box."""
-    return [reciprocal_power_coeffs(P.polys[j], m[j], bounds) for j in range(P.n)]
 
 
 def coeff_function(
@@ -213,9 +201,10 @@ def coeff_function(
 ) -> CoeffTable:
     """Table of the coefficient function of the pair (P, m) on the box.
 
-    method "convolution" folds the component tables; "product" multiplies the
-    univariate restriction tables componentwise and is valid exactly when every
-    P_j depends on z_j alone; "auto" picks the product route in that case.
+    method "convolution" (the general route) divides the indicator table by
+    (1-P_j) m_j times for each j; "product" multiplies the univariate
+    restriction tables componentwise and is valid exactly when every P_j
+    depends on z_j alone; "auto" picks the product route in that case.
     """
     m = tuple(m)
     if len(m) != P.n or any(mj < 1 for mj in m):
@@ -235,11 +224,9 @@ def coeff_function(
         return CoeffTable(bounds=tuple(bounds), values=tuple(values))
     if method != "convolution":
         raise ValueError(f"unknown method {method!r}")
-    tables = component_tables(P, m, bounds)
-    out = tables[0]
-    for t in tables[1:]:
-        out = convolve(out, t, bounds)
-    return out
+    for q in P.polys:
+        _check_expandable(q)
+    return CoeffTable(bounds=tuple(bounds), values=tuple(_divided(bounds, zip(P.polys, m))))
 
 
 def hartogs_coeff_closed(m: Sequence[int], alpha: MultiIndex) -> Fraction:

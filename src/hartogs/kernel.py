@@ -13,6 +13,7 @@ the expansion and for kernels without a hand-simplified form.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -178,21 +179,12 @@ def hardy_norm_check(n: int, alpha: MultiIndex, scale: float = 1.0,
         t = 1.0 - 0.5 ** k
         tail = [t ** (n - j) for j in range(n)]
         total = 0.0
-        for combo in _theta_grid(n, thetas):
+        for combo in itertools.product(thetas, repeat=n):
             z = tuple(tail[j] * cmath.exp(1j * combo[j]) for j in range(n))
             total += abs(scale * basis_eval(ctx, alpha, z)) ** 2
         weight = math.prod(t ** (2 * j + 1) for j in range(n))
         best = max(best, total * weight / angular_nodes ** n)
     return best
-
-
-def _theta_grid(n: int, thetas: Sequence[float]):
-    if n == 0:
-        yield ()
-        return
-    for t in thetas:
-        for rest in _theta_grid(n - 1, thetas):
-            yield (t, *rest)
 
 
 def bergman_norm_check(m: Sequence[int], alpha: MultiIndex, radial_nodes: int = 32) -> float:

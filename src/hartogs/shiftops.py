@@ -475,9 +475,10 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
     """Exact basis-level check that multiplication by z_j intertwines with the
     product of the polydisc single shifts from slot j on.
 
-    The triangle weights are computed through the general convolution route
-    (never the componentwise product), so the identity genuinely cross-checks
-    the factorization of the coefficient function for admissible tuples.
+    The triangle weights are computed through the general route, chained
+    division by (1-P_j) over the whole box (never the componentwise product),
+    so the identity genuinely cross-checks the factorization of the
+    coefficient function for admissible tuples.
     """
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("intertwining needs each P_j to depend on z_j alone")

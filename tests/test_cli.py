@@ -170,3 +170,24 @@ def test_main_input_error_exit_2(tmp_path):
 
 def test_main_missing_config_exit_2(tmp_path):
     assert cli.main(["--config", str(tmp_path / "absent.json")]) == 2
+
+
+def _main_exit(tmp_path, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["--config", str(path), "--out", str(tmp_path / "r.json")])
+    return code, json.loads((tmp_path / "r.json").read_text())
+
+
+def test_coeffs_unknown_method_exit_2(tmp_path):
+    code, report = _main_exit(tmp_path, {"command": "coeffs", "poly_tuple": P0, "m": [1, 1],
+                                         "window": [2, 2], "method": "bogus"})
+    assert code == 2
+    assert report["error"] == "InvalidConfig"
+
+
+def test_coeffs_product_method_on_mixed_terms_exit_2(tmp_path):
+    code, report = _main_exit(tmp_path, {"command": "coeffs", "poly_tuple": P1, "m": [1, 1],
+                                         "window": [2, 2], "method": "product"})
+    assert code == 2
+    assert report["error"] == "InvalidConfig"

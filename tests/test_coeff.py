@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hartogs.coeff import (
     coeff_function,
-    convolve,
     hartogs_coeff_closed,
     reciprocal_power_coeffs,
     univariate_coeffs,
@@ -119,11 +118,12 @@ def test_product_method_rejected_for_mixed_terms():
 
 
 def test_convolution_equals_product_for_admissible():
-    P = from_polys([{(1, 0): F(1), (2, 0): F(1, 2)}, {(0, 1): F(3)}])
     m = (2, 2)
-    conv = coeff_function(P, m, (6, 6), method="convolution")
-    prod = coeff_function(P, m, (6, 6), method="product")
-    assert conv.values == prod.values
+    for P in (from_polys([{(1, 0): F(1), (2, 0): F(1, 2)}, {(0, 1): F(3)}]),
+              from_polys([{(1, 0): F(2, 3), (2, 0): F(1, 4)}, {(0, 1): F(5, 3)}])):
+        conv = coeff_function(P, m, (6, 6), method="convolution")
+        prod = coeff_function(P, m, (6, 6), method="product")
+        assert conv.values == prod.values
 
 
 def test_ratio_inequality_along_own_axis():
@@ -139,17 +139,45 @@ def test_ratio_inequality_along_own_axis():
             assert table.value(up) >= a_j * table.value(alpha)
 
 
+def _convolution_by_definition(P, m, bounds):
+    # the product of the oracle tables of 1/(1-P_j)^{m_j}, convolved term by term
+    out = {alpha: F(int(not any(alpha))) for alpha in box(bounds)}
+    for q, mj in zip(P.polys, m):
+        t = reciprocal_power_coeffs(q, mj, bounds, mode="oracle")
+        out = {alpha: sum((out[g] * t.value(tuple(x - y for x, y in zip(alpha, g)))
+                           for g in box(alpha)), start=F(0))
+               for alpha in box(bounds)}
+    return out
+
+
 def test_convolve_definition_brute_force():
-    qa = {(1, 0): F(1), (1, 1): F(1)}
-    qb = {(0, 1): F(1, 2)}
+    P = from_polys([{(1, 0): F(1), (1, 1): F(1)}, {(0, 1): F(1, 2)}])
     bounds = (4, 4)
-    a = reciprocal_power_coeffs(qa, 1, bounds)
-    b = reciprocal_power_coeffs(qb, 2, bounds)
-    c = convolve(a, b, bounds)
-    for alpha in box(bounds):
-        expected = sum((a.value(g) * b.value(tuple(x - y for x, y in zip(alpha, g)))
-                        for g in box(alpha)), start=F(0))
-        assert c.value(alpha) == expected
+    table = coeff_function(P, (1, 2), bounds, method="convolution")
+    expected = _convolution_by_definition(P, (1, 2), bounds)
+    assert table.values == tuple(expected[alpha] for alpha in box(bounds))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_general_route_equals_convolution_property(n, data):
+    # mixed terms with rational coefficients of different denominators exercise
+    # the common denominator d and the d^|alpha| rescaling of the general route
+    coeff = st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7)
+    alphas = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    polys = []
+    for j in range(n):
+        q = {tuple(int(i == j) for i in range(n)): data.draw(coeff)}
+        for alpha, c in data.draw(st.lists(st.tuples(alphas, coeff), max_size=3)):
+            if sum(alpha) > 0:
+                q[alpha] = c
+        polys.append(q)
+    P = from_polys(polys)
+    m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    bounds = {1: (8,), 2: (4, 4), 3: (2, 2, 2)}[n]
+    table = coeff_function(P, m, bounds, method="convolution")
+    expected = _convolution_by_definition(P, m, bounds)
+    assert table.values == tuple(expected[alpha] for alpha in box(bounds))
 
 
 def test_univariate_coeffs_matches_table():
