@@ -1,9 +1,11 @@
 """Batch CLI dispatching the library operations from a single JSON config.
 
 One run executes exactly one sub-command and writes one deterministic report
-(JSON, or CSV for tabular commands).  Exit codes: 0 success, 1 mathematically
-negative verdict (failed monotonicity, failed certificate, "neither"
-classification), 2 input error.
+(JSON, or CSV for tabular commands).  Each command declares its config fields
+in one table, next to its implementation.  Exit codes: 0 success, 1
+mathematically negative verdict (failed monotonicity, failed certificate,
+"neither" classification), 2 input error, 3 internal error (a defect of the
+program, never a verdict).
 """
 
 from __future__ import annotations
@@ -11,324 +13,343 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import random
 import sys
-from fractions import Fraction
+import traceback
 from typing import Sequence
 
 from . import geometry, hereditary, kernel, shiftops, subnormality
 from .coeff import coeff_function
 from .errors import HartogsError, InvalidConfig, UnknownCommand
-from .polytuple import PolyTuple, admissibility_degree, box, format_rational, parse_and_validate
+from .polytuple import admissibility_degree, box, format_rational, parse_and_validate, parse_rational
 
 CSV_COMMANDS = {"coeffs", "kernel", "weights", "domain", "quadrature"}
 
+# --- config fields ------------------------------------------------------------
+# A field is a pair (check, default).  check(value, parsed, where) returns the
+# parsed value or raises InvalidConfig; parsed holds the fields read before it
+# in table order, and a callable default or bound is computed from them.  A
+# field whose default is _REQUIRED must be given.
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise InvalidConfig(f"config is missing required field {key!r}")
-    return config[key]
-
-
-def _parse_tuple(config: dict) -> PolyTuple:
-    return parse_and_validate(_require(config, "poly_tuple"))
+_REQUIRED = object()
 
 
-def _parse_m(config: dict, n: int) -> tuple[int, ...]:
-    m = _require(config, "m")
-    if not isinstance(m, list) or len(m) != n or not all(isinstance(x, int) and x >= 1 for x in m):
-        raise InvalidConfig(f"'m' must be a list of {n} integers >= 1")
-    return tuple(m)
+def _parse(config: dict, table: dict, prefix: str = "") -> dict:
+    parsed: dict = {}
+    for name, (check, default) in table.items():
+        if name in config:
+            value = check(config[name], parsed, prefix + name)
+        elif (value := _at(default, parsed)) is _REQUIRED:
+            raise InvalidConfig(f"config is missing required field {prefix + name!r}")
+        parsed[name] = value
+    return parsed
 
 
-def _parse_bounds(config: dict, n: int, key: str = "window") -> tuple[int, ...]:
-    w = _require(config, key)
-    if not isinstance(w, list) or len(w) != n or not all(isinstance(x, int) and x >= 0 for x in w):
-        raise InvalidConfig(f"{key!r} must be a list of {n} nonnegative integers")
-    return tuple(w)
+def _at(spec, parsed):
+    return spec(parsed) if callable(spec) else spec
 
 
-def _parse_point(entry) -> tuple[complex, ...]:
+def _must(ok, where: str, what: str, value) -> None:
+    if not ok:
+        raise InvalidConfig(f"{where!r} must be {what}, got {value!r:.80}")
+
+
+def _n(parsed) -> int:
+    return parsed["poly_tuple"].n
+
+
+def _is_pairs(value, size=None) -> bool:
+    """A list of size [re, im] pairs of finite numbers (of any size when size is None)."""
     try:
-        return tuple(complex(float(re), float(im)) for re, im in entry)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"point {entry!r} must be a list of [re, im] pairs") from None
+        numbers = [x for re, im in value for x in (re, im)]
+        return (isinstance(value, list) and size in (None, len(value))
+                and set(map(type, numbers)) <= {int, float} and all(map(math.isfinite, numbers)))
+    except (TypeError, ValueError, OverflowError):  # not pairs, or an int beyond the float range
+        return False
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def _int(lo: int, hi=math.inf, default=_REQUIRED):
+    def check(value, parsed, where):
+        top = _at(hi, parsed)
+        _must(type(value) is int and lo <= value <= top, where, f"an integer in [{lo}, {top}]", value)
+        return value
+    return check, default
+
+
+def _ints(lo: int, length=None, default=_REQUIRED):
+    def check(value, parsed, where):
+        size = _at(length, parsed)
+        _must(isinstance(value, list) and size in (None, len(value))
+              and all(type(x) is int and x >= lo for x in value),
+              where, f"a list of {'' if size is None else f'{size} '}integers >= {lo}", value)
+        return tuple(value)
+    return check, default
+
+
+def _number(default):
+    """A finite number >= 0, such as a tolerance."""
+    def check(value, parsed, where):
+        _must(type(value) in (int, float) and 0 <= value <= sys.float_info.max, where,
+              "a finite number >= 0", value)
+        return value
+    return check, default
+
+
+def _rational(default):
+    """A rational > 0, an int or a "p/q" string (parse_rational rejects floats)."""
+    def check(value, parsed, where):
+        _must((q := parse_rational(value, where)) > 0, where, "> 0", value)
+        return q
+    return check, default
+
+
+def _choice(*options):
+    """One of the options; the first is the default."""
+    def check(value, parsed, where):
+        _must(value in options, where, f"one of {', '.join(map(repr, options))}", value)
+        return value
+    return check, options[0]
+
+
+def _point(length):
+    """A point of length coordinates, each an [re, im] pair."""
+    def check(value, parsed, where):
+        size = _at(length, parsed)
+        _must(_is_pairs(value, size), where,
+              f"a list of {'' if size is None else f'{size} '}[re, im] pairs of finite numbers", value)
+        return tuple(complex(float(re), float(im)) for re, im in value)
+    return check, _REQUIRED
+
+
+def _matrix():
+    """A rectangular matrix of [re, im] pairs, as a complex array."""
+    def check(value, parsed, where):
+        width = len(value[0]) if isinstance(value, list) and value and type(value[0]) is list else 0
+        _must(width and all(type(row) is list and len(row) == width for row in value)
+              and _is_pairs(list(itertools.chain.from_iterable(value))),
+              where, "a rectangular matrix of [re, im] pairs of finite numbers", value)
+        return hereditary.matrix_from_json(value)
+    return check, _REQUIRED
+
+
+def _list(kind, length=None):
+    """A list of values of one kind, of the given length or of any length."""
+    def check(value, parsed, where):
+        _must(isinstance(value, list) and length in (None, len(value)), where,
+              f"a list of {'' if length is None else f'{length} '}entries", value)
+        return [kind[0](v, parsed, f"{where}[{i}]") for i, v in enumerate(value)]
+    return check, _REQUIRED
+
+
+def _object(**table):
+    """A nested object with its own table; absent means None."""
+    def check(value, parsed, where):
+        _must(isinstance(value, dict), where, "an object", value)
+        return _parse(value, table, where + ".")
+    return check, None
+
+
+_COMMANDS: dict = {}
+
+
+def _command(name: str, **table):
+    """Register a command with its config table: field -> (check, default)."""
+    def register(function):
+        _COMMANDS[name] = function, table
+        return function
+    return register
+
+
+def _tuple(value, parsed, where):
+    return parse_and_validate(value)
+
+
+_P, _M, _WINDOW = (_tuple, _REQUIRED), _ints(1, _n), _ints(0, _n)
 
 
 # --- command implementations ----------------------------------------------------
 
 
-def _cmd_validate(config: dict, rng) -> tuple[bool | None, dict, None]:
-    P = _parse_tuple(config)
+@_command("validate", poly_tuple=_P)
+def _cmd_validate(c: dict, rng) -> tuple[bool | None, dict, None]:
+    P = c["poly_tuple"]
     adm = admissibility_degree(P)
-    report = {
-        "valid": True,
-        "n": P.n,
-        "admissible": adm.admissible,
-        "admissibility_degree": "all" if adm.all_degrees else adm.degree,
-        "linear_coefficients": [format_rational(a) for a in P.linear_coefficients],
-        "polydisc_radii": geometry.polydisc_radii(P),
-    }
-    return None, report, None
+    return None, {"valid": True, "n": P.n, "admissible": adm.admissible,
+                  "admissibility_degree": "all" if adm.all_degrees else adm.degree,
+                  "linear_coefficients": [format_rational(a) for a in P.linear_coefficients],
+                  "polydisc_radii": geometry.polydisc_radii(P)}, None
 
 
-def _cmd_coeffs(config: dict, rng):
-    P = _parse_tuple(config)
-    m = _parse_m(config, P.n)
-    bounds = _parse_bounds(config, P.n)
-    method = config.get("method", "auto")
-    if method not in ("auto", "product", "convolution"):
-        raise InvalidConfig(f"'method' must be 'auto', 'product' or 'convolution', got {method!r}")
-    if method == "product" and not admissibility_degree(P).admissible:
+@_command("coeffs", poly_tuple=_P, m=_M, window=_WINDOW, method=_choice("auto", "product", "convolution"))
+def _cmd_coeffs(c: dict, rng):
+    P, bounds = c["poly_tuple"], c["window"]
+    if c["method"] == "product" and not admissibility_degree(P).admissible:
         raise InvalidConfig("'method' 'product' needs each P_j to depend on z_j alone")
-    table = coeff_function(P, m, bounds, method=method)
+    table = coeff_function(P, c["m"], bounds, method=c["method"])
+    entries = [{"alpha": list(alpha), "value": format_rational(value)}
+               for alpha, value in zip(box(bounds), table.values)]
     header = [f"alpha_{j + 1}" for j in range(P.n)] + ["value"]
-    rows = [[*alpha, format_rational(table.value(alpha))] for alpha in box(bounds)]
-    report = {"bounds": list(bounds), "entries": [
-        {"alpha": list(alpha), "value": format_rational(table.value(alpha))}
-        for alpha in box(bounds)]}
-    return None, report, (header, rows)
+    rows = [[*e["alpha"], e["value"]] for e in entries]
+    return None, {"bounds": list(bounds), "entries": entries}, (header, rows)
 
 
-def _cmd_domain(config: dict, rng):
-    P = _parse_tuple(config)
-    points = [_parse_point(p) for p in _require(config, "points")]
-    header = ["point", "inside"]
-    rows, entries = [], []
-    for p in points:
-        inside = geometry.triangle_contains(P, p)
-        rows.append([json.dumps([_complex_pair(z) for z in p]), int(inside)])
-        entries.append({"point": [_complex_pair(z) for z in p], "inside": inside})
-    return None, {"points": entries}, (header, rows)
+@_command("domain", poly_tuple=_P, points=_list(_point(_n)))
+def _cmd_domain(c: dict, rng):
+    entries = [{"point": [[z.real, z.imag] for z in p],
+                "inside": geometry.triangle_contains(c["poly_tuple"], p)} for p in c["points"]]
+    rows = [[json.dumps(e["point"]), int(e["inside"])] for e in entries]
+    return None, {"points": entries}, (["point", "inside"], rows)
 
 
-def _cmd_kernel(config: dict, rng):
-    P = _parse_tuple(config)
-    m = _parse_m(config, P.n)
-    bounds = _parse_bounds(config, P.n)
-    cutoff = config.get("cutoff", min(bounds))
-    if not isinstance(cutoff, int) or cutoff < 0 or any(cutoff > b for b in bounds):
-        raise InvalidConfig("'cutoff' must be an integer within the window bounds")
-    ctx = kernel.make_context(P, m, bounds)
-    header = ["z", "w", "closed_re", "closed_im", "series_re", "series_im", "abs_err"]
-    rows, entries = [], []
-    for pair in _require(config, "pairs"):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InvalidConfig("'pairs' entries must be [z, w]")
-        z, w = _parse_point(pair[0]), _parse_point(pair[1])
+@_command("kernel", poly_tuple=_P, m=_M, window=_WINDOW,
+          cutoff=_int(0, lambda c: min(c["window"]), default=lambda c: min(c["window"])),
+          pairs=_list(_list(_point(_n), 2)))
+def _cmd_kernel(c: dict, rng):
+    ctx = kernel.make_context(c["poly_tuple"], c["m"], c["window"])
+    entries = []
+    for z, w in c["pairs"]:
         closed = kernel.kernel_eval(ctx, z, w)
-        series = kernel.kernel_series_eval(ctx, z, w, cutoff)
-        err = abs(closed - series)
-        rows.append([json.dumps([_complex_pair(c) for c in z]),
-                     json.dumps([_complex_pair(c) for c in w]),
-                     closed.real, closed.imag, series.real, series.imag, err])
-        entries.append({"z": [_complex_pair(c) for c in z], "w": [_complex_pair(c) for c in w],
-                        "closed": _complex_pair(closed), "series": _complex_pair(series),
-                        "abs_err": err})
-    return None, {"cutoff": cutoff, "pairs": entries}, (header, rows)
+        series = kernel.kernel_series_eval(ctx, z, w, c["cutoff"])
+        entries.append({"z": [[x.real, x.imag] for x in z], "w": [[x.real, x.imag] for x in w],
+                        "closed": [closed.real, closed.imag], "series": [series.real, series.imag],
+                        "abs_err": abs(closed - series)})
+    header = ["z", "w", "closed_re", "closed_im", "series_re", "series_im", "abs_err"]
+    rows = [[json.dumps(e["z"]), json.dumps(e["w"]), *e["closed"], *e["series"], e["abs_err"]]
+            for e in entries]
+    return None, {"cutoff": c["cutoff"], "pairs": entries}, (header, rows)
 
 
-def _cmd_weights(config: dict, rng):
-    P = _parse_tuple(config)
-    m = _parse_m(config, P.n)
-    window = shiftops.build_window(_parse_bounds(config, P.n))
+@_command("weights", poly_tuple=_P, m=_M, window=_WINDOW)
+def _cmd_weights(c: dict, rng):
+    P, m = c["poly_tuple"], c["m"]
+    window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
     diagonals = [shiftops.hyponormality_diagonal(P, m, j, window) for j in range(P.n)]
+    entries = [{"alpha": list(alpha), "j": j + 1,
+                "omega": math.sqrt(float(wt.mult_weight_sq(j, alpha))),
+                "sigma": math.sqrt(float(wt.shift_weight_sq(j, alpha))),
+                "hypo_diag": format_rational(diagonals[j][alpha])}
+               for alpha in window.cells for j in range(P.n)]
     header = [f"alpha_{i + 1}" for i in range(P.n)] + ["j", "omega", "sigma", "hypo_diag"]
-    rows, entries = [], []
-    for alpha in window.cells:
-        for j in range(P.n):
-            omega = math.sqrt(float(wt.mult_weight_sq(j, alpha)))
-            sigma = math.sqrt(float(wt.shift_weight_sq(j, alpha)))
-            hypo = diagonals[j][alpha]
-            rows.append([*alpha, j + 1, omega, sigma, format_rational(hypo)])
-            entries.append({"alpha": list(alpha), "j": j + 1, "omega": omega,
-                            "sigma": sigma, "hypo_diag": format_rational(hypo)})
+    rows = [[*e["alpha"], e["j"], e["omega"], e["sigma"], e["hypo_diag"]] for e in entries]
     return None, {"window": list(window.bounds), "weights": entries}, (header, rows)
 
 
-def _cmd_probes(config: dict, rng):
-    P = _parse_tuple(config)
-    m = _parse_m(config, P.n)
-    window = shiftops.build_window(_parse_bounds(config, P.n))
+@_command("probes", poly_tuple=_P, m=_M, window=_WINDOW, theta_trials=_int(0, default=5),
+          circularity_tolerance=_number(1e-12))
+def _cmd_probes(c: dict, rng):
+    P, m = c["poly_tuple"], c["m"]
+    window = shiftops.build_window(c["window"])
     probe = shiftops.factorization_and_commutation_probe(P, m, window)
-    trials = config.get("theta_trials", 5)
     max_dev = 0.0
-    for _ in range(trials):
+    for _ in range(c["theta_trials"]):
         theta = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(P.n)]
         max_dev = max(max_dev, shiftops.circularity_check(P, m, window, theta))
-    circular_ok = max_dev <= config.get("circularity_tolerance", 1e-12)
-    verdict = probe.ok and circular_ok
-    report = {
-        "factorization_exact": probe.factorization_exact,
-        "noncommuting_witness": list(probe.noncommuting_witness)
-        if probe.noncommuting_witness is not None else None,
-        "polydisc_all_zero": probe.polydisc_all_zero,
-        "cells_checked": probe.cells_checked,
-        "circularity_trials": trials,
-        "circularity_max_deviation": max_dev,
-        "verdict": verdict,
-    }
+    verdict = probe.ok and max_dev <= c["circularity_tolerance"]
+    witness = probe.noncommuting_witness
+    report = {"factorization_exact": probe.factorization_exact,
+              "noncommuting_witness": None if witness is None else list(witness),
+              "polydisc_all_zero": probe.polydisc_all_zero, "cells_checked": probe.cells_checked,
+              "circularity_trials": c["theta_trials"], "circularity_max_deviation": max_dev,
+              "verdict": verdict}
     return verdict, report, None
 
 
-def _cmd_dettrace(config: dict, rng):
-    P = _parse_tuple(config)
-    m = _parse_m(config, P.n)
-    K = _require(config, "K")
-    if not isinstance(K, int) or K < 1:
-        raise InvalidConfig("'K' must be a positive integer")
-    rep = shiftops.det_commutator_and_trace(P, m, K)
-    report = {
-        "K": K,
-        "increasing": list(rep.increasing),
-        "positive": rep.positive,
-        "partial_trace": format_rational(rep.partial_trace),
-        "partial_trace_float": float(rep.partial_trace),
-        "limit_trace": rep.limit_trace,
-        "diagonal": [{"alpha": list(a), "value": format_rational(v)}
-                     for a, v in sorted(rep.diagonal.items())],
-    }
+@_command("dettrace", poly_tuple=_P, m=_M, K=_int(1))
+def _cmd_dettrace(c: dict, rng):
+    rep = shiftops.det_commutator_and_trace(c["poly_tuple"], c["m"], c["K"])
+    report = {"K": c["K"], "increasing": list(rep.increasing), "positive": rep.positive,
+              "partial_trace": format_rational(rep.partial_trace),
+              "partial_trace_float": float(rep.partial_trace), "limit_trace": rep.limit_trace,
+              "diagonal": [{"alpha": list(a), "value": format_rational(v)}
+                           for a, v in sorted(rep.diagonal.items())]}
     return None, report, None
 
 
-def _cmd_radius(config: dict, rng):
-    P = _parse_tuple(config)
-    m = _parse_m(config, P.n)
-    j = config.get("j", 1)
-    if not isinstance(j, int) or not 1 <= j <= P.n:
-        raise InvalidConfig(f"'j' must be in 1..{P.n}")
-    K = config.get("K", 30)
-    N = config.get("N", 400)
-    rep = shiftops.spectral_radius_estimate(P, m, j - 1, K, N)
-    report = {
-        "j": j,
-        "polydisc_radii": geometry.polydisc_radii(P),
-        "estimate": rep.estimate,
-        "norm_bound": rep.norm_bound,
-        "approximants_tail": rep.approximants[-10:],
-    }
-    return None, report, None
+@_command("radius", poly_tuple=_P, m=_M, j=_int(1, _n, default=1), K=_int(0, default=30),
+          N=_int(1, default=400))
+def _cmd_radius(c: dict, rng):
+    P = c["poly_tuple"]
+    rep = shiftops.spectral_radius_estimate(P, c["m"], c["j"] - 1, c["K"], c["N"])
+    return None, {"j": c["j"], "polydisc_radii": geometry.polydisc_radii(P), "estimate": rep.estimate,
+                  "norm_bound": rep.norm_bound, "approximants_tail": rep.approximants[-10:]}, None
 
 
-def _cmd_subnormality(config: dict, rng):
-    order = config.get("order", 4)
-    if "poly_tuple" in config:
-        P = _parse_tuple(config)
-        m = _parse_m(config, P.n)
-        gamma = tuple(_parse_bounds(config, P.n, key="gamma"))
-        window = tuple(_parse_bounds(config, P.n)) if "window" in config else (2,) * P.n
-        scale = Fraction(str(config.get("scale", 1)))
+# Without poly_tuple, subnormality certifies the Hartogs tuple for every shift
+# up to gamma_bound; with it, it checks the single shift gamma.
+@_command("subnormality", poly_tuple=(_tuple, None),
+          m=_ints(1, lambda c: c["poly_tuple"].n if c["poly_tuple"] else None),
+          gamma=_ints(0, lambda c: len(c["m"]), default=lambda c: _REQUIRED if c["poly_tuple"] else None),
+          gamma_bound=_ints(0, lambda c: len(c["m"]),
+                            default=lambda c: None if c["poly_tuple"] else _REQUIRED),
+          window=_ints(0, lambda c: len(c["m"]), default=lambda c: (2,) * len(c["m"])),
+          order=_int(1, default=4), variant=_choice("general", "admissible"), scale=_rational(1))
+def _cmd_subnormality(c: dict, rng):
+    order, window = c["order"], c["window"]
+    if c["poly_tuple"] is not None:
         seq = subnormality.moment_sequence(
-            P, m, gamma, variant=config.get("variant", "general"),
-            window=window, margin=order, scale=scale)
+            c["poly_tuple"], c["m"], c["gamma"], variant=c["variant"],
+            window=window, margin=order, scale=c["scale"])
         rep = subnormality.complete_monotonicity_check(seq, order)
         witnesses = [] if rep.passed else [
-            {"gamma": list(gamma), "beta": list(rep.witness[0]), "k": list(rep.witness[1])}]
+            {"gamma": list(c["gamma"]), "beta": list(rep.witness[0]), "k": list(rep.witness[1])}]
         report = {"verdict": "PASS" if rep.passed else "FAIL", "order": order,
                   "window": list(window), "witnesses": witnesses, "checked": rep.checked}
         return rep.passed, report, None
-    m = _require(config, "m")
-    if not isinstance(m, list) or not all(isinstance(x, int) and x >= 1 for x in m):
-        raise InvalidConfig("'m' must be a list of integers >= 1")
-    n = len(m)
-    gamma_bound = tuple(_parse_bounds(config, n, key="gamma_bound"))
-    window = tuple(_parse_bounds(config, n)) if "window" in config else (2,) * n
-    rep = subnormality.hartogs_certify(tuple(m), gamma_bound, order, window)
-    report = {
-        "verdict": "PASS" if rep.passed else "FAIL",
-        "order": rep.order,
-        "window": list(rep.window),
-        "gammas_checked": rep.gammas_checked,
-        "witnesses": [{"gamma": list(g), "beta": list(w[0]), "k": list(w[1])}
-                      for g, w in rep.failures],
-    }
+    rep = subnormality.hartogs_certify(c["m"], c["gamma_bound"], order, window)
+    report = {"verdict": "PASS" if rep.passed else "FAIL", "order": rep.order,
+              "window": list(rep.window), "gammas_checked": rep.gammas_checked,
+              "witnesses": [{"gamma": list(g), "beta": list(w[0]), "k": list(w[1])}
+                            for g, w in rep.failures]}
     return rep.passed, report, None
 
 
-def _cmd_hereditary(config: dict, rng):
-    tol = config.get("tolerance", 1e-10)
-    T = hereditary.tuple_from_json(_require(config, "matrices"),
-                                   tolerance=config.get("commutation_tolerance", 1e-12))
-    mode = config.get("mode", "classify")
+@_command("hereditary", matrices=_list(_matrix()), tolerance=_number(1e-10),
+          commutation_tolerance=_number(1e-12), mode=_choice("classify", "lift", "ordering"))
+def _cmd_hereditary(c: dict, rng):
+    T = hereditary.MatrixTuple(tuple(c["matrices"]), tolerance=c["commutation_tolerance"])
+    mode = c["mode"]
+    if mode == "ordering":
+        rep = hereditary.ordering_check(T, tol=c["tolerance"])
+        report = {"mode": mode, "chain_holds": rep.chain_holds, "margins": list(rep.margins),
+                  "spectrum_checked": rep.spectrum_checked,
+                  "spectrum_in_triangle": rep.spectrum_in_triangle}
+        return rep.chain_holds, report, None
     if mode == "lift":
         T = hereditary.toral_lift(T)
-    if mode in ("classify", "lift"):
-        rep = hereditary.triangle_defect_classify(T, tol=tol)
-        report = {
-            "mode": mode,
-            "classification": rep.kind,
-            "min_eigenvalue": rep.min_eigenvalue,
-            "defect_norm": rep.defect_norm,
-        }
-        return rep.kind != "neither", report, None
-    if mode == "ordering":
-        rep = hereditary.ordering_check(T, tol=tol)
-        report = {
-            "mode": mode,
-            "chain_holds": rep.chain_holds,
-            "margins": list(rep.margins),
-            "spectrum_checked": rep.spectrum_checked,
-            "spectrum_in_triangle": rep.spectrum_in_triangle,
-        }
-        return rep.chain_holds, report, None
-    raise InvalidConfig(f"unknown hereditary mode {mode!r}")
+    rep = hereditary.triangle_defect_classify(T, tol=c["tolerance"])
+    report = {"mode": mode, "classification": rep.kind, "min_eigenvalue": rep.min_eigenvalue,
+              "defect_norm": rep.defect_norm}
+    return rep.kind != "neither", report, None
 
 
-def _cmd_pick_verify(config: dict, rng):
-    points = [_parse_point(p) for p in _require(config, "points")]
-    targets = [complex(re, im) for re, im in _require(config, "targets")]
-    a1 = hereditary.matrix_from_json(_require(config, "a1"))
-    a2 = hereditary.matrix_from_json(_require(config, "a2"))
-    ok = hereditary.pick_verify(points, targets, a1, a2,
-                                tol=config.get("tolerance", 1e-10))
+@_command("pick-verify", points=_list(_point(None)), targets=_point(lambda c: len(c["points"])),
+          a1=_matrix(), a2=_matrix(), tolerance=_number(1e-10))
+def _cmd_pick_verify(c: dict, rng):
+    ok = hereditary.pick_verify(c["points"], c["targets"], c["a1"], c["a2"], tol=c["tolerance"])
     return ok, {"verified": ok}, None
 
 
-def _cmd_quadrature(config: dict, rng):
-    l_max = config.get("l_max", 5)
-    k_max = config.get("k_max", 5)
-    nodes = config.get("radial_nodes", 32)
-    header = ["l", "k", "numeric", "closed", "abs_err"]
-    rows, entries = [], []
-    for l in range(l_max + 1):
-        for k in range(k_max + 1):
-            numeric, closed = kernel.beta_integral_check(l, k, radial_nodes=nodes)
-            rows.append([l, k, numeric, closed, abs(numeric - closed)])
+@_command("quadrature", l_max=_int(0, default=5), k_max=_int(0, default=5),
+          radial_nodes=_int(1, default=32),
+          hardy=_object(n=_int(1), alpha=_ints(0, lambda s: s["n"])),
+          bergman=_object(m=_ints(1), alpha=_ints(0, lambda s: len(s["m"]))))
+def _cmd_quadrature(c: dict, rng):
+    entries = []
+    for l in range(c["l_max"] + 1):
+        for k in range(c["k_max"] + 1):
+            numeric, closed = kernel.beta_integral_check(l, k, radial_nodes=c["radial_nodes"])
             entries.append({"l": l, "k": k, "numeric": numeric, "closed": closed,
                             "abs_err": abs(numeric - closed)})
     report: dict = {"beta_integrals": entries}
-    if "hardy" in config:
-        spec = config["hardy"]
-        value = kernel.hardy_norm_check(int(spec["n"]), tuple(spec["alpha"]))
-        report["hardy_norm"] = value
-    if "bergman" in config:
-        spec = config["bergman"]
-        value = kernel.bergman_norm_check(tuple(spec["m"]), tuple(spec["alpha"]))
-        report["bergman_norm"] = value
-    return None, report, (header, rows)
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "coeffs": _cmd_coeffs,
-    "domain": _cmd_domain,
-    "kernel": _cmd_kernel,
-    "weights": _cmd_weights,
-    "probes": _cmd_probes,
-    "dettrace": _cmd_dettrace,
-    "radius": _cmd_radius,
-    "subnormality": _cmd_subnormality,
-    "hereditary": _cmd_hereditary,
-    "pick-verify": _cmd_pick_verify,
-    "quadrature": _cmd_quadrature,
-}
+    if c["hardy"] is not None:
+        report["hardy_norm"] = kernel.hardy_norm_check(c["hardy"]["n"], c["hardy"]["alpha"])
+    if c["bergman"] is not None:
+        report["bergman_norm"] = kernel.bergman_norm_check(c["bergman"]["m"], c["bergman"]["alpha"])
+    return None, report, (["l", "k", "numeric", "closed", "abs_err"], [list(e.values()) for e in entries])
 
 
 def run(config: dict, seed: int = 0, fmt: str = "json") -> tuple[int, str]:
@@ -336,25 +357,26 @@ def run(config: dict, seed: int = 0, fmt: str = "json") -> tuple[int, str]:
     if not isinstance(config, dict):
         raise InvalidConfig("config must be a JSON object")
     command = config.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise UnknownCommand(f"unknown command {command!r}")
     if fmt not in ("json", "csv"):
         raise InvalidConfig(f"format must be 'json' or 'csv', got {fmt!r}")
     if fmt == "csv" and command not in CSV_COMMANDS:
         raise InvalidConfig(f"command {command!r} has no CSV form")
-    rng = random.Random(seed)
-    verdict, report, table = _COMMANDS[command](config, rng)
+    function, fields = _COMMANDS[command]
+    verdict, report, table = function(_parse(config, fields), random.Random(seed))
     report = {"command": command, "seed": seed, **report}
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header, rows = table
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows([table[0], *table[1]])
         rendered = buf.getvalue()
     else:
         rendered = json.dumps(report, sort_keys=True, indent=2) + "\n"
     return (0 if verdict in (None, True) else 1), rendered
+
+
+def _error(name: str, message: str) -> str:
+    return json.dumps({"error": name, "message": message}, sort_keys=True, indent=2) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -375,9 +397,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code, rendered = run(config, seed=args.seed, fmt=args.format)
     except HartogsError as exc:
-        rendered = json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                              sort_keys=True, indent=2) + "\n"
-        code = 2
+        code, rendered = 2, _error(type(exc).__name__, str(exc))
+    except Exception as exc:  # a defect, so never exit 1, which means a negative verdict
+        traceback.print_exc()
+        code, rendered = 3, _error("InternalError", f"{type(exc).__name__}: {exc}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)

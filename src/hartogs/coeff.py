@@ -193,6 +193,11 @@ def univariate_coeffs(p: Mapping[int, Fraction], k: int, kmax: int, mode: str = 
     return [table.value((l,)) for l in range(kmax + 1)]
 
 
+def _axis_tables(P: PolyTuple, m: Sequence[int], kmax: Sequence[int]) -> list[list[Fraction]]:
+    """Univariate tables of 1/(1-P_j restricted to its axis)^m_j up to degree kmax[j], per j."""
+    return [univariate_coeffs(t, mj, k) for t, mj, k in zip(tilde_restrictions(P), m, kmax)]
+
+
 def coeff_function(
     P: PolyTuple,
     m: Sequence[int],
@@ -217,8 +222,7 @@ def coeff_function(
     if method == "product":
         if not admissible:
             raise ValueError("product method requires each P_j to depend on z_j alone")
-        tildes = tilde_restrictions(P)
-        axis = [univariate_coeffs(tildes[j], m[j], bounds[j]) for j in range(P.n)]
+        axis = _axis_tables(P, m, bounds)
         values = [math.prod((axis[j][alpha[j]] for j in range(P.n)), start=Fraction(1))
                   for alpha in box(bounds)]
         return CoeffTable(bounds=tuple(bounds), values=tuple(values))

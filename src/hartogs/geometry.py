@@ -70,16 +70,13 @@ def _squared_quotient_moduli(p: Sequence[complex]) -> list[float] | None:
 
 def triangle_contains(P: PolyTuple, p: Sequence[complex]) -> bool:
     """Strict membership of p in the triangle of P (tail coordinates nonzero)."""
-    u = _squared_quotient_moduli(p)
-    if u is None:
+    try:
+        u = _squared_quotient_moduli(p)
+        return u is not None and all(
+            sum(float(c) * math.prod(u[j] ** a for j, a in enumerate(alpha) if a)
+                for alpha, c in poly.items()) < 1.0 for poly in P.polys)
+    except OverflowError:  # a modulus or a term beyond the float range: p is far outside
         return False
-    for poly in P.polys:
-        val = 0.0
-        for alpha, coeff in poly.items():
-            val += float(coeff) * math.prod(u[j] ** a for j, a in enumerate(alpha) if a)
-        if not val < 1.0:
-            return False
-    return True
 
 
 def q_ball_contains(q: Mapping[MultiIndex, Fraction], p: Sequence[complex]) -> bool:

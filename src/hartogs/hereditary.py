@@ -42,6 +42,8 @@ class MatrixTuple:
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
         object.__setattr__(self, "matrices", mats)
+        if not mats:
+            raise WrongDimension("a matrix tuple needs at least one matrix")
         d = mats[0].shape[0]
         for m in mats:
             if m.shape != (d, d):
@@ -70,10 +72,6 @@ class MatrixTuple:
 def matrix_from_json(entries) -> np.ndarray:
     """Nested lists of [re, im] pairs -> complex matrix."""
     return np.array([[complex(e[0], e[1]) for e in row] for row in entries])
-
-
-def tuple_from_json(matrices, tolerance: float = 1e-12) -> MatrixTuple:
-    return MatrixTuple(tuple(matrix_from_json(m) for m in matrices), tolerance=tolerance)
 
 
 # --- hereditary polynomials -------------------------------------------------------

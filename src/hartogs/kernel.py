@@ -23,7 +23,7 @@ import numpy as np
 from .coeff import CoeffTable, coeff_function, hartogs_coeff_closed
 from .errors import InvalidMultiplicity, OutsideDomain, WindowTooSmall, ZeroCoordinate
 from .geometry import forward, triangle_contains
-from .polytuple import MultiIndex, PolyTuple, hartogs_tuple, poly_eval
+from .polytuple import MultiIndex, PolyTuple, box, hartogs_tuple, poly_eval
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,11 @@ def kernel_series_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[com
     for j in range(1, n):
         prefactor /= complex(z[j]) * complex(w[j]).conjugate()
     total = 0j
-    for alpha in _simplex(n, cutoff):
+    for alpha in (alpha for alpha in box((cutoff,) * n) if sum(alpha) <= cutoff):
         a = ctx.table.value(alpha)
         if a:
             total += float(a) * math.prod(powers[j][alpha[j]] for j in range(n))
     return prefactor * total
-
-
-def _simplex(n: int, cutoff: int):
-    if n == 1:
-        for k in range(cutoff + 1):
-            yield (k,)
-        return
-    for k in range(cutoff + 1):
-        for rest in _simplex(n - 1, cutoff - k):
-            yield (k, *rest)
 
 
 def basis_eval(ctx: KernelContext, alpha: MultiIndex, z: Sequence[complex]) -> complex:

@@ -100,7 +100,7 @@ def normalize_terms(terms: Mapping[MultiIndex, Fraction]) -> TermMap:
     out: TermMap = {}
     for alpha, coeff in terms.items():
         alpha = tuple(alpha)
-        c = out.get(alpha, Fraction(0)) + coeff
+        c = out[alpha] + coeff if alpha in out else coeff
         if c:
             out[alpha] = c
         else:
@@ -157,12 +157,9 @@ class PolyTuple:
 
 
 def from_polys(polys: Iterable[Mapping[MultiIndex, Fraction]]) -> PolyTuple:
-    """Build and validate a tuple from raw term maps."""
-    cleaned = []
-    for j, p in enumerate(polys):
-        terms = normalize_terms({alpha: Fraction(c) for alpha, c in p.items()})
-        cleaned.append(terms)
-    return _validated(tuple(cleaned))
+    """Build and validate a tuple from raw term maps (duplicates summed, zeros dropped)."""
+    return _validated(tuple(normalize_terms({alpha: Fraction(c) for alpha, c in p.items()})
+                            for p in polys))
 
 
 def hartogs_tuple(n: int, a: Fraction | int = 0) -> PolyTuple:
@@ -210,7 +207,8 @@ def _validated(polys: tuple[TermMap, ...]) -> PolyTuple:
 def parse_and_validate(document: str | Mapping) -> PolyTuple:
     """Parse the JSON document ``{"n": ..., "polys": [{"terms": [...]}, ...]}``.
 
-    Validation errors carry the path of the offending term.
+    Errors in a single term carry its path; the checks on whole components
+    (such as a missing linear self-coefficient) are those of ``from_polys``.
     """
     if isinstance(document, str):
         try:
@@ -248,16 +246,9 @@ def parse_and_validate(document: str | Mapping) -> PolyTuple:
             key = tuple(alpha)
             if sum(key) == 0 and coeff != 0:
                 raise ConstantTerm(f"{twhere}: constant term {coeff} not allowed")
-            acc = terms.get(key, Fraction(0)) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        if terms.get(unit_index(n, j), Fraction(0)) <= 0:
-            raise MissingLinearTerm(
-                f"{where}: linear self-coefficient of z_{j + 1} absent or zero")
+            terms[key] = terms[key] + coeff if key in terms else coeff
         polys.append(terms)
-    return _validated(tuple(polys))
+    return from_polys(polys)
 
 
 def serialize(P: PolyTuple) -> dict:

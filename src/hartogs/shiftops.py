@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .coeff import CoeffTable, coeff_function, univariate_coeffs
+from .coeff import CoeffTable, _axis_tables, coeff_function, univariate_coeffs
 from .errors import (
     CoeffTableTooSmall,
     EmptyWindow,
@@ -292,10 +292,9 @@ class PolydiscOps:
     """
 
     def __init__(self, P: PolyTuple, m: Sequence[int], reach: MultiIndex):
-        tildes = tilde_restrictions(P)
         self.n = P.n
         self.reach = tuple(reach)
-        self.axis = [univariate_coeffs(tildes[j], m[j], reach[j] + 1) for j in range(P.n)]
+        self.axis = _axis_tables(P, m, [r + 1 for r in reach])
 
     def shift_weight_sq(self, k: int, alpha: MultiIndex) -> Fraction:
         return self.axis[k][alpha[k]] / self.axis[k][alpha[k] + 1]
@@ -382,9 +381,7 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int,
         raise NotAdmissible("determinant trace formulas need each P_j to depend on z_j alone")
     if K < 1:
         raise ValueError("K must be >= 1")
-    tildes = tilde_restrictions(P)
-    axis1 = univariate_coeffs(tildes[0], m[0], K + 1)
-    axis2 = univariate_coeffs(tildes[1], m[1], K + 1)
+    axis1, axis2 = _axis_tables(P, m, (K + 1, K + 1))
     a1 = [axis1[k] / axis1[k + 1] for k in range(K + 1)]
     a2 = [axis2[k] / axis2[k + 1] for k in range(K + 1)]
     inc1 = all(a1[k + 1] >= a1[k] for k in range(K))
@@ -447,8 +444,7 @@ def spectral_radius_estimate(P: PolyTuple, m: Sequence[int], j: int,
     """
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("spectral radius formula needs each P_j to depend on z_j alone")
-    tildes = tilde_restrictions(P)
-    axis = univariate_coeffs(tildes[j], m[j], K + N)
+    axis = univariate_coeffs(tilde_restrictions(P)[j], m[j], K + N)
     logs = [_log_fraction(v) for v in axis]
     approximants = []
     for nn in range(1, N + 1):

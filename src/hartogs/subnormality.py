@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coeff import coeff_function, univariate_coeffs
+from .coeff import _axis_tables, coeff_function
 from .errors import NotAdmissible, WindowTooSmall
 from .polytuple import (
     MultiIndex,
@@ -26,7 +26,6 @@ from .polytuple import (
     admissibility_degree,
     box,
     hartogs_tuple,
-    tilde_restrictions,
     total_degree,
 )
 
@@ -86,9 +85,8 @@ def moment_sequence(
     if variant == "admissible":
         if not admissibility_degree(P).admissible:
             raise NotAdmissible("admissible variant needs each P_j to depend on z_j alone")
-        tildes = tilde_restrictions(P)
         kmax = [gamma[j] + sum(reach[: j + 1]) for j in range(n)]
-        axis = [univariate_coeffs(tildes[j], m[j], kmax[j]) for j in range(n)]
+        axis = _axis_tables(P, m, kmax)
         for beta in box(reach):
             shift = embedded_shift(beta)
             values[beta] = Fraction(1) / math.prod(
