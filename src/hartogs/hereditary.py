@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DuplicatePoints,
+    MalformedInput,
     NonCommuting,
     NotHereditaryPolynomial,
     PointOutsideDomain,
@@ -49,9 +50,15 @@ class MatrixTuple:
             if m.shape != (d, d):
                 raise WrongDimension("all matrices must be square of equal size")
         norms = [_opnorm(m) for m in mats]
+        if not np.isfinite(norms).all():
+            raise MalformedInput("matrix norms overflow the float range")
         for j in range(len(mats)):
             for k in range(j + 1, len(mats)):
-                gap = _opnorm(mats[j] @ mats[k] - mats[k] @ mats[j])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    commutator = mats[j] @ mats[k] - mats[k] @ mats[j]
+                if not np.isfinite(commutator).all():
+                    raise MalformedInput(f"products of matrices {j} and {k} overflow the float range")
+                gap = _opnorm(commutator)
                 if gap > self.tolerance * max(1.0, norms[j] * norms[k]):
                     raise NonCommuting(
                         f"matrices {j} and {k} do not commute (residual {gap:.3e})")

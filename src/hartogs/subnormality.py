@@ -2,11 +2,14 @@
 
 Joint subnormality of the multiplication tuple is equivalent to every
 shifted reciprocal-coefficient multisequence being a Hausdorff moment
-multisequence.  The finite certificate checked here is the standard
-necessary condition: all signed forward differences of the (scaled)
-sequence up to a given order are nonnegative, decided in exact rational
-arithmetic.  A PASS is therefore reported as consistency up to that order,
-never as a proof; a FAIL comes with the lexicographically first witness.
+multisequence.  The finite certificate checked here is Hausdorff's
+finite-difference criterion (Hausdorff, Math. Z. 9, 1921), cut off at a given
+order: all signed forward differences of the (scaled) sequence up to that
+order are nonnegative.  It is decided exactly with forward-difference tables
+in integers: the cells are put over one common denominator, and each order k
+is one subtraction per cell from the table of k minus a unit step.  A PASS is
+therefore reported as consistency up to that order, never as a proof; a FAIL
+comes with the lexicographically first witness.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Sequence
 
 from .coeff import _axis_tables, coeff_function
@@ -52,9 +56,6 @@ class MomentSequence:
         except KeyError:
             raise WindowTooSmall(f"beta {beta} not covered by the sequence window") from None
 
-    def scaled(self, beta: MultiIndex) -> Fraction:
-        return self.value(beta) / self.scale ** total_degree(beta)
-
 
 def embedded_shift(beta: MultiIndex) -> MultiIndex:
     """The lattice shift sum_j beta_j * (tail increment of z_j); entry k is
@@ -87,10 +88,12 @@ def moment_sequence(
             raise NotAdmissible("admissible variant needs each P_j to depend on z_j alone")
         kmax = [gamma[j] + sum(reach[: j + 1]) for j in range(n)]
         axis = _axis_tables(P, m, kmax)
+        nums = [[a.numerator for a in table] for table in axis]
+        dens = [[a.denominator for a in table] for table in axis]
         for beta in box(reach):
-            shift = embedded_shift(beta)
-            values[beta] = Fraction(1) / math.prod(
-                (axis[j][gamma[j] + shift[j]] for j in range(n)), start=Fraction(1))
+            cell = add_index(gamma, embedded_shift(beta))
+            values[beta] = Fraction(math.prod(map(getitem, dens, cell)),
+                                    math.prod(map(getitem, nums, cell)))
     elif variant == "general":
         bounds = tuple(gamma[j] + sum(reach[: j + 1]) for j in range(n))
         table = coeff_function(P, m, bounds)
@@ -133,39 +136,56 @@ def complete_monotonicity_check(seq: MomentSequence, order: int) -> Monotonicity
     """Check all signed differences of the scaled sequence up to total order.
 
     For every k with 1 <= |k| <= order and every beta <= window, the signed
-    difference sum_{i <= k} (-1)^|i| C(k, i) s~(beta + i) must be >= 0;
-    the comparison is exact.  Witnesses are scanned in lexicographic (k, beta)
-    order so failure reports are reproducible.
+    difference D_k(beta) = sum_{i <= k} (-1)^|i| C(k, i) s~(beta + i) must be
+    >= 0.  All cells within reach (those whose excess over the window,
+    sum_j max(beta_j - window_j, 0), is at most order) are read before the
+    scan starts, so a missing one raises WindowTooSmall even when an earlier
+    pair fails.  They are put over their common denominator L, so that
+    D_0 = s~ * L is an integer table, and each D_k is built from D_{k - e_j},
+    with j the last nonzero entry of k, as D_{k - e_j}(beta) -
+    D_{k - e_j}(beta + e_j) on the beta of excess at most order - |k|.
+    Witnesses are scanned in lexicographic (k, beta) order, right after each
+    table is built, so failure reports are reproducible.
     """
     if order < 1:
         raise ValueError("difference order must be >= 1")
     if seq.margin < order:
         raise WindowTooSmall(
             f"sequence margin {seq.margin} cannot support differences of order {order}")
+    window = seq.window
+    reach = tuple(w + order for w in window)
+    # cells are flat row-major positions in box(reach); beta + e_j sits strides[j] further on
+    strides = [math.prod(r + 1 for r in reach[j + 1:]) for j in range(seq.n)]
+    sn, sd = seq.scale.numerator, seq.scale.denominator
+    over = [[max(b - w, 0) for b in range(r + 1)] for w, r in zip(window, reach)]
+    excess, pairs = {}, {}
+    for flat, (beta, e) in enumerate(zip(box(reach), map(sum, itertools.product(*over)))):
+        if e <= order:
+            value, d = seq.value(beta), total_degree(beta)
+            excess[flat] = e
+            pairs[flat] = (value.numerator * sd ** d, value.denominator * sn ** d)
+    lcm = math.lcm(*(q for _, q in pairs.values()))
+    levels = [[flat for flat, e in excess.items() if e <= r] for r in range(order)]
+    inside = list(zip(levels[0], box(window)))
+    tables = {(0,) * seq.n: {flat: p * (lcm // q) for flat, (p, q) in pairs.items()}}
     checked = 0
-    witness = None
     for k in _signed_orders(seq.n, order):
-        for beta in box(seq.window):
-            diff = Fraction(0)
-            for i in box(k):
-                sign = -1 if total_degree(i) % 2 else 1
-                coeff = math.prod(math.comb(kj, ij) for kj, ij in zip(k, i))
-                diff += sign * coeff * seq.scaled(add_index(beta, i))
+        j = max(i for i, kj in enumerate(k) if kj)
+        prev, step = tables[k[:j] + (k[j] - 1,) + k[j + 1:]], strides[j]
+        diff = tables[k] = {flat: prev[flat] - prev[flat + step]
+                            for flat in levels[order - total_degree(k)]}
+        for flat, beta in inside:
             checked += 1
-            if diff < 0:
-                witness = (beta, k)
-                break
-        if witness:
-            break
-    return MonotonicityReport(passed=witness is None, order=order,
-                              window=seq.window, witness=witness, checked=checked)
+            if diff[flat] < 0:
+                return MonotonicityReport(passed=False, order=order, window=window,
+                                          witness=(beta, k), checked=checked)
+    return MonotonicityReport(passed=True, order=order, window=window,
+                              witness=None, checked=checked)
 
 
 def _signed_orders(n: int, order: int):
-    """Multi-indices k with 1 <= |k| <= order, in lexicographic order."""
-    ks = [k for k in box((order,) * n) if 1 <= total_degree(k) <= order]
-    ks.sort()
-    return ks
+    """Multi-indices k with 1 <= |k| <= order, in lexicographic order (box is row-major)."""
+    return [k for k in box((order,) * n) if 1 <= total_degree(k) <= order]
 
 
 @dataclass(frozen=True)

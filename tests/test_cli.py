@@ -204,11 +204,13 @@ PICK = {"command": "pick-verify", "points": [[[0, 0], [0.5, 0]]], "targets": [[0
         "a1": [[[0, 0]]], "a2": [[[4 / 3, 0]]]}
 
 # Malformed configs that ended in a traceback or were silently accepted before
-# each command declared its fields in a table.
+# each command declared its fields in a table, and finite matrix entries whose
+# products overflow the float range.
 PROBES = {
     "radius-N-0": {"command": "radius", "poly_tuple": P0, "m": [1, 1], "N": 0},
     "radius-K-string": {"command": "radius", "poly_tuple": P0, "m": [1, 1], "K": "x"},
     "hereditary-no-matrices": {"command": "hereditary", "matrices": []},
+    "hereditary-overflow": {"command": "hereditary", "matrices": [[[[1e300, 0]]], [[[1e300, 0]]]]},
     "pick-verify-short-targets": {**PICK, "points": [[[0, 0], [0.5, 0]], [[0, 0], [0.6, 0]]],
                                   "a1": [[[0, 0], [0, 0]]] * 2,
                                   "a2": [[[4 / 3, 0], [0, 0]], [[0, 0], [4 / 3, 0]]]},

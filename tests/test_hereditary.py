@@ -7,6 +7,7 @@ import pytest
 
 from hartogs.errors import (
     DuplicatePoints,
+    MalformedInput,
     NonCommuting,
     NotHereditaryPolynomial,
     PointOutsideDomain,
@@ -42,6 +43,15 @@ def test_matrix_tuple_rejects_noncommuting():
     b = np.array([[1, 0], [0, 2]], dtype=complex)
     with pytest.raises(NonCommuting):
         MatrixTuple((a, b))
+
+
+def test_matrix_tuple_rejects_overflowing_entries():
+    # finite entries whose commutator, or whose operator norm, leaves the float range
+    big = np.array([[1e300]], dtype=complex)
+    with pytest.raises(MalformedInput):
+        MatrixTuple((big, big))
+    with pytest.raises(MalformedInput):
+        MatrixTuple((np.full((2, 2), 1e308, dtype=complex),))
 
 
 def test_reciprocal_polynomial_hartogs_pair():

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartogs.errors import NotAdmissible, WindowTooSmall
-from hartogs.polytuple import box, hartogs_tuple
+from hartogs.polytuple import box, from_polys, hartogs_tuple
 from hartogs.subnormality import (
     complete_monotonicity_check,
     embedded_shift,
@@ -34,11 +37,14 @@ def test_closed_form_m21():
 
 
 def test_general_variant_matches_admissible():
-    P = hartogs_tuple(2)
-    for gamma in [(0, 0), (1, 2)]:
-        a = moment_sequence(P, (2, 3), gamma, variant="admissible", window=(2, 2), margin=2)
-        b = moment_sequence(P, (2, 3), gamma, variant="general", window=(2, 2), margin=2)
-        assert a.values == b.values
+    # the rational tuple has non-integer axis entries, so its values are not 1/integer
+    rational = from_polys([{(1, 0): F(1), (2, 0): F(2, 3)}, {(0, 1): F(1), (0, 2): F(5, 2)}])
+    for P in (hartogs_tuple(2), rational):
+        for gamma in [(0, 0), (1, 2)]:
+            a = moment_sequence(P, (2, 3), gamma, variant="admissible", window=(2, 2), margin=2)
+            b = moment_sequence(P, (2, 3), gamma, variant="general", window=(2, 2), margin=2)
+            assert a.values == b.values
+    assert any(v.numerator != 1 for v in a.values.values())
 
 
 def test_admissible_variant_rejects_mixed_terms():
@@ -131,3 +137,47 @@ def test_moment_values_lie_in_unit_interval():
     seq = moment_sequence(hartogs_tuple(3), (2, 2, 2), (1, 0, 2),
                           variant="admissible", window=(1, 1, 1), margin=2)
     assert all(0 < v <= 1 for v in seq.values.values())
+
+
+def _naive_check(seq, order):
+    """Reference scan: every signed difference summed from scratch, in the
+    lexicographic (k, beta) order of the report."""
+    checked = 0
+    for k in (k for k in box((order,) * seq.n) if 1 <= sum(k) <= order):
+        for beta in box(seq.window):
+            diff = F(0)
+            for i in box(k):
+                cell = tuple(b + x for b, x in zip(beta, i))
+                weight = math.prod(math.comb(kj, ij) for kj, ij in zip(k, i))
+                diff += (-1) ** sum(i) * weight * seq.values[cell] / seq.scale ** sum(cell)
+            checked += 1
+            if diff < 0:
+                return False, (beta, k), checked
+    return True, None, checked
+
+
+@st.composite
+def _perturbed_sequences(draw):
+    """Products of 1/(1 + c_j beta_j), which are moment sequences, with a few
+    cells nudged so that a good share of them fail."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 3 if n == 3 else 4))
+    window = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    margin = order + draw(st.integers(0, 1))
+    scale = draw(st.sampled_from([1, 2, F(3, 2), F(2, 5)]))
+    cs = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    cells = st.tuples(*(st.integers(0, w + margin) for w in window))
+    nudges = draw(st.dictionaries(cells, st.fractions(F(-1, 4), F(1, 4), max_denominator=16),
+                                  max_size=3))
+    seq = synthetic_sequence(
+        lambda beta: math.prod(F(1, 1 + c * b) for c, b in zip(cs, beta)) + nudges.get(beta, 0),
+        n, window, margin, scale=scale)
+    return seq, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(_perturbed_sequences())
+def test_difference_tables_match_naive_scan(case):
+    seq, order = case
+    report = complete_monotonicity_check(seq, order)
+    assert (report.passed, report.witness, report.checked) == _naive_check(seq, order)
