@@ -28,6 +28,7 @@ from .polytuple import (
     MultiIndex,
     PolyTuple,
     TermMap,
+    _offset,
     admissibility_degree,
     box,
     box_size,
@@ -53,18 +54,12 @@ class CoeffTable:
     def n(self) -> int:
         return len(self.bounds)
 
-    def offset(self, alpha: MultiIndex) -> int:
-        off = 0
-        for a, b in zip(alpha, self.bounds):
-            off = off * (b + 1) + a
-        return off
-
     def value(self, alpha: MultiIndex) -> Fraction:
         if any(a < 0 for a in alpha):
             return Fraction(0)
         if any(a > b for a, b in zip(alpha, self.bounds)):
             raise WindowTooSmall(f"alpha {alpha} outside table bounds {self.bounds}")
-        return self.values[self.offset(alpha)]
+        return self.values[_offset(alpha, self.bounds)]
 
     def covers(self, bounds: MultiIndex) -> bool:
         return all(b <= mine for b, mine in zip(bounds, self.bounds))
@@ -89,13 +84,6 @@ def _indicator(bounds: MultiIndex) -> list[Fraction]:
     values = [Fraction(0)] * box_size(bounds)
     values[0] = Fraction(1)
     return values
-
-
-def _strides(bounds: MultiIndex) -> tuple[int, ...]:
-    strides = [1] * len(bounds)
-    for i in range(len(bounds) - 2, -1, -1):
-        strides[i] = strides[i + 1] * (bounds[i + 1] + 1)
-    return tuple(strides)
 
 
 def reciprocal_power_coeffs(
@@ -134,14 +122,13 @@ def _divided(bounds: MultiIndex,
     """
     factors = list(factors)
     d = math.lcm(*(c.denominator for q, _ in factors for c in q.values()))
-    strides = _strides(bounds)
     cells = list(box(bounds))
     table = [0] * len(cells)
     table[0] = 1
     for q, k in factors:
         # Offsets of alpha - gamma relative to alpha are constant shifts.
         shifts = [(tuple(g), c.numerator * (d ** total_degree(g) // c.denominator),
-                   sum(gi * si for gi, si in zip(g, strides)))
+                   _offset(g, bounds))
                   for g, c in q.items() if c]
         for _ in range(k):
             for off, alpha in enumerate(cells):
@@ -172,7 +159,6 @@ def _oracle_values(q: Mapping[MultiIndex, Fraction], k: int, bounds: MultiIndex)
     values = _indicator(bounds)
     if k == 0:
         return values
-    strides = _strides(bounds)
     power: TermMap = {tuple(0 for _ in bounds): Fraction(1)}
     # Q has no constant term, so Q^l only reaches total degree >= l; beyond the
     # box's total degree nothing can land inside it.
@@ -182,7 +168,7 @@ def _oracle_values(q: Mapping[MultiIndex, Fraction], k: int, bounds: MultiIndex)
             break
         c = math.comb(k + l - 1, k - 1)
         for mono, v in power.items():
-            values[sum(m * s for m, s in zip(mono, strides))] += c * v
+            values[_offset(mono, bounds)] += c * v
     return values
 
 

@@ -32,6 +32,13 @@ def _opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _finite(value, what: str):
+    """value, or MalformedInput when an overflow left it (or an entry) not finite."""
+    if not np.isfinite(value).all():
+        raise MalformedInput(f"{what} overflows the float range")
+    return value
+
+
 @dataclass(frozen=True)
 class MatrixTuple:
     """n commuting d x d complex matrices; commutation is enforced up to a
@@ -220,18 +227,19 @@ def triangle_defect_classify(T: MatrixTuple, tol: float = 1e-10) -> DefectReport
     if n < 2:
         raise WrongDimension("classification needs at least two matrices")
     mats = T.matrices
-    d1 = mats[n - 1].conj().T @ mats[n - 1] - mats[n - 2].conj().T @ mats[n - 2]
-    dk = d1
-    for k in range(2, n):
-        upper = mats[n - k]
-        lower = mats[n - k - 1]
-        dk = upper.conj().T @ dk @ upper - lower.conj().T @ dk @ lower
-    defect = dk - mats[n - 1].conj().T @ dk @ mats[n - 1]
-    defect = 0.5 * (defect + defect.conj().T)
-    norm = _opnorm(defect)
-    min_eig = float(np.linalg.eigvalsh(defect)[0])
-    scale = max(1.0, T.max_norm ** 2)
-    if norm <= tol * scale:
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = mats[n - 1].conj().T @ mats[n - 1] - mats[n - 2].conj().T @ mats[n - 2]
+        dk = d1
+        for k in range(2, n):
+            upper = mats[n - k]
+            lower = mats[n - k - 1]
+            dk = upper.conj().T @ dk @ upper - lower.conj().T @ dk @ lower
+        defect = dk - mats[n - 1].conj().T @ dk @ mats[n - 1]
+        defect = _finite(0.5 * (defect + defect.conj().T), "the defect")
+    norm = _finite(_opnorm(defect), "the defect norm")
+    min_eig = _finite(float(np.linalg.eigvalsh(defect)[0]), "the defect spectrum")
+    scale = max(1.0, T.max_norm)
+    if norm <= tol * (scale * scale):  # scale ** 2 would raise OverflowError
         kind = "isometry"
     elif min_eig >= -tol * max(1.0, norm):
         kind = "contraction"
@@ -273,11 +281,12 @@ def ordering_check(T: MatrixTuple, tol: float = 1e-10) -> OrderingReport:
     mats = T.matrices
     n = T.n
     margins = []
-    for j in range(n - 1):
-        diff = mats[j + 1].conj().T @ mats[j + 1] - mats[j].conj().T @ mats[j]
-        margins.append(float(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0]))
-    top = np.eye(T.dim) - mats[n - 1].conj().T @ mats[n - 1]
-    margins.append(float(np.linalg.eigvalsh(0.5 * (top + top.conj().T))[0]))
+    for j in range(n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            upper = mats[j + 1].conj().T @ mats[j + 1] if j + 1 < n else np.eye(T.dim)
+            diff = upper - mats[j].conj().T @ mats[j]
+            diff = _finite(0.5 * (diff + diff.conj().T), f"difference {j + 1} of the chain")
+        margins.append(_finite(float(np.linalg.eigvalsh(diff)[0]), f"margin {j + 1}"))
     chain_holds = all(mu >= -tol for mu in margins)
 
     joint = None

@@ -67,6 +67,20 @@ def box_size(bounds: MultiIndex) -> int:
     return math.prod(b + 1 for b in bounds)
 
 
+def _strides(bounds: MultiIndex) -> tuple[int, ...]:
+    """Row-major strides of box(bounds): alpha + e_j sits strides[j] after alpha."""
+    return tuple(math.prod(b + 1 for b in bounds[j + 1:]) for j in range(len(bounds)))
+
+
+def _offset(alpha: MultiIndex, bounds: MultiIndex) -> int:
+    """Row-major position of alpha in box(bounds); linear in alpha, so that
+    alpha - gamma sits _offset(gamma, bounds) before alpha."""
+    off = 0
+    for a, b in zip(alpha, bounds):
+        off = off * (b + 1) + a
+    return off
+
+
 # --- polynomial helpers -------------------------------------------------------
 
 def poly_eval(p: Mapping[MultiIndex, Fraction], point: Iterable[complex]) -> complex:

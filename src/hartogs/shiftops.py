@@ -32,6 +32,7 @@ from .errors import (
 from .polytuple import (
     MultiIndex,
     PolyTuple,
+    _offset,
     add_index,
     admissibility_degree,
     box,
@@ -56,10 +57,7 @@ class LatticeWindow:
         return len(self.cells)
 
     def offset(self, alpha: MultiIndex) -> int:
-        off = 0
-        for a, b in zip(alpha, self.bounds):
-            off = off * (b + 1) + a
-        return off
+        return _offset(alpha, self.bounds)
 
     def interior(self, alpha: MultiIndex, increment: MultiIndex) -> bool:
         """True when alpha + increment stays inside the window."""
@@ -151,9 +149,6 @@ class WeightTable:
 
     def mult_matrix(self, j: int) -> np.ndarray:
         return self._matrix(self.apply_mult, j)
-
-    def shift_matrix(self, j: int) -> np.ndarray:
-        return self._matrix(self.apply_shift, j)
 
     def adjoint_matrix(self, j: int) -> np.ndarray:
         return self._matrix(self.apply_adjoint, j)

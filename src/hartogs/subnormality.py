@@ -26,6 +26,7 @@ from .errors import NotAdmissible, WindowTooSmall
 from .polytuple import (
     MultiIndex,
     PolyTuple,
+    _strides,
     add_index,
     admissibility_degree,
     box,
@@ -155,7 +156,7 @@ def complete_monotonicity_check(seq: MomentSequence, order: int) -> Monotonicity
     window = seq.window
     reach = tuple(w + order for w in window)
     # cells are flat row-major positions in box(reach); beta + e_j sits strides[j] further on
-    strides = [math.prod(r + 1 for r in reach[j + 1:]) for j in range(seq.n)]
+    strides = _strides(reach)
     sn, sd = seq.scale.numerator, seq.scale.denominator
     over = [[max(b - w, 0) for b in range(r + 1)] for w, r in zip(window, reach)]
     excess, pairs = {}, {}

@@ -205,12 +205,22 @@ PICK = {"command": "pick-verify", "points": [[[0, 0], [0.5, 0]]], "targets": [[0
 
 # Malformed configs that ended in a traceback or were silently accepted before
 # each command declared its fields in a table, and finite matrix entries whose
-# products overflow the float range.
+# commutators or products T*T overflow the float range.
 PROBES = {
     "radius-N-0": {"command": "radius", "poly_tuple": P0, "m": [1, 1], "N": 0},
     "radius-K-string": {"command": "radius", "poly_tuple": P0, "m": [1, 1], "K": "x"},
     "hereditary-no-matrices": {"command": "hereditary", "matrices": []},
     "hereditary-overflow": {"command": "hereditary", "matrices": [[[[1e300, 0]]], [[[1e300, 0]]]]},
+    "hereditary-classify-product-overflow": {"command": "hereditary",
+                                             "matrices": [[[[1e160, 0]]], [[[1e140, 0]]]]},
+    "hereditary-ordering-product-overflow": {"command": "hereditary", "mode": "ordering",
+                                             "matrices": [[[[1e160, 0]]], [[[1e140, 0]]]]},
+    "hereditary-ordering-top-overflow": {"command": "hereditary", "mode": "ordering",
+                                         "matrices": [[[[1e200, 0]]]]},
+    "hereditary-lift-overflow": {"command": "hereditary", "mode": "lift",
+                                 "matrices": [[[[1e100, 0]]], [[[1e100, 0]]]]},
+    "hereditary-classify-chain-overflow": {"command": "hereditary",
+                                           "matrices": [[[[1e80, 0]]], [[[1e79, 0]]], [[[1e78, 0]]]]},
     "pick-verify-short-targets": {**PICK, "points": [[[0, 0], [0.5, 0]], [[0, 0], [0.6, 0]]],
                                   "a1": [[[0, 0], [0, 0]]] * 2,
                                   "a2": [[[4 / 3, 0], [0, 0]], [[0, 0], [4 / 3, 0]]]},

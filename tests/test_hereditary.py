@@ -54,6 +54,31 @@ def test_matrix_tuple_rejects_overflowing_entries():
         MatrixTuple((np.full((2, 2), 1e308, dtype=complex),))
 
 
+def test_defect_and_ordering_reject_overflowing_products():
+    # commutators stay finite, but the products T*T of the defect and the chain overflow
+    def scalars(*xs):
+        return MatrixTuple(tuple(np.array([[x]], dtype=complex) for x in xs))
+
+    # T*T = a^2 * ones(3) is finite, but its eigenvalue 3a^2 is not
+    row = np.zeros((3, 3), dtype=complex)
+    row[0] = 0.894e154
+    rank_one = MatrixTuple((row, np.zeros((3, 3), dtype=complex)))
+    for T in (scalars(1e160, 1e140), scalars(1e80, 1e79, 1e78), toral_lift(scalars(1e100, 1e100)),
+              rank_one):
+        with pytest.raises(MalformedInput):
+            triangle_defect_classify(T)
+    for T in (scalars(1e160, 1e140), scalars(1e200), rank_one):
+        with pytest.raises(MalformedInput):
+            ordering_check(T)
+
+
+def test_classify_with_squared_norm_beyond_float_range():
+    # T*T = [[a^2, a^2], [a^2, a^2]] is finite, but ||T||^2 = 2a^2 is not
+    a = 1e154
+    T = np.array([[a, a], [0, 0]], dtype=complex)
+    assert triangle_defect_classify(MatrixTuple((T, T))).kind == "isometry"
+
+
 def test_reciprocal_polynomial_hartogs_pair():
     p = reciprocal_kernel_polynomial(hartogs_tuple(2), (1, 1))
     expected = {

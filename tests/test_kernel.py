@@ -1,9 +1,12 @@
 import cmath
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from hartogs.coeff import hartogs_coeff_closed
 from hartogs.errors import InvalidMultiplicity, OutsideDomain, ZeroCoordinate
 from hartogs.kernel import (
     basis_eval,
@@ -17,7 +20,7 @@ from hartogs.kernel import (
     make_context,
 )
 from hartogs.geometry import triangle_contains
-from hartogs.polytuple import hartogs_tuple, tail_index
+from hartogs.polytuple import box, hartogs_tuple, tail_index
 
 
 def random_hartogs_points(count, seed, radius=0.9, P=None):
@@ -155,16 +158,77 @@ def test_beta_integral_small_cases():
 
 
 def test_disc_integral_area():
-    assert disc_integral(lambda w: 1.0) == pytest.approx(math.pi, abs=1e-12)
+    assert disc_integral(lambda u: np.ones_like(u)) == pytest.approx(math.pi, abs=1e-12)
+
+
+# References: the two-dimensional rules the radial sums replaced.  The disc
+# rule sums each Gauss-Legendre ring u = r^2 over equally spaced angles; the
+# Hardy rule sums |e_alpha|^2 over an equally spaced grid on each torus.
+
+def _angular_disc_integral(f, radial_nodes=32, angular_nodes=32):
+    x, w = np.polynomial.legendre.leggauss(radial_nodes)
+    thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    total = 0.0
+    for ui, wi in zip(0.5 * (x + 1.0), 0.5 * w):
+        r = math.sqrt(ui)
+        total += wi * sum(f(r * cmath.exp(1j * t)) for t in thetas)
+    return total * math.pi / angular_nodes
+
+
+def _torus_hardy_norm(n, alpha, angular_nodes=8, kmax=26):
+    ctx = make_context(hartogs_tuple(n), (1,) * n, alpha)
+    thetas = [2.0 * math.pi * i / angular_nodes for i in range(angular_nodes)]
+    best = 0.0
+    for k in range(1, kmax + 1):
+        t = 1.0 - 0.5 ** k
+        tail = [t ** (n - j) for j in range(n)]
+        total = 0.0
+        for combo in itertools.product(thetas, repeat=n):
+            z = tuple(tail[j] * cmath.exp(1j * combo[j]) for j in range(n))
+            total += abs(basis_eval(ctx, alpha, z)) ** 2
+        weight = math.prod(t ** (2 * j + 1) for j in range(n))
+        best = max(best, total * weight / angular_nodes ** n)
+    return best
+
+
+def test_beta_integral_matches_angular_reference():
+    for l, k in box((5, 5)):
+        reference = _angular_disc_integral(lambda w: abs(w) ** (2 * l) * (1.0 - abs(w) ** 2) ** k)
+        assert abs(beta_integral_check(l, k)[0] - reference) <= 1e-13
+
+
+def test_bergman_norm_matches_angular_reference():
+    for m in [(2, 2), (2, 3)]:
+        for alpha in box((2, 2)):
+            reference = float(hartogs_coeff_closed(m, alpha))
+            for mj, aj in zip(m, alpha):
+                integral = _angular_disc_integral(
+                    lambda w: abs(w) ** (2 * aj) * (1.0 - abs(w) ** 2) ** (mj - 2))
+                reference *= (mj - 1) / math.pi * integral
+            assert abs(bergman_norm_check(m, alpha) - reference) <= 1e-13
+
+
+def test_hardy_norm_matches_torus_reference():
+    for alpha in [*box((2, 2)), (0, 0, 0), (1, 1, 1), (2, 0, 1)]:
+        n = len(alpha)
+        assert abs(hardy_norm_check(n, alpha) - _torus_hardy_norm(n, alpha)) <= 1e-13
+
+
+def test_beta_integral_exact_up_to_gauss_degree():
+    # N Gauss-Legendre nodes integrate u^l (1-u)^k exactly when l + k <= 2N - 1
+    for nodes in (3, 32):
+        for l in range(2 * nodes):
+            for k in range(2 * nodes - l):
+                numeric, closed = beta_integral_check(l, k, radial_nodes=nodes)
+                assert abs(numeric - closed) <= 1e-14, (nodes, l, k)
 
 
 def test_hardy_norm_basis():
     assert hardy_norm_check(2, (0, 0)) == pytest.approx(1.0, abs=1e-6)
     assert hardy_norm_check(2, (1, 2)) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_hardy_norm_scaling():
-    assert hardy_norm_check(2, (1, 0), scale=2.0) == pytest.approx(4.0, abs=1e-5)
+    for n in (3, 4, 6):
+        for alpha in [(0,) * n, (1,) * n]:
+            assert hardy_norm_check(n, alpha) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_bergman_norm_basis():
