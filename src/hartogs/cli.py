@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import geometry, hereditary, kernel, shiftops, subnormality
 from .coeff import coeff_function
-from .errors import HartogsError, InvalidConfig, UnknownCommand
+from .errors import HartogsError, InvalidConfig, MalformedInput, UnknownCommand
 from .polytuple import admissibility_degree, box, format_rational, parse_and_validate, parse_rational
 
 CSV_COMMANDS = {"coeffs", "kernel", "weights", "domain", "quadrature"}
@@ -213,9 +213,11 @@ def _cmd_kernel(c: dict, rng):
     for z, w in c["pairs"]:
         closed = kernel.kernel_eval(ctx, z, w)
         series = kernel.kernel_series_eval(ctx, z, w, c["cutoff"])
+        if not math.isfinite(abs_err := abs(closed - series)):  # a value or the difference overflowed
+            raise MalformedInput(f"the kernel at z={z}, w={w} overflows the float range")
         entries.append({"z": [[x.real, x.imag] for x in z], "w": [[x.real, x.imag] for x in w],
                         "closed": [closed.real, closed.imag], "series": [series.real, series.imag],
-                        "abs_err": abs(closed - series)})
+                        "abs_err": abs_err})
     header = ["z", "w", "closed_re", "closed_im", "series_re", "series_im", "abs_err"]
     rows = [[json.dumps(e["z"]), json.dumps(e["w"]), *e["closed"], *e["series"], e["abs_err"]]
             for e in entries]
@@ -227,7 +229,7 @@ def _cmd_weights(c: dict, rng):
     P, m = c["poly_tuple"], c["m"]
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
-    diagonals = [shiftops.hyponormality_diagonal(P, m, j, window) for j in range(P.n)]
+    diagonals = [shiftops.hyponormality_diagonal(P, m, j, window, table=wt.table) for j in range(P.n)]
     entries = [{"alpha": list(alpha), "j": j + 1,
                 "omega": math.sqrt(float(wt.mult_weight_sq(j, alpha))),
                 "sigma": math.sqrt(float(wt.shift_weight_sq(j, alpha))),
@@ -243,11 +245,12 @@ def _cmd_weights(c: dict, rng):
 def _cmd_probes(c: dict, rng):
     P, m = c["poly_tuple"], c["m"]
     window = shiftops.build_window(c["window"])
-    probe = shiftops.factorization_and_commutation_probe(P, m, window)
+    table = shiftops.op_weights(P, m, window).table  # one table for the probe and every trial
+    probe = shiftops.factorization_and_commutation_probe(P, m, window, table=table)
     max_dev = 0.0
     for _ in range(c["theta_trials"]):
         theta = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(P.n)]
-        max_dev = max(max_dev, shiftops.circularity_check(P, m, window, theta))
+        max_dev = max(max_dev, shiftops.circularity_check(P, m, window, theta, table=table))
     verdict = probe.ok and max_dev <= c["circularity_tolerance"]
     witness = probe.noncommuting_witness
     report = {"factorization_exact": probe.factorization_exact,
@@ -371,12 +374,13 @@ def run(config: dict, seed: int = 0, fmt: str = "json") -> tuple[int, str]:
         csv.writer(buf, lineterminator="\n").writerows([table[0], *table[1]])
         rendered = buf.getvalue()
     else:
-        rendered = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        rendered = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     return (0 if verdict in (None, True) else 1), rendered
 
 
 def _error(name: str, message: str) -> str:
-    return json.dumps({"error": name, "message": message}, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"error": name, "message": message}, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

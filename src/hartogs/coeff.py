@@ -10,9 +10,12 @@ Two independent routes compute the same numbers:
   total degree.
 
 The product table for an n-tuple comes from the same recursion: starting from
-the indicator table, divide by (1-P_j) m_j times for each j.  For tuples whose
-components each depend on their own variable only, it also factors into
-univariate tables.
+the indicator table, divide by (1-P_j) m_j times for each j.  The division
+runs on a table padded at the front of each axis by the largest exponent on
+that axis; the padded cells stay zero, so a read of alpha - gamma off the
+lattice finds 0 and the inner loop has no bounds test.  For tuples whose
+components each depend on their own variable only, the table also factors
+into univariate tables.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .polytuple import (
     PolyTuple,
     TermMap,
     _offset,
+    _strides,
     admissibility_degree,
     box,
     box_size,
@@ -119,30 +123,39 @@ def _divided(bounds: MultiIndex,
     row-major order finishes alpha - gamma before alpha because gamma != 0.
     The arithmetic runs in int on B(alpha) = d^|alpha| A(alpha), where d is the
     lcm of all coefficient denominators, so each q_gamma d^|gamma| is an integer.
+
+    The table is padded at the front of each axis by the largest exponent on
+    that axis over all factors.  Padded cells stay zero, so every read of
+    alpha - gamma lands inside the padded box, on a zero cell when alpha - gamma
+    leaves the lattice, and the inner loop needs no bounds test.
     """
-    factors = list(factors)
-    d = math.lcm(*(c.denominator for q, _ in factors for c in q.values()))
-    cells = list(box(bounds))
-    table = [0] * len(cells)
-    table[0] = 1
-    for q, k in factors:
+    factors = [([(g, c) for g, c in q.items() if c], k) for q, k in factors]
+    d = math.lcm(*(c.denominator for terms, _ in factors for _, c in terms))
+    pad = [max((g[j] for terms, _ in factors for g, _ in terms), default=0)
+           for j in range(len(bounds))]
+    padded = tuple(b + p for b, p in zip(bounds, pad))
+    # Row-major offsets of the real cells inside the padded box, one axis at a time.
+    offsets = [0]
+    for b, p, stride in zip(bounds, pad, _strides(padded)):
+        offsets = [off + (p + a) * stride for off in offsets for a in range(b + 1)]
+    table = [0] * box_size(padded)
+    table[offsets[0]] = 1
+    for terms, k in factors:
         # Offsets of alpha - gamma relative to alpha are constant shifts.
-        shifts = [(tuple(g), c.numerator * (d ** total_degree(g) // c.denominator),
-                   _offset(g, bounds))
-                  for g, c in q.items() if c]
+        shifts = [(c.numerator * (d ** total_degree(g) // c.denominator), _offset(g, padded))
+                  for g, c in terms]
         for _ in range(k):
-            for off, alpha in enumerate(cells):
+            for off in offsets:
                 val = table[off]
-                for gamma, coeff, shift in shifts:
-                    if all(a >= g for a, g in zip(alpha, gamma)):
-                        val += coeff * table[off - shift]
+                for coeff, shift in shifts:
+                    val += coeff * table[off - shift]
                 table[off] = val
     if d == 1:
-        return [Fraction(b) for b in table]
+        return [Fraction(table[off]) for off in offsets]
     # Convert in place, so that the int table is freed as the Fractions appear.
-    for off, alpha in enumerate(cells):
+    for off, alpha in zip(offsets, box(bounds)):
         table[off] = Fraction(table[off], d ** sum(alpha))
-    return table
+    return [table[off] for off in offsets]
 
 
 def _truncated_mul(a: TermMap, b: Mapping[MultiIndex, Fraction], bounds: MultiIndex) -> TermMap:

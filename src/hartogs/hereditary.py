@@ -317,7 +317,8 @@ def pick_verify(points: Sequence[Sequence[complex]], targets: Sequence[complex],
                             + (1 - conj(l2_i) l2_j) a2_ij
 
     holds entrywise within tol.  Verification only; no certificate is solved
-    for here.
+    for here.  A certificate whose adjoint difference, Hermitian part, norms,
+    spectrum or identity terms overflow the float range raises MalformedInput.
     """
     pts = [tuple(complex(c) for c in p) for p in points]
     k = len(pts)
@@ -335,16 +336,21 @@ def pick_verify(points: Sequence[Sequence[complex]], targets: Sequence[complex],
     for a in (a1, a2):
         if a.shape != (k, k):
             raise WrongDimension(f"certificate matrices must be {k} x {k}")
-        if _opnorm(a - a.conj().T) > tol * max(1.0, _opnorm(a)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            skew = _finite(a - a.conj().T, "a certificate minus its adjoint")
+            hermitian = _finite(0.5 * (a + a.conj().T), "the Hermitian part of a certificate")
+            norms = _finite([_opnorm(skew), _opnorm(a)], "a certificate norm")
+            spectrum = _finite(np.linalg.eigvalsh(hermitian), "a certificate spectrum")
+        if norms[0] > tol * max(1.0, norms[1]) or spectrum[0] < -tol:
             return False
-        if float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0]) < -tol:
-            return False
-    for i in range(k):
-        for j in range(k):
-            lhs = 1.0 - z[i].conjugate() * z[j]
-            cross2 = pts[i][1].conjugate() * pts[j][1]
-            cross1 = pts[i][0].conjugate() * pts[j][0]
-            rhs = (cross2 - cross1) * a1[i, j] + (1.0 - cross2) * a2[i, j]
-            if abs(lhs - rhs) > tol:
-                return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k):
+            for j in range(k):
+                lhs = 1.0 - z[i].conjugate() * z[j]
+                cross2 = pts[i][1].conjugate() * pts[j][1]
+                cross1 = pts[i][0].conjugate() * pts[j][0]
+                rhs = _finite((cross2 - cross1) * a1[i, j] + (1.0 - cross2) * a2[i, j],
+                              "the certificate identity")
+                if abs(lhs - rhs) > tol:
+                    return False
     return True

@@ -219,8 +219,8 @@ class CommutationProbe:
                 and self.polydisc_all_zero)
 
 
-def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int],
-                                        window: LatticeWindow) -> CommutationProbe:
+def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
+                                        table: CoeffTable | None = None) -> CommutationProbe:
     """Exact checks of the shift factorization and the commuting dichotomy.
 
     Verifies the telescoping identity between multiplication and shift
@@ -228,12 +228,14 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int],
     of the adjoint of z_{n-1} with z_n is nonzero, and checks that the
     polydisc counterpart commutators vanish identically.  Coefficients of
     the compositions are square roots of rationals, so equality and
-    vanishing are decided exactly on the squares.
+    vanishing are decided exactly on the squares.  A coefficient table of
+    (P, m) covering the window plus a one-step margin may be passed as
+    table; otherwise one is built.
     """
     n = P.n
     if n < 2:
         raise WrongDimension("commutation probe needs at least two variables")
-    wt = WeightTable(P, m, window)
+    wt = WeightTable(P, m, window, table=table)
     e_last = unit_index(n, n - 1)
     tail_prev = tail_index(n, n - 2)
 
@@ -332,15 +334,17 @@ def _polydisc_commutators_zero(P: PolyTuple, m: Sequence[int], window: LatticeWi
 
 # --- hyponormality diagonal -----------------------------------------------------
 
-def hyponormality_diagonal(P: PolyTuple, m: Sequence[int], j: int,
-                           window: LatticeWindow) -> dict[MultiIndex, Fraction]:
+def hyponormality_diagonal(P: PolyTuple, m: Sequence[int], j: int, window: LatticeWindow,
+                           table: CoeffTable | None = None) -> dict[MultiIndex, Fraction]:
     """Diagonal of the self-commutator of multiplication by z_j, exactly.
 
     Entry at alpha is A(alpha)/A(alpha+step) - A(alpha-step)/A(alpha) with
     step the tail increment of z_j; the operator is separately hyponormal on
-    the window iff every entry is nonnegative.
+    the window iff every entry is nonnegative.  A coefficient table of (P, m)
+    covering the window plus a one-step margin may be passed as table, so
+    that the diagonals of all j share one; otherwise one is built.
     """
-    wt = WeightTable(P, m, window)
+    wt = WeightTable(P, m, window, table=table)
     return {alpha: wt.mult_weight_sq(j, alpha) - wt.adjoint_weight_sq(j, alpha)
             for alpha in window.cells}
 
@@ -498,19 +502,21 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
 # --- circularity --------------------------------------------------------------------
 
 def circularity_check(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
-                      theta: Sequence[float]) -> float:
+                      theta: Sequence[float], table: CoeffTable | None = None) -> float:
     """Max entrywise deviation of the conjugated tuple from the rotated tuple.
 
     The diagonal phase operator uses the quotient-transformed angles; the
     conjugation shifts the phase of each multiplication weight by exactly
-    theta_j, so the deviation is pure floating-point noise.
+    theta_j, so the deviation is pure floating-point noise.  A coefficient
+    table of (P, m) covering the window plus a one-step margin may be passed
+    as table, so that many trials share one; otherwise one is built.
     """
     n = P.n
     theta = list(theta)
     if len(theta) != n:
         raise ValueError(f"theta must have {n} entries")
     tilde = [theta[j] - theta[j + 1] for j in range(n - 1)] + [theta[n - 1]]
-    wt = WeightTable(P, m, window)
+    wt = WeightTable(P, m, window, table=table)
 
     def phase(alpha: MultiIndex) -> complex:
         return cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha)))

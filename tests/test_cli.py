@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hartogs import cli
+from hartogs import cli, shiftops
 from hartogs.errors import HartogsError, InvalidConfig, UnknownCommand
 from hartogs.polytuple import from_polys, hartogs_tuple, serialize
 
@@ -200,12 +200,33 @@ def test_coeffs_product_method_on_mixed_terms_exit_2(tmp_path):
     assert report["error"] == "InvalidConfig"
 
 
+@pytest.mark.parametrize("config", [
+    {"command": "weights", "poly_tuple": P1, "m": [1, 2], "window": [3, 3]},
+    {"command": "probes", "poly_tuple": P1, "m": [1, 1], "window": [3, 3], "theta_trials": 3},
+], ids=["weights", "probes"])
+def test_one_coefficient_table_per_job(monkeypatch, config):
+    calls = []
+    build = shiftops.coeff_function
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(shiftops, "coeff_function", counting)
+    code, _ = cli.run(config)
+    assert code == 0
+    assert len(calls) == 1
+
+
 PICK = {"command": "pick-verify", "points": [[[0, 0], [0.5, 0]]], "targets": [[0, 0]],
         "a1": [[[0, 0]]], "a2": [[[4 / 3, 0]]]}
+PICK2 = {**PICK, "points": [[[0, 0], [0.95, 0]], [[0, 0], [-0.95, 0]]], "targets": [[0, 0], [0, 0]],
+         "a2": [[[4 / 3, 0], [0, 0]], [[0, 0], [4 / 3, 0]]]}
 
 # Malformed configs that ended in a traceback or were silently accepted before
 # each command declared its fields in a table, and finite matrix entries whose
-# commutators or products T*T overflow the float range.
+# commutators, products T*T or Pick certificate terms overflow the float range,
+# and points whose kernel value overflows it.
 PROBES = {
     "radius-N-0": {"command": "radius", "poly_tuple": P0, "m": [1, 1], "N": 0},
     "radius-K-string": {"command": "radius", "poly_tuple": P0, "m": [1, 1], "K": "x"},
@@ -225,6 +246,12 @@ PROBES = {
                                   "a1": [[[0, 0], [0, 0]]] * 2,
                                   "a2": [[[4 / 3, 0], [0, 0]], [[0, 0], [4 / 3, 0]]]},
     "pick-verify-ragged-a1": {**PICK, "a1": [[[0, 0]], [[0, 0], [0, 0]]]},
+    "pick-verify-adjoint-overflow": {**PICK2, "a1": [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]},
+    "pick-verify-hermitian-overflow": {**PICK2, "a1": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]},
+    # the loose tolerance lets the (0, 0) entry pass; the (0, 1) entry overflows
+    "pick-verify-identity-overflow": {**PICK2, "tolerance": 1e308,
+                                      "a1": [[[8e307, 0], [-8e307, 0]], [[-8e307, 0], [8e307, 0]]],
+                                      "a2": [[[8e307, 0], [8e307, 0]], [[8e307, 0], [8e307, 0]]]},
     "subnormality-order-0": {"command": "subnormality", "m": [2, 2], "gamma_bound": [1, 1], "order": 0},
     "subnormality-order-float": {"command": "subnormality", "m": [2, 2], "gamma_bound": [1, 1],
                                  "order": 2.0},
@@ -235,6 +262,9 @@ PROBES = {
     "m-bool": {"command": "coeffs", "poly_tuple": P0, "m": [True, 1], "window": [1, 1]},
     "window-bool": {"command": "coeffs", "poly_tuple": P0, "m": [1, 1], "window": [True, 1]},
     "K-bool": {"command": "dettrace", "poly_tuple": P0, "m": [1, 1], "K": True},
+    # the tail coordinates square to a subnormal, so the kernel prefactor overflows
+    "kernel-value-overflow": {"command": "kernel", "poly_tuple": P0, "m": [1, 1], "window": [3, 3],
+                              "pairs": [[[[0, 0], [1e-160, 0]], [[0, 0], [1e-160, 0]]]]},
     "domain-3-coordinates": {"command": "domain", "poly_tuple": P0,
                              "points": [[[0.1, 0], [0.5, 0], [0.5, 0]]]},
     "hardy-alpha-length": {"command": "quadrature", "l_max": 0, "k_max": 0,
@@ -315,6 +345,10 @@ ABSENT = object()
 VERDICT_FIELDS = {"verdict", "verified", "classification", "chain_holds"}
 
 
+def _not_json(constant):
+    raise ValueError(f"report contains {constant}, which is not JSON")
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -331,4 +365,5 @@ def test_run_exits_0_or_1_with_verdict_or_raises_hartogs_error(command, data):
         code, rendered = cli.run(config)
     except HartogsError:
         return
-    assert code == 0 or (code == 1 and VERDICT_FIELDS & set(json.loads(rendered)))
+    report = json.loads(rendered, parse_constant=_not_json)
+    assert code == 0 or (code == 1 and VERDICT_FIELDS & set(report))

@@ -71,14 +71,18 @@ def test_negative_entries_are_zero_and_window_guard():
         table.value((5,))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 2), st.integers(0, 2), st.data())
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2), st.data())
 def test_recursion_equals_oracle_property(n, k, data):
+    # The recursion pads each axis by its largest exponent.  Non-square boxes
+    # with bounds from 0, exponents that can exceed their bound, and a Q that
+    # leaves some axes untouched (pad 0 there) probe every edge of the padding.
+    touched = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    exponents = st.tuples(*(st.integers(0, 3) if t else st.just(0) for t in touched))
     coeff = st.fractions(min_value=0, max_value=3, max_denominator=4)
-    alphas = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    raw = data.draw(st.lists(st.tuples(alphas, coeff), min_size=1, max_size=4))
-    q = {tuple(a): c for a, c in raw if sum(a) > 0 and c > 0}
-    bounds = (5,) * n
+    raw = data.draw(st.lists(st.tuples(exponents, coeff), max_size=4))
+    q = {alpha: c for alpha, c in raw if sum(alpha) > 0 and c > 0}
+    bounds = tuple(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
     rec = reciprocal_power_coeffs(q, k, bounds, mode="recursion")
     orc = reciprocal_power_coeffs(q, k, bounds, mode="oracle")
     assert rec.values == orc.values
