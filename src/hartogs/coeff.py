@@ -11,11 +11,11 @@ Two independent routes compute the same numbers:
 
 The product table for an n-tuple comes from the same recursion: starting from
 the indicator table, divide by (1-P_j) m_j times for each j.  The division
-runs on a table padded at the front of each axis by the largest exponent on
-that axis; the padded cells stay zero, so a read of alpha - gamma off the
-lattice finds 0 and the inner loop has no bounds test.  For tuples whose
-components each depend on their own variable only, the table also factors
-into univariate tables.
+drops the terms that cannot reach the box and runs on a table padded at the
+front of each axis by the largest remaining exponent on that axis; the padded
+cells stay zero, so a read of alpha - gamma off the lattice finds 0 and the
+inner loop has no bounds test.  For tuples whose components each depend on
+their own variable only, the table also factors into univariate tables.
 """
 
 from __future__ import annotations
@@ -124,12 +124,15 @@ def _divided(bounds: MultiIndex,
     The arithmetic runs in int on B(alpha) = d^|alpha| A(alpha), where d is the
     lcm of all coefficient denominators, so each q_gamma d^|gamma| is an integer.
 
-    The table is padded at the front of each axis by the largest exponent on
-    that axis over all factors.  Padded cells stay zero, so every read of
+    Terms with an exponent beyond the bound on some axis never reach the box
+    and are dropped first.  The table is then padded at the front of each axis
+    by the largest remaining exponent on that axis, so the padded box is at
+    most 2^n times the box.  Padded cells stay zero, so every read of
     alpha - gamma lands inside the padded box, on a zero cell when alpha - gamma
     leaves the lattice, and the inner loop needs no bounds test.
     """
-    factors = [([(g, c) for g, c in q.items() if c], k) for q, k in factors]
+    factors = [([(g, c) for g, c in q.items() if c and all(x <= b for x, b in zip(g, bounds))], k)
+               for q, k in factors]
     d = math.lcm(*(c.denominator for terms, _ in factors for _, c in terms))
     pad = [max((g[j] for terms, _ in factors for g, _ in terms), default=0)
            for j in range(len(bounds))]

@@ -317,8 +317,8 @@ def pick_verify(points: Sequence[Sequence[complex]], targets: Sequence[complex],
                             + (1 - conj(l2_i) l2_j) a2_ij
 
     holds entrywise within tol.  Verification only; no certificate is solved
-    for here.  A certificate whose adjoint difference, Hermitian part, norms,
-    spectrum or identity terms overflow the float range raises MalformedInput.
+    for here.  A certificate whose norms, spectrum or identity terms overflow
+    the float range raises MalformedInput.
     """
     pts = [tuple(complex(c) for c in p) for p in points]
     k = len(pts)
@@ -336,12 +336,15 @@ def pick_verify(points: Sequence[Sequence[complex]], targets: Sequence[complex],
     for a in (a1, a2):
         if a.shape != (k, k):
             raise WrongDimension(f"certificate matrices must be {k} x {k}")
+        # Halving before the sum keeps the skew and Hermitian parts finite for
+        # finite a; only the norms and the spectrum can still overflow.
+        half, half_adjoint = 0.5 * a, 0.5 * a.conj().T
         with np.errstate(over="ignore", invalid="ignore"):
-            skew = _finite(a - a.conj().T, "a certificate minus its adjoint")
-            hermitian = _finite(0.5 * (a + a.conj().T), "the Hermitian part of a certificate")
-            norms = _finite([_opnorm(skew), _opnorm(a)], "a certificate norm")
-            spectrum = _finite(np.linalg.eigvalsh(hermitian), "a certificate spectrum")
-        if norms[0] > tol * max(1.0, norms[1]) or spectrum[0] < -tol:
+            norms = _finite([_opnorm(half - half_adjoint), _opnorm(a)], "a certificate norm")
+            if norms[0] > 0.5 * tol * max(1.0, norms[1]):
+                return False
+            spectrum = _finite(np.linalg.eigvalsh(half + half_adjoint), "a certificate spectrum")
+        if spectrum[0] < -tol:
             return False
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(k):

@@ -246,8 +246,8 @@ PROBES = {
                                   "a1": [[[0, 0], [0, 0]]] * 2,
                                   "a2": [[[4 / 3, 0], [0, 0]], [[0, 0], [4 / 3, 0]]]},
     "pick-verify-ragged-a1": {**PICK, "a1": [[[0, 0]], [[0, 0], [0, 0]]]},
-    "pick-verify-adjoint-overflow": {**PICK2, "a1": [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]},
-    "pick-verify-hermitian-overflow": {**PICK2, "a1": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]},
+    # the operator norm of a1 is 2e308
+    "pick-verify-norm-overflow": {**PICK2, "a1": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]},
     # the loose tolerance lets the (0, 0) entry pass; the (0, 1) entry overflows
     "pick-verify-identity-overflow": {**PICK2, "tolerance": 1e308,
                                       "a1": [[[8e307, 0], [-8e307, 0]], [[-8e307, 0], [8e307, 0]]],
@@ -281,6 +281,17 @@ def test_malformed_config_exit_2(tmp_path, name):
     code, report = _main_exit(tmp_path, PROBES[name])
     assert code == 2
     assert set(report) == {"error", "message"}
+
+
+@pytest.mark.parametrize("a1", [[[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]],
+                                [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]],
+                                [[[-1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]],
+                         ids=["skew", "hermitian", "indefinite"])
+def test_pick_verify_extreme_finite_certificate_gets_a_verdict(a1):
+    # the skew and Hermitian parts of these certificates are representable, so
+    # they are judged (and fail) rather than rejected as input errors
+    code, report = run_json({**PICK2, "a1": a1})
+    assert code == 1 and not report["verified"]
 
 
 def test_internal_error_exit_3(tmp_path, monkeypatch):

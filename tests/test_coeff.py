@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartogs import coeff
 from hartogs.coeff import (
     coeff_function,
     hartogs_coeff_closed,
@@ -13,7 +14,7 @@ from hartogs.coeff import (
     univariate_coeffs,
 )
 from hartogs.errors import ConstantTermPresent, WindowTooSmall
-from hartogs.polytuple import box, from_polys, hartogs_tuple, total_degree
+from hartogs.polytuple import box, box_size, from_polys, hartogs_tuple, total_degree
 
 
 def fib(count):
@@ -86,6 +87,29 @@ def test_recursion_equals_oracle_property(n, k, data):
     rec = reciprocal_power_coeffs(q, k, bounds, mode="recursion")
     orc = reciprocal_power_coeffs(q, k, bounds, mode="oracle")
     assert rec.values == orc.values
+
+
+def test_terms_beyond_the_box_are_dropped(monkeypatch):
+    # a term whose exponent exceeds the bound never reaches the box, so it
+    # must neither change the table nor size the padding
+    def capped_box_size(bounds):
+        assert all(b <= 10 for b in bounds), f"table of shape {bounds} requested"
+        return box_size(bounds)
+
+    monkeypatch.setattr(coeff, "box_size", capped_box_size)
+    huge = 10 ** 9
+    for base, extra, bounds, methods in [
+        ([{(1, 0): F(1)}, {(0, 1): F(1, 2)}], [{(huge, 0): F(1, 3)}, {}], (3, 3),
+         ("product", "convolution")),
+        ([{(1, 0): F(1), (1, 1): F(1)}, {(0, 1): F(1)}], [{(2, huge): F(2)}, {(huge, 1): F(1)}], (4, 2),
+         ("convolution",)),
+    ]:
+        P = from_polys(base)
+        P_huge = from_polys([{**q, **e} for q, e in zip(base, extra)])
+        for method in methods:
+            table = coeff_function(P_huge, (2, 1), bounds, method=method)
+            assert table.values == coeff_function(P, (2, 1), bounds, method=method).values
+    assert univariate_coeffs({1: F(1), huge: F(1, 5)}, 2, 3) == univariate_coeffs({1: F(1)}, 2, 3)
 
 
 def test_coeff_function_origin_is_one():
