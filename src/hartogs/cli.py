@@ -229,7 +229,7 @@ def _cmd_weights(c: dict, rng):
     P, m = c["poly_tuple"], c["m"]
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
-    diagonals = [shiftops.hyponormality_diagonal(P, m, j, window, table=wt.table) for j in range(P.n)]
+    diagonals = [shiftops.hyponormality_diagonal(P, m, j, window, weights=wt) for j in range(P.n)]
     entries = [{"alpha": list(alpha), "j": j + 1,
                 "omega": math.sqrt(float(wt.mult_weight_sq(j, alpha))),
                 "sigma": math.sqrt(float(wt.shift_weight_sq(j, alpha))),
@@ -244,13 +244,15 @@ def _cmd_weights(c: dict, rng):
           circularity_tolerance=_number(1e-12))
 def _cmd_probes(c: dict, rng):
     P, m = c["poly_tuple"], c["m"]
+    # A noncommuting witness needs a step along each of the last two axes.
+    _must(min(c["window"][-2:]) >= 1, "window", "integers >= 0 whose last two are >= 1", list(c["window"]))
     window = shiftops.build_window(c["window"])
-    table = shiftops.op_weights(P, m, window).table  # one table for the probe and every trial
-    probe = shiftops.factorization_and_commutation_probe(P, m, window, table=table)
+    wt = shiftops.op_weights(P, m, window)  # one weight table for the probe and every trial
+    probe = shiftops.factorization_and_commutation_probe(P, m, window, weights=wt)
     max_dev = 0.0
     for _ in range(c["theta_trials"]):
         theta = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(P.n)]
-        max_dev = max(max_dev, shiftops.circularity_check(P, m, window, theta, table=table))
+        max_dev = max(max_dev, shiftops.circularity_check(P, m, window, theta, weights=wt))
     verdict = probe.ok and max_dev <= c["circularity_tolerance"]
     witness = probe.noncommuting_witness
     report = {"factorization_exact": probe.factorization_exact,

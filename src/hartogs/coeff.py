@@ -191,8 +191,7 @@ def _oracle_values(q: Mapping[MultiIndex, Fraction], k: int, bounds: MultiIndex)
 def univariate_coeffs(p: Mapping[int, Fraction], k: int, kmax: int, mode: str = "recursion") -> list[Fraction]:
     """Coefficients of 1/(1-p(t))^k up to degree kmax, for univariate p."""
     q = {(e,): Fraction(c) for e, c in p.items()}
-    table = reciprocal_power_coeffs(q, k, (kmax,), mode=mode)
-    return [table.value((l,)) for l in range(kmax + 1)]
+    return list(reciprocal_power_coeffs(q, k, (kmax,), mode=mode).values)
 
 
 def _axis_tables(P: PolyTuple, m: Sequence[int], kmax: Sequence[int]) -> list[list[Fraction]]:

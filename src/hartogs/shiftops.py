@@ -6,9 +6,11 @@ single-step shifts use the unit increment instead, and multiplication
 factors exactly into the product of the single steps.  All weights are
 carried as exact rational squares; floats appear only at matrix assembly.
 
-Truncation semantics: an operator column whose image leaves the window is
-zeroed and flagged, and every assertion quantifies over interior cells only,
-so the checked identities are free of truncation artifacts.
+Every exact weight over a window is a quotient of one coefficient table and
+is divided out once, when the weight table is built.  Truncation semantics:
+an operator column whose image leaves the window is zeroed, and every
+assertion quantifies over interior cells only, so the checked identities are
+free of truncation artifacts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,19 +73,13 @@ def build_window(bounds: MultiIndex) -> LatticeWindow:
     return LatticeWindow(bounds=bounds, cells=tuple(box(bounds)))
 
 
-class OpResult(NamedTuple):
-    """Image cell of a basis vector, the weight, and whether truncation hit."""
-
-    cell: MultiIndex | None
-    weight: float
-    truncated: bool
-
-
 class WeightTable:
-    """Multiplication, shift, and adjoint weights over a window.
+    """Exact squared multiplication and shift weights over a window.
 
-    The coefficient table must cover the window plus a one-step margin so
-    that every weight at an interior-or-boundary cell is available.
+    mult_sq[j][alpha] = A(alpha)/A(alpha + tail_j) and shift_sq[j][alpha] =
+    A(alpha)/A(alpha + e_j) are computed once, for every window cell, from a
+    coefficient table that covers the window plus a one-step margin.  The
+    adjoint weight at alpha is the multiplication weight at alpha - tail_j.
     """
 
     def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow,
@@ -97,76 +93,54 @@ class WeightTable:
         elif not table.covers(margin):
             raise CoeffTableTooSmall(
                 f"table bounds {table.bounds} do not cover window plus margin {margin}")
-        self.table = table
         n = P.n
         self._tails = [tail_index(n, j) for j in range(n)]
-        self._units = [unit_index(n, j) for j in range(n)]
+        # Offsets are row-major in the table's own box, which may exceed the margin.
+        values, bounds = table.values, table.bounds
+        offsets = [_offset(alpha, bounds) for alpha in window.cells]
 
-    # -- exact squared weights ------------------------------------------------
+        def ratios(step: MultiIndex) -> dict[MultiIndex, Fraction]:
+            shift = _offset(step, bounds)
+            return {alpha: values[off] / values[off + shift] for alpha, off in zip(window.cells, offsets)}
+
+        self.mult_sq = [ratios(tail) for tail in self._tails]
+        self.shift_sq = [ratios(unit_index(n, j)) for j in range(n)]
 
     def mult_weight_sq(self, j: int, alpha: MultiIndex) -> Fraction:
-        return self.table.value(alpha) / self.table.value(add_index(alpha, self._tails[j]))
+        return self.mult_sq[j][alpha]
 
     def shift_weight_sq(self, j: int, alpha: MultiIndex) -> Fraction:
-        return self.table.value(alpha) / self.table.value(add_index(alpha, self._units[j]))
+        return self.shift_sq[j][alpha]
 
     def adjoint_weight_sq(self, j: int, alpha: MultiIndex) -> Fraction:
-        beta = sub_index(alpha, self._tails[j])
-        if not is_nonnegative(beta):
-            return Fraction(0)
-        return self.table.value(beta) / self.table.value(alpha)
-
-    # -- actions on basis cells -----------------------------------------------
-
-    def apply_mult(self, j: int, alpha: MultiIndex) -> OpResult:
-        beta = add_index(alpha, self._tails[j])
-        if not index_leq(beta, self.window.bounds):
-            return OpResult(None, 0.0, True)
-        return OpResult(beta, math.sqrt(float(self.mult_weight_sq(j, alpha))), False)
-
-    def apply_shift(self, j: int, alpha: MultiIndex) -> OpResult:
-        beta = add_index(alpha, self._units[j])
-        if not index_leq(beta, self.window.bounds):
-            return OpResult(None, 0.0, True)
-        return OpResult(beta, math.sqrt(float(self.shift_weight_sq(j, alpha))), False)
-
-    def apply_adjoint(self, j: int, alpha: MultiIndex) -> OpResult:
-        beta = sub_index(alpha, self._tails[j])
-        if not is_nonnegative(beta):
-            return OpResult(None, 0.0, False)
-        return OpResult(beta, math.sqrt(float(self.adjoint_weight_sq(j, alpha))), False)
-
-    # -- matrices over the window enumeration ----------------------------------
-
-    def _matrix(self, action, j: int) -> np.ndarray:
-        size = self.window.size
-        out = np.zeros((size, size))
-        for col, alpha in enumerate(self.window.cells):
-            cell, weight, _truncated = action(j, alpha)
-            if cell is not None:
-                out[self.window.offset(cell), col] = weight
-        return out
+        return self.mult_sq[j].get(sub_index(alpha, self._tails[j]), Fraction(0))
 
     def mult_matrix(self, j: int) -> np.ndarray:
-        return self._matrix(self.apply_mult, j)
-
-    def adjoint_matrix(self, j: int) -> np.ndarray:
-        return self._matrix(self.apply_adjoint, j)
-
-    def truncated_norm(self, j: int) -> float:
-        """Norm of the truncated multiplication matrix: the columns are
-        orthogonal, so this is the largest interior weight (exact comparison)."""
-        best = Fraction(0)
-        for alpha in self.window.cells:
-            if self.window.interior(alpha, self._tails[j]):
-                best = max(best, self.mult_weight_sq(j, alpha))
-        return math.sqrt(float(best))
+        """Truncated matrix of multiplication by z_j over the window enumeration;
+        a column whose image leaves the window is zero.  Its transpose is the
+        adjoint matrix, entry for entry."""
+        window, tail = self.window, self._tails[j]
+        out = np.zeros((window.size, window.size))
+        for col, alpha in enumerate(window.cells):
+            if window.interior(alpha, tail):
+                out[window.offset(add_index(alpha, tail)), col] = math.sqrt(float(self.mult_sq[j][alpha]))
+        return out
 
 
 def op_weights(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
                table: CoeffTable | None = None, method: str = "auto") -> WeightTable:
     """Build the weight table for (P, m) over the window."""
     return WeightTable(P, m, window, table=table, method=method)
+
+
+def _weights_over(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
+                  weights: WeightTable | None) -> WeightTable:
+    """The weights passed in, once they are known to cover the window, or a new table."""
+    if weights is None:
+        return WeightTable(P, m, window)
+    if not index_leq(window.bounds, weights.window.bounds):
+        raise CoeffTableTooSmall(f"weights over {weights.window.bounds} do not cover window {window.bounds}")
+    return weights
 
 
 # --- norm bounds ---------------------------------------------------------------
@@ -220,7 +194,7 @@ class CommutationProbe:
 
 
 def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
-                                        table: CoeffTable | None = None) -> CommutationProbe:
+                                        weights: WeightTable | None = None) -> CommutationProbe:
     """Exact checks of the shift factorization and the commuting dichotomy.
 
     Verifies the telescoping identity between multiplication and shift
@@ -228,14 +202,13 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     of the adjoint of z_{n-1} with z_n is nonzero, and checks that the
     polydisc counterpart commutators vanish identically.  Coefficients of
     the compositions are square roots of rationals, so equality and
-    vanishing are decided exactly on the squares.  A coefficient table of
-    (P, m) covering the window plus a one-step margin may be passed as
-    table; otherwise one is built.
+    vanishing are decided exactly on the squares.  A weight table of (P, m)
+    covering the window may be passed as weights; otherwise one is built.
     """
     n = P.n
     if n < 2:
         raise WrongDimension("commutation probe needs at least two variables")
-    wt = WeightTable(P, m, window, table=table)
+    wt = _weights_over(P, m, window, weights)
     e_last = unit_index(n, n - 1)
     tail_prev = tail_index(n, n - 2)
 
@@ -259,10 +232,7 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     for alpha in window.cells:
         if not window.interior(alpha, e_last):
             continue
-        sq_a = Fraction(0)
-        up = add_index(alpha, e_last)
-        if is_nonnegative(sub_index(up, tail_prev)):
-            sq_a = wt.shift_weight_sq(n - 1, alpha) * wt.adjoint_weight_sq(n - 2, up)
+        sq_a = wt.shift_weight_sq(n - 1, alpha) * wt.adjoint_weight_sq(n - 2, add_index(alpha, e_last))
         sq_b = Fraction(0)
         down = sub_index(alpha, tail_prev)
         if is_nonnegative(down):
@@ -280,53 +250,40 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     )
 
 
-class PolydiscOps:
-    """Single-variable shift weights of the polydisc counterpart space.
+def _axis_ratios(P: PolyTuple, m: Sequence[int], reach: MultiIndex) -> list[list[Fraction]]:
+    """Squared single-shift weights of the polydisc counterpart space.
 
-    The k-th multiplication acts on the axis table of the restriction of P_k
-    alone; cells and weights are composed exactly like the triangle operators
-    so that cross-commutator comparisons go through real index arithmetic.
+    Entry [k][i], i <= reach[k], is A_k(i)/A_k(i + 1) on the axis table of the
+    restriction of P_k alone: the weight of multiplication by z_k at any cell
+    whose k-th entry is i.
     """
-
-    def __init__(self, P: PolyTuple, m: Sequence[int], reach: MultiIndex):
-        self.n = P.n
-        self.reach = tuple(reach)
-        self.axis = _axis_tables(P, m, [r + 1 for r in reach])
-
-    def shift_weight_sq(self, k: int, alpha: MultiIndex) -> Fraction:
-        return self.axis[k][alpha[k]] / self.axis[k][alpha[k] + 1]
-
-    def apply_mult(self, k: int, alpha: MultiIndex) -> tuple[MultiIndex, Fraction]:
-        return add_index(alpha, unit_index(self.n, k)), self.shift_weight_sq(k, alpha)
-
-    def apply_adjoint(self, k: int, alpha: MultiIndex) -> tuple[MultiIndex | None, Fraction]:
-        if alpha[k] == 0:
-            return None, Fraction(0)
-        beta = sub_index(alpha, unit_index(self.n, k))
-        return beta, self.axis[k][beta[k]] / self.axis[k][alpha[k]]
+    axes = _axis_tables(P, m, [r + 1 for r in reach])
+    return [[axis[i] / axis[i + 1] for i in range(r + 1)] for axis, r in zip(axes, reach)]
 
 
 def _polydisc_commutators_zero(P: PolyTuple, m: Sequence[int], window: LatticeWindow) -> bool:
-    ops = PolydiscOps(P, m, window.bounds)
+    """Whether every cross commutator of a polydisc shift with the adjoint of
+    another vanishes on the interior cells: both orders reach the same cell
+    with the same exact squared weight."""
+    ratios = _axis_ratios(P, m, window.bounds)
     n = P.n
     for j in range(n):
+        e_j = unit_index(n, j)
         for k in range(n):
             if j == k:
                 continue
+            e_k = unit_index(n, k)
             for alpha in window.cells:
-                if not window.interior(alpha, unit_index(n, j)):
+                if not window.interior(alpha, e_j):
                     continue
-                up, mult_sq = ops.apply_mult(j, alpha)
-                cell_a, adj_sq = ops.apply_adjoint(k, up)
-                sq_a = mult_sq * adj_sq if cell_a is not None else Fraction(0)
-                cell_a = cell_a if sq_a else None
-                down, adj_first_sq = ops.apply_adjoint(k, alpha)
-                if down is not None:
-                    cell_b, mult_after_sq = ops.apply_mult(j, down)
-                    sq_b = adj_first_sq * mult_after_sq
-                else:
-                    cell_b, sq_b = None, Fraction(0)
-                cell_b = cell_b if sq_b else None
+                up = add_index(alpha, e_j)  # the adjoint of z_k after z_j
+                cell_a, sq_a = None, Fraction(0)
+                if up[k]:
+                    cell_a, sq_a = sub_index(up, e_k), ratios[j][alpha[j]] * ratios[k][up[k] - 1]
+                cell_b, sq_b = None, Fraction(0)  # z_j after the adjoint of z_k
+                if alpha[k]:
+                    down = sub_index(alpha, e_k)
+                    cell_b, sq_b = add_index(down, e_j), ratios[k][alpha[k] - 1] * ratios[j][down[j]]
                 if cell_a != cell_b or sq_a != sq_b:
                     return False
     return True
@@ -335,16 +292,16 @@ def _polydisc_commutators_zero(P: PolyTuple, m: Sequence[int], window: LatticeWi
 # --- hyponormality diagonal -----------------------------------------------------
 
 def hyponormality_diagonal(P: PolyTuple, m: Sequence[int], j: int, window: LatticeWindow,
-                           table: CoeffTable | None = None) -> dict[MultiIndex, Fraction]:
+                           weights: WeightTable | None = None) -> dict[MultiIndex, Fraction]:
     """Diagonal of the self-commutator of multiplication by z_j, exactly.
 
     Entry at alpha is A(alpha)/A(alpha+step) - A(alpha-step)/A(alpha) with
     step the tail increment of z_j; the operator is separately hyponormal on
-    the window iff every entry is nonnegative.  A coefficient table of (P, m)
-    covering the window plus a one-step margin may be passed as table, so
-    that the diagonals of all j share one; otherwise one is built.
+    the window iff every entry is nonnegative.  A weight table of (P, m)
+    covering the window may be passed as weights, so that the diagonals of
+    all j share one; otherwise one is built.
     """
-    wt = WeightTable(P, m, window, table=table)
+    wt = _weights_over(P, m, window, weights)
     return {alpha: wt.mult_weight_sq(j, alpha) - wt.adjoint_weight_sq(j, alpha)
             for alpha in window.cells}
 
@@ -478,7 +435,7 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("intertwining needs each P_j to depend on z_j alone")
     wt = WeightTable(P, m, window, method="convolution")
-    ops = PolydiscOps(P, m, window.bounds)
+    ratios = _axis_ratios(P, m, window.bounds)
     n = P.n
     mismatches: list[tuple[int, MultiIndex]] = []
     checked = 0
@@ -491,8 +448,8 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
             rhs = Fraction(1)
             cur = alpha
             for k in range(n - 1, j - 1, -1):
-                cur, sq = ops.apply_mult(k, cur)
-                rhs *= sq
+                rhs *= ratios[k][cur[k]]
+                cur = add_index(cur, unit_index(n, k))
             if wt.mult_weight_sq(j, alpha) != rhs or cur != add_index(alpha, tail):
                 mismatches.append((j, alpha))
     return IntertwiningReport(ok=not mismatches, cells_checked=checked,
@@ -502,21 +459,21 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
 # --- circularity --------------------------------------------------------------------
 
 def circularity_check(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
-                      theta: Sequence[float], table: CoeffTable | None = None) -> float:
+                      theta: Sequence[float], weights: WeightTable | None = None) -> float:
     """Max entrywise deviation of the conjugated tuple from the rotated tuple.
 
     The diagonal phase operator uses the quotient-transformed angles; the
     conjugation shifts the phase of each multiplication weight by exactly
-    theta_j, so the deviation is pure floating-point noise.  A coefficient
-    table of (P, m) covering the window plus a one-step margin may be passed
-    as table, so that many trials share one; otherwise one is built.
+    theta_j, so the deviation is pure floating-point noise.  A weight table
+    of (P, m) covering the window may be passed as weights, so that many
+    trials share one; otherwise one is built.
     """
     n = P.n
     theta = list(theta)
     if len(theta) != n:
         raise ValueError(f"theta must have {n} entries")
     tilde = [theta[j] - theta[j + 1] for j in range(n - 1)] + [theta[n - 1]]
-    wt = WeightTable(P, m, window, table=table)
+    wt = _weights_over(P, m, window, weights)
 
     def phase(alpha: MultiIndex) -> complex:
         return cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha)))

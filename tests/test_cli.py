@@ -1,7 +1,9 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -200,10 +202,13 @@ def test_coeffs_product_method_on_mixed_terms_exit_2(tmp_path):
     assert report["error"] == "InvalidConfig"
 
 
-@pytest.mark.parametrize("config", [
+SHIFTOPS_JOBS = [
     {"command": "weights", "poly_tuple": P1, "m": [1, 2], "window": [3, 3]},
     {"command": "probes", "poly_tuple": P1, "m": [1, 1], "window": [3, 3], "theta_trials": 3},
-], ids=["weights", "probes"])
+]
+
+
+@pytest.mark.parametrize("config", SHIFTOPS_JOBS, ids=["weights", "probes"])
 def test_one_coefficient_table_per_job(monkeypatch, config):
     calls = []
     build = shiftops.coeff_function
@@ -216,6 +221,18 @@ def test_one_coefficient_table_per_job(monkeypatch, config):
     code, _ = cli.run(config)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("config", SHIFTOPS_JOBS, ids=["weights", "probes"])
+def test_traced_run_times_shiftops(monkeypatch, config):
+    # The benchmark's traced pass wraps the public shiftops functions; a
+    # signature it cannot read would raise here.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer(time.perf_counter)
+    with tracer.installed():
+        code, _ = cli.run(config)
+    assert code == 0
+    assert tracer.metrics()["shiftops.self_s"] > 0
 
 
 PICK = {"command": "pick-verify", "points": [[[0, 0], [0.5, 0]]], "targets": [[0, 0]],
@@ -273,6 +290,9 @@ PROBES = {
     "quadrature-radial-nodes-0": {"command": "quadrature", "radial_nodes": 0},
     "probes-theta-trials-string": {"command": "probes", "poly_tuple": P1, "m": [1, 1],
                                    "window": [2, 2], "theta_trials": "3"},
+    # no noncommuting witness fits in these windows
+    "probes-window-0-0": {"command": "probes", "poly_tuple": P1, "m": [1, 1], "window": [0, 0]},
+    "probes-window-1-0": {"command": "probes", "poly_tuple": P1, "m": [1, 1], "window": [1, 0]},
 }
 
 

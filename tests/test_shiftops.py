@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartogs.errors import (
     CoeffTableTooSmall,
@@ -13,7 +15,7 @@ from hartogs.errors import (
     WrongDimension,
 )
 from hartogs.coeff import coeff_function
-from hartogs.polytuple import box, from_polys, hartogs_tuple, tail_index, unit_index
+from hartogs.polytuple import add_index, box, from_polys, hartogs_tuple, sub_index, tail_index, unit_index
 from hartogs.shiftops import (
     WeightTable,
     build_window,
@@ -86,19 +88,12 @@ def test_weight_example_m12():
 
 def test_adjoint_vanishes_on_bottom_row():
     wt = op_weights(hartogs_tuple(2, 1), (2, 1), build_window((4, 4)))
-    for alpha in wt.window.cells:
-        if alpha[1] == 0:
-            for j in range(2):
-                cell, weight, truncated = wt.apply_adjoint(j, alpha)
-                assert cell is None and weight == 0.0 and not truncated
-
-
-def test_apply_mult_truncation_flag():
-    wt = op_weights(hartogs_tuple(2), (1, 1), build_window((2, 2)))
-    cell, weight, truncated = wt.apply_mult(0, (2, 2))
-    assert cell is None and truncated
-    cell, weight, truncated = wt.apply_mult(0, (1, 1))
-    assert cell == (2, 2) and weight == 1.0 and not truncated
+    for j in range(2):
+        adjoint = wt.mult_matrix(j).T
+        for alpha in wt.window.cells:
+            if alpha[1] == 0:
+                assert wt.adjoint_weight_sq(j, alpha) == 0
+                assert not adjoint[:, wt.window.offset(alpha)].any()
 
 
 def test_small_table_rejected():
@@ -108,24 +103,54 @@ def test_small_table_rejected():
         WeightTable(hartogs_tuple(2), (1, 1), window, table=table)
 
 
+def test_passed_weights_must_cover_the_window():
+    P, m, window = hartogs_tuple(2, 1), (1, 2), build_window((3, 3))
+    larger = op_weights(P, m, build_window((4, 3)))
+    assert hyponormality_diagonal(P, m, 0, window, weights=larger) == hyponormality_diagonal(P, m, 0, window)
+    smaller = op_weights(P, m, build_window((3, 2)))
+    with pytest.raises(CoeffTableTooSmall):
+        hyponormality_diagonal(P, m, 0, window, weights=smaller)
+    with pytest.raises(CoeffTableTooSmall):
+        factorization_and_commutation_probe(P, m, window, weights=smaller)
+    with pytest.raises(CoeffTableTooSmall):
+        circularity_check(P, m, window, [0.0, 0.0], weights=smaller)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_weights_are_exact_ratios_of_a_passed_table(data):
+    # The passed table is larger than window + 1 by a random margin per axis,
+    # so the weights must be read at offsets relative to the table's bounds.
+    P = data.draw(st.sampled_from([hartogs_tuple(2), hartogs_tuple(2, 1), fib_tuple(), hartogs_tuple(3, 1)]))
+    n = P.n
+    m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="m"))
+    bounds = tuple(data.draw(st.lists(st.integers(0, 5 - n), min_size=n, max_size=n), label="window"))
+    extra = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="extra margin")
+    window = build_window(bounds)
+    wt = WeightTable(P, m, window, table=coeff_function(P, m, tuple(b + 1 + e for b, e in zip(bounds, extra))))
+    A = coeff_function(P, m, tuple(b + 1 for b in bounds)).value
+    for j in range(n):
+        tail = tail_index(n, j)
+        assert set(wt.mult_sq[j]) == set(wt.shift_sq[j]) == set(window.cells)
+        adjoint = np.zeros((window.size, window.size))
+        for col, alpha in enumerate(window.cells):
+            assert wt.mult_sq[j][alpha] == A(alpha) / A(add_index(alpha, tail))
+            assert wt.shift_sq[j][alpha] == A(alpha) / A(add_index(alpha, unit_index(n, j)))
+            beta = sub_index(alpha, tail)
+            if min(beta) < 0:
+                assert wt.adjoint_weight_sq(j, alpha) == 0
+            else:
+                assert wt.adjoint_weight_sq(j, alpha) == A(beta) / A(alpha)
+                adjoint[window.offset(beta), col] = math.sqrt(float(A(beta) / A(alpha)))
+        assert np.array_equal(wt.mult_matrix(j).T, adjoint)
+
+
 def test_mult_matrices_zero_diagonal_and_graded():
     wt = op_weights(hartogs_tuple(2, 1), (1, 2), build_window((3, 3)))
     for j in range(2):
         mat = wt.mult_matrix(j)
         assert np.all(np.diag(mat) == 0)
         assert np.all(mat >= 0)
-
-
-def test_adjoint_matrix_is_transpose():
-    wt = op_weights(hartogs_tuple(2, 1), (1, 2), build_window((3, 3)))
-    for j in range(2):
-        full = wt.adjoint_matrix(j)
-        trunc = wt.mult_matrix(j).T
-        # they agree wherever the mult column was not truncated
-        for col, alpha in enumerate(wt.window.cells):
-            if wt.window.interior(alpha, tail_index(2, j)):
-                row = wt.window.offset(tuple(a + t for a, t in zip(alpha, tail_index(2, j))))
-                assert full[col, row] == pytest.approx(trunc[col, row])
 
 
 def test_truncated_matrices_commute_on_inner_cells():
@@ -170,15 +195,6 @@ def test_weights_below_upper_bound_exactly():
             bound = norm_bounds(P, m, j).upper_sq
             for alpha in wt.window.cells:
                 assert wt.mult_weight_sq(j, alpha) <= bound
-
-
-def test_truncated_norm_is_max_weight():
-    P = hartogs_tuple(2)
-    wt = op_weights(P, (1, 2), build_window((4, 4)))
-    norm = wt.truncated_norm(1)
-    best = max(float(wt.mult_weight_sq(1, a)) for a in wt.window.cells
-               if wt.window.interior(a, tail_index(2, 1)))
-    assert norm == pytest.approx(math.sqrt(best))
 
 
 def test_probe_hartogs_dichotomy():
@@ -327,19 +343,19 @@ def test_repeated_mult_targets_are_distinct():
     # powers of the multiplication tuple send distinct cells to distinct
     # cells: the target map alpha -> alpha + sum beta_j * tail_j is injective
     wt = op_weights(hartogs_tuple(2), (1, 2), build_window((6, 6)))
+    mats = [wt.mult_matrix(j) for j in range(2)]
     for beta in [(1, 0), (0, 2), (2, 1)]:
-        targets = {}
+        power = np.eye(wt.window.size)
+        for j, reps in enumerate(beta):
+            for _ in range(reps):
+                power = mats[j] @ power
+        step = (beta[0], beta[0] + beta[1])  # beta_1 * (1, 1) + beta_2 * (0, 1)
+        targets = set()
         for alpha in box((2, 2)):
-            cell = alpha
-            truncated = False
-            for j, reps in enumerate(beta):
-                for _ in range(reps):
-                    cell, _w, trunc = wt.apply_mult(j, cell)
-                    truncated = truncated or trunc
-            if not truncated:
-                assert cell not in targets.values()
-                targets[alpha] = cell
-        assert len(targets) == len(set(targets.values()))
+            rows = np.flatnonzero(power[:, wt.window.offset(alpha)])
+            assert list(rows) == [wt.window.offset(add_index(alpha, step))]
+            targets.add(rows[0])
+        assert len(targets) == 9
 
 
 def test_adjoint_matrix_reproduces_kernel_eigenvector():
@@ -353,11 +369,11 @@ def test_adjoint_matrix_reproduces_kernel_eigenvector():
     P = hartogs_tuple(2)
     ctx = make_context(P, (1, 2), bounds)
     window = build_window(bounds)
-    wt = op_weights(P, (1, 2), window, table=None)
+    wt = op_weights(P, (1, 2), window)
     w = (0.2 + 0.1j, 0.55)
     vec = np.array([basis_eval(ctx, alpha, w).conjugate() for alpha in window.cells])
     for j in range(2):
-        image = wt.adjoint_matrix(j) @ vec
+        image = wt.mult_matrix(j).T @ vec
         eig = complex(w[j]).conjugate()
         for alpha in window.cells:
             if window.interior(alpha, tail_index(2, j)):
