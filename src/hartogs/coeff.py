@@ -16,6 +16,11 @@ front of each axis by the largest remaining exponent on that axis; the padded
 cells stay zero, so a read of alpha - gamma off the lattice finds 0 and the
 inner loop has no bounds test.  For tuples whose components each depend on
 their own variable only, the table also factors into univariate tables.
+
+The division kernel works in int: it yields the scaled table
+B(alpha) = d^|alpha| A(alpha) and the common denominator d.  The public routes
+reduce each cell to a Fraction; consumers that only compare or take logs of
+axis coefficients read the scaled integers through _axis_scaled instead.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ def reciprocal_power_coeffs(
         raise ValueError(f"power k must be >= 0, got {k}")
     _check_expandable(q)
     if mode == "recursion":
-        values = _divided(bounds, [(q, k)])
+        values = _reduced(bounds, *_divided(bounds, [(q, k)]))
     elif mode == "oracle":
         values = _oracle_values(q, k, bounds)
     else:
@@ -115,14 +120,15 @@ def reciprocal_power_coeffs(
 
 
 def _divided(bounds: MultiIndex,
-             factors: Iterable[tuple[Mapping[MultiIndex, Fraction], int]]) -> list[Fraction]:
-    """Coefficients of prod 1/(1-Q)^k over the pairs (Q, k) in factors, on the box.
+             factors: Iterable[tuple[Mapping[MultiIndex, Fraction], int]]) -> tuple[list[int], int]:
+    """Scaled coefficients of prod 1/(1-Q)^k over the pairs (Q, k) in factors, on the box.
 
+    Returns (B, d): B lists B(alpha) = d^|alpha| A(alpha) in int over the box in
+    row-major order, where A is the coefficient table and d the lcm of all
+    coefficient denominators, so each q_gamma d^|gamma| is an integer.
     Starting from the indicator table, each division by (1-Q) solves
     new(alpha) = old(alpha) + sum_gamma q_gamma new(alpha - gamma) in place;
     row-major order finishes alpha - gamma before alpha because gamma != 0.
-    The arithmetic runs in int on B(alpha) = d^|alpha| A(alpha), where d is the
-    lcm of all coefficient denominators, so each q_gamma d^|gamma| is an integer.
 
     Terms with an exponent beyond the bound on some axis never reach the box
     and are dropped first.  The table is then padded at the front of each axis
@@ -153,12 +159,19 @@ def _divided(bounds: MultiIndex,
                 for coeff, shift in shifts:
                     val += coeff * table[off - shift]
                 table[off] = val
+    return [table[off] for off in offsets], d
+
+
+def _reduced(bounds: MultiIndex, scaled: list[int], d: int) -> list:
+    """A(alpha) = B(alpha) / d^|alpha| as reduced Fractions, converted in place,
+    so that the int table is freed as the Fractions appear."""
     if d == 1:
-        return [Fraction(table[off]) for off in offsets]
-    # Convert in place, so that the int table is freed as the Fractions appear.
-    for off, alpha in zip(offsets, box(bounds)):
-        table[off] = Fraction(table[off], d ** sum(alpha))
-    return [table[off] for off in offsets]
+        for i, b in enumerate(scaled):
+            scaled[i] = Fraction(b)
+        return scaled
+    for i, alpha in enumerate(box(bounds)):
+        scaled[i] = Fraction(scaled[i], d ** sum(alpha))
+    return scaled
 
 
 def _truncated_mul(a: TermMap, b: Mapping[MultiIndex, Fraction], bounds: MultiIndex) -> TermMap:
@@ -199,6 +212,25 @@ def _axis_tables(P: PolyTuple, m: Sequence[int], kmax: Sequence[int]) -> list[li
     return [univariate_coeffs(t, mj, k) for t, mj, k in zip(tilde_restrictions(P), m, kmax)]
 
 
+def _axis_scaled(P: PolyTuple, m: Sequence[int], j: int, kmax: int) -> tuple[list[int], int]:
+    """Scaled axis table of 1/(1-P_j restricted to its axis)^m_j up to degree kmax.
+
+    Returns (B, d) with B[k] = d^k A_j(k) in int: the table of _axis_tables[j]
+    before its reduction to Fractions, built for axis j alone.  Every B[k] is
+    positive, because the linear coefficient of the restriction is.
+    """
+    q = {(e,): Fraction(c) for e, c in tilde_restrictions(P)[j].items()}
+    _check_expandable(q)
+    return _divided((kmax,), [(q, m[j])])
+
+
+def _check_m(P: PolyTuple, m: Sequence[int]) -> tuple[int, ...]:
+    m = tuple(m)
+    if len(m) != P.n or any(mj < 1 for mj in m):
+        raise ValueError(f"m must be {P.n} integers >= 1, got {m}")
+    return m
+
+
 def coeff_function(
     P: PolyTuple,
     m: Sequence[int],
@@ -212,9 +244,7 @@ def coeff_function(
     restriction tables componentwise and is valid exactly when every P_j
     depends on z_j alone; "auto" picks the product route in that case.
     """
-    m = tuple(m)
-    if len(m) != P.n or any(mj < 1 for mj in m):
-        raise ValueError(f"m must be {P.n} integers >= 1, got {m}")
+    m = _check_m(P, m)
     if len(bounds) != P.n or any(b < 0 for b in bounds):
         raise ValueError(f"bounds must be {P.n} nonnegative integers, got {bounds}")
     admissible = admissibility_degree(P).admissible
@@ -231,7 +261,8 @@ def coeff_function(
         raise ValueError(f"unknown method {method!r}")
     for q in P.polys:
         _check_expandable(q)
-    return CoeffTable(bounds=tuple(bounds), values=tuple(_divided(bounds, zip(P.polys, m))))
+    values = _reduced(bounds, *_divided(bounds, zip(P.polys, m)))
+    return CoeffTable(bounds=tuple(bounds), values=tuple(values))
 
 
 def hartogs_coeff_closed(m: Sequence[int], alpha: MultiIndex) -> Fraction:

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .coeff import CoeffTable, _axis_tables, coeff_function, univariate_coeffs
+from .coeff import CoeffTable, _axis_scaled, _axis_tables, _check_m, coeff_function
 from .errors import (
     CoeffTableTooSmall,
     EmptyWindow,
@@ -42,7 +43,6 @@ from .polytuple import (
     is_nonnegative,
     sub_index,
     tail_index,
-    tilde_restrictions,
     unit_index,
 )
 
@@ -308,15 +308,33 @@ def hyponormality_diagonal(P: PolyTuple, m: Sequence[int], j: int, window: Latti
 
 # --- determinant operator diagonal and trace -------------------------------------
 
+def _scaled_ratios(scaled: list[int], d: int, ks) -> dict[int, Fraction]:
+    """a(k) = A(k)/A(k+1) = d B(k)/B(k+1) over the scaled axis table, for k in ks."""
+    return {k: Fraction(d * scaled[k], scaled[k + 1]) for k in ks}
+
+
 @dataclass
 class DetTraceReport:
-    ratios_1: list[Fraction]
-    ratios_2: list[Fraction]
+    """axes holds the scaled axis tables (B_j, d_j) with B_j(k) = d_j^k A_j(k)
+    for k = 0..K+1; the exact ratio sequences ratios_1 and ratios_2, a_j(k)
+    for k = 0..K, are divided out of them only when first read."""
+
     increasing: tuple[bool, bool]
     positive: bool
     diagonal: dict[MultiIndex, Fraction]
     partial_trace: Fraction
     limit_trace: float
+    axes: tuple[tuple[list[int], int], tuple[list[int], int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def ratios_1(self) -> list[Fraction]:
+        scaled, d = self.axes[0]
+        return list(_scaled_ratios(scaled, d, range(len(scaled) - 1)).values())
+
+    @cached_property
+    def ratios_2(self) -> list[Fraction]:
+        scaled, d = self.axes[1]
+        return list(_scaled_ratios(scaled, d, range(len(scaled) - 1)).values())
 
 
 def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int,
@@ -330,23 +348,29 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int,
     limit (lim a_1) * (lim a_2)^2 and is not computed: the ``limit_trace`` field
     is float(a_1(K)) * float(a_2(K))^2, the partial trace again in floats (equal
     to it up to rounding), not an extrapolation.
+
+    The axis tables stay scaled integers B_j(k) = d_j^k A_j(k), never reduced
+    to Fractions: a_j(k) = d_j B_j(k)/B_j(k+1), so a_j(k) <= a_j(k+1) exactly
+    when B_j(k+1)^2 >= B_j(k) B_j(k+2), and a_j(k) itself is divided out only
+    for the diagonal (k <= max(diag_bounds)) and for k = K.
     """
     if P.n != 2:
         raise WrongDimension(f"determinant operator needs n = 2, got n = {P.n}")
-    if not admissibility_degree(P).admissible:
-        raise NotAdmissible("determinant trace formulas need each P_j to depend on z_j alone")
+    m = _check_m(P, m)
     if K < 1:
-        raise ValueError("K must be >= 1")
-    axis1, axis2 = _axis_tables(P, m, (K + 1, K + 1))
-    a1 = [axis1[k] / axis1[k + 1] for k in range(K + 1)]
-    a2 = [axis2[k] / axis2[k + 1] for k in range(K + 1)]
-    inc1 = all(a1[k + 1] >= a1[k] for k in range(K))
-    inc2 = all(a2[k + 1] >= a2[k] for k in range(K))
-
+        raise ValueError(f"K must be >= 1, got {K}")
     if diag_bounds is None:
         diag_bounds = (min(K, 6), min(K, 6))
-    if any(b > K for b in diag_bounds):
-        raise ValueError(f"diagonal bounds {diag_bounds} exceed the truncation K={K}")
+    diag_bounds = tuple(diag_bounds)
+    if len(diag_bounds) != 2 or any(not 0 <= b <= K for b in diag_bounds):
+        raise ValueError(f"diagonal bounds must be 2 integers in [0, K={K}], got {diag_bounds}")
+    if not admissibility_degree(P).admissible:
+        raise NotAdmissible("determinant trace formulas need each P_j to depend on z_j alone")
+    axes = (_axis_scaled(P, m, 0, K + 1), _axis_scaled(P, m, 1, K + 1))
+    increasing = tuple(all(B[k + 1] * B[k + 1] >= B[k] * B[k + 2] for k in range(K))
+                       for B, _ in axes)
+    a1, a2 = (_scaled_ratios(B, d, [*range(max(diag_bounds) + 1), K]) for B, d in axes)
+
     diagonal: dict[MultiIndex, Fraction] = {}
     for alpha in box(diag_bounds):
         d1 = a1[alpha[0]] - (a1[alpha[0] - 1] if alpha[0] else Fraction(0))
@@ -355,13 +379,12 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int,
 
     partial = a1[K] * a2[K] ** 2
     return DetTraceReport(
-        ratios_1=a1,
-        ratios_2=a2,
-        increasing=(inc1, inc2),
-        positive=inc1 and inc2,
+        increasing=increasing,
+        positive=all(increasing),
         diagonal=diagonal,
         partial_trace=partial,
         limit_trace=float(a1[K]) * float(a2[K]) ** 2,
+        axes=axes,
     )
 
 
@@ -386,26 +409,33 @@ class SpectralRadiusReport:
     norm_bound: float
 
 
-def _log_fraction(x: Fraction) -> float:
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
 def spectral_radius_estimate(P: PolyTuple, m: Sequence[int], j: int,
                              K: int, N: int) -> SpectralRadiusReport:
     """Finite approximants of the polydisc spectral radius of the j-th factor.
 
     The radius is the large-n limit of sup_k (A(k)/A(k+n))^(1/(2n)) over the
     axis table of the restriction of P_j; approximants are reported for
-    n = 1..N with the supremum over k = 0..K, without extrapolation.
+    n = 1..N with the supremum over k = 0..K, without extrapolation.  The
+    table stays scaled, B(k) = d^k A(k) in int, and log A(k) is taken as
+    log B(k) - k log d; the suprema for all n run as K + 1 elementwise maxima
+    over slices of length N.
     """
+    m = _check_m(P, m)
+    if not 0 <= j < P.n:
+        raise ValueError(f"j must be in [0, {P.n}), got {j}")
+    if K < 0 or N < 1:
+        raise ValueError(f"need K >= 0 and N >= 1, got K={K}, N={N}")
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("spectral radius formula needs each P_j to depend on z_j alone")
-    axis = univariate_coeffs(tilde_restrictions(P)[j], m[j], K + N)
-    logs = [_log_fraction(v) for v in axis]
-    approximants = []
-    for nn in range(1, N + 1):
-        best = max(logs[k] - logs[k + nn] for k in range(K + 1))
-        approximants.append(math.exp(best / (2 * nn)))
+    scaled, d = _axis_scaled(P, m, j, K + N)
+    log_d = math.log(d)
+    logs = np.array([math.log(b) - k * log_d for k, b in enumerate(scaled)])
+    best = logs[0] - logs[1:N + 1]
+    step = np.empty(N)
+    for k in range(1, K + 1):
+        np.subtract(logs[k], logs[k + 1:k + N + 1], out=step)
+        np.maximum(best, step, out=best)
+    approximants = [math.exp(b / (2 * nn)) for nn, b in enumerate(best.tolist(), start=1)]
     return SpectralRadiusReport(
         approximants=approximants,
         estimate=approximants[-1],

@@ -4,19 +4,21 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hartogs import cli, shiftops
+from hartogs import cli, coeff, shiftops
 from hartogs.errors import HartogsError, InvalidConfig, UnknownCommand
 from hartogs.polytuple import from_polys, hartogs_tuple, serialize
 
 P0 = serialize(hartogs_tuple(2))
 P1 = serialize(hartogs_tuple(2, 1))
 FIB = serialize(from_polys([{(1, 0): 1, (2, 0): 1}, {(0, 1): 1, (0, 2): 1}]))
+SCALED = serialize(from_polys([{(1, 0): F(4, 3), (2, 0): F(1, 5)}, {(0, 1): F(3, 2)}]))
 
 
 def run_json(config, seed=0):
@@ -233,6 +235,29 @@ def test_traced_run_times_shiftops(monkeypatch, config):
         code, _ = cli.run(config)
     assert code == 0
     assert tracer.metrics()["shiftops.self_s"] > 0
+
+
+AXIS_JOBS = [
+    {"command": "radius", "poly_tuple": SCALED, "m": [2, 1], "j": 1, "K": 20, "N": 300},
+    {"command": "dettrace", "poly_tuple": SCALED, "m": [2, 3], "K": 150},
+]
+
+
+@pytest.mark.parametrize("config", AXIS_JOBS, ids=["radius", "dettrace"])
+def test_axis_commands_never_reduce_a_whole_table(monkeypatch, config):
+    # radius and dettrace read the scaled integer axis tables; the routes that
+    # reduce a whole table to Fractions must not run.
+    expected = cli.run(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole coefficient table was reduced to Fractions")
+
+    for module in (coeff, shiftops):
+        for name in ("univariate_coeffs", "reciprocal_power_coeffs", "_axis_tables"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert expected[0] == 0
+    assert cli.run(config) == expected
 
 
 PICK = {"command": "pick-verify", "points": [[[0, 0], [0.5, 0]]], "targets": [[0, 0]],

@@ -213,6 +213,24 @@ def test_univariate_coeffs_matches_table():
     assert univariate_coeffs(p, 1, 10) == fib(11)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scaled_axis_table_reduces_to_the_oracle(data):
+    # _axis_scaled keeps B(k) = d^k A(k) in int; reduced, it is the oracle table.
+    rationals = st.sampled_from([F(1), F(2), F(1, 2), F(2, 3), F(4, 3), F(5, 6)])
+    polys = [{(1, 0): data.draw(rationals)}, {(0, 1): data.draw(rationals)}]
+    for deg in (2, 3):
+        if data.draw(st.booleans()):
+            polys[0][(deg, 0)] = data.draw(rationals)
+    P = from_polys(polys)
+    m = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    j, kmax = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 12))
+    scaled, d = coeff._axis_scaled(P, m, j, kmax)
+    oracle = univariate_coeffs({e[j]: c for e, c in polys[j].items()}, m[j], kmax, mode="oracle")
+    assert [F(b, d ** k) for k, b in enumerate(scaled)] == oracle
+    assert all(b > 0 for b in scaled)
+
+
 def test_csv_export():
     table = reciprocal_power_coeffs({(1,): F(1, 2)}, 1, (3,))
     buf = io.StringIO()

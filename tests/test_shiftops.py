@@ -14,8 +14,17 @@ from hartogs.errors import (
     NotNAdmissible,
     WrongDimension,
 )
-from hartogs.coeff import coeff_function
-from hartogs.polytuple import add_index, box, from_polys, hartogs_tuple, sub_index, tail_index, unit_index
+from hartogs.coeff import coeff_function, univariate_coeffs
+from hartogs.polytuple import (
+    add_index,
+    box,
+    from_polys,
+    hartogs_tuple,
+    sub_index,
+    tail_index,
+    tilde_restrictions,
+    unit_index,
+)
 from hartogs.shiftops import (
     WeightTable,
     build_window,
@@ -289,6 +298,94 @@ def test_spectral_radius_bounded_by_norm():
 def test_spectral_radius_requires_admissible():
     with pytest.raises(NotAdmissible):
         spectral_radius_estimate(hartogs_tuple(2, 1), (1, 1), 0, 10, 10)
+
+
+SCALE_C = (F(1), F(4, 3), F(3, 2), F(5, 3), F(5, 4))
+
+
+def scaled_tuple(c1, c2):
+    return from_polys([{(1, 0): c1}, {(0, 1): c2}])
+
+
+def _reference_ratios(P, m, K):
+    """a_j(k) = A_j(k)/A_j(k+1), k = 0..K, from the reduced Fraction axis tables."""
+    out = []
+    for j, g in enumerate(tilde_restrictions(P)):
+        axis = univariate_coeffs(g, m[j], K + 1)
+        out.append([axis[k] / axis[k + 1] for k in range(K + 1)])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_det_trace_matches_fraction_reference(data):
+    kind = data.draw(st.sampled_from(["scaled", "fibonacci", "hartogs"]))
+    if kind == "scaled":
+        P = scaled_tuple(data.draw(st.sampled_from(SCALE_C)), data.draw(st.sampled_from(SCALE_C)))
+    else:
+        P = fib_tuple() if kind == "fibonacci" else hartogs_tuple(2)
+    m = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    K = data.draw(st.integers(1, 80))
+    diag = (data.draw(st.integers(0, min(K, 8))), data.draw(st.integers(0, min(K, 8))))
+    rep = det_commutator_and_trace(P, m, K, diag)
+    a1, a2 = _reference_ratios(P, m, K)
+    increasing = tuple(all(a[k + 1] >= a[k] for k in range(K)) for a in (a1, a2))
+    assert rep.increasing == increasing
+    assert rep.positive == all(increasing)
+    assert rep.diagonal == {
+        (i, j): (a1[i] - (a1[i - 1] if i else 0)) * (a2[j] ** 2 - (a2[j - 1] ** 2 if j else 0))
+        for i, j in box(diag)}
+    assert rep.partial_trace == a1[K] * a2[K] ** 2
+    assert rep.limit_trace == float(a1[K]) * float(a2[K]) ** 2
+    assert rep.ratios_1 == a1 and rep.ratios_2 == a2
+
+
+def _reference_radius(axis, K, N):
+    """The supremum loop over a reduced Fraction axis table, one log per cell."""
+    logs = [math.log(v.numerator) - math.log(v.denominator) for v in axis[:K + N + 1]]
+    return [math.exp(max(logs[k] - logs[k + nn] for k in range(K + 1)) / (2 * nn))
+            for nn in range(1, N + 1)]
+
+
+@pytest.mark.parametrize("P, m, j, exact", [
+    (hartogs_tuple(2), (1, 1), 0, True),
+    (hartogs_tuple(2), (2, 2), 1, True),
+    (fib_tuple(), (1, 1), 0, True),
+    (fib_tuple(), (2, 1), 0, True),
+    (scaled_tuple(F(4, 3), F(5, 3)), (2, 1), 0, False),
+    (scaled_tuple(F(3, 2), F(5, 4)), (1, 2), 1, False),
+    (from_polys([{(1, 0): F(2, 3), (3, 0): F(1, 5)}, {(0, 1): F(1)}]), (2, 1), 0, False),
+], ids=["hartogs-11", "hartogs-22", "fib-11", "fib-21", "scaled-4/3", "scaled-5/4", "cubic-2/3"])
+def test_spectral_radius_matches_fraction_log_loop(P, m, j, exact):
+    axis = univariate_coeffs(tilde_restrictions(P)[j], m[j], 30 + 2000)
+    for N in (1, 50, 2000):
+        for K in (0, 10, 30):
+            got = spectral_radius_estimate(P, m, j, K, N).approximants
+            want = _reference_radius(axis, K, N)
+            if exact:
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spectral_radius_estimate(hartogs_tuple(2), (1, 1), 2, 10, 10),
+    lambda: spectral_radius_estimate(hartogs_tuple(2), (1, 1), -1, 10, 10),
+    lambda: spectral_radius_estimate(hartogs_tuple(2), (1,), 1, 10, 10),
+    lambda: spectral_radius_estimate(hartogs_tuple(2), (0, 1), 0, 10, 10),
+    lambda: spectral_radius_estimate(hartogs_tuple(2), (1, 1), 0, -1, 10),
+    lambda: spectral_radius_estimate(hartogs_tuple(2), (1, 1), 0, 10, 0),
+    lambda: det_commutator_and_trace(hartogs_tuple(2), (0, 1), 10),
+    lambda: det_commutator_and_trace(hartogs_tuple(2), (1,), 10),
+    lambda: det_commutator_and_trace(hartogs_tuple(2), (1, 1), 0),
+    lambda: det_commutator_and_trace(hartogs_tuple(2), (1, 1), 10, (-1, 2)),
+    lambda: det_commutator_and_trace(hartogs_tuple(2), (1, 1), 10, (2, 11)),
+    lambda: det_commutator_and_trace(hartogs_tuple(2), (1, 1), 10, (2,)),
+], ids=["radius-j-2", "radius-j-neg", "radius-short-m", "radius-m-0", "radius-K-neg", "radius-N-0",
+        "det-m-0", "det-short-m", "det-K-0", "det-diag-neg", "det-diag-beyond-K", "det-diag-short"])
+def test_bad_arguments_raise_value_error(call):
+    with pytest.raises(ValueError, match=r"must be|need"):
+        call()
 
 
 def test_intertwining_hartogs_example():
