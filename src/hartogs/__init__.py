@@ -24,7 +24,6 @@ from .coeff import (
     univariate_coeffs,
 )
 from .geometry import (
-    change_of_variables,
     jacobian_inverse,
     polydisc_radii,
     q_ball_contains,

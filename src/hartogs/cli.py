@@ -183,12 +183,10 @@ def _cmd_validate(c: dict, rng) -> tuple[bool | None, dict, None]:
                   "polydisc_radii": geometry.polydisc_radii(P)}, None
 
 
-@_command("coeffs", poly_tuple=_P, m=_M, window=_WINDOW, method=_choice("auto", "product", "convolution"))
+@_command("coeffs", poly_tuple=_P, m=_M, window=_WINDOW)
 def _cmd_coeffs(c: dict, rng):
     P, bounds = c["poly_tuple"], c["window"]
-    if c["method"] == "product" and not admissibility_degree(P).admissible:
-        raise InvalidConfig("'method' 'product' needs each P_j to depend on z_j alone")
-    table = coeff_function(P, c["m"], bounds, method=c["method"])
+    table = coeff_function(P, c["m"], bounds)
     entries = [{"alpha": list(alpha), "value": format_rational(value)}
                for alpha, value in zip(box(bounds), table.values)]
     header = [f"alpha_{j + 1}" for j in range(P.n)] + ["value"]
@@ -291,13 +289,12 @@ def _cmd_radius(c: dict, rng):
           gamma_bound=_ints(0, lambda c: len(c["m"]),
                             default=lambda c: None if c["poly_tuple"] else _REQUIRED),
           window=_ints(0, lambda c: len(c["m"]), default=lambda c: (2,) * len(c["m"])),
-          order=_int(1, default=4), variant=_choice("general", "admissible"), scale=_rational(1))
+          order=_int(1, default=4), scale=_rational(1))
 def _cmd_subnormality(c: dict, rng):
     order, window = c["order"], c["window"]
     if c["poly_tuple"] is not None:
-        seq = subnormality.moment_sequence(
-            c["poly_tuple"], c["m"], c["gamma"], variant=c["variant"],
-            window=window, margin=order, scale=c["scale"])
+        seq = subnormality.moment_sequence(c["poly_tuple"], c["m"], c["gamma"],
+                                           window=window, margin=order, scale=c["scale"])
         rep = subnormality.complete_monotonicity_check(seq, order)
         witnesses = [] if rep.passed else [
             {"gamma": list(c["gamma"]), "beta": list(rep.witness[0]), "k": list(rep.witness[1])}]
@@ -353,7 +350,8 @@ def _cmd_quadrature(c: dict, rng):
     if c["hardy"] is not None:
         report["hardy_norm"] = kernel.hardy_norm_check(c["hardy"]["n"], c["hardy"]["alpha"])
     if c["bergman"] is not None:
-        report["bergman_norm"] = kernel.bergman_norm_check(c["bergman"]["m"], c["bergman"]["alpha"])
+        report["bergman_norm"] = kernel.bergman_norm_check(c["bergman"]["m"], c["bergman"]["alpha"],
+                                                           radial_nodes=c["radial_nodes"])
     return None, report, (["l", "k", "numeric", "closed", "abs_err"], [list(e.values()) for e in entries])
 
 

@@ -25,11 +25,10 @@ axis coefficients read the scaled integers through _axis_scaled instead.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstantTermPresent, NegativeCoefficient, WindowTooSmall
 from .polytuple import (
@@ -41,7 +40,6 @@ from .polytuple import (
     admissibility_degree,
     box,
     box_size,
-    format_rational,
     tilde_restrictions,
     total_degree,
 )
@@ -72,13 +70,6 @@ class CoeffTable:
 
     def covers(self, bounds: MultiIndex) -> bool:
         return all(b <= mine for b, mine in zip(bounds, self.bounds))
-
-    def to_csv(self, stream: IO[str]) -> None:
-        """Columns alpha_1..alpha_n, value, with values as exact rationals."""
-        writer = csv.writer(stream)
-        writer.writerow([f"alpha_{j + 1}" for j in range(self.n)] + ["value"])
-        for alpha in box(self.bounds):
-            writer.writerow([*alpha, format_rational(self.value(alpha))])
 
 
 def _check_expandable(q: Mapping[MultiIndex, Fraction]) -> None:

@@ -42,14 +42,6 @@ def inverse(p: Sequence[complex]) -> Point:
     return tuple(reversed(out))
 
 
-def change_of_variables(p: Sequence[complex], direction: str) -> Point:
-    if direction == "forward":
-        return forward(p)
-    if direction == "inverse":
-        return inverse(p)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
 def jacobian_inverse(p: Sequence[complex]) -> complex:
     """Jacobian determinant of the product map: z_2^1 * z_3^2 * ... * z_n^(n-1)."""
     p = tuple(complex(z) for z in p)

@@ -25,7 +25,7 @@ from .errors import (
     WrongDimension,
 )
 from .geometry import triangle_contains
-from .polytuple import MultiIndex, PolyTuple, hartogs_tuple, unit_index
+from .polytuple import MultiIndex, PolyTuple, hartogs_tuple
 
 
 def _opnorm(a: np.ndarray) -> float:
@@ -116,20 +116,13 @@ def _laurent_mul(a: LaurentMap, b: LaurentMap) -> LaurentMap:
 
 def _detect_family(P: PolyTuple) -> Fraction:
     """Return the parameter a when P is the tuple z_j + a*(z_1...z_n), else raise."""
-    n = P.n
-    if n < 2:
+    if P.n < 2:
         raise NotHereditaryPolynomial("reciprocal kernel clearing is supported for n >= 2")
-    ones = (1,) * n
-    a = P.polys[0].get(ones, Fraction(0)) if n > 1 else Fraction(0)
-    for j, p in enumerate(P.polys):
-        expected = {unit_index(n, j): Fraction(1)}
-        if a:
-            key = ones
-            expected[key] = expected.get(key, Fraction(0)) + a
-        if p != expected:
-            raise NotHereditaryPolynomial(
-                "reciprocal kernel clearing is supported for the one-parameter "
-                "triangle family z_j + a*(z_1*...*z_n) only")
+    a = P.polys[0].get((1,) * P.n, Fraction(0))
+    if P != hartogs_tuple(P.n, a):
+        raise NotHereditaryPolynomial(
+            "reciprocal kernel clearing is supported for the one-parameter "
+            "triangle family z_j + a*(z_1*...*z_n) only")
     return a
 
 
@@ -162,17 +155,12 @@ def reciprocal_kernel_polynomial(P: PolyTuple, m: Sequence[int]) -> HereditaryPo
 
     zero = (0,) * n
     poly: LaurentMap = {tuple(1 if j else 0 for j in range(n)): Fraction(1)}
-    for j in range(n - 1):
-        factor: LaurentMap = {zero: Fraction(1), e(j, j + 1): Fraction(-1)}
+    for j in range(n):
+        factor: LaurentMap = {zero: Fraction(1), (e(j, j + 1) if j < n - 1 else e(j)): Fraction(-1)}
         if a:
-            factor[e(0)] = factor.get(e(0), Fraction(0)) - a
+            factor[e(0)] = -a
         for _ in range(m[j]):
             poly = _laurent_mul(poly, factor)
-    last: LaurentMap = {zero: Fraction(1), e(n - 1): Fraction(-1)}
-    if a:
-        last[e(0)] = last.get(e(0), Fraction(0)) - a
-    for _ in range(m[n - 1]):
-        poly = _laurent_mul(poly, last)
 
     negatives = [mono for mono in poly if any(x < 0 for x in mono)]
     if negatives:

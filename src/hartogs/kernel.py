@@ -40,10 +40,10 @@ class KernelContext:
         return self.table.bounds
 
 
-def make_context(P: PolyTuple, m: Sequence[int], bounds: MultiIndex, method: str = "auto") -> KernelContext:
+def make_context(P: PolyTuple, m: Sequence[int], bounds: MultiIndex) -> KernelContext:
     if any(mj < 1 for mj in m):
         raise InvalidMultiplicity(f"m entries must be >= 1, got {tuple(m)}")
-    return KernelContext(P=P, m=tuple(m), table=coeff_function(P, m, bounds, method=method))
+    return KernelContext(P=P, m=tuple(m), table=coeff_function(P, m, bounds))
 
 
 def _hadamard_phi(z: Sequence[complex], w: Sequence[complex]) -> tuple[complex, ...]:

@@ -96,19 +96,6 @@ def poly_eval(p: Mapping[MultiIndex, Fraction], point: Iterable[complex]) -> com
     return total
 
 
-def poly_eval_exact(p: Mapping[MultiIndex, Fraction], point: Iterable[Fraction]) -> Fraction:
-    """Evaluate a term map at a rational point, exactly."""
-    pt = tuple(Fraction(z) for z in point)
-    total = Fraction(0)
-    for alpha, coeff in p.items():
-        mono = Fraction(1)
-        for z, k in zip(pt, alpha):
-            if k:
-                mono *= z ** k
-        total += coeff * mono
-    return total
-
-
 def normalize_terms(terms: Mapping[MultiIndex, Fraction]) -> TermMap:
     """Canonical term map: accumulate duplicates, drop zero coefficients."""
     out: TermMap = {}

@@ -83,13 +83,13 @@ class WeightTable:
     """
 
     def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow,
-                 table: CoeffTable | None = None, method: str = "auto"):
+                 table: CoeffTable | None = None):
         self.P = P
         self.m = tuple(m)
         self.window = window
         margin = tuple(b + 1 for b in window.bounds)
         if table is None:
-            table = coeff_function(P, m, margin, method=method)
+            table = coeff_function(P, m, margin)
         elif not table.covers(margin):
             raise CoeffTableTooSmall(
                 f"table bounds {table.bounds} do not cover window plus margin {margin}")
@@ -127,10 +127,9 @@ class WeightTable:
         return out
 
 
-def op_weights(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
-               table: CoeffTable | None = None, method: str = "auto") -> WeightTable:
+def op_weights(P: PolyTuple, m: Sequence[int], window: LatticeWindow) -> WeightTable:
     """Build the weight table for (P, m) over the window."""
-    return WeightTable(P, m, window, table=table, method=method)
+    return WeightTable(P, m, window)
 
 
 def _weights_over(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
@@ -464,7 +463,8 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
     """
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("intertwining needs each P_j to depend on z_j alone")
-    wt = WeightTable(P, m, window, method="convolution")
+    margin = tuple(b + 1 for b in window.bounds)
+    wt = WeightTable(P, m, window, table=coeff_function(P, m, margin, method="convolution"))
     ratios = _axis_ratios(P, m, window.bounds)
     n = P.n
     mismatches: list[tuple[int, MultiIndex]] = []

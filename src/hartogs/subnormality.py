@@ -21,8 +21,8 @@ from fractions import Fraction
 from operator import getitem
 from typing import Sequence
 
-from .coeff import _axis_tables, coeff_function
-from .errors import NotAdmissible, WindowTooSmall
+from .coeff import _axis_tables, _check_m, coeff_function
+from .errors import WindowTooSmall
 from .polytuple import (
     MultiIndex,
     PolyTuple,
@@ -68,41 +68,34 @@ def moment_sequence(
     P: PolyTuple,
     m: Sequence[int],
     gamma: MultiIndex,
-    variant: str = "general",
     window: MultiIndex | None = None,
     margin: int = 4,
     scale: Fraction | int = 1,
 ) -> MomentSequence:
     """The subnormality multisequence beta -> 1/A(gamma + embedded beta).
 
-    variant "general" reads the full coefficient table of (P, m); variant
-    "admissible" uses the axis factorization, valid exactly when each P_j
-    depends on z_j alone.
+    A is the coefficient function of (P, m).  When each P_j depends on z_j
+    alone, A factors into univariate axis tables and only the cells the
+    sequence reads are multiplied; otherwise the cells are read from the
+    general table over the box they span.
     """
-    n = P.n
-    if window is None:
-        window = (2,) * n
+    m = _check_m(P, m)
+    window = (2,) * P.n if window is None else tuple(window)
+    if len(gamma) != P.n or len(window) != P.n:
+        raise ValueError(f"gamma and window must have {P.n} entries, got {tuple(gamma)} and {window}")
     reach = tuple(w + margin for w in window)
-    values: dict[MultiIndex, Fraction] = {}
-    if variant == "admissible":
-        if not admissibility_degree(P).admissible:
-            raise NotAdmissible("admissible variant needs each P_j to depend on z_j alone")
-        kmax = [gamma[j] + sum(reach[: j + 1]) for j in range(n)]
-        axis = _axis_tables(P, m, kmax)
+    cells = {beta: add_index(gamma, embedded_shift(beta)) for beta in box(reach)}
+    bounds = add_index(gamma, embedded_shift(reach))
+    if admissibility_degree(P).admissible:
+        axis = _axis_tables(P, m, bounds)
         nums = [[a.numerator for a in table] for table in axis]
         dens = [[a.denominator for a in table] for table in axis]
-        for beta in box(reach):
-            cell = add_index(gamma, embedded_shift(beta))
-            values[beta] = Fraction(math.prod(map(getitem, dens, cell)),
-                                    math.prod(map(getitem, nums, cell)))
-    elif variant == "general":
-        bounds = tuple(gamma[j] + sum(reach[: j + 1]) for j in range(n))
-        table = coeff_function(P, m, bounds)
-        for beta in box(reach):
-            values[beta] = Fraction(1) / table.value(add_index(gamma, embedded_shift(beta)))
+        values = {beta: Fraction(math.prod(map(getitem, dens, cell)), math.prod(map(getitem, nums, cell)))
+                  for beta, cell in cells.items()}
     else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return MomentSequence(n=n, window=tuple(window), margin=margin,
+        table = coeff_function(P, m, bounds)
+        values = {beta: Fraction(1) / table.value(cell) for beta, cell in cells.items()}
+    return MomentSequence(n=P.n, window=window, margin=margin,
                           values=values, scale=Fraction(scale))
 
 
@@ -212,8 +205,7 @@ def hartogs_certify(m: Sequence[int], gamma_bound: MultiIndex, order: int = 4,
     count = 0
     for gamma in box(gamma_bound):
         count += 1
-        seq = moment_sequence(P0, m, gamma, variant="admissible",
-                              window=window, margin=order)
+        seq = moment_sequence(P0, m, gamma, window=window, margin=order)
         report = complete_monotonicity_check(seq, order)
         if not report.passed:
             failures.append((gamma, report.witness))

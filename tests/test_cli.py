@@ -138,6 +138,15 @@ def test_quadrature_rows():
     assert report["bergman_norm"] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_quadrature_radial_nodes_reach_the_bergman_check():
+    # One Gauss-Legendre node at u = 1/2 gives the disc integral of u^2 as
+    # pi/4 instead of pi/3, so the normalized Bergman norm reads 3/4.
+    code, report = run_json({"command": "quadrature", "l_max": 0, "k_max": 0, "radial_nodes": 1,
+                             "bergman": {"m": [2, 2], "alpha": [2, 0]}})
+    assert code == 0
+    assert report["bergman_norm"] == pytest.approx(0.75, abs=1e-12)
+
+
 def test_unknown_command_and_bad_config():
     with pytest.raises(UnknownCommand):
         cli.run({"command": "nope"})
@@ -190,18 +199,15 @@ def _main_exit(tmp_path, config):
     return code, json.loads((tmp_path / "r.json").read_text())
 
 
-def test_coeffs_unknown_method_exit_2(tmp_path):
-    code, report = _main_exit(tmp_path, {"command": "coeffs", "poly_tuple": P0, "m": [1, 1],
-                                         "window": [2, 2], "method": "bogus"})
-    assert code == 2
-    assert report["error"] == "InvalidConfig"
-
-
-def test_coeffs_product_method_on_mixed_terms_exit_2(tmp_path):
-    code, report = _main_exit(tmp_path, {"command": "coeffs", "poly_tuple": P1, "m": [1, 1],
-                                         "window": [2, 2], "method": "product"})
-    assert code == 2
-    assert report["error"] == "InvalidConfig"
+@pytest.mark.parametrize("command, knob", [("coeffs", {"method": "product"}),
+                                           ("subnormality", {"variant": "admissible"})],
+                         ids=["coeffs-method", "subnormality-variant"])
+def test_route_fields_are_ignored(command, knob):
+    # The route is picked from the tuple; a field that names one is an unknown
+    # field, so it neither changes the report nor fails the run.
+    config = {"command": command, "poly_tuple": P1, "m": [1, 1],
+              **({"window": [2, 2]} if command == "coeffs" else {"gamma": [0, 0], "window": [1, 1]})}
+    assert cli.run({**config, **knob}) == cli.run(config)
 
 
 SHIFTOPS_JOBS = [
@@ -225,16 +231,41 @@ def test_one_coefficient_table_per_job(monkeypatch, config):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("config", SHIFTOPS_JOBS, ids=["weights", "probes"])
-def test_traced_run_times_shiftops(monkeypatch, config):
-    # The benchmark's traced pass wraps the public shiftops functions; a
+# Small configs of each command, with the layer that does their work.
+TRACED_JOBS = {
+    "validate": ("polytuple", [{"command": "validate", "poly_tuple": P1}]),
+    "coeffs": ("coeff", [{"command": "coeffs", "poly_tuple": P1, "m": [1, 2], "window": [3, 3]}]),
+    "domain": ("geometry", [{"command": "domain", "poly_tuple": P0, "points": [[[0.2, 0], [0.5, 0]]]}]),
+    "kernel": ("kernel", [{"command": "kernel", "poly_tuple": P1, "m": [1, 1], "window": [3, 3],
+                           "pairs": [[[[0.1, 0], [0.5, 0]], [[0.1, 0], [0.5, 0]]]]}]),
+    "weights": ("shiftops", SHIFTOPS_JOBS[:1]),
+    "probes": ("shiftops", SHIFTOPS_JOBS[1:]),
+    "dettrace": ("shiftops", [{"command": "dettrace", "poly_tuple": SCALED, "m": [2, 3], "K": 10}]),
+    "radius": ("shiftops", [{"command": "radius", "poly_tuple": SCALED, "m": [2, 1], "K": 5, "N": 20}]),
+    "subnormality": ("subnormality", [
+        {"command": "subnormality", "poly_tuple": P1, "m": [1, 1], "gamma": [0, 0], "window": [1, 1],
+         "order": 2},
+        {"command": "subnormality", "m": [2, 2], "gamma_bound": [1, 1], "window": [1, 1], "order": 2}]),
+    "hereditary": ("hereditary", [{"command": "hereditary", "matrices": [[[[0.5, 0]]], [[[0.8, 0]]]],
+                                   "mode": "lift"}]),
+    "pick-verify": ("hereditary", [{"command": "pick-verify", "points": [[[0, 0], [0.5, 0]]],
+                                    "targets": [[0, 0]], "a1": [[[0, 0]]], "a2": [[[4 / 3, 0]]]}]),
+    "quadrature": ("kernel", [{"command": "quadrature", "l_max": 1, "k_max": 1,
+                               "bergman": {"m": [2, 2], "alpha": [1, 0]}}]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_traced_run_times_shiftops(monkeypatch, command):
+    # The benchmark's traced pass wraps the public functions of every layer; a
     # signature it cannot read would raise here.
+    layer, configs = TRACED_JOBS[command]
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracer = importlib.import_module("tracer").Tracer(time.perf_counter)
     with tracer.installed():
-        code, _ = cli.run(config)
-    assert code == 0
-    assert tracer.metrics()["shiftops.self_s"] > 0
+        codes = [cli.run(config)[0] for config in configs]
+    assert set(codes) <= {0, 1}
+    assert tracer.metrics()[f"{layer}.self_s"] > 0
 
 
 AXIS_JOBS = [
@@ -371,7 +402,7 @@ IDENTITY2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 JORDAN = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]
 VALID = {
     "validate": {"poly_tuple": TUPLE},
-    "coeffs": {**SIZED, "method": st.sampled_from(["auto", "product", "convolution"])},
+    "coeffs": SIZED,
     "domain": {"poly_tuple": TUPLE, "points": st.lists(POINT, max_size=2)},
     "kernel": {**SIZED, "cutoff": SMALL, "pairs": st.lists(st.lists(POINT, min_size=2, max_size=2),
                                                            max_size=1)},
@@ -381,7 +412,6 @@ VALID = {
     "radius": {"poly_tuple": TUPLE, "m": PAIR_OF_POSITIVE, "j": st.integers(1, 2), "K": SMALL,
                "N": POSITIVE},
     "subnormality": {**SIZED, "gamma": PAIR_OF_SMALL, "gamma_bound": PAIR_OF_SMALL, "order": POSITIVE,
-                     "variant": st.sampled_from(["general", "admissible"]),
                      "scale": st.sampled_from([1, 2, "1/2"])},
     "hereditary": {"matrices": st.sampled_from([[JORDAN, IDENTITY2], [[[[0.5, 0]]], [[[0.8, 0]]]],
                                                 [[[[0.5, 0]]]], [IDENTITY2, JORDAN, IDENTITY2]]),

@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction as F
 
@@ -229,17 +228,6 @@ def test_scaled_axis_table_reduces_to_the_oracle(data):
     oracle = univariate_coeffs({e[j]: c for e, c in polys[j].items()}, m[j], kmax, mode="oracle")
     assert [F(b, d ** k) for k, b in enumerate(scaled)] == oracle
     assert all(b > 0 for b in scaled)
-
-
-def test_csv_export():
-    table = reciprocal_power_coeffs({(1,): F(1, 2)}, 1, (3,))
-    buf = io.StringIO()
-    table.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "alpha_1,value"
-    assert lines[1] == "0,1"
-    assert lines[2] == "1,1/2"
-    assert lines[-1] == "3,1/8"
 
 
 def test_window_too_small_on_lookup():

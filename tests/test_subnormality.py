@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs.errors import NotAdmissible, WindowTooSmall
+from hartogs.coeff import coeff_function
+from hartogs.errors import WindowTooSmall
 from hartogs.polytuple import box, from_polys, hartogs_tuple
 from hartogs.subnormality import (
     complete_monotonicity_check,
@@ -25,31 +26,47 @@ def test_embedded_shift_is_running_sum():
 def test_unit_multiplicities_give_constant_one():
     for n in (1, 2, 3):
         seq = moment_sequence(hartogs_tuple(n), (1,) * n, (0,) * n,
-                              variant="admissible", window=(2,) * n, margin=3)
+                              window=(2,) * n, margin=3)
         assert set(seq.values.values()) == {F(1)}
 
 
 def test_closed_form_m21():
-    seq = moment_sequence(hartogs_tuple(2), (2, 1), (0, 0),
-                          variant="admissible", window=(3, 3), margin=2)
+    seq = moment_sequence(hartogs_tuple(2), (2, 1), (0, 0), window=(3, 3), margin=2)
     for beta, value in seq.values.items():
         assert value == F(1, 1 + beta[0])
 
 
-def test_general_variant_matches_admissible():
+def _reciprocals_of_general_route(P, m, gamma, window, margin):
+    """1/A at every cell the sequence reads, from the general-route table."""
+    reach = tuple(w + margin for w in window)
+    bounds = tuple(g + sum(reach[: j + 1]) for j, g in enumerate(gamma))
+    table = coeff_function(P, m, bounds, method="convolution")
+    return {beta: 1 / table.value(tuple(g + s for g, s in zip(gamma, embedded_shift(beta))))
+            for beta in box(reach)}
+
+
+def test_admissible_sequence_matches_general_route():
     # the rational tuple has non-integer axis entries, so its values are not 1/integer
     rational = from_polys([{(1, 0): F(1), (2, 0): F(2, 3)}, {(0, 1): F(1), (0, 2): F(5, 2)}])
     for P in (hartogs_tuple(2), rational):
         for gamma in [(0, 0), (1, 2)]:
-            a = moment_sequence(P, (2, 3), gamma, variant="admissible", window=(2, 2), margin=2)
-            b = moment_sequence(P, (2, 3), gamma, variant="general", window=(2, 2), margin=2)
-            assert a.values == b.values
-    assert any(v.numerator != 1 for v in a.values.values())
+            seq = moment_sequence(P, (2, 3), gamma, window=(2, 2), margin=2)
+            assert seq.values == _reciprocals_of_general_route(P, (2, 3), gamma, (2, 2), 2)
+    assert any(v.numerator != 1 for v in seq.values.values())
 
 
-def test_admissible_variant_rejects_mixed_terms():
-    with pytest.raises(NotAdmissible):
-        moment_sequence(hartogs_tuple(2, 1), (1, 1), (0, 0), variant="admissible")
+def test_mixed_terms_sequence_matches_coeff_function():
+    P = hartogs_tuple(2, 1)
+    for m, gamma in [((1, 1), (0, 0)), ((2, 1), (1, 2))]:
+        seq = moment_sequence(P, m, gamma, window=(2, 2), margin=2)
+        assert seq.values == _reciprocals_of_general_route(P, m, gamma, (2, 2), 2)
+
+
+def test_sequence_rejects_short_gamma_and_window():
+    # the axis route would otherwise read only the first axes, silently
+    for gamma, window in [((0,), (1, 1)), ((0, 0), (1,))]:
+        with pytest.raises(ValueError):
+            moment_sequence(hartogs_tuple(2), (2, 2), gamma, window=window, margin=1)
 
 
 def test_gamma_shift_consistency():
@@ -57,8 +74,8 @@ def test_gamma_shift_consistency():
     P = hartogs_tuple(2)
     m = (2, 3)
     gamma = (1, 2)
-    shifted = moment_sequence(P, m, gamma, variant="admissible", window=(2, 2), margin=2)
-    base = moment_sequence(P, m, (0, 0), variant="admissible", window=(4, 4), margin=4)
+    shifted = moment_sequence(P, m, gamma, window=(2, 2), margin=2)
+    base = moment_sequence(P, m, (0, 0), window=(4, 4), margin=4)
     for beta in box((2, 2)):
         lifted = (beta[0] + gamma[0], beta[1] + gamma[1] - gamma[0])
         assert shifted.values[beta] == base.values[lifted]
@@ -112,10 +129,8 @@ def test_scaling_invariance_of_verdict():
 
 
 def test_product_of_passing_sequences_passes():
-    s1 = moment_sequence(hartogs_tuple(2), (2, 1), (0, 0),
-                         variant="admissible", window=(2, 2), margin=3)
-    s2 = moment_sequence(hartogs_tuple(2), (1, 3), (1, 1),
-                         variant="admissible", window=(2, 2), margin=3)
+    s1 = moment_sequence(hartogs_tuple(2), (2, 1), (0, 0), window=(2, 2), margin=3)
+    s2 = moment_sequence(hartogs_tuple(2), (1, 3), (1, 1), window=(2, 2), margin=3)
     assert complete_monotonicity_check(s1, 3).passed
     assert complete_monotonicity_check(s2, 3).passed
     assert complete_monotonicity_check(product_sequence(s1, s2), 3).passed
@@ -134,8 +149,7 @@ def test_certify_reports_window():
 
 
 def test_moment_values_lie_in_unit_interval():
-    seq = moment_sequence(hartogs_tuple(3), (2, 2, 2), (1, 0, 2),
-                          variant="admissible", window=(1, 1, 1), margin=2)
+    seq = moment_sequence(hartogs_tuple(3), (2, 2, 2), (1, 0, 2), window=(1, 1, 1), margin=2)
     assert all(0 < v <= 1 for v in seq.values.values())
 
 
