@@ -10,6 +10,16 @@ in integers: the cells are put over one common denominator, and each order k
 is one subtraction per cell from the table of k minus a unit step.  A PASS is
 therefore reported as consistency up to that order, never as a proof; a FAIL
 comes with the lexicographically first witness.
+
+hartogs_certify checks every shift gamma <= gamma_bound from one set of
+tables per job.  All its sequences read the same function f = 1/A: the
+sequence of shift gamma is beta -> f(gamma + emb(beta)), with emb the running
+sum, and a unit step of beta_j is a step of tail_j = (0,...,0,1,...,1) in
+alpha.  So its order-k difference at beta is (Delta^k f)(gamma + emb(beta)),
+where Delta_j f(alpha) = f(alpha) - f(alpha + tail_j), and one table of
+Delta^k f over the box that every shift reaches serves all of them.
+moment_sequence and complete_monotonicity_check remain the one-shift form and
+the reference that this route is tested against.
 """
 
 from __future__ import annotations
@@ -26,10 +36,12 @@ from .errors import WindowTooSmall
 from .polytuple import (
     MultiIndex,
     PolyTuple,
+    _offset,
     _strides,
     add_index,
     admissibility_degree,
     box,
+    box_size,
     hartogs_tuple,
     total_degree,
 )
@@ -83,6 +95,8 @@ def moment_sequence(
     window = (2,) * P.n if window is None else tuple(window)
     if len(gamma) != P.n or len(window) != P.n:
         raise ValueError(f"gamma and window must have {P.n} entries, got {tuple(gamma)} and {window}")
+    if any(x < 0 for x in (*gamma, *window)):
+        raise ValueError(f"gamma and window must be nonnegative, got {tuple(gamma)} and {window}")
     reach = tuple(w + margin for w in window)
     cells = {beta: add_index(gamma, embedded_shift(beta)) for beta in box(reach)}
     bounds = add_index(gamma, embedded_shift(reach))
@@ -196,22 +210,94 @@ def hartogs_certify(m: Sequence[int], gamma_bound: MultiIndex, order: int = 4,
                     window: MultiIndex | None = None) -> CertifyReport:
     """Run the monotonicity check on the Hartogs-tuple sequences for every
     shift gamma <= gamma_bound.  All of them are genuine Hausdorff moment
-    multisequences, so every finite-order check is expected to pass."""
+    multisequences, so every finite-order check is expected to pass.
+
+    The verdict and first witness of each shift are those of
+    complete_monotonicity_check on its moment_sequence with margin = order,
+    but one set of difference tables serves every shift (see the module
+    docstring and _first_witnesses).  f = 1/A is put over one positive common
+    denominator: A is a product of axis tables, so each axis is scaled by the
+    lcm of its numerators and the integer axis tables are multiplied out in
+    row-major order over the box alpha <= gamma_bound + emb(window) + order.
+    Every cell a check reads, gamma + emb(beta + i) with beta <= window and
+    |i| <= order, lies in that box, since entry j of emb(i) is at most |i|.
+    """
     n = len(m)
-    if window is None:
-        window = (2,) * n
     P0 = hartogs_tuple(n)
-    failures = []
-    count = 0
-    for gamma in box(gamma_bound):
-        count += 1
-        seq = moment_sequence(P0, m, gamma, window=window, margin=order)
-        report = complete_monotonicity_check(seq, order)
-        if not report.passed:
-            failures.append((gamma, report.witness))
-    return CertifyReport(passed=not failures, order=order,
-                         gamma_bound=tuple(gamma_bound), window=tuple(window),
-                         failures=failures, gammas_checked=count)
+    m = _check_m(P0, m)
+    gamma_bound = tuple(gamma_bound)
+    window = (2,) * n if window is None else tuple(window)
+    if len(gamma_bound) != n or len(window) != n:
+        raise ValueError(f"gamma_bound and window must have {n} entries, got {gamma_bound} and {window}")
+    if any(x < 0 for x in (*gamma_bound, *window)):
+        raise ValueError(f"gamma_bound and window must be nonnegative, got {gamma_bound} and {window}")
+    if order < 1:
+        raise ValueError("difference order must be >= 1")
+    bounds = tuple(g + e + order for g, e in zip(gamma_bound, embedded_shift(window)))
+    values = [1]
+    for axis in _axis_tables(P0, m, bounds):
+        lcm = math.lcm(*(a.numerator for a in axis))
+        scaled = [a.denominator * (lcm // a.numerator) for a in axis]
+        values = [v * s for v in values for s in scaled]
+    witnesses = _first_witnesses(values, bounds, gamma_bound, window, order)
+    failures = [(gamma, witnesses[gamma]) for gamma in box(gamma_bound) if gamma in witnesses]
+    return CertifyReport(passed=not failures, order=order, gamma_bound=gamma_bound,
+                         window=window, failures=failures, gammas_checked=box_size(gamma_bound))
+
+
+def _first_witnesses(values: list[int], bounds: MultiIndex, gamma_bound: MultiIndex,
+                     window: MultiIndex, order: int) -> dict[MultiIndex, tuple[MultiIndex, MultiIndex]]:
+    """First failing (beta, k), in lexicographic (k, beta) order, of every shift
+    gamma <= gamma_bound whose sequence beta -> values(gamma + emb(beta)) fails.
+
+    values is an integer table over box(bounds) in row-major order, with
+    bounds >= gamma_bound + emb(window) + order, so that the box holds every
+    cell gamma + emb(beta + i) with beta <= window and |i| <= order.
+    D_0 = values, and D_k is built from D_{k - e_j}, with j the last nonzero
+    entry of k, as D_{k - e_j}(x) - D_{k - e_j}(x + step_j) on flat offsets x,
+    where step_j is the offset of tail_j.  Right after D_k is built, each
+    shift that has not failed yet is scanned at the offsets
+    _offset(gamma) + _offset(emb(beta)), beta <= window.
+
+    Flat offsets wrap across rows near the far faces of the box, so some cells
+    of the shortened lists hold garbage.  No scanned cell reads one: D_k at the
+    offset of (gamma, beta) is the signed sum of values at the offsets of
+    gamma + emb(beta + i), i <= k, and each such cell lies inside the box,
+    where _offset is linear, so each offset is that cell's own.
+
+    The tables built from D_p, |p| < order, are those of p + e_j with
+    j >= last(p) (last(0) = 0), and the lexicographically last of them is
+    p + e_last(p).  So D_p is freed right after D_{p + e_last(p)} is built,
+    and a table of full order right after its scan.
+    """
+    n = len(bounds)
+    strides = _strides(bounds)
+    steps = [sum(strides[j:]) for j in range(n)]
+    alive = {gamma: _offset(gamma, bounds) for gamma in box(gamma_bound)}
+    offsets = [(beta, _offset(embedded_shift(beta), bounds)) for beta in box(window)]
+    tables = {(0,) * n: values}
+    witnesses = {}
+    for k in _signed_orders(n, order):
+        j = _last_axis(k)
+        parent = k[:j] + (k[j] - 1,) + k[j + 1:]
+        prev, step = tables[parent], steps[j]
+        diff = tables[k] = [a - b for a, b in zip(prev, prev[step:])]
+        if _last_axis(parent) == j:
+            del tables[parent]
+        for gamma, base in list(alive.items()):
+            for beta, off in offsets:
+                if diff[base + off] < 0:
+                    witnesses[gamma] = (beta, k)
+                    del alive[gamma]
+                    break
+        if total_degree(k) == order:
+            del tables[k]
+    return witnesses
+
+
+def _last_axis(k: MultiIndex) -> int:
+    """The last j with k_j != 0, and 0 for k = 0."""
+    return max((j for j, kj in enumerate(k) if kj), default=0)
 
 
 def synthetic_sequence(generator, n: int, window: MultiIndex, margin: int,

@@ -268,6 +268,19 @@ def test_traced_run_times_shiftops(monkeypatch, command):
     assert tracer.metrics()[f"{layer}.self_s"] > 0
 
 
+def test_traced_all_shift_certify_times_subnormality(monkeypatch):
+    # An all-shift job reaches the tracer only through the hartogs_certify span,
+    # since it no longer calls the per-shift functions.
+    config = TRACED_JOBS["subnormality"][1][1]
+    assert "gamma_bound" in config
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer(time.perf_counter)
+    with tracer.installed():
+        code, _ = cli.run(config)
+    assert code == 0
+    assert tracer.metrics()["subnormality.self_s"] > 0
+
+
 AXIS_JOBS = [
     {"command": "radius", "poly_tuple": SCALED, "m": [2, 1], "j": 1, "K": 20, "N": 300},
     {"command": "dettrace", "poly_tuple": SCALED, "m": [2, 3], "K": 150},

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartogs import subnormality
 from hartogs.coeff import coeff_function
 from hartogs.errors import WindowTooSmall
-from hartogs.polytuple import box, from_polys, hartogs_tuple
+from hartogs.polytuple import _offset, add_index, box, from_polys, hartogs_tuple
 from hartogs.subnormality import (
+    MomentSequence,
+    _first_witnesses,
     complete_monotonicity_check,
     embedded_shift,
     hartogs_certify,
@@ -67,6 +71,15 @@ def test_sequence_rejects_short_gamma_and_window():
     for gamma, window in [((0,), (1, 1)), ((0, 0), (1,))]:
         with pytest.raises(ValueError):
             moment_sequence(hartogs_tuple(2), (2, 2), gamma, window=window, margin=1)
+
+
+def test_sequence_rejects_negative_gamma_and_window():
+    # the axis route read index -1 as the last cell, the general route divided by 0
+    cases = [(hartogs_tuple(1), (3,), (-1,), (2,)), (hartogs_tuple(1), (3,), (0,), (-1,)),
+             (hartogs_tuple(2, 1), (1, 1), (-1, 0), (2, 2))]
+    for P, m, gamma, window in cases:
+        with pytest.raises(ValueError):
+            moment_sequence(P, m, gamma, window=window, margin=1)
 
 
 def test_gamma_shift_consistency():
@@ -146,6 +159,143 @@ def test_certify_small_cases():
 def test_certify_reports_window():
     rep = hartogs_certify((2, 3), (1, 0), order=2, window=(2, 2))
     assert rep.window == (2, 2) and rep.order == 2 and rep.passed
+
+
+# A negative entry left an empty box of shifts or of beta, which passed
+# vacuously; the other checks were made by the per-shift calls.
+@pytest.mark.parametrize("m, gamma_bound, order, window", [
+    ((2, 2), (1, -1), 2, None),
+    ((2,), (1,), 2, (-1,)),
+    ((2, 2), (1,), 2, None),
+    ((2, 2), (1, 1), 2, (1, 1, 1)),
+    ((2, 2), (1, 1), 0, None),
+    ((0, 2), (1, 1), 2, None),
+], ids=["negative-gamma-bound", "negative-window", "short-gamma-bound", "long-window", "order-0", "m-0"])
+def test_certify_rejects_bad_input(m, gamma_bound, order, window):
+    with pytest.raises(ValueError):
+        hartogs_certify(m, gamma_bound, order, window)
+
+
+def _per_shift_certify(m, gamma_bound, order, window):
+    """The oracle: one moment_sequence and one complete_monotonicity_check per shift."""
+    failures = []
+    for gamma in box(gamma_bound):
+        seq = moment_sequence(hartogs_tuple(len(m)), m, gamma, window=window, margin=order)
+        report = complete_monotonicity_check(seq, order)
+        if not report.passed:
+            failures.append((gamma, report.witness))
+    return not failures, failures, math.prod(g + 1 for g in gamma_bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.tuples(*[st.integers(1, 4)] * n),
+    st.tuples(*[st.integers(0, 2 if n < 3 else 1)] * n),
+    st.integers(1, 4 if n < 3 else 3),
+    st.tuples(*[st.integers(0, 2)] * n))))
+def test_certify_matches_per_shift_oracle(case):
+    m, gamma_bound, order, window = case
+    report = hartogs_certify(m, gamma_bound, order, window)
+    assert (report.passed, report.failures, report.gammas_checked) == _per_shift_certify(
+        m, gamma_bound, order, window)
+
+
+def _bounds(gamma_bound, window, order):
+    """The box hartogs_certify builds its tables on: no larger than the cells read."""
+    return tuple(g + e + order for g, e in zip(gamma_bound, embedded_shift(window)))
+
+
+def _assert_first_witnesses_match(values, gamma_bound, window, order):
+    """_first_witnesses on an integer table against complete_monotonicity_check
+    on each shift's sequence of the same values.  Each sequence holds only the
+    cells inside the table's box, so a read beyond it raises WindowTooSmall."""
+    bounds = _bounds(gamma_bound, window, order)
+    witnesses = _first_witnesses(values, bounds, gamma_bound, window, order)
+    for gamma in box(gamma_bound):
+        cells = {beta: add_index(gamma, embedded_shift(beta))
+                 for beta in box(tuple(w + order for w in window))}
+        seq = MomentSequence(n=len(gamma), window=window, margin=order, values={
+            beta: F(values[_offset(alpha, bounds)]) for beta, alpha in cells.items()
+            if all(a <= b for a, b in zip(alpha, bounds))})
+        report = complete_monotonicity_check(seq, order)
+        assert witnesses.get(gamma) == report.witness
+    return witnesses
+
+
+def _moment_table(cs, bounds):
+    """Integers L / prod_j (1 + c_j alpha_j), a moment multisequence over one denominator L."""
+    scales = [math.lcm(*(1 + c * a for a in range(b + 1))) for c, b in zip(cs, bounds)]
+    return [math.prod(s // (1 + c * a) for s, c, a in zip(scales, cs, alpha)) for alpha in box(bounds)]
+
+
+@st.composite
+def _perturbed_tables(draw):
+    """Moment tables with a few cells nudged by up to a quarter of the largest
+    cell, so that a good share of the shifts fail."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 3 if n == 3 else 4))
+    gamma_bound = tuple(draw(st.lists(st.integers(0, 2 if n < 3 else 1), min_size=n, max_size=n)))
+    window = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    values = _moment_table(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                           _bounds(gamma_bound, window, order))
+    for off, nudge in draw(st.dictionaries(st.integers(0, len(values) - 1), st.integers(-4, 4),
+                                           max_size=3)).items():
+        values[off] += nudge * values[0] // 16
+    return values, gamma_bound, window, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_perturbed_tables())
+def test_first_witnesses_match_per_shift_scan(case):
+    _assert_first_witnesses_match(*case)
+
+
+def test_certify_faces_of_the_box():
+    # Shifts and beta on the far faces read the last rows of the flat tables,
+    # where offsets of cells outside the box would wrap onto other rows.
+    cases = [((2, 3, 2), (0, 2, 0), 3, (1, 2, 0)), ((3,), (4,), 4, (0,)),
+             ((2, 2), (3, 0), 2, (2, 0)), ((1, 2, 3), (1, 0, 1), 2, (0, 1, 0))]
+    for m, gamma_bound, order, window in cases:
+        report = hartogs_certify(m, gamma_bound, order, window)
+        assert (report.passed, report.failures, report.gammas_checked) == _per_shift_certify(
+            m, gamma_bound, order, window)
+        # a table nudged at the last cell that the last shift reads, on the far
+        # face of the last axis, so that this shift fails at order k = order * e_n
+        bounds = _bounds(gamma_bound, window, order)
+        values = _moment_table((1,) * len(m), bounds)
+        far = add_index(gamma_bound, embedded_shift(window[:-1] + (window[-1] + order,)))
+        values[_offset(far, bounds)] += (-1) ** (order + 1) * values[0]
+        assert gamma_bound in _assert_first_witnesses_match(values, gamma_bound, window, order)
+
+
+def test_certify_builds_one_table_set(monkeypatch):
+    calls = []
+    axis_tables = subnormality._axis_tables
+
+    def counting(*args):
+        calls.append(args)
+        return axis_tables(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hartogs_certify fell back to the per-shift check")
+
+    monkeypatch.setattr(subnormality, "_axis_tables", counting)
+    monkeypatch.setattr(subnormality, "moment_sequence", refuse)
+    monkeypatch.setattr(subnormality, "complete_monotonicity_check", refuse)
+    assert hartogs_certify((3, 2), (3, 3), order=3).passed
+    assert len(calls) == 1
+
+
+def test_certify_frees_spent_tables():
+    # Freeing spent tables peaks at about 0.34 MB here; keeping all of them
+    # alive peaked at about 2.2 MB.
+    tracemalloc.start()
+    try:
+        assert hartogs_certify((3, 3, 3), (3, 3, 3), 4).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_moment_values_lie_in_unit_interval():
