@@ -11,19 +11,18 @@ is one subtraction per cell from the table of k minus a unit step.  A PASS is
 therefore reported as consistency up to that order, never as a proof; a FAIL
 comes with the lexicographically first witness.
 
-hartogs_certify checks every shift gamma <= gamma_bound from one set of
-tables per job.  All its sequences read the same function f = 1/A: the
-sequence of shift gamma is beta -> f(gamma + emb(beta)), with emb the running
-sum, and a unit step of beta_j is a step of tail_j = (0,...,0,1,...,1) in
-alpha.  So its order-k difference at beta is (Delta^k f)(gamma + emb(beta)),
-where Delta_j f(alpha) = f(alpha) - f(alpha + tail_j), and one table of
-Delta^k f over the box that every shift reaches serves all of them.
-moment_sequence and complete_monotonicity_check remain the one-shift form and
-the reference that this route is tested against.
+One difference engine, _first_witnesses, serves one shift and all shifts.
+complete_monotonicity_check runs it on one sequence, over beta.
+hartogs_certify runs it once per job on f = 1/A: the sequence of shift gamma
+is beta -> f(gamma + emb(beta)), with emb the running sum, and a unit step of
+beta_j is a step of tail_j = (0,...,0,1,...,1) in alpha.  So one table of
+Delta^k f, with Delta_j f(alpha) = f(alpha) - f(alpha + tail_j), serves every
+shift gamma <= gamma_bound.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ from .polytuple import (
     add_index,
     admissibility_degree,
     box,
-    box_size,
     hartogs_tuple,
     total_degree,
 )
@@ -62,6 +60,12 @@ class MomentSequence:
     margin: int
     values: dict[MultiIndex, Fraction]
     scale: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        if len(self.window) != self.n or any(w < 0 for w in self.window):
+            raise ValueError(f"window must have {self.n} nonnegative entries, got {self.window}")
+        if self.margin < 0 or self.scale <= 0:
+            raise ValueError(f"margin must be >= 0 and scale > 0, got {self.margin} and {self.scale}")
 
     def value(self, beta: MultiIndex) -> Fraction:
         try:
@@ -145,15 +149,13 @@ def complete_monotonicity_check(seq: MomentSequence, order: int) -> Monotonicity
 
     For every k with 1 <= |k| <= order and every beta <= window, the signed
     difference D_k(beta) = sum_{i <= k} (-1)^|i| C(k, i) s~(beta + i) must be
-    >= 0.  All cells within reach (those whose excess over the window,
-    sum_j max(beta_j - window_j, 0), is at most order) are read before the
-    scan starts, so a missing one raises WindowTooSmall even when an earlier
-    pair fails.  They are put over their common denominator L, so that
-    D_0 = s~ * L is an integer table, and each D_k is built from D_{k - e_j},
-    with j the last nonzero entry of k, as D_{k - e_j}(beta) -
-    D_{k - e_j}(beta + e_j) on the beta of excess at most order - |k|.
-    Witnesses are scanned in lexicographic (k, beta) order, right after each
-    table is built, so failure reports are reproducible.
+    >= 0.  All cells within reach (excess sum_j max(beta_j - window_j, 0) at
+    most order) are read before the scan, so a missing one raises
+    WindowTooSmall even when an earlier pair fails.  Over their common
+    denominator L they give an integer table of s~ * L on box(window + order),
+    with 0 at the cells beyond reach, which no difference reads.
+    _first_witnesses scans it as one shift with unit steps; checked counts
+    the (k, beta) pairs up to and including the witness.
     """
     if order < 1:
         raise ValueError("difference order must be >= 1")
@@ -162,38 +164,28 @@ def complete_monotonicity_check(seq: MomentSequence, order: int) -> Monotonicity
             f"sequence margin {seq.margin} cannot support differences of order {order}")
     window = seq.window
     reach = tuple(w + order for w in window)
-    # cells are flat row-major positions in box(reach); beta + e_j sits strides[j] further on
-    strides = _strides(reach)
     sn, sd = seq.scale.numerator, seq.scale.denominator
     over = [[max(b - w, 0) for b in range(r + 1)] for w, r in zip(window, reach)]
-    excess, pairs = {}, {}
-    for flat, (beta, e) in enumerate(zip(box(reach), map(sum, itertools.product(*over)))):
+    pairs = []
+    for beta, e in zip(box(reach), map(sum, itertools.product(*over))):
         if e <= order:
             value, d = seq.value(beta), total_degree(beta)
-            excess[flat] = e
-            pairs[flat] = (value.numerator * sd ** d, value.denominator * sn ** d)
-    lcm = math.lcm(*(q for _, q in pairs.values()))
-    levels = [[flat for flat, e in excess.items() if e <= r] for r in range(order)]
-    inside = list(zip(levels[0], box(window)))
-    tables = {(0,) * seq.n: {flat: p * (lcm // q) for flat, (p, q) in pairs.items()}}
-    checked = 0
-    for k in _signed_orders(seq.n, order):
-        j = max(i for i, kj in enumerate(k) if kj)
-        prev, step = tables[k[:j] + (k[j] - 1,) + k[j + 1:]], strides[j]
-        diff = tables[k] = {flat: prev[flat] - prev[flat + step]
-                            for flat in levels[order - total_degree(k)]}
-        for flat, beta in inside:
-            checked += 1
-            if diff[flat] < 0:
-                return MonotonicityReport(passed=False, order=order, window=window,
-                                          witness=(beta, k), checked=checked)
-    return MonotonicityReport(passed=True, order=order, window=window,
-                              witness=None, checked=checked)
-
-
-def _signed_orders(n: int, order: int):
-    """Multi-indices k with 1 <= |k| <= order, in lexicographic order (box is row-major)."""
-    return [k for k in box((order,) * n) if 1 <= total_degree(k) <= order]
+            pairs.append((value.numerator * sd ** d, value.denominator * sn ** d))
+        else:
+            pairs.append((0, 1))
+    lcm = math.lcm(*(q for _, q in pairs))
+    values = [p * (lcm // q) for p, q in pairs]
+    origin = (0,) * seq.n
+    offsets = [(beta, _offset(beta, reach)) for beta in box(window)]
+    witness = _first_witnesses(values, _strides(reach), {origin: 0}, offsets, order).get(origin)
+    plan = _plan(seq.n, order)
+    if witness is None:
+        checked = len(plan) * len(offsets)
+    else:
+        beta, k = witness
+        checked = [step[0] for step in plan].index(k) * len(offsets) + _offset(beta, window) + 1
+    return MonotonicityReport(passed=witness is None, order=order, window=window,
+                              witness=witness, checked=checked)
 
 
 @dataclass(frozen=True)
@@ -214,13 +206,13 @@ def hartogs_certify(m: Sequence[int], gamma_bound: MultiIndex, order: int = 4,
 
     The verdict and first witness of each shift are those of
     complete_monotonicity_check on its moment_sequence with margin = order,
-    but one set of difference tables serves every shift (see the module
-    docstring and _first_witnesses).  f = 1/A is put over one positive common
-    denominator: A is a product of axis tables, so each axis is scaled by the
-    lcm of its numerators and the integer axis tables are multiplied out in
-    row-major order over the box alpha <= gamma_bound + emb(window) + order.
-    Every cell a check reads, gamma + emb(beta + i) with beta <= window and
-    |i| <= order, lies in that box, since entry j of emb(i) is at most |i|.
+    from one call of _first_witnesses (see the module docstring).  f = 1/A is
+    put over one positive common denominator: A is a product of axis tables,
+    so each axis is scaled by the lcm of its numerators and the integer axis
+    tables are multiplied out in row-major order over the box
+    alpha <= gamma_bound + emb(window) + order.  Every cell a check reads,
+    gamma + emb(beta + i) with beta <= window and |i| <= order, lies in that
+    box, since entry j of emb(i) is at most |i|.
     """
     n = len(m)
     P0 = hartogs_tuple(n)
@@ -239,50 +231,40 @@ def hartogs_certify(m: Sequence[int], gamma_bound: MultiIndex, order: int = 4,
         lcm = math.lcm(*(a.numerator for a in axis))
         scaled = [a.denominator * (lcm // a.numerator) for a in axis]
         values = [v * s for v in values for s in scaled]
-    witnesses = _first_witnesses(values, bounds, gamma_bound, window, order)
-    failures = [(gamma, witnesses[gamma]) for gamma in box(gamma_bound) if gamma in witnesses]
-    return CertifyReport(passed=not failures, order=order, gamma_bound=gamma_bound,
-                         window=window, failures=failures, gammas_checked=box_size(gamma_bound))
-
-
-def _first_witnesses(values: list[int], bounds: MultiIndex, gamma_bound: MultiIndex,
-                     window: MultiIndex, order: int) -> dict[MultiIndex, tuple[MultiIndex, MultiIndex]]:
-    """First failing (beta, k), in lexicographic (k, beta) order, of every shift
-    gamma <= gamma_bound whose sequence beta -> values(gamma + emb(beta)) fails.
-
-    values is an integer table over box(bounds) in row-major order, with
-    bounds >= gamma_bound + emb(window) + order, so that the box holds every
-    cell gamma + emb(beta + i) with beta <= window and |i| <= order.
-    D_0 = values, and D_k is built from D_{k - e_j}, with j the last nonzero
-    entry of k, as D_{k - e_j}(x) - D_{k - e_j}(x + step_j) on flat offsets x,
-    where step_j is the offset of tail_j.  Right after D_k is built, each
-    shift that has not failed yet is scanned at the offsets
-    _offset(gamma) + _offset(emb(beta)), beta <= window.
-
-    Flat offsets wrap across rows near the far faces of the box, so some cells
-    of the shortened lists hold garbage.  No scanned cell reads one: D_k at the
-    offset of (gamma, beta) is the signed sum of values at the offsets of
-    gamma + emb(beta + i), i <= k, and each such cell lies inside the box,
-    where _offset is linear, so each offset is that cell's own.
-
-    The tables built from D_p, |p| < order, are those of p + e_j with
-    j >= last(p) (last(0) = 0), and the lexicographically last of them is
-    p + e_last(p).  So D_p is freed right after D_{p + e_last(p)} is built,
-    and a table of full order right after its scan.
-    """
-    n = len(bounds)
     strides = _strides(bounds)
     steps = [sum(strides[j:]) for j in range(n)]
-    alive = {gamma: _offset(gamma, bounds) for gamma in box(gamma_bound)}
+    starts = {gamma: _offset(gamma, bounds) for gamma in box(gamma_bound)}
     offsets = [(beta, _offset(embedded_shift(beta), bounds)) for beta in box(window)]
-    tables = {(0,) * n: values}
+    witnesses = _first_witnesses(values, steps, starts, offsets, order)
+    failures = [(gamma, witnesses[gamma]) for gamma in starts if gamma in witnesses]
+    return CertifyReport(passed=not failures, order=order, gamma_bound=gamma_bound,
+                         window=window, failures=failures, gammas_checked=len(starts))
+
+
+def _first_witnesses(values: list[int], steps: Sequence[int], starts: dict[MultiIndex, int],
+                     offsets: list[tuple[MultiIndex, int]],
+                     order: int) -> dict[MultiIndex, tuple[MultiIndex, MultiIndex]]:
+    """First failing (beta, k), in lexicographic (k, beta) order, of every
+    shift gamma in starts whose sequence fails.
+
+    values is a flat integer table; beta of shift gamma sits at
+    starts[gamma] + off for (beta, off) in offsets, and a unit step of beta_j
+    is steps[j] further on.  D_0 = values, and D_k is built from its parent
+    (see _plan) as D_{k - e_j}(x) - D_{k - e_j}(x + steps[j]) on flat offsets
+    x.  Right after D_k is built, each shift that has not failed yet is
+    scanned, until none is left.
+
+    Flat offsets wrap across rows near the far faces of the table, so some
+    cells of the shortened lists hold garbage.  No scanned cell reads one as
+    long as every cell beta + i, |i| <= order, sits at its own offset.
+    """
+    tables = {(0,) * len(steps): values}
+    alive = dict(starts)
     witnesses = {}
-    for k in _signed_orders(n, order):
-        j = _last_axis(k)
-        parent = k[:j] + (k[j] - 1,) + k[j + 1:]
+    for k, parent, j, free_parent, full in _plan(len(steps), order):
         prev, step = tables[parent], steps[j]
         diff = tables[k] = [a - b for a, b in zip(prev, prev[step:])]
-        if _last_axis(parent) == j:
+        if free_parent:
             del tables[parent]
         for gamma, base in list(alive.items()):
             for beta, off in offsets:
@@ -290,14 +272,30 @@ def _first_witnesses(values: list[int], bounds: MultiIndex, gamma_bound: MultiIn
                     witnesses[gamma] = (beta, k)
                     del alive[gamma]
                     break
-        if total_degree(k) == order:
+        if not alive:
+            break
+        if full:
             del tables[k]
     return witnesses
 
 
-def _last_axis(k: MultiIndex) -> int:
-    """The last j with k_j != 0, and 0 for k = 0."""
-    return max((j for j, kj in enumerate(k) if kj), default=0)
+@functools.cache
+def _plan(n: int, order: int) -> tuple[tuple[MultiIndex, MultiIndex, int, bool, bool], ...]:
+    """The steps (k, parent, j, free the parent?, full order?) of
+    _first_witnesses: each k with 1 <= |k| <= order in lexicographic order,
+    with j the last nonzero entry of k and parent = k - e_j.
+
+    The tables built from D_p are those of p + e_j, j >= last(p) (last(0) = 0),
+    and the last of them is p + e_last(p): the k with j = 0 or k_j >= 2.  So
+    D_p is freed right after that k, and a table of full order after its scan.
+    """
+    plan = []
+    for k in box((order,) * n):
+        if 1 <= total_degree(k) <= order:
+            j = max(i for i, ki in enumerate(k) if ki)
+            parent = k[:j] + (k[j] - 1,) + k[j + 1:]
+            plan.append((k, parent, j, j == 0 or k[j] >= 2, total_degree(k) == order))
+    return tuple(plan)
 
 
 def synthetic_sequence(generator, n: int, window: MultiIndex, margin: int,

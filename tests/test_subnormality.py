@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hartogs import subnormality
 from hartogs.coeff import coeff_function
 from hartogs.errors import WindowTooSmall
-from hartogs.polytuple import _offset, add_index, box, from_polys, hartogs_tuple
+from hartogs.polytuple import _offset, _strides, add_index, box, from_polys, hartogs_tuple
 from hartogs.subnormality import (
     MomentSequence,
     _first_witnesses,
@@ -128,6 +128,28 @@ def test_margin_guard():
         complete_monotonicity_check(seq, 3)
 
 
+def test_missing_cell_within_reach_raises_before_the_scan():
+    # (k, beta) = ((1,), (0,)) fails first, but cell (7,) lies within reach
+    seq = synthetic_sequence(lambda beta: 2 ** beta[0], 1, (3,), 4)
+    del seq.values[(7,)]
+    with pytest.raises(WindowTooSmall):
+        complete_monotonicity_check(seq, 4)
+
+
+# A negative window entry passed vacuously, a short window raised IndexError,
+# scale 0 raised ZeroDivisionError and a negative scale gave a verdict.
+@pytest.mark.parametrize("n, window, margin, scale", [
+    (1, (-1,), 2, 1),
+    (2, (1,), 2, 1),
+    (1, (2,), -1, 1),
+    (1, (2,), 2, 0),
+    (1, (2,), 2, -1),
+], ids=["negative-window", "short-window", "negative-margin", "scale-0", "negative-scale"])
+def test_sequence_rejects_bad_shape(n, window, margin, scale):
+    with pytest.raises(ValueError):
+        synthetic_sequence(lambda beta: 2 ** beta[0], n, window, margin, scale=scale)
+
+
 def test_scaling_invariance_of_verdict():
     gen = lambda beta: F(1, 1 + beta[0])
     plain = synthetic_sequence(gen, 1, (3,), 3)
@@ -206,19 +228,25 @@ def _bounds(gamma_bound, window, order):
 
 
 def _assert_first_witnesses_match(values, gamma_bound, window, order):
-    """_first_witnesses on an integer table against complete_monotonicity_check
-    on each shift's sequence of the same values.  Each sequence holds only the
-    cells inside the table's box, so a read beyond it raises WindowTooSmall."""
+    """_first_witnesses on an integer table, set up as hartogs_certify does,
+    against complete_monotonicity_check and against _naive_check on each
+    shift's sequence of the same values.  Each sequence holds only the cells
+    inside the table's box, so a read beyond it raises WindowTooSmall (or
+    KeyError in _naive_check)."""
     bounds = _bounds(gamma_bound, window, order)
-    witnesses = _first_witnesses(values, bounds, gamma_bound, window, order)
+    strides = _strides(bounds)
+    steps = [sum(strides[j:]) for j in range(len(bounds))]
+    starts = {gamma: _offset(gamma, bounds) for gamma in box(gamma_bound)}
+    offsets = [(beta, _offset(embedded_shift(beta), bounds)) for beta in box(window)]
+    witnesses = _first_witnesses(values, steps, starts, offsets, order)
     for gamma in box(gamma_bound):
         cells = {beta: add_index(gamma, embedded_shift(beta))
                  for beta in box(tuple(w + order for w in window))}
         seq = MomentSequence(n=len(gamma), window=window, margin=order, values={
             beta: F(values[_offset(alpha, bounds)]) for beta, alpha in cells.items()
             if all(a <= b for a, b in zip(alpha, bounds))})
-        report = complete_monotonicity_check(seq, order)
-        assert witnesses.get(gamma) == report.witness
+        assert witnesses.get(gamma) == complete_monotonicity_check(seq, order).witness
+        assert witnesses.get(gamma) == _naive_check(seq, order)[1]
     return witnesses
 
 
@@ -284,6 +312,24 @@ def test_certify_builds_one_table_set(monkeypatch):
     monkeypatch.setattr(subnormality, "complete_monotonicity_check", refuse)
     assert hartogs_certify((3, 2), (3, 3), order=3).passed
     assert len(calls) == 1
+
+
+def test_one_engine_call_per_check(monkeypatch):
+    calls = []
+    first_witnesses = subnormality._first_witnesses
+
+    def counting(*args):
+        calls.append(args)
+        return first_witnesses(*args)
+
+    monkeypatch.setattr(subnormality, "_first_witnesses", counting)
+    seq = moment_sequence(hartogs_tuple(2), (2, 3), (1, 0), window=(2, 2), margin=3)
+    assert complete_monotonicity_check(seq, 3).passed
+    assert len(calls) == 1
+    assert not complete_monotonicity_check(synthetic_sequence(lambda b: 2 ** b[0], 1, (3,), 4), 4).passed
+    assert len(calls) == 2
+    assert hartogs_certify((3, 2), (3, 3), order=3).passed
+    assert len(calls) == 3
 
 
 def test_certify_frees_spent_tables():
