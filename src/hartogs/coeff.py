@@ -14,8 +14,10 @@ the indicator table, divide by (1-P_j) m_j times for each j.  The division
 drops the terms that cannot reach the box and runs on a table padded at the
 front of each axis by the largest remaining exponent on that axis; the padded
 cells stay zero, so a read of alpha - gamma off the lattice finds 0 and the
-inner loop has no bounds test.  For tuples whose components each depend on
-their own variable only, the table also factors into univariate tables.
+inner loop has no bounds test.  This is the one route of coeff_function, for
+every tuple.  For tuples whose components each depend on their own variable
+only, the table also factors into univariate axis tables; consumers that need
+only a few cells of such a table read the axis tables instead.
 
 The division kernel works in int: it yields the scaled table
 B(alpha) = d^|alpha| A(alpha) and the common denominator d.  The public routes
@@ -37,7 +39,6 @@ from .polytuple import (
     TermMap,
     _offset,
     _strides,
-    admissibility_degree,
     box,
     box_size,
     tilde_restrictions,
@@ -67,9 +68,6 @@ class CoeffTable:
         if any(a > b for a, b in zip(alpha, self.bounds)):
             raise WindowTooSmall(f"alpha {alpha} outside table bounds {self.bounds}")
         return self.values[_offset(alpha, self.bounds)]
-
-    def covers(self, bounds: MultiIndex) -> bool:
-        return all(b <= mine for b, mine in zip(bounds, self.bounds))
 
 
 def _check_expandable(q: Mapping[MultiIndex, Fraction]) -> None:
@@ -192,10 +190,10 @@ def _oracle_values(q: Mapping[MultiIndex, Fraction], k: int, bounds: MultiIndex)
     return values
 
 
-def univariate_coeffs(p: Mapping[int, Fraction], k: int, kmax: int, mode: str = "recursion") -> list[Fraction]:
+def univariate_coeffs(p: Mapping[int, Fraction], k: int, kmax: int) -> list[Fraction]:
     """Coefficients of 1/(1-p(t))^k up to degree kmax, for univariate p."""
     q = {(e,): Fraction(c) for e, c in p.items()}
-    return list(reciprocal_power_coeffs(q, k, (kmax,), mode=mode).values)
+    return list(reciprocal_power_coeffs(q, k, (kmax,)).values)
 
 
 def _axis_tables(P: PolyTuple, m: Sequence[int], kmax: Sequence[int]) -> list[list[Fraction]]:
@@ -222,34 +220,15 @@ def _check_m(P: PolyTuple, m: Sequence[int]) -> tuple[int, ...]:
     return m
 
 
-def coeff_function(
-    P: PolyTuple,
-    m: Sequence[int],
-    bounds: MultiIndex,
-    method: str = "auto",
-) -> CoeffTable:
+def coeff_function(P: PolyTuple, m: Sequence[int], bounds: MultiIndex) -> CoeffTable:
     """Table of the coefficient function of the pair (P, m) on the box.
 
-    method "convolution" (the general route) divides the indicator table by
-    (1-P_j) m_j times for each j; "product" multiplies the univariate
-    restriction tables componentwise and is valid exactly when every P_j
-    depends on z_j alone; "auto" picks the product route in that case.
+    The indicator table is divided by (1-P_j) m_j times for each j, for every
+    tuple, admissible or not.
     """
     m = _check_m(P, m)
     if len(bounds) != P.n or any(b < 0 for b in bounds):
         raise ValueError(f"bounds must be {P.n} nonnegative integers, got {bounds}")
-    admissible = admissibility_degree(P).admissible
-    if method == "auto":
-        method = "product" if admissible else "convolution"
-    if method == "product":
-        if not admissible:
-            raise ValueError("product method requires each P_j to depend on z_j alone")
-        axis = _axis_tables(P, m, bounds)
-        values = [math.prod((axis[j][alpha[j]] for j in range(P.n)), start=Fraction(1))
-                  for alpha in box(bounds)]
-        return CoeffTable(bounds=tuple(bounds), values=tuple(values))
-    if method != "convolution":
-        raise ValueError(f"unknown method {method!r}")
     for q in P.polys:
         _check_expandable(q)
     values = _reduced(bounds, *_divided(bounds, zip(P.polys, m)))

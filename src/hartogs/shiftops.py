@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeff import CoeffTable, _axis_scaled, _axis_tables, _check_m, coeff_function
+from .coeff import _axis_scaled, _axis_tables, _check_m, coeff_function
 from .errors import (
     CoeffTableTooSmall,
     EmptyWindow,
@@ -77,25 +77,18 @@ class WeightTable:
     """Exact squared multiplication and shift weights over a window.
 
     mult_sq[j][alpha] = A(alpha)/A(alpha + tail_j) and shift_sq[j][alpha] =
-    A(alpha)/A(alpha + e_j) are computed once, for every window cell, from a
-    coefficient table that covers the window plus a one-step margin.  The
+    A(alpha)/A(alpha + e_j) are computed once, for every window cell, from the
+    coefficient table of (P, m) over the window plus a one-step margin.  The
     adjoint weight at alpha is the multiplication weight at alpha - tail_j.
     """
 
-    def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow,
-                 table: CoeffTable | None = None):
+    def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow):
         self.P = P
         self.m = tuple(m)
         self.window = window
-        margin = tuple(b + 1 for b in window.bounds)
-        if table is None:
-            table = coeff_function(P, m, margin)
-        elif not table.covers(margin):
-            raise CoeffTableTooSmall(
-                f"table bounds {table.bounds} do not cover window plus margin {margin}")
+        table = coeff_function(P, m, tuple(b + 1 for b in window.bounds))
         n = P.n
         self._tails = [tail_index(n, j) for j in range(n)]
-        # Offsets are row-major in the table's own box, which may exceed the margin.
         values, bounds = table.values, table.bounds
         offsets = [_offset(alpha, bounds) for alpha in window.cells]
 
@@ -456,15 +449,15 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
     """Exact basis-level check that multiplication by z_j intertwines with the
     product of the polydisc single shifts from slot j on.
 
-    The triangle weights are computed through the general route, chained
-    division by (1-P_j) over the whole box (never the componentwise product),
-    so the identity genuinely cross-checks the factorization of the
-    coefficient function for admissible tuples.
+    The triangle weights come from the one coefficient route, chained
+    division by (1-P_j) over the whole box, and the single shifts from the
+    univariate axis tables (_axis_ratios), so the identity genuinely
+    cross-checks the factorization of the coefficient function for admissible
+    tuples.
     """
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("intertwining needs each P_j to depend on z_j alone")
-    margin = tuple(b + 1 for b in window.bounds)
-    wt = WeightTable(P, m, window, table=coeff_function(P, m, margin, method="convolution"))
+    wt = WeightTable(P, m, window)
     ratios = _axis_ratios(P, m, window.bounds)
     n = P.n
     mismatches: list[tuple[int, MultiIndex]] = []

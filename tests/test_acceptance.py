@@ -153,11 +153,14 @@ def test_criterion_03_hartogs_closed_form():
     for n, m in cases:
         P = hartogs_tuple(n)
         bounds = (8,) * n
-        for method in ("product", "convolution"):
-            table = coeff_function(P, m, bounds, method=method)
-            for alpha in box(bounds):
-                ok = ok and table.value(alpha) == hartogs_coeff_closed(m, alpha)
-    _report(3, ok, "binomial product closed form, both computation routes")
+        table = coeff_function(P, m, bounds)
+        # the axis product, from oracle tables of 1/(1-z_j)^m_j read along axis j
+        axes = [reciprocal_power_coeffs(q, mj, bounds, mode="oracle") for q, mj in zip(P.polys, m)]
+        for alpha in box(bounds):
+            product = math.prod(axes[j].value(tuple(a if i == j else 0 for i, a in enumerate(alpha)))
+                                for j in range(n))
+            ok = ok and table.value(alpha) == product == hartogs_coeff_closed(m, alpha)
+    _report(3, ok, "binomial product closed form, general route and oracle axis product")
     assert ok
 
 

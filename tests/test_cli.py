@@ -284,13 +284,17 @@ def test_traced_all_shift_certify_times_subnormality(monkeypatch):
 AXIS_JOBS = [
     {"command": "radius", "poly_tuple": SCALED, "m": [2, 1], "j": 1, "K": 20, "N": 300},
     {"command": "dettrace", "poly_tuple": SCALED, "m": [2, 3], "K": 150},
+    {"command": "coeffs", "poly_tuple": SCALED, "m": [2, 3], "window": [4, 3]},
+    {"command": "weights", "poly_tuple": SCALED, "m": [2, 1], "window": [3, 2]},
 ]
 
 
-@pytest.mark.parametrize("config", AXIS_JOBS, ids=["radius", "dettrace"])
+@pytest.mark.parametrize("config", AXIS_JOBS, ids=["radius", "dettrace", "coeffs", "weights"])
 def test_axis_commands_never_reduce_a_whole_table(monkeypatch, config):
     # radius and dettrace read the scaled integer axis tables; the routes that
-    # reduce a whole table to Fractions must not run.
+    # reduce a whole table to Fractions must not run.  coeffs and weights on an
+    # admissible tuple build their one table with the division kernel, never
+    # from the reduced axis tables.
     expected = cli.run(config)
 
     def refuse(*args, **kwargs):

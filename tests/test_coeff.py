@@ -97,17 +97,13 @@ def test_terms_beyond_the_box_are_dropped(monkeypatch):
 
     monkeypatch.setattr(coeff, "box_size", capped_box_size)
     huge = 10 ** 9
-    for base, extra, bounds, methods in [
-        ([{(1, 0): F(1)}, {(0, 1): F(1, 2)}], [{(huge, 0): F(1, 3)}, {}], (3, 3),
-         ("product", "convolution")),
-        ([{(1, 0): F(1), (1, 1): F(1)}, {(0, 1): F(1)}], [{(2, huge): F(2)}, {(huge, 1): F(1)}], (4, 2),
-         ("convolution",)),
+    for base, extra, bounds in [
+        ([{(1, 0): F(1)}, {(0, 1): F(1, 2)}], [{(huge, 0): F(1, 3)}, {}], (3, 3)),
+        ([{(1, 0): F(1), (1, 1): F(1)}, {(0, 1): F(1)}], [{(2, huge): F(2)}, {(huge, 1): F(1)}], (4, 2)),
     ]:
         P = from_polys(base)
         P_huge = from_polys([{**q, **e} for q, e in zip(base, extra)])
-        for method in methods:
-            table = coeff_function(P_huge, (2, 1), bounds, method=method)
-            assert table.values == coeff_function(P, (2, 1), bounds, method=method).values
+        assert coeff_function(P_huge, (2, 1), bounds).values == coeff_function(P, (2, 1), bounds).values
     assert univariate_coeffs({1: F(1), huge: F(1, 5)}, 2, 3) == univariate_coeffs({1: F(1)}, 2, 3)
 
 
@@ -131,26 +127,28 @@ def test_hartogs_closed_form_examples():
     assert hartogs_coeff_closed((2, 3), (1, 2)) == 2 * 6
 
 
+def oracle_axis_product(P, m, bounds):
+    """The coefficient table of an admissible (P, m) as the componentwise
+    product of oracle tables of 1/(1-P_j)^m_j, each read along its own axis."""
+    axes = [reciprocal_power_coeffs(q, mj, bounds, mode="oracle") for q, mj in zip(P.polys, m)]
+    return tuple(math.prod((t.value(tuple(a if i == j else 0 for i, a in enumerate(alpha)))
+                            for j, t in enumerate(axes)), start=F(1))
+                 for alpha in box(bounds))
+
+
 def test_coeff_function_matches_closed_form_both_methods():
+    # the general route and the oracle axis product both give the binomials
     P = hartogs_tuple(2)
-    for method in ("product", "convolution"):
-        table = coeff_function(P, (2, 3), (6, 6), method=method)
-        for alpha in box((6, 6)):
-            assert table.value(alpha) == hartogs_coeff_closed((2, 3), alpha)
-
-
-def test_product_method_rejected_for_mixed_terms():
-    with pytest.raises(ValueError):
-        coeff_function(hartogs_tuple(2, 1), (1, 1), (3, 3), method="product")
+    closed = tuple(hartogs_coeff_closed((2, 3), alpha) for alpha in box((6, 6)))
+    assert coeff_function(P, (2, 3), (6, 6)).values == closed
+    assert oracle_axis_product(P, (2, 3), (6, 6)) == closed
 
 
 def test_convolution_equals_product_for_admissible():
     m = (2, 2)
     for P in (from_polys([{(1, 0): F(1), (2, 0): F(1, 2)}, {(0, 1): F(3)}]),
               from_polys([{(1, 0): F(2, 3), (2, 0): F(1, 4)}, {(0, 1): F(5, 3)}])):
-        conv = coeff_function(P, m, (6, 6), method="convolution")
-        prod = coeff_function(P, m, (6, 6), method="product")
-        assert conv.values == prod.values
+        assert coeff_function(P, m, (6, 6)).values == oracle_axis_product(P, m, (6, 6))
 
 
 def test_ratio_inequality_along_own_axis():
@@ -180,7 +178,7 @@ def _convolution_by_definition(P, m, bounds):
 def test_convolve_definition_brute_force():
     P = from_polys([{(1, 0): F(1), (1, 1): F(1)}, {(0, 1): F(1, 2)}])
     bounds = (4, 4)
-    table = coeff_function(P, (1, 2), bounds, method="convolution")
+    table = coeff_function(P, (1, 2), bounds)
     expected = _convolution_by_definition(P, (1, 2), bounds)
     assert table.values == tuple(expected[alpha] for alpha in box(bounds))
 
@@ -202,7 +200,7 @@ def test_general_route_equals_convolution_property(n, data):
     P = from_polys(polys)
     m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     bounds = {1: (8,), 2: (4, 4), 3: (2, 2, 2)}[n]
-    table = coeff_function(P, m, bounds, method="convolution")
+    table = coeff_function(P, m, bounds)
     expected = _convolution_by_definition(P, m, bounds)
     assert table.values == tuple(expected[alpha] for alpha in box(bounds))
 
@@ -225,8 +223,9 @@ def test_scaled_axis_table_reduces_to_the_oracle(data):
     m = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
     j, kmax = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 12))
     scaled, d = coeff._axis_scaled(P, m, j, kmax)
-    oracle = univariate_coeffs({e[j]: c for e, c in polys[j].items()}, m[j], kmax, mode="oracle")
-    assert [F(b, d ** k) for k, b in enumerate(scaled)] == oracle
+    q = {(e[j],): c for e, c in polys[j].items()}
+    oracle = reciprocal_power_coeffs(q, m[j], (kmax,), mode="oracle").values
+    assert tuple(F(b, d ** k) for k, b in enumerate(scaled)) == oracle
     assert all(b > 0 for b in scaled)
 
 

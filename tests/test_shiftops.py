@@ -105,13 +105,6 @@ def test_adjoint_vanishes_on_bottom_row():
                 assert not adjoint[:, wt.window.offset(alpha)].any()
 
 
-def test_small_table_rejected():
-    window = build_window((3, 3))
-    table = coeff_function(hartogs_tuple(2), (1, 1), (3, 3))
-    with pytest.raises(CoeffTableTooSmall):
-        WeightTable(hartogs_tuple(2), (1, 1), window, table=table)
-
-
 def test_passed_weights_must_cover_the_window():
     P, m, window = hartogs_tuple(2, 1), (1, 2), build_window((3, 3))
     larger = op_weights(P, m, build_window((4, 3)))
@@ -128,15 +121,12 @@ def test_passed_weights_must_cover_the_window():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_weights_are_exact_ratios_of_a_passed_table(data):
-    # The passed table is larger than window + 1 by a random margin per axis,
-    # so the weights must be read at offsets relative to the table's bounds.
     P = data.draw(st.sampled_from([hartogs_tuple(2), hartogs_tuple(2, 1), fib_tuple(), hartogs_tuple(3, 1)]))
     n = P.n
     m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="m"))
     bounds = tuple(data.draw(st.lists(st.integers(0, 5 - n), min_size=n, max_size=n), label="window"))
-    extra = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="extra margin")
     window = build_window(bounds)
-    wt = WeightTable(P, m, window, table=coeff_function(P, m, tuple(b + 1 + e for b, e in zip(bounds, extra))))
+    wt = WeightTable(P, m, window)
     A = coeff_function(P, m, tuple(b + 1 for b in bounds)).value
     for j in range(n):
         tail = tail_index(n, j)

@@ -44,7 +44,7 @@ def _reciprocals_of_general_route(P, m, gamma, window, margin):
     """1/A at every cell the sequence reads, from the general-route table."""
     reach = tuple(w + margin for w in window)
     bounds = tuple(g + sum(reach[: j + 1]) for j, g in enumerate(gamma))
-    table = coeff_function(P, m, bounds, method="convolution")
+    table = coeff_function(P, m, bounds)
     return {beta: 1 / table.value(tuple(g + s for g, s in zip(gamma, embedded_shift(beta))))
             for beta in box(reach)}
 
