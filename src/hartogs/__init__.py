@@ -54,10 +54,9 @@ from .shiftops import (
     spectral_radius_estimate,
 )
 from .subnormality import (
-    MomentSequence,
     complete_monotonicity_check,
     hartogs_certify,
-    moment_sequence,
+    shift_check,
 )
 from .hereditary import (
     HereditaryPoly,

@@ -293,9 +293,7 @@ def _cmd_radius(c: dict, rng):
 def _cmd_subnormality(c: dict, rng):
     order, window = c["order"], c["window"]
     if c["poly_tuple"] is not None:
-        seq = subnormality.moment_sequence(c["poly_tuple"], c["m"], c["gamma"],
-                                           window=window, margin=order, scale=c["scale"])
-        rep = subnormality.complete_monotonicity_check(seq, order)
+        rep = subnormality.shift_check(c["poly_tuple"], c["m"], c["gamma"], window, order, c["scale"])
         witnesses = [] if rep.passed else [
             {"gamma": list(c["gamma"]), "beta": list(rep.witness[0]), "k": list(rep.witness[1])}]
         report = {"verdict": "PASS" if rep.passed else "FAIL", "order": order,

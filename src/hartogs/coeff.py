@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConstantTermPresent, NegativeCoefficient, WindowTooSmall
+from .errors import ConstantTerm, NegativeCoefficient, WindowTooSmall
 from .polytuple import (
     MultiIndex,
     PolyTuple,
@@ -75,7 +75,7 @@ def _check_expandable(q: Mapping[MultiIndex, Fraction]) -> None:
         if coeff < 0:
             raise NegativeCoefficient(f"term {alpha}: coefficient {coeff} < 0")
         if total_degree(alpha) == 0 and coeff != 0:
-            raise ConstantTermPresent("Q has a constant term; expansion of 1/(1-Q)^k is not formal")
+            raise ConstantTerm("Q has a constant term; expansion of 1/(1-Q)^k is not formal")
 
 
 def _indicator(bounds: MultiIndex) -> list[Fraction]:

@@ -27,10 +27,6 @@ class ConstantTerm(HartogsError):
 
 # --- coefficient tables -----------------------------------------------------
 
-class ConstantTermPresent(HartogsError):
-    """Formal expansion of 1/(1-Q)^k requires Q(0) = 0."""
-
-
 class WindowTooSmall(HartogsError):
     """A lattice point outside the computed window was requested."""
 
@@ -55,10 +51,6 @@ class InvalidMultiplicity(HartogsError):
 
 class EmptyWindow(HartogsError):
     """Window bounds do not describe a nonempty lattice box."""
-
-
-class CoeffTableTooSmall(HartogsError):
-    """Coefficient table does not cover the window plus increment margin."""
 
 
 class NotAdmissible(HartogsError):

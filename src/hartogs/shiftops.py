@@ -26,10 +26,10 @@ import numpy as np
 
 from .coeff import _axis_scaled, _axis_tables, _check_m, coeff_function
 from .errors import (
-    CoeffTableTooSmall,
     EmptyWindow,
     NotAdmissible,
     NotNAdmissible,
+    WindowTooSmall,
     WrongDimension,
 )
 from .polytuple import (
@@ -127,11 +127,14 @@ def op_weights(P: PolyTuple, m: Sequence[int], window: LatticeWindow) -> WeightT
 
 def _weights_over(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
                   weights: WeightTable | None) -> WeightTable:
-    """The weights passed in, once they are known to cover the window, or a new table."""
+    """The weights passed in, once they are known to be those of (P, m) and to
+    cover the window, or a new table."""
     if weights is None:
         return WeightTable(P, m, window)
+    if weights.P != P or weights.m != tuple(m):
+        raise ValueError("weights were built for another polynomial tuple or multiplicity")
     if not index_leq(window.bounds, weights.window.bounds):
-        raise CoeffTableTooSmall(f"weights over {weights.window.bounds} do not cover window {window.bounds}")
+        raise WindowTooSmall(f"weights over {weights.window.bounds} do not cover window {window.bounds}")
     return weights
 
 

@@ -11,13 +11,14 @@ is one subtraction per cell from the table of k minus a unit step.  A PASS is
 therefore reported as consistency up to that order, never as a proof; a FAIL
 comes with the lexicographically first witness.
 
-One difference engine, _first_witnesses, serves one shift and all shifts.
-complete_monotonicity_check runs it on one sequence, over beta.
-hartogs_certify runs it once per job on f = 1/A: the sequence of shift gamma
-is beta -> f(gamma + emb(beta)), with emb the running sum, and a unit step of
-beta_j is a step of tail_j = (0,...,0,1,...,1) in alpha.  So one table of
-Delta^k f, with Delta_j f(alpha) = f(alpha) - f(alpha + tail_j), serves every
-shift gamma <= gamma_bound.
+One difference engine, _first_witnesses, has two callers.
+complete_monotonicity_check runs it on one sequence, given as a callable,
+over beta.  _shift_witnesses runs it once on f = 1/A for a box of shifts: the
+sequence of shift gamma is beta -> f(gamma + emb(beta)), with emb the running
+sum, and a unit step of beta_j is a step of tail_j = (0,...,0,1,...,1) in
+alpha.  So one table of Delta^k f, with Delta_j f(alpha) = f(alpha) -
+f(alpha + tail_j), serves every shift in the box: all gamma <= gamma_bound
+for hartogs_certify, the one gamma for shift_check.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .coeff import _axis_tables, _check_m, coeff_function
-from .errors import WindowTooSmall
+from .coeff import _axis_tables, _check_expandable, _check_m, _divided
 from .polytuple import (
     MultiIndex,
     PolyTuple,
@@ -40,92 +39,17 @@ from .polytuple import (
     add_index,
     admissibility_degree,
     box,
+    box_size,
     hartogs_tuple,
+    sub_index,
     total_degree,
 )
-
-
-@dataclass(frozen=True)
-class MomentSequence:
-    """Values beta -> s(beta) on the box beta <= window + margin.
-
-    The verdict of a monotonicity check quantifies over beta <= window; the
-    margin supplies the extra reach the differences need.  scale rescales the
-    sequence to s(beta)/scale^|beta| before differencing, for sequences whose
-    natural bound is scale^|beta| rather than 1.
-    """
-
-    n: int
-    window: MultiIndex
-    margin: int
-    values: dict[MultiIndex, Fraction]
-    scale: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if len(self.window) != self.n or any(w < 0 for w in self.window):
-            raise ValueError(f"window must have {self.n} nonnegative entries, got {self.window}")
-        if self.margin < 0 or self.scale <= 0:
-            raise ValueError(f"margin must be >= 0 and scale > 0, got {self.margin} and {self.scale}")
-
-    def value(self, beta: MultiIndex) -> Fraction:
-        try:
-            return self.values[beta]
-        except KeyError:
-            raise WindowTooSmall(f"beta {beta} not covered by the sequence window") from None
 
 
 def embedded_shift(beta: MultiIndex) -> MultiIndex:
     """The lattice shift sum_j beta_j * (tail increment of z_j); entry k is
     the running sum beta_1 + ... + beta_{k+1}."""
     return tuple(itertools.accumulate(beta))
-
-
-def moment_sequence(
-    P: PolyTuple,
-    m: Sequence[int],
-    gamma: MultiIndex,
-    window: MultiIndex | None = None,
-    margin: int = 4,
-    scale: Fraction | int = 1,
-) -> MomentSequence:
-    """The subnormality multisequence beta -> 1/A(gamma + embedded beta).
-
-    A is the coefficient function of (P, m).  When each P_j depends on z_j
-    alone, A factors into univariate axis tables and only the cells the
-    sequence reads are multiplied; otherwise the cells are read from the
-    general table over the box they span.
-    """
-    m = _check_m(P, m)
-    window = (2,) * P.n if window is None else tuple(window)
-    if len(gamma) != P.n or len(window) != P.n:
-        raise ValueError(f"gamma and window must have {P.n} entries, got {tuple(gamma)} and {window}")
-    if any(x < 0 for x in (*gamma, *window)):
-        raise ValueError(f"gamma and window must be nonnegative, got {tuple(gamma)} and {window}")
-    reach = tuple(w + margin for w in window)
-    cells = {beta: add_index(gamma, embedded_shift(beta)) for beta in box(reach)}
-    bounds = add_index(gamma, embedded_shift(reach))
-    if admissibility_degree(P).admissible:
-        axis = _axis_tables(P, m, bounds)
-        nums = [[a.numerator for a in table] for table in axis]
-        dens = [[a.denominator for a in table] for table in axis]
-        values = {beta: Fraction(math.prod(map(getitem, dens, cell)), math.prod(map(getitem, nums, cell)))
-                  for beta, cell in cells.items()}
-    else:
-        table = coeff_function(P, m, bounds)
-        values = {beta: Fraction(1) / table.value(cell) for beta, cell in cells.items()}
-    return MomentSequence(n=P.n, window=window, margin=margin,
-                          values=values, scale=Fraction(scale))
-
-
-def product_sequence(a: MomentSequence, b: MomentSequence) -> MomentSequence:
-    """Pointwise product; moment multisequences are closed under products."""
-    if a.n != b.n or a.window != b.window or a.margin != b.margin:
-        raise ValueError("sequences must share window and margin")
-    return MomentSequence(
-        n=a.n, window=a.window, margin=a.margin,
-        values={beta: a.values[beta] * b.values[beta] for beta in a.values},
-        scale=a.scale * b.scale,
-    )
 
 
 @dataclass(frozen=True)
@@ -144,48 +68,56 @@ class MonotonicityReport:
         return f"signed difference negative at beta={beta}, k={k}"
 
 
-def complete_monotonicity_check(seq: MomentSequence, order: int) -> MonotonicityReport:
-    """Check all signed differences of the scaled sequence up to total order.
+def complete_monotonicity_check(s: Callable[[MultiIndex], Fraction | int], window: MultiIndex,
+                                order: int) -> MonotonicityReport:
+    """Check all signed differences of the sequence s up to total order.
 
-    For every k with 1 <= |k| <= order and every beta <= window, the signed
-    difference D_k(beta) = sum_{i <= k} (-1)^|i| C(k, i) s~(beta + i) must be
-    >= 0.  All cells within reach (excess sum_j max(beta_j - window_j, 0) at
-    most order) are read before the scan, so a missing one raises
-    WindowTooSmall even when an earlier pair fails.  Over their common
-    denominator L they give an integer table of s~ * L on box(window + order),
-    with 0 at the cells beyond reach, which no difference reads.
-    _first_witnesses scans it as one shift with unit steps; checked counts
-    the (k, beta) pairs up to and including the witness.
+    s maps beta to an int or Fraction; a caller folds a scale or a product
+    into it, so a sequence t whose natural bound is scale^|beta| is passed as
+    beta -> t(beta)/scale^|beta|.  For every k with 1 <= |k| <= order and
+    every beta <= window, the signed difference
+    D_k(beta) = sum_{i <= k} (-1)^|i| C(k, i) s(beta + i) must be >= 0.  s is
+    read once at every cell within reach (excess sum_j max(beta_j - window_j,
+    0) at most order) before the scan, so a read that raises does so even when
+    an earlier pair fails.  Over their common denominator L the cells give an
+    integer table of s * L on box(window + order), with 0 at the cells beyond
+    reach, which no difference reads.  _first_witnesses scans it as one shift
+    with unit steps; checked counts the (k, beta) pairs up to and including
+    the witness.
     """
+    window = tuple(window)
+    if any(w < 0 for w in window):
+        raise ValueError(f"window must be nonnegative, got {window}")
     if order < 1:
         raise ValueError("difference order must be >= 1")
-    if seq.margin < order:
-        raise WindowTooSmall(
-            f"sequence margin {seq.margin} cannot support differences of order {order}")
-    window = seq.window
     reach = tuple(w + order for w in window)
-    sn, sd = seq.scale.numerator, seq.scale.denominator
     over = [[max(b - w, 0) for b in range(r + 1)] for w, r in zip(window, reach)]
     pairs = []
     for beta, e in zip(box(reach), map(sum, itertools.product(*over))):
-        if e <= order:
-            value, d = seq.value(beta), total_degree(beta)
-            pairs.append((value.numerator * sd ** d, value.denominator * sn ** d))
-        else:
-            pairs.append((0, 1))
+        value = s(beta) if e <= order else 0
+        pairs.append((value.numerator, value.denominator))
     lcm = math.lcm(*(q for _, q in pairs))
     values = [p * (lcm // q) for p, q in pairs]
-    origin = (0,) * seq.n
+    origin = (0,) * len(window)
     offsets = [(beta, _offset(beta, reach)) for beta in box(window)]
-    witness = _first_witnesses(values, _strides(reach), {origin: 0}, offsets, order).get(origin)
-    plan = _plan(seq.n, order)
-    if witness is None:
-        checked = len(plan) * len(offsets)
-    else:
-        beta, k = witness
-        checked = [step[0] for step in plan].index(k) * len(offsets) + _offset(beta, window) + 1
-    return MonotonicityReport(passed=witness is None, order=order, window=window,
-                              witness=witness, checked=checked)
+    witnesses = _first_witnesses(values, _strides(reach), {origin: 0}, offsets, order)
+    return _report(window, order, witnesses.get(origin))
+
+
+def shift_check(P: PolyTuple, m: Sequence[int], gamma: MultiIndex, window: MultiIndex | None = None,
+                order: int = 4, scale: Fraction | int = 1) -> MonotonicityReport:
+    """The monotonicity check of the shift gamma of (P, m): the sequence
+    beta -> 1/(A(gamma + emb(beta)) scale^|beta|), with A the coefficient
+    function of (P, m), for every beta <= window up to total order.
+
+    The report is that of complete_monotonicity_check on this sequence; it
+    comes from one integer table of 1/A on a box that holds every cell the
+    check reads (see _shift_witnesses).
+    """
+    window = (2,) * P.n if window is None else tuple(window)
+    gamma = tuple(gamma)
+    witnesses = _shift_witnesses(P, m, gamma, gamma, window, order, scale)
+    return _report(window, order, witnesses.get(gamma))
 
 
 @dataclass(frozen=True)
@@ -204,41 +136,89 @@ def hartogs_certify(m: Sequence[int], gamma_bound: MultiIndex, order: int = 4,
     shift gamma <= gamma_bound.  All of them are genuine Hausdorff moment
     multisequences, so every finite-order check is expected to pass.
 
-    The verdict and first witness of each shift are those of
-    complete_monotonicity_check on its moment_sequence with margin = order,
-    from one call of _first_witnesses (see the module docstring).  f = 1/A is
-    put over one positive common denominator: A is a product of axis tables,
-    so each axis is scaled by the lcm of its numerators and the integer axis
-    tables are multiplied out in row-major order over the box
-    alpha <= gamma_bound + emb(window) + order.  Every cell a check reads,
-    gamma + emb(beta + i) with beta <= window and |i| <= order, lies in that
-    box, since entry j of emb(i) is at most |i|.
+    The verdict and first witness of each shift are those of shift_check at
+    that gamma, from one call of _first_witnesses over all shifts.
     """
     n = len(m)
-    P0 = hartogs_tuple(n)
-    m = _check_m(P0, m)
     gamma_bound = tuple(gamma_bound)
     window = (2,) * n if window is None else tuple(window)
-    if len(gamma_bound) != n or len(window) != n:
-        raise ValueError(f"gamma_bound and window must have {n} entries, got {gamma_bound} and {window}")
-    if any(x < 0 for x in (*gamma_bound, *window)):
-        raise ValueError(f"gamma_bound and window must be nonnegative, got {gamma_bound} and {window}")
+    witnesses = _shift_witnesses(hartogs_tuple(n), m, (0,) * n, gamma_bound, window, order, 1)
+    failures = [(gamma, witnesses[gamma]) for gamma in box(gamma_bound) if gamma in witnesses]
+    return CertifyReport(passed=not failures, order=order, gamma_bound=gamma_bound,
+                         window=window, failures=failures, gammas_checked=box_size(gamma_bound))
+
+
+def _shift_witnesses(P: PolyTuple, m: Sequence[int], lo: MultiIndex, hi: MultiIndex,
+                     window: MultiIndex, order: int,
+                     scale: Fraction | int) -> dict[MultiIndex, tuple[MultiIndex, MultiIndex]]:
+    """First witness of every failing shift lo <= gamma <= hi of (P, m).
+
+    The sequence of shift gamma is beta -> f(gamma + emb(beta)) with
+    f(alpha) = 1/(A(alpha) scale^alpha_n), since |beta| = emb(beta)_n and the
+    factor scale^gamma_n of a shift changes no sign.  Every cell a check reads,
+    gamma + emb(beta + i) with beta <= window and |i| <= order, lies in the box
+    lo <= alpha <= top = hi + emb(window) + order, since entry j of emb(i) is
+    at most |i|.  f is put over one positive common denominator on that box.
+    For an admissible P, A is a product of axis tables a_j: each 1/a_j, with
+    the scale folded into the last, is put over the lcm of its denominators,
+    and the integer axes are multiplied out row-major.  Otherwise _divided
+    gives B = d^|alpha| A on the box from 0, so that, with scale = sn/sd,
+    f = d^|alpha| sd^alpha_n / (B sn^alpha_n); each cell is this numerator
+    times L // (B sn^alpha_n), with L the lcm of these denominators over the
+    box.
+    """
+    m = _check_m(P, m)
+    n = P.n
+    lo, hi = tuple(lo), tuple(hi)
+    if len(lo) != n or len(hi) != n or len(window) != n:
+        raise ValueError(f"shifts and window must have {n} entries, got {lo}, {hi} and {window}")
+    if any(x < 0 for x in (*lo, *hi, *window)):
+        raise ValueError(f"shifts and window must be nonnegative, got {lo}, {hi} and {window}")
     if order < 1:
         raise ValueError("difference order must be >= 1")
-    bounds = tuple(g + e + order for g, e in zip(gamma_bound, embedded_shift(window)))
-    values = [1]
-    for axis in _axis_tables(P0, m, bounds):
-        lcm = math.lcm(*(a.numerator for a in axis))
-        scaled = [a.denominator * (lcm // a.numerator) for a in axis]
-        values = [v * s for v in values for s in scaled]
-    strides = _strides(bounds)
+    scale = Fraction(scale)
+    if scale <= 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
+    sn, sd = scale.numerator, scale.denominator
+    top = tuple(h + e + order for h, e in zip(hi, embedded_shift(window)))
+    ranges = [range(a, b + 1) for a, b in zip(lo, top)]
+    if admissibility_degree(P).admissible:
+        values = [1]
+        for j, axis in enumerate(_axis_tables(P, m, top)):
+            num, den = (sn, sd) if j == n - 1 else (1, 1)
+            pairs = [(axis[a].denominator * den ** a, axis[a].numerator * num ** a) for a in ranges[j]]
+            lcm = math.lcm(*(q for _, q in pairs))
+            scaled = [p * (lcm // q) for p, q in pairs]
+            values = [v * x for v in values for x in scaled]
+    else:
+        for q in P.polys:
+            _check_expandable(q)
+        B, d = _divided(top, zip(P.polys, m))
+        pairs = [(d ** sum(alpha) * sd ** alpha[-1], B[_offset(alpha, top)] * sn ** alpha[-1])
+                 for alpha in itertools.product(*ranges)]
+        lcm = math.lcm(*(q for _, q in pairs))
+        values = [p * (lcm // q) for p, q in pairs]
+    shape = sub_index(top, lo)
+    strides = _strides(shape)
     steps = [sum(strides[j:]) for j in range(n)]
-    starts = {gamma: _offset(gamma, bounds) for gamma in box(gamma_bound)}
-    offsets = [(beta, _offset(embedded_shift(beta), bounds)) for beta in box(window)]
-    witnesses = _first_witnesses(values, steps, starts, offsets, order)
-    failures = [(gamma, witnesses[gamma]) for gamma in starts if gamma in witnesses]
-    return CertifyReport(passed=not failures, order=order, gamma_bound=gamma_bound,
-                         window=window, failures=failures, gammas_checked=len(starts))
+    starts = {add_index(lo, g): _offset(g, shape) for g in box(sub_index(hi, lo))}
+    offsets = [(beta, _offset(embedded_shift(beta), shape)) for beta in box(window)]
+    return _first_witnesses(values, steps, starts, offsets, order)
+
+
+def _report(window: MultiIndex, order: int,
+            witness: tuple[MultiIndex, MultiIndex] | None) -> MonotonicityReport:
+    """The report of one sequence's scan; checked counts the (k, beta) pairs,
+    in the lexicographic (k, beta) order of the scan, up to and including the
+    witness."""
+    plan, cells = _plan(len(window), order), box_size(window)
+    if witness is None:
+        checked = len(plan) * cells
+    else:
+        beta, k = witness
+        checked = [step[0] for step in plan].index(k) * cells + _offset(beta, window) + 1
+    return MonotonicityReport(passed=witness is None, order=order, window=window,
+                              witness=witness, checked=checked)
 
 
 def _first_witnesses(values: list[int], steps: Sequence[int], starts: dict[MultiIndex, int],
@@ -296,12 +276,3 @@ def _plan(n: int, order: int) -> tuple[tuple[MultiIndex, MultiIndex, int, bool, 
             parent = k[:j] + (k[j] - 1,) + k[j + 1:]
             plan.append((k, parent, j, j == 0 or k[j] >= 2, total_degree(k) == order))
     return tuple(plan)
-
-
-def synthetic_sequence(generator, n: int, window: MultiIndex, margin: int,
-                       scale: Fraction | int = 1) -> MomentSequence:
-    """Wrap a callable beta -> value as a MomentSequence (for counterexamples)."""
-    reach = tuple(w + margin for w in window)
-    values = {beta: Fraction(generator(beta)) for beta in box(reach)}
-    return MomentSequence(n=n, window=tuple(window), margin=margin,
-                          values=values, scale=Fraction(scale))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hartogs import cli, coeff, shiftops
+from hartogs import cli, coeff, shiftops, subnormality
 from hartogs.errors import HartogsError, InvalidConfig, UnknownCommand
 from hartogs.polytuple import from_polys, hartogs_tuple, serialize
 
@@ -103,6 +103,32 @@ def test_subnormality_pass_and_fail():
                              "order": 2, "scale": "1/2"})
     assert code == 1 and report["verdict"] == "FAIL"
     assert report["witnesses"]
+
+
+def test_one_shift_subnormality_builds_no_fraction_table(monkeypatch):
+    # The one-shift check reads 1/A from one integer table; at no point is a
+    # whole coefficient table turned into Fractions.
+    configs = [{"command": "subnormality", "poly_tuple": P1, "m": m, "gamma": gamma, "scale": scale}
+               for m, gamma, scale in [([1, 1], [0, 0], 1), ([2, 1], [1, 2], "3/2")]]
+    expected = [cli.run(config) for config in configs]
+    assert [code for code, _ in expected] == [1, 0]
+
+    def refuse(*args):
+        raise AssertionError("a whole coefficient table was reduced to Fractions")
+
+    calls = []
+    first_witnesses = subnormality._first_witnesses
+
+    def counting(*args):
+        calls.append(args)
+        return first_witnesses(*args)
+
+    monkeypatch.setattr(coeff, "_reduced", refuse)
+    monkeypatch.setattr(subnormality, "_first_witnesses", counting)
+    for config, want in zip(configs, expected):
+        calls.clear()
+        assert cli.run(config) == want
+        assert len(calls) == 1
 
 
 def test_hereditary_classify_and_lift():

@@ -12,7 +12,7 @@ from hartogs.coeff import (
     reciprocal_power_coeffs,
     univariate_coeffs,
 )
-from hartogs.errors import ConstantTermPresent, WindowTooSmall
+from hartogs.errors import ConstantTerm, WindowTooSmall
 from hartogs.polytuple import box, box_size, from_polys, hartogs_tuple, total_degree
 
 
@@ -50,7 +50,7 @@ def test_power_zero_is_indicator():
 
 
 def test_constant_term_rejected():
-    with pytest.raises(ConstantTermPresent):
+    with pytest.raises(ConstantTerm):
         reciprocal_power_coeffs({(0, 0): F(1, 2), (1, 0): F(1)}, 1, (2, 2))
 
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hartogs.errors import (
-    CoeffTableTooSmall,
     EmptyWindow,
     NotAdmissible,
     NotNAdmissible,
+    WindowTooSmall,
     WrongDimension,
 )
 from hartogs.coeff import coeff_function, univariate_coeffs
@@ -110,12 +110,28 @@ def test_passed_weights_must_cover_the_window():
     larger = op_weights(P, m, build_window((4, 3)))
     assert hyponormality_diagonal(P, m, 0, window, weights=larger) == hyponormality_diagonal(P, m, 0, window)
     smaller = op_weights(P, m, build_window((3, 2)))
-    with pytest.raises(CoeffTableTooSmall):
+    with pytest.raises(WindowTooSmall):
         hyponormality_diagonal(P, m, 0, window, weights=smaller)
-    with pytest.raises(CoeffTableTooSmall):
+    with pytest.raises(WindowTooSmall):
         factorization_and_commutation_probe(P, m, window, weights=smaller)
-    with pytest.raises(CoeffTableTooSmall):
+    with pytest.raises(WindowTooSmall):
         circularity_check(P, m, window, [0.0, 0.0], weights=smaller)
+
+
+@pytest.mark.parametrize("P, m", [(hartogs_tuple(2), (1, 2)), (hartogs_tuple(2, 1), (2, 1))],
+                         ids=["other-tuple", "other-m"])
+def test_passed_weights_must_belong_to_the_tuple(P, m):
+    # the weights of another (P, m) gave that pair's diagonal and probes silently
+    window = build_window((3, 3))
+    other = op_weights(hartogs_tuple(2, 1), (1, 2), window)
+    with pytest.raises(ValueError):
+        hyponormality_diagonal(P, m, 0, window, weights=other)
+    with pytest.raises(ValueError):
+        factorization_and_commutation_probe(P, m, window, weights=other)
+    with pytest.raises(ValueError):
+        circularity_check(P, m, window, [0.0, 0.0], weights=other)
+    assert hyponormality_diagonal(P, list(m), 0, window, weights=op_weights(P, m, window)) == (
+        hyponormality_diagonal(P, m, 0, window))
 
 
 @settings(max_examples=40, deadline=None)
