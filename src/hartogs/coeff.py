@@ -21,8 +21,9 @@ only a few cells of such a table read the axis tables instead.
 
 The division kernel works in int: it yields the scaled table
 B(alpha) = d^|alpha| A(alpha) and the common denominator d.  The public routes
-reduce each cell to a Fraction; consumers that only compare or take logs of
-axis coefficients read the scaled integers through _axis_scaled instead.
+reduce each cell to a Fraction.  The axis tables have one builder,
+_axis_scaled, and stay scaled integers: their consumers compare them, take
+logs, divide neighbouring cells or put their reciprocals over one denominator.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class CoeffTable:
         return len(self.bounds)
 
     def value(self, alpha: MultiIndex) -> Fraction:
+        if len(alpha) != len(self.bounds):
+            raise ValueError(f"alpha {alpha} must have {len(self.bounds)} entries")
         if any(a < 0 for a in alpha):
             return Fraction(0)
         if any(a > b for a, b in zip(alpha, self.bounds)):
@@ -196,17 +199,12 @@ def univariate_coeffs(p: Mapping[int, Fraction], k: int, kmax: int) -> list[Frac
     return list(reciprocal_power_coeffs(q, k, (kmax,)).values)
 
 
-def _axis_tables(P: PolyTuple, m: Sequence[int], kmax: Sequence[int]) -> list[list[Fraction]]:
-    """Univariate tables of 1/(1-P_j restricted to its axis)^m_j up to degree kmax[j], per j."""
-    return [univariate_coeffs(t, mj, k) for t, mj, k in zip(tilde_restrictions(P), m, kmax)]
-
-
 def _axis_scaled(P: PolyTuple, m: Sequence[int], j: int, kmax: int) -> tuple[list[int], int]:
     """Scaled axis table of 1/(1-P_j restricted to its axis)^m_j up to degree kmax.
 
-    Returns (B, d) with B[k] = d^k A_j(k) in int: the table of _axis_tables[j]
-    before its reduction to Fractions, built for axis j alone.  Every B[k] is
-    positive, because the linear coefficient of the restriction is.
+    Returns (B, d) with B[k] = d^k A_j(k) in int, never reduced to Fractions:
+    the one builder of axis tables.  Every B[k] is positive, because the
+    linear coefficient of the restriction is.
     """
     q = {(e,): Fraction(c) for e, c in tilde_restrictions(P)[j].items()}
     _check_expandable(q)
@@ -239,6 +237,8 @@ def hartogs_coeff_closed(m: Sequence[int], alpha: MultiIndex) -> Fraction:
     """Closed form for the Hartogs tuple: product of binomials C(alpha_j+m_j-1, m_j-1)."""
     if any(mj < 1 for mj in m):
         raise ValueError(f"m entries must be >= 1, got {tuple(m)}")
+    if len(alpha) != len(m):
+        raise ValueError(f"alpha {tuple(alpha)} and m {tuple(m)} must have the same length")
     if any(a < 0 for a in alpha):
         return Fraction(0)
     return Fraction(math.prod(math.comb(a + mj - 1, mj - 1) for a, mj in zip(alpha, m)))

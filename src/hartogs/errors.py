@@ -57,10 +57,6 @@ class NotAdmissible(HartogsError):
     """Operation requires an admissible polynomial tuple."""
 
 
-class NotNAdmissible(HartogsError):
-    """Operation requires an n-admissible polynomial tuple."""
-
-
 class WrongDimension(HartogsError):
     """Operation requires a specific number of variables."""
 

@@ -20,18 +20,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeff import _axis_scaled, _axis_tables, _check_m, coeff_function
-from .errors import (
-    EmptyWindow,
-    NotAdmissible,
-    NotNAdmissible,
-    WindowTooSmall,
-    WrongDimension,
-)
+from .coeff import _axis_scaled, _check_m, coeff_function
+from .errors import EmptyWindow, NotAdmissible, WindowTooSmall, WrongDimension
 from .polytuple import (
     MultiIndex,
     PolyTuple,
@@ -149,20 +143,20 @@ class NormBounds:
     exact: bool  # True when the lower and upper bounds coincide
 
 
-def norm_bounds(P: PolyTuple, m: Sequence[int], j: int, require_lower: bool = False) -> NormBounds:
+def norm_bounds(P: PolyTuple, m: Sequence[int], j: int) -> NormBounds:
     """Norm bounds for multiplication by z_j (0-based j).
 
     The upper bound 1/sqrt(prod_{l>=j} a_l) always holds; the lower bound
-    1/sqrt(prod_{l>=j} m_l a_l) needs the tuple to be n-admissible, and the
-    two coincide (the norm is exact) when the relevant m_l are all 1.
+    1/sqrt(prod_{l>=j} m_l a_l) needs the tuple to be n-admissible, and is
+    None when it is not.  The two coincide (the norm is exact) when the
+    relevant m_l are all 1.
     """
-    m = tuple(m)
+    m = _check_m(P, m)
+    if not 0 <= j < P.n:
+        raise ValueError(f"j must be in [0, {P.n}), got {j}")
     upper_sq = Fraction(1) / math.prod(P.linear_coefficients[j:], start=Fraction(1))
-    n_admissible = admissibility_degree(P).at_least(P.n)
-    if require_lower and not n_admissible:
-        raise NotNAdmissible("lower norm bound requires an n-admissible tuple")
     lower_sq = None
-    if n_admissible:
+    if admissibility_degree(P).at_least(P.n):
         lower_sq = upper_sq / math.prod(m[j:], start=Fraction(1))
     return NormBounds(
         upper=math.sqrt(float(upper_sq)),
@@ -206,22 +200,7 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     wt = _weights_over(P, m, window, weights)
     e_last = unit_index(n, n - 1)
     tail_prev = tail_index(n, n - 2)
-
-    factorization_exact = True
-    cells_checked = 0
-    for j in range(n):
-        tail = tail_index(n, j)
-        for alpha in window.cells:
-            if not window.interior(alpha, tail):
-                continue
-            cells_checked += 1
-            acc = Fraction(1)
-            cur = alpha
-            for k in range(n - 1, j - 1, -1):
-                acc *= wt.shift_weight_sq(k, cur)
-                cur = add_index(cur, unit_index(n, k))
-            if acc != wt.mult_weight_sq(j, alpha):
-                factorization_exact = False
+    cells_checked, mismatches = _telescoping_mismatches(wt, window, wt.shift_weight_sq)
 
     witness = None
     for alpha in window.cells:
@@ -238,22 +217,54 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
 
     polydisc_all_zero = _polydisc_commutators_zero(P, m, window)
     return CommutationProbe(
-        factorization_exact=factorization_exact,
+        factorization_exact=not mismatches,
         noncommuting_witness=witness,
         polydisc_all_zero=polydisc_all_zero,
         cells_checked=cells_checked,
     )
 
 
-def _axis_ratios(P: PolyTuple, m: Sequence[int], reach: MultiIndex) -> list[list[Fraction]]:
+def _telescoping_mismatches(wt: WeightTable, window: LatticeWindow,
+                            step_sq: Callable[[int, MultiIndex], Fraction],
+                            ) -> tuple[int, list[tuple[int, MultiIndex]]]:
+    """The telescoping scan: over the interior cells alpha of each tail_j,
+    compare the product of the single-step squares step_sq(k, cur) along
+    alpha -> alpha + tail_j, k from n - 1 down to j, with the squared
+    multiplication weight at alpha.  Returns the cells checked and the
+    mismatching (j, alpha) in scan order."""
+    n = wt.P.n
+    mismatches = []
+    checked = 0
+    for j in range(n):
+        tail = tail_index(n, j)
+        for alpha in window.cells:
+            if not window.interior(alpha, tail):
+                continue
+            checked += 1
+            acc = Fraction(1)
+            cur = alpha
+            for k in range(n - 1, j - 1, -1):
+                acc *= step_sq(k, cur)
+                cur = add_index(cur, unit_index(n, k))
+            if acc != wt.mult_weight_sq(j, alpha):
+                mismatches.append((j, alpha))
+    return checked, mismatches
+
+
+def _scaled_ratios(scaled: list[int], d: int, ks) -> dict[int, Fraction]:
+    """a(k) = A(k)/A(k+1) = d B(k)/B(k+1) over the scaled axis table, for k in ks."""
+    return {k: Fraction(d * scaled[k], scaled[k + 1]) for k in ks}
+
+
+def _axis_ratios(P: PolyTuple, m: Sequence[int], reach: MultiIndex) -> list[dict[int, Fraction]]:
     """Squared single-shift weights of the polydisc counterpart space.
 
-    Entry [k][i], i <= reach[k], is A_k(i)/A_k(i + 1) on the axis table of the
-    restriction of P_k alone: the weight of multiplication by z_k at any cell
-    whose k-th entry is i.
+    Entry [k][i], i <= reach[k], is A_k(i)/A_k(i + 1), divided out of the
+    scaled axis table of the restriction of P_k alone: the weight of
+    multiplication by z_k at any cell whose k-th entry is i.
     """
-    axes = _axis_tables(P, m, [r + 1 for r in reach])
-    return [[axis[i] / axis[i + 1] for i in range(r + 1)] for axis, r in zip(axes, reach)]
+    return [_scaled_ratios(*_axis_scaled(P, m, k, r + 1), range(r + 1))
+            for k, r in enumerate(reach)]
 
 
 def _polydisc_commutators_zero(P: PolyTuple, m: Sequence[int], window: LatticeWindow) -> bool:
@@ -296,17 +307,14 @@ def hyponormality_diagonal(P: PolyTuple, m: Sequence[int], j: int, window: Latti
     covering the window may be passed as weights, so that the diagonals of
     all j share one; otherwise one is built.
     """
+    if not 0 <= j < P.n:
+        raise ValueError(f"j must be in [0, {P.n}), got {j}")
     wt = _weights_over(P, m, window, weights)
     return {alpha: wt.mult_weight_sq(j, alpha) - wt.adjoint_weight_sq(j, alpha)
             for alpha in window.cells}
 
 
 # --- determinant operator diagonal and trace -------------------------------------
-
-def _scaled_ratios(scaled: list[int], d: int, ks) -> dict[int, Fraction]:
-    """a(k) = A(k)/A(k+1) = d B(k)/B(k+1) over the scaled axis table, for k in ks."""
-    return {k: Fraction(d * scaled[k], scaled[k + 1]) for k in ks}
-
 
 @dataclass
 class DetTraceReport:
@@ -456,28 +464,14 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
     division by (1-P_j) over the whole box, and the single shifts from the
     univariate axis tables (_axis_ratios), so the identity genuinely
     cross-checks the factorization of the coefficient function for admissible
-    tuples.
+    tuples.  The scan is that of the factorization probe, with the polydisc
+    single shifts in place of the triangle ones.
     """
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("intertwining needs each P_j to depend on z_j alone")
-    wt = WeightTable(P, m, window)
     ratios = _axis_ratios(P, m, window.bounds)
-    n = P.n
-    mismatches: list[tuple[int, MultiIndex]] = []
-    checked = 0
-    for j in range(n):
-        tail = tail_index(n, j)
-        for alpha in window.cells:
-            if not window.interior(alpha, tail):
-                continue
-            checked += 1
-            rhs = Fraction(1)
-            cur = alpha
-            for k in range(n - 1, j - 1, -1):
-                rhs *= ratios[k][cur[k]]
-                cur = add_index(cur, unit_index(n, k))
-            if wt.mult_weight_sq(j, alpha) != rhs or cur != add_index(alpha, tail):
-                mismatches.append((j, alpha))
+    checked, mismatches = _telescoping_mismatches(WeightTable(P, m, window), window,
+                                                  lambda k, cur: ratios[k][cur[k]])
     return IntertwiningReport(ok=not mismatches, cells_checked=checked,
                               mismatches=mismatches[:16])
 

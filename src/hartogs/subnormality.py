@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .coeff import _axis_tables, _check_expandable, _check_m, _divided
+from .coeff import _axis_scaled, _check_expandable, _check_m, _divided
 from .polytuple import (
     MultiIndex,
     PolyTuple,
@@ -96,8 +96,7 @@ def complete_monotonicity_check(s: Callable[[MultiIndex], Fraction | int], windo
     for beta, e in zip(box(reach), map(sum, itertools.product(*over))):
         value = s(beta) if e <= order else 0
         pairs.append((value.numerator, value.denominator))
-    lcm = math.lcm(*(q for _, q in pairs))
-    values = [p * (lcm // q) for p, q in pairs]
+    values = _over_lcm(pairs)
     origin = (0,) * len(window)
     offsets = [(beta, _offset(beta, reach)) for beta in box(window)]
     witnesses = _first_witnesses(values, _strides(reach), {origin: 0}, offsets, order)
@@ -159,13 +158,13 @@ def _shift_witnesses(P: PolyTuple, m: Sequence[int], lo: MultiIndex, hi: MultiIn
     gamma + emb(beta + i) with beta <= window and |i| <= order, lies in the box
     lo <= alpha <= top = hi + emb(window) + order, since entry j of emb(i) is
     at most |i|.  f is put over one positive common denominator on that box.
-    For an admissible P, A is a product of axis tables a_j: each 1/a_j, with
-    the scale folded into the last, is put over the lcm of its denominators,
-    and the integer axes are multiplied out row-major.  Otherwise _divided
-    gives B = d^|alpha| A on the box from 0, so that, with scale = sn/sd,
-    f = d^|alpha| sd^alpha_n / (B sn^alpha_n); each cell is this numerator
-    times L // (B sn^alpha_n), with L the lcm of these denominators over the
-    box.
+    With scale = sn/sd, a scaled table B = d^|alpha| A gives
+    f = d^|alpha| sd^alpha_n / (B sn^alpha_n).  For an admissible P, A is a
+    product of axis tables A_j, and B_j(a) = d_j^a A_j(a) from _axis_scaled
+    gives 1/A_j(a) = d_j^a / B_j(a), with the scale folded into the last
+    axis; each axis is put over one denominator (_over_lcm) and the integer
+    axes are multiplied out row-major.  Otherwise _divided gives B on the box
+    from 0, and the whole box is put over one denominator.
     """
     m = _check_m(P, m)
     n = P.n
@@ -184,26 +183,31 @@ def _shift_witnesses(P: PolyTuple, m: Sequence[int], lo: MultiIndex, hi: MultiIn
     ranges = [range(a, b + 1) for a, b in zip(lo, top)]
     if admissibility_degree(P).admissible:
         values = [1]
-        for j, axis in enumerate(_axis_tables(P, m, top)):
+        for j in range(n):
+            B, d = _axis_scaled(P, m, j, top[j])
             num, den = (sn, sd) if j == n - 1 else (1, 1)
-            pairs = [(axis[a].denominator * den ** a, axis[a].numerator * num ** a) for a in ranges[j]]
-            lcm = math.lcm(*(q for _, q in pairs))
-            scaled = [p * (lcm // q) for p, q in pairs]
-            values = [v * x for v in values for x in scaled]
+            axis = _over_lcm([((d * den) ** a, B[a] * num ** a) for a in ranges[j]])
+            values = [v * x for v in values for x in axis]
     else:
         for q in P.polys:
             _check_expandable(q)
         B, d = _divided(top, zip(P.polys, m))
         pairs = [(d ** sum(alpha) * sd ** alpha[-1], B[_offset(alpha, top)] * sn ** alpha[-1])
                  for alpha in itertools.product(*ranges)]
-        lcm = math.lcm(*(q for _, q in pairs))
-        values = [p * (lcm // q) for p, q in pairs]
+        values = _over_lcm(pairs)
     shape = sub_index(top, lo)
     strides = _strides(shape)
     steps = [sum(strides[j:]) for j in range(n)]
     starts = {add_index(lo, g): _offset(g, shape) for g in box(sub_index(hi, lo))}
     offsets = [(beta, _offset(embedded_shift(beta), shape)) for beta in box(window)]
     return _first_witnesses(values, steps, starts, offsets, order)
+
+
+def _over_lcm(pairs: list[tuple[int, int]]) -> list[int]:
+    """The fractions p/q of pairs (p, q), q > 0, over one positive common
+    denominator L, the lcm of the q: the integers p * (L // q)."""
+    lcm = math.lcm(*(q for _, q in pairs))
+    return [p * (lcm // q) for p, q in pairs]
 
 
 def _report(window: MultiIndex, order: int,

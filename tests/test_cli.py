@@ -312,22 +312,28 @@ AXIS_JOBS = [
     {"command": "dettrace", "poly_tuple": SCALED, "m": [2, 3], "K": 150},
     {"command": "coeffs", "poly_tuple": SCALED, "m": [2, 3], "window": [4, 3]},
     {"command": "weights", "poly_tuple": SCALED, "m": [2, 1], "window": [3, 2]},
+    {"command": "subnormality", "poly_tuple": SCALED, "m": [2, 1], "gamma": [1, 0], "window": [1, 1],
+     "order": 3},
+    {"command": "probes", "poly_tuple": SCALED, "m": [2, 1], "window": [3, 2]},
 ]
 
 
-@pytest.mark.parametrize("config", AXIS_JOBS, ids=["radius", "dettrace", "coeffs", "weights"])
+@pytest.mark.parametrize("config", AXIS_JOBS,
+                         ids=["radius", "dettrace", "coeffs", "weights", "subnormality", "probes"])
 def test_axis_commands_never_reduce_a_whole_table(monkeypatch, config):
-    # radius and dettrace read the scaled integer axis tables; the routes that
-    # reduce a whole table to Fractions must not run.  coeffs and weights on an
-    # admissible tuple build their one table with the division kernel, never
-    # from the reduced axis tables.
+    # Every axis table comes from the scaled integer builder _axis_scaled:
+    # radius and dettrace compare or take logs of it, the one-shift
+    # subnormality check puts its reciprocals over one denominator, and the
+    # polydisc commutators of probes divide neighbouring cells.  The routes
+    # that reduce a whole table to Fractions must not run.  coeffs and weights
+    # on an admissible tuple build their one table with the division kernel.
     expected = cli.run(config)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a whole coefficient table was reduced to Fractions")
 
     for module in (coeff, shiftops):
-        for name in ("univariate_coeffs", "reciprocal_power_coeffs", "_axis_tables"):
+        for name in ("univariate_coeffs", "reciprocal_power_coeffs"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     assert expected[0] == 0

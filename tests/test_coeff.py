@@ -71,6 +71,14 @@ def test_negative_entries_are_zero_and_window_guard():
         table.value((5,))
 
 
+def test_value_rejects_wrong_length():
+    # (3,) on a two-variable table must not be read as cell (0, 3)
+    table = reciprocal_power_coeffs({(1, 0): F(1), (0, 1): F(1)}, 1, (4, 4))
+    for alpha in [(3,), (0, 3, 0)]:
+        with pytest.raises(ValueError):
+            table.value(alpha)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2), st.data())
 def test_recursion_equals_oracle_property(n, k, data):
@@ -125,6 +133,13 @@ def test_hartogs_closed_form_examples():
     assert hartogs_coeff_closed((2, 2), (3, 0)) == 4
     assert hartogs_coeff_closed((2, 3), (0, 0)) == 1
     assert hartogs_coeff_closed((2, 3), (1, 2)) == 2 * 6
+
+
+def test_hartogs_closed_form_rejects_length_mismatch():
+    # the unmatched entry must not be dropped: ((2, 2), (3,)) is not 4
+    for m, alpha in [((2, 2), (3,)), ((2,), (3, 1))]:
+        with pytest.raises(ValueError):
+            hartogs_coeff_closed(m, alpha)
 
 
 def oracle_axis_product(P, m, bounds):

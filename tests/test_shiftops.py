@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs.errors import (
-    EmptyWindow,
-    NotAdmissible,
-    NotNAdmissible,
-    WindowTooSmall,
-    WrongDimension,
-)
+from hartogs.errors import EmptyWindow, NotAdmissible, WindowTooSmall, WrongDimension
 from hartogs.coeff import coeff_function, univariate_coeffs
 from hartogs.polytuple import (
     add_index,
@@ -185,9 +179,9 @@ def test_truncated_matrices_commute_on_inner_cells():
 
 
 def test_norm_bounds_hartogs():
-    nb = norm_bounds(hartogs_tuple(2), (1, 1), 0, require_lower=True)
+    nb = norm_bounds(hartogs_tuple(2), (1, 1), 0)
     assert nb.lower == nb.upper == 1.0 and nb.exact
-    nb = norm_bounds(hartogs_tuple(2), (2, 2), 0, require_lower=True)
+    nb = norm_bounds(hartogs_tuple(2), (2, 2), 0)
     assert nb.lower == pytest.approx(0.5) and nb.upper == 1.0 and not nb.exact
 
 
@@ -198,9 +192,14 @@ def test_norm_bounds_scaled():
 
 
 def test_norm_bounds_requires_n_admissible():
-    with pytest.raises(NotNAdmissible):
-        norm_bounds(hartogs_tuple(2, 1), (1, 1), 0, require_lower=True)
     assert norm_bounds(hartogs_tuple(2, 1), (1, 1), 0).lower is None
+
+
+@pytest.mark.parametrize("m, j", [((2,), 0), ((2, 2, 2), 0), ((0, 1), 0), ((1, 1), -1), ((1, 1), 2)])
+def test_norm_bounds_rejects_bad_arguments(m, j):
+    # a short m must not give a lower bound, nor j = -1 the bounds of z_n
+    with pytest.raises(ValueError):
+        norm_bounds(hartogs_tuple(2), m, j)
 
 
 def test_weights_below_upper_bound_exactly():
@@ -248,6 +247,13 @@ def test_hyponormality_origin_positive():
         for j in range(2):
             diag = hyponormality_diagonal(P, m, j, w)
             assert diag[(0, 0)] > 0
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+def test_hyponormality_rejects_index_out_of_range(j):
+    # j = -1 must not be read as the diagonal of z_n
+    with pytest.raises(ValueError):
+        hyponormality_diagonal(hartogs_tuple(2), (1, 1), j, build_window((2, 2)))
 
 
 def test_hyponormality_detects_failure():

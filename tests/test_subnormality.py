@@ -307,7 +307,7 @@ def test_certify_faces_of_the_box():
 
 
 def test_certify_builds_one_table_set(monkeypatch):
-    # one axis or general table per check, for all shifts or for one
+    # one scaled table per axis, or one general table, per check, for all shifts or for one
     calls = []
 
     def counting(name):
@@ -321,15 +321,15 @@ def test_certify_builds_one_table_set(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fell back to the sequence check")
 
-    for name in ("_axis_tables", "_divided"):
+    for name in ("_axis_scaled", "_divided"):
         monkeypatch.setattr(subnormality, name, counting(name))
     monkeypatch.setattr(subnormality, "complete_monotonicity_check", refuse)
     assert hartogs_certify((3, 2), (3, 3), order=3).passed
-    assert calls == ["_axis_tables"]
+    assert calls == ["_axis_scaled"] * 2
     assert shift_check(hartogs_tuple(2), (3, 2), (3, 3), order=3).passed
-    assert calls == ["_axis_tables"] * 2
+    assert calls == ["_axis_scaled"] * 4
     shift_check(hartogs_tuple(2, 1), (3, 2), (1, 2), order=3)
-    assert calls == ["_axis_tables"] * 2 + ["_divided"]
+    assert calls == ["_axis_scaled"] * 4 + ["_divided"]
 
 
 def test_one_engine_call_per_check(monkeypatch):
