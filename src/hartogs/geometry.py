@@ -73,11 +73,14 @@ def triangle_contains(P: PolyTuple, p: Sequence[complex]) -> bool:
 
 def q_ball_contains(q: Mapping[MultiIndex, Fraction], p: Sequence[complex]) -> bool:
     """Strict membership |Q(p diamond conj(p))| < 1."""
-    mods = [abs(complex(z)) ** 2 for z in p]
-    val = 0j
-    for alpha, coeff in q.items():
-        val += complex(coeff) * math.prod(mods[j] ** a for j, a in enumerate(alpha) if a)
-    return abs(val) < 1.0
+    try:
+        mods = [abs(complex(z)) ** 2 for z in p]
+        val = 0j
+        for alpha, coeff in q.items():
+            val += complex(coeff) * math.prod(mods[j] ** a for j, a in enumerate(alpha) if a)
+        return abs(val) < 1.0
+    except OverflowError:  # a modulus or a term beyond the float range: p is far outside
+        return False
 
 
 def polydisc_radii(P: PolyTuple) -> list[float]:

@@ -67,6 +67,8 @@ def kernel_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[complex]) 
 
 def kernel_series_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[complex], cutoff: int) -> complex:
     """Partial sum of the basis expansion over total degree <= cutoff."""
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     for point in (z, w):
         if not triangle_contains(ctx.P, point):
             raise OutsideDomain(f"point {tuple(point)} outside the triangle")

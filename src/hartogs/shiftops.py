@@ -33,10 +33,11 @@ from .polytuple import (
     add_index,
     admissibility_degree,
     box,
+    from_polys,
     index_leq,
-    is_nonnegative,
     sub_index,
     tail_index,
+    tilde_restrictions,
     unit_index,
 )
 
@@ -188,40 +189,57 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
 
     Verifies the telescoping identity between multiplication and shift
     weights on interior cells, exhibits a cell where the cross commutator
-    of the adjoint of z_{n-1} with z_n is nonzero, and checks that the
-    polydisc counterpart commutators vanish identically.  Coefficients of
-    the compositions are square roots of rationals, so equality and
-    vanishing are decided exactly on the squares.  A weight table of (P, m)
-    covering the window may be passed as weights; otherwise one is built.
+    of the adjoint of z_{n-1} with z_n is nonzero, and checks that every
+    cross commutator of a single shift with the adjoint of another vanishes
+    for the polydisc counterpart: the tuple of the restrictions of each P_j
+    to its own axis, whose weight table is built whole, so a table that does
+    not factor fails the check.  Coefficients of the compositions are square
+    roots of rationals, so equality and vanishing are decided exactly on the
+    squares.  A weight table of (P, m) covering the window may be passed as
+    weights; otherwise one is built.  It also serves as the counterpart's
+    table when each P_j depends on z_j alone.
     """
     n = P.n
     if n < 2:
         raise WrongDimension("commutation probe needs at least two variables")
     wt = _weights_over(P, m, window, weights)
-    e_last = unit_index(n, n - 1)
-    tail_prev = tail_index(n, n - 2)
     cells_checked, mismatches = _telescoping_mismatches(wt, window, wt.shift_weight_sq)
-
-    witness = None
-    for alpha in window.cells:
-        if not window.interior(alpha, e_last):
-            continue
-        sq_a = wt.shift_weight_sq(n - 1, alpha) * wt.adjoint_weight_sq(n - 2, add_index(alpha, e_last))
-        sq_b = Fraction(0)
-        down = sub_index(alpha, tail_prev)
-        if is_nonnegative(down):
-            sq_b = wt.adjoint_weight_sq(n - 2, alpha) * wt.shift_weight_sq(n - 1, down)
-        if sq_a != sq_b:
-            witness = alpha
-            break
-
-    polydisc_all_zero = _polydisc_commutators_zero(P, m, window)
+    witness = _commutator_witness(window, wt.shift_sq[n - 1], unit_index(n, n - 1),
+                                  wt.mult_sq[n - 2], tail_index(n, n - 2))
+    counterpart = from_polys({tuple(e * u for u in unit_index(n, j)): c for e, c in r.items()}
+                             for j, r in enumerate(tilde_restrictions(P)))
+    polydisc = wt if counterpart == P else WeightTable(counterpart, m, window)
+    polydisc_all_zero = all(
+        _commutator_witness(window, polydisc.shift_sq[j], unit_index(n, j),
+                            polydisc.shift_sq[k], unit_index(n, k)) is None
+        for j in range(n) for k in range(n) if j != k)
     return CommutationProbe(
         factorization_exact=not mismatches,
         noncommuting_witness=witness,
         polydisc_all_zero=polydisc_all_zero,
         cells_checked=cells_checked,
     )
+
+
+def _commutator_witness(window: LatticeWindow, a_sq: dict[MultiIndex, Fraction], a: MultiIndex,
+                        b_sq: dict[MultiIndex, Fraction], b: MultiIndex) -> MultiIndex | None:
+    """The first interior cell alpha (alpha + a in the window) at which
+    S_b* S_a and S_a S_b* differ, or None.
+
+    S_a moves alpha to alpha + a with squared weight a_sq[alpha], and S_b*
+    moves beta to beta - b with squared weight b_sq[beta - b].  Both orders
+    reach alpha + a - b, so they differ exactly when the products of the
+    squares do; an order that leaves the lattice has weight 0.  The squares
+    are keyed by the window cells, so a cell off the lattice reads 0.
+    """
+    zero = Fraction(0)
+    for alpha in window.cells:
+        if not window.interior(alpha, a):
+            continue
+        down = sub_index(alpha, b)
+        if a_sq[alpha] * b_sq.get(add_index(down, a), zero) != b_sq.get(down, zero) * a_sq.get(down, zero):
+            return alpha
+    return None
 
 
 def _telescoping_mismatches(wt: WeightTable, window: LatticeWindow,
@@ -254,45 +272,6 @@ def _telescoping_mismatches(wt: WeightTable, window: LatticeWindow,
 def _scaled_ratios(scaled: list[int], d: int, ks) -> dict[int, Fraction]:
     """a(k) = A(k)/A(k+1) = d B(k)/B(k+1) over the scaled axis table, for k in ks."""
     return {k: Fraction(d * scaled[k], scaled[k + 1]) for k in ks}
-
-
-def _axis_ratios(P: PolyTuple, m: Sequence[int], reach: MultiIndex) -> list[dict[int, Fraction]]:
-    """Squared single-shift weights of the polydisc counterpart space.
-
-    Entry [k][i], i <= reach[k], is A_k(i)/A_k(i + 1), divided out of the
-    scaled axis table of the restriction of P_k alone: the weight of
-    multiplication by z_k at any cell whose k-th entry is i.
-    """
-    return [_scaled_ratios(*_axis_scaled(P, m, k, r + 1), range(r + 1))
-            for k, r in enumerate(reach)]
-
-
-def _polydisc_commutators_zero(P: PolyTuple, m: Sequence[int], window: LatticeWindow) -> bool:
-    """Whether every cross commutator of a polydisc shift with the adjoint of
-    another vanishes on the interior cells: both orders reach the same cell
-    with the same exact squared weight."""
-    ratios = _axis_ratios(P, m, window.bounds)
-    n = P.n
-    for j in range(n):
-        e_j = unit_index(n, j)
-        for k in range(n):
-            if j == k:
-                continue
-            e_k = unit_index(n, k)
-            for alpha in window.cells:
-                if not window.interior(alpha, e_j):
-                    continue
-                up = add_index(alpha, e_j)  # the adjoint of z_k after z_j
-                cell_a, sq_a = None, Fraction(0)
-                if up[k]:
-                    cell_a, sq_a = sub_index(up, e_k), ratios[j][alpha[j]] * ratios[k][up[k] - 1]
-                cell_b, sq_b = None, Fraction(0)  # z_j after the adjoint of z_k
-                if alpha[k]:
-                    down = sub_index(alpha, e_k)
-                    cell_b, sq_b = add_index(down, e_j), ratios[k][alpha[k] - 1] * ratios[j][down[j]]
-                if cell_a != cell_b or sq_a != sq_b:
-                    return False
-    return True
 
 
 # --- hyponormality diagonal -----------------------------------------------------
@@ -340,8 +319,7 @@ class DetTraceReport:
         return list(_scaled_ratios(scaled, d, range(len(scaled) - 1)).values())
 
 
-def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int,
-                             diag_bounds: MultiIndex | None = None) -> DetTraceReport:
+def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTraceReport:
     """Diagonal and trace of the determinant operator for a 2-variable tuple.
 
     Requires each P_j to depend on z_j alone.  The determinant operator is
@@ -355,27 +333,23 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int,
     The axis tables stay scaled integers B_j(k) = d_j^k A_j(k), never reduced
     to Fractions: a_j(k) = d_j B_j(k)/B_j(k+1), so a_j(k) <= a_j(k+1) exactly
     when B_j(k+1)^2 >= B_j(k) B_j(k+2), and a_j(k) itself is divided out only
-    for the diagonal (k <= max(diag_bounds)) and for k = K.
+    for the diagonal, over the corner [0, min(K, 6)]^2, and for k = K.
     """
     if P.n != 2:
         raise WrongDimension(f"determinant operator needs n = 2, got n = {P.n}")
     m = _check_m(P, m)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    if diag_bounds is None:
-        diag_bounds = (min(K, 6), min(K, 6))
-    diag_bounds = tuple(diag_bounds)
-    if len(diag_bounds) != 2 or any(not 0 <= b <= K for b in diag_bounds):
-        raise ValueError(f"diagonal bounds must be 2 integers in [0, K={K}], got {diag_bounds}")
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("determinant trace formulas need each P_j to depend on z_j alone")
     axes = (_axis_scaled(P, m, 0, K + 1), _axis_scaled(P, m, 1, K + 1))
     increasing = tuple(all(B[k + 1] * B[k + 1] >= B[k] * B[k + 2] for k in range(K))
                        for B, _ in axes)
-    a1, a2 = (_scaled_ratios(B, d, [*range(max(diag_bounds) + 1), K]) for B, d in axes)
+    corner = min(K, 6)
+    a1, a2 = (_scaled_ratios(B, d, [*range(corner + 1), K]) for B, d in axes)
 
     diagonal: dict[MultiIndex, Fraction] = {}
-    for alpha in box(diag_bounds):
+    for alpha in box((corner, corner)):
         d1 = a1[alpha[0]] - (a1[alpha[0] - 1] if alpha[0] else Fraction(0))
         prev2 = a2[alpha[1] - 1] ** 2 if alpha[1] else Fraction(0)
         diagonal[alpha] = d1 * (a2[alpha[1]] ** 2 - prev2)
@@ -462,14 +436,17 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
 
     The triangle weights come from the one coefficient route, chained
     division by (1-P_j) over the whole box, and the single shifts from the
-    univariate axis tables (_axis_ratios), so the identity genuinely
+    scaled univariate axis tables (_axis_scaled), so the identity genuinely
     cross-checks the factorization of the coefficient function for admissible
     tuples.  The scan is that of the factorization probe, with the polydisc
     single shifts in place of the triangle ones.
     """
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("intertwining needs each P_j to depend on z_j alone")
-    ratios = _axis_ratios(P, m, window.bounds)
+    # ratios[k][i] = A_k(i)/A_k(i + 1), the weight of the polydisc shift in z_k
+    # at every cell whose k-th entry is i.
+    ratios = [_scaled_ratios(*_axis_scaled(P, m, k, r + 1), range(r + 1))
+              for k, r in enumerate(window.bounds)]
     checked, mismatches = _telescoping_mismatches(WeightTable(P, m, window), window,
                                                   lambda k, cur: ratios[k][cur[k]])
     return IntertwiningReport(ok=not mismatches, cells_checked=checked,
@@ -490,13 +467,11 @@ def circularity_check(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
     """
     n = P.n
     theta = list(theta)
-    if len(theta) != n:
-        raise ValueError(f"theta must have {n} entries")
+    if len(theta) != n or not all(math.isfinite(t) for t in theta):
+        raise ValueError(f"theta must have {n} finite entries, got {theta}")
     tilde = [theta[j] - theta[j + 1] for j in range(n - 1)] + [theta[n - 1]]
     wt = _weights_over(P, m, window, weights)
-
-    def phase(alpha: MultiIndex) -> complex:
-        return cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha)))
+    phase = {alpha: cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha))) for alpha in window.cells}
 
     deviation = 0.0
     for j in range(n):
@@ -505,8 +480,7 @@ def circularity_check(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
         for alpha in window.cells:
             if not window.interior(alpha, tail):
                 continue
-            beta = add_index(alpha, tail)
             w = math.sqrt(float(wt.mult_weight_sq(j, alpha)))
-            conjugated = phase(alpha) * phase(beta).conjugate() * w
+            conjugated = phase[alpha] * phase[add_index(alpha, tail)].conjugate() * w
             deviation = max(deviation, abs(conjugated - rotation * w))
     return deviation

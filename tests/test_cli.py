@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -242,19 +243,26 @@ SHIFTOPS_JOBS = [
 ]
 
 
-@pytest.mark.parametrize("config", SHIFTOPS_JOBS, ids=["weights", "probes"])
-def test_one_coefficient_table_per_job(monkeypatch, config):
+@pytest.mark.parametrize("config, tables", [
+    (SHIFTOPS_JOBS[0], 1), (SHIFTOPS_JOBS[1], 2),
+    ({"command": "probes", "poly_tuple": SCALED, "m": [2, 1], "window": [3, 2], "theta_trials": 3}, 1),
+], ids=["weights", "probes", "probes-admissible"])
+def test_one_coefficient_table_per_job(monkeypatch, config, tables):
+    # One table per distinct (tuple, m): probes on a tuple with a mixed term
+    # builds a second one for its polydisc counterpart, and on an admissible
+    # tuple, which is its own counterpart, reads both from the one table.
     calls = []
     build = shiftops.coeff_function
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append((serialize(args[0]), tuple(args[1])))
         return build(*args, **kwargs)
 
     monkeypatch.setattr(shiftops, "coeff_function", counting)
     code, _ = cli.run(config)
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == tables
+    assert all(call not in calls[:i] for i, call in enumerate(calls))
 
 
 # Small configs of each command, with the layer that does their work.
@@ -307,6 +315,19 @@ def test_traced_all_shift_certify_times_subnormality(monkeypatch):
     assert tracer.metrics()["subnormality.self_s"] > 0
 
 
+def test_second_routes_pass_on_the_smallest_job_of_each_command(monkeypatch):
+    # The benchmark's independent checks, on one small job of every command.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    jobs = importlib.import_module("jobs")
+    checks = importlib.import_module("checks")
+    smallest = jobs.smallest_of_each(random.Random("smallest:1"), ())
+    assert sorted(job.config["command"] for job in smallest) == sorted(cli._COMMANDS)
+    for seed, job in enumerate(smallest, start=1):
+        job.seed = seed  # checks compares it with the seed in the report
+        code, rendered = cli.run(job.config, seed=job.seed, fmt=job.fmt)
+        checks.check(job, code, rendered)
+
+
 AXIS_JOBS = [
     {"command": "radius", "poly_tuple": SCALED, "m": [2, 1], "j": 1, "K": 20, "N": 300},
     {"command": "dettrace", "poly_tuple": SCALED, "m": [2, 3], "K": 150},
@@ -322,11 +343,11 @@ AXIS_JOBS = [
                          ids=["radius", "dettrace", "coeffs", "weights", "subnormality", "probes"])
 def test_axis_commands_never_reduce_a_whole_table(monkeypatch, config):
     # Every axis table comes from the scaled integer builder _axis_scaled:
-    # radius and dettrace compare or take logs of it, the one-shift
-    # subnormality check puts its reciprocals over one denominator, and the
-    # polydisc commutators of probes divide neighbouring cells.  The routes
-    # that reduce a whole table to Fractions must not run.  coeffs and weights
-    # on an admissible tuple build their one table with the division kernel.
+    # radius and dettrace compare or take logs of it, and the one-shift
+    # subnormality check puts its reciprocals over one denominator.  The
+    # routes that reduce a whole table to Fractions must not run.  coeffs,
+    # weights and probes on an admissible tuple build their one table with
+    # the division kernel; probes reads the polydisc commutators off it too.
     expected = cli.run(config)
 
     def refuse(*args, **kwargs):

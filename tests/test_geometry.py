@@ -76,6 +76,13 @@ def test_q_ball_membership():
     assert not q_ball_contains(q, (1.0, 0.0))
 
 
+def test_q_ball_far_point_is_outside():
+    # a squared modulus beyond the float range raised OverflowError
+    q = {(1, 0): F(1)}
+    assert not q_ball_contains(q, (1e200, 1.0))
+    assert not q_ball_contains({(0, 2): F(1, 3)}, (0.5, 1e100))
+
+
 def test_membership_iff_quotient_image_in_balls():
     # by definition: the squared-moduli image must satisfy every P_j < 1
     P1 = hartogs_tuple(2, 1)

@@ -73,6 +73,13 @@ def test_series_cutoff_zero_is_prefactor(ctx0):
     assert kernel_series_eval(ctx0, z, w, 0) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("cutoff", [-1, -5])
+def test_series_rejects_negative_cutoff(ctx0, cutoff):
+    # an empty sum read as the kernel value 0
+    with pytest.raises(ValueError):
+        kernel_series_eval(ctx0, (0.1, 0.5), (0.2, 0.4), cutoff)
+
+
 def test_series_monotone_on_diagonal(ctx1):
     z = (0.3, 0.6)
     values = [kernel_series_eval(ctx1, z, z, c).real for c in range(0, 30, 3)]
