@@ -178,7 +178,7 @@ def _cmd_validate(c: dict, rng) -> tuple[bool | None, dict, None]:
     P = c["poly_tuple"]
     adm = admissibility_degree(P)
     return None, {"valid": True, "n": P.n, "admissible": adm.admissible,
-                  "admissibility_degree": "all" if adm.all_degrees else adm.degree,
+                  "admissibility_degree": "all" if adm.admissible else adm.degree,
                   "linear_coefficients": [format_rational(a) for a in P.linear_coefficients],
                   "polydisc_radii": geometry.polydisc_radii(P)}, None
 
@@ -393,7 +393,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or int literal
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -42,6 +42,8 @@ from .polytuple import (
     _strides,
     box,
     box_size,
+    index_leq,
+    poly_mul,
     tilde_restrictions,
     total_degree,
 )
@@ -166,16 +168,6 @@ def _reduced(bounds: MultiIndex, scaled: list[int], d: int) -> list:
     return scaled
 
 
-def _truncated_mul(a: TermMap, b: Mapping[MultiIndex, Fraction], bounds: MultiIndex) -> TermMap:
-    out: TermMap = {}
-    for ga, va in a.items():
-        for gb, vb in b.items():
-            mono = tuple(x + y for x, y in zip(ga, gb))
-            if all(m <= bound for m, bound in zip(mono, bounds)):
-                out[mono] = out.get(mono, Fraction(0)) + va * vb
-    return {m: v for m, v in out.items() if v}
-
-
 def _oracle_values(q: Mapping[MultiIndex, Fraction], k: int, bounds: MultiIndex) -> list[Fraction]:
     values = _indicator(bounds)
     if k == 0:
@@ -184,7 +176,7 @@ def _oracle_values(q: Mapping[MultiIndex, Fraction], k: int, bounds: MultiIndex)
     # Q has no constant term, so Q^l only reaches total degree >= l; beyond the
     # box's total degree nothing can land inside it.
     for l in range(1, sum(bounds) + 1):
-        power = _truncated_mul(power, q, bounds)
+        power = {mono: v for mono, v in poly_mul(power, q).items() if index_leq(mono, bounds)}
         if not power:
             break
         c = math.comb(k + l - 1, k - 1)
@@ -207,7 +199,6 @@ def _axis_scaled(P: PolyTuple, m: Sequence[int], j: int, kmax: int) -> tuple[lis
     linear coefficient of the restriction is.
     """
     q = {(e,): Fraction(c) for e, c in tilde_restrictions(P)[j].items()}
-    _check_expandable(q)
     return _divided((kmax,), [(q, m[j])])
 
 
@@ -227,8 +218,6 @@ def coeff_function(P: PolyTuple, m: Sequence[int], bounds: MultiIndex) -> CoeffT
     m = _check_m(P, m)
     if len(bounds) != P.n or any(b < 0 for b in bounds):
         raise ValueError(f"bounds must be {P.n} nonnegative integers, got {bounds}")
-    for q in P.polys:
-        _check_expandable(q)
     values = _reduced(bounds, *_divided(bounds, zip(P.polys, m)))
     return CoeffTable(bounds=tuple(bounds), values=tuple(values))
 

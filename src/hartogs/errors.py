@@ -79,6 +79,12 @@ class DuplicatePoints(HartogsError):
     """Interpolation nodes are not pairwise distinct."""
 
 
+# --- reports ----------------------------------------------------------------
+
+class ResultTooLarge(HartogsError):
+    """An exact value has more digits than Python converts to a string."""
+
+
 # --- CLI --------------------------------------------------------------------
 
 class UnknownCommand(HartogsError):

@@ -12,8 +12,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ZeroCoordinate
-from .polytuple import MultiIndex, PolyTuple, tilde_restrictions, univariate_eval
+from .errors import WrongDimension, ZeroCoordinate
+from .polytuple import MultiIndex, PolyTuple, poly_eval, tilde_restrictions
 
 Point = tuple[complex, ...]
 
@@ -62,11 +62,11 @@ def _squared_quotient_moduli(p: Sequence[complex]) -> list[float] | None:
 
 def triangle_contains(P: PolyTuple, p: Sequence[complex]) -> bool:
     """Strict membership of p in the triangle of P (tail coordinates nonzero)."""
+    if len(p) != P.n:
+        raise WrongDimension(f"point {tuple(p)} must have {P.n} coordinates")
     try:
         u = _squared_quotient_moduli(p)
-        return u is not None and all(
-            sum(float(c) * math.prod(u[j] ** a for j, a in enumerate(alpha) if a)
-                for alpha, c in poly.items()) < 1.0 for poly in P.polys)
+        return u is not None and all(poly_eval(poly, u) < 1.0 for poly in P.polys)
     except OverflowError:  # a modulus or a term beyond the float range: p is far outside
         return False
 
@@ -74,11 +74,7 @@ def triangle_contains(P: PolyTuple, p: Sequence[complex]) -> bool:
 def q_ball_contains(q: Mapping[MultiIndex, Fraction], p: Sequence[complex]) -> bool:
     """Strict membership |Q(p diamond conj(p))| < 1."""
     try:
-        mods = [abs(complex(z)) ** 2 for z in p]
-        val = 0j
-        for alpha, coeff in q.items():
-            val += complex(coeff) * math.prod(mods[j] ** a for j, a in enumerate(alpha) if a)
-        return abs(val) < 1.0
+        return abs(poly_eval(q, [abs(complex(z)) ** 2 for z in p])) < 1.0
     except OverflowError:  # a modulus or a term beyond the float range: p is far outside
         return False
 
@@ -91,14 +87,15 @@ def polydisc_radii(P: PolyTuple) -> list[float]:
     """
     radii = []
     for j, g in enumerate(tilde_restrictions(P)):
+        g = {(k,): c for k, c in g.items()}  # a one-variable term map
         a_j = float(P.linear_coefficient(j))
         hi = max(1.0, 1.0 / a_j)
-        while univariate_eval(g, hi) < 1.0:
+        while poly_eval(g, (hi,)) < 1.0:
             hi *= 2.0
         lo = 0.0
         while hi - lo > _BISECTION_TOL:
             mid = 0.5 * (lo + hi)
-            if univariate_eval(g, mid) < 1.0:
+            if poly_eval(g, (mid,)) < 1.0:
                 lo = mid
             else:
                 hi = mid

@@ -25,7 +25,7 @@ from .errors import (
     WrongDimension,
 )
 from .geometry import triangle_contains
-from .polytuple import MultiIndex, PolyTuple, hartogs_tuple
+from .polytuple import MultiIndex, PolyTuple, hartogs_tuple, poly_mul
 
 
 def _opnorm(a: np.ndarray) -> float:
@@ -98,22 +98,6 @@ class HereditaryPoly:
     terms: dict[tuple[MultiIndex, MultiIndex], complex]
 
 
-LaurentMap = dict[MultiIndex, Fraction]
-
-
-def _laurent_mul(a: LaurentMap, b: LaurentMap) -> LaurentMap:
-    out: LaurentMap = {}
-    for ga, va in a.items():
-        for gb, vb in b.items():
-            mono = tuple(x + y for x, y in zip(ga, gb))
-            c = out.get(mono, Fraction(0)) + va * vb
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
-    return out
-
-
 def _detect_family(P: PolyTuple) -> Fraction:
     """Return the parameter a when P is the tuple z_j + a*(z_1...z_n), else raise."""
     if P.n < 2:
@@ -154,13 +138,13 @@ def reciprocal_kernel_polynomial(P: PolyTuple, m: Sequence[int]) -> HereditaryPo
         return tuple(out)
 
     zero = (0,) * n
-    poly: LaurentMap = {tuple(1 if j else 0 for j in range(n)): Fraction(1)}
+    poly = {tuple(1 if j else 0 for j in range(n)): Fraction(1)}
     for j in range(n):
-        factor: LaurentMap = {zero: Fraction(1), (e(j, j + 1) if j < n - 1 else e(j)): Fraction(-1)}
+        factor = {zero: Fraction(1), (e(j, j + 1) if j < n - 1 else e(j)): Fraction(-1)}
         if a:
             factor[e(0)] = -a
         for _ in range(m[j]):
-            poly = _laurent_mul(poly, factor)
+            poly = poly_mul(poly, factor)
 
     negatives = [mono for mono in poly if any(x < 0 for x in mono)]
     if negatives:

@@ -3,8 +3,10 @@
 A polynomial is a term map ``dict[MultiIndex, Fraction]`` with strictly
 positive rational coefficients (zero terms are never stored).  A tuple
 ``P = (P_1, ..., P_n)`` is valid when no component has a constant term and
-each ``P_j`` carries a strictly positive coefficient ``a_j`` on ``z_j``.
-All arithmetic is exact.
+each ``P_j`` carries a strictly positive coefficient ``a_j`` on ``z_j``;
+``PolyTuple`` checks this when it is constructed, so every ``PolyTuple`` is
+valid.  ``poly_eval`` is the one evaluator and ``poly_mul`` the one product of
+term maps.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ConstantTerm, MalformedInput, MissingLinearTerm, NegativeCoefficient
+from .errors import ConstantTerm, MalformedInput, MissingLinearTerm, NegativeCoefficient, ResultTooLarge
 
 MultiIndex = tuple[int, ...]
 TermMap = dict[MultiIndex, Fraction]
@@ -96,6 +100,17 @@ def poly_eval(p: Mapping[MultiIndex, Fraction], point: Iterable[complex]) -> com
     return total
 
 
+def poly_mul(a: Mapping[MultiIndex, Fraction], b: Mapping[MultiIndex, Fraction]) -> TermMap:
+    """Product of two term maps; exponents may be negative (Laurent monomials).
+    The products are accumulated first and the zero terms dropped at the end."""
+    out: TermMap = {}
+    for ga, va in a.items():
+        for gb, vb in b.items():
+            mono = add_index(ga, gb)
+            out[mono] = out[mono] + va * vb if mono in out else va * vb
+    return {mono: c for mono, c in out.items() if c}
+
+
 def normalize_terms(terms: Mapping[MultiIndex, Fraction]) -> TermMap:
     """Canonical term map: accumulate duplicates, drop zero coefficients."""
     out: TermMap = {}
@@ -111,25 +126,32 @@ def normalize_terms(terms: Mapping[MultiIndex, Fraction]) -> TermMap:
 
 # --- rationals in documents ---------------------------------------------------
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value: object, where: str = "coeff") -> Fraction:
-    """Parse "p/q" or "p" (string or int).  Floats are rejected: they lose exactness."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise MalformedInput(f"{where}: rational must be an integer or 'p/q' string, got {value!r}")
-    if isinstance(value, int):
+    """Parse an int, or a "p" or "p/q" string of decimal digits.  Floats are
+    rejected because they lose exactness, and so are the other string forms
+    Fraction accepts (decimals, exponents, underscores)."""
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
         try:
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInput(f"{where}: cannot parse rational {value!r}: {exc}") from None
-    raise MalformedInput(f"{where}: rational must be an integer or 'p/q' string, got {type(value).__name__}")
+        except (ValueError, ZeroDivisionError) as exc:  # more digits than int() reads, or q = 0
+            raise MalformedInput(f"{where}: cannot parse rational {value!r:.80}: {exc}") from None
+    raise MalformedInput(f"{where}: rational must be an integer or 'p/q' string, got {value!r:.80}")
 
 
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # Python's limit on int-to-string conversion
+        raise ResultTooLarge(f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+                             "the limit of Python's int-to-string conversion") from None
 
 
 # --- the tuple itself ---------------------------------------------------------
@@ -139,11 +161,31 @@ class PolyTuple:
     """n polynomials with positive rational coefficients, no constant terms,
     and a strictly positive linear self-coefficient a_j on z_j in P_j.
 
-    Immutable after construction; the term maps must not be mutated.
+    Validated at construction, so every PolyTuple is valid; immutable after
+    that, and the term maps must not be mutated.
     """
 
-    n: int
     polys: tuple[TermMap, ...]
+
+    def __post_init__(self):
+        n = len(self.polys)
+        if n < 1:
+            raise MalformedInput("tuple must have at least one component")
+        zero = (0,) * n
+        for j, p in enumerate(self.polys):
+            for alpha, coeff in p.items():
+                if len(alpha) != n or not is_nonnegative(alpha):
+                    raise MalformedInput(f"polys[{j}]: bad exponent {alpha}")
+                if coeff < 0:
+                    raise NegativeCoefficient(f"polys[{j}] term {alpha}: coefficient {coeff} < 0")
+            if p.get(zero):
+                raise ConstantTerm(f"polys[{j}]: constant term {p[zero]} present")
+            if p.get(unit_index(n, j), Fraction(0)) <= 0:
+                raise MissingLinearTerm(f"polys[{j}]: linear self-coefficient a_{j + 1} absent or zero")
+
+    @property
+    def n(self) -> int:
+        return len(self.polys)
 
     def linear_coefficient(self, j: int) -> Fraction:
         """a_j, the coefficient of z_j in P_j (0-based j)."""
@@ -159,8 +201,8 @@ class PolyTuple:
 
 def from_polys(polys: Iterable[Mapping[MultiIndex, Fraction]]) -> PolyTuple:
     """Build and validate a tuple from raw term maps (duplicates summed, zeros dropped)."""
-    return _validated(tuple(normalize_terms({alpha: Fraction(c) for alpha, c in p.items()})
-                            for p in polys))
+    return PolyTuple(tuple(normalize_terms({alpha: Fraction(c) for alpha, c in p.items()})
+                           for p in polys))
 
 
 def hartogs_tuple(n: int, a: Fraction | int = 0) -> PolyTuple:
@@ -174,33 +216,15 @@ def hartogs_tuple(n: int, a: Fraction | int = 0) -> PolyTuple:
         terms: TermMap = {unit_index(n, j): Fraction(1)}
         if a:
             terms[ones] = terms.get(ones, Fraction(0)) + a
-        polys.append(normalize_terms(terms))
-    return _validated(tuple(polys))
+        polys.append(terms)
+    return PolyTuple(tuple(polys))
 
 
 def scaled_tuple(radii: Iterable[Fraction]) -> PolyTuple:
     """The tuple with components z_j / r_j^2, whose triangle has polyradii r."""
     rs = [Fraction(r) for r in radii]
     n = len(rs)
-    return _validated(tuple({unit_index(n, j): 1 / (rs[j] * rs[j])} for j in range(n)))
-
-
-def _validated(polys: tuple[TermMap, ...]) -> PolyTuple:
-    n = len(polys)
-    if n < 1:
-        raise MalformedInput("tuple must have at least one component")
-    zero = (0,) * n
-    for j, p in enumerate(polys):
-        for alpha, coeff in p.items():
-            if len(alpha) != n or not is_nonnegative(alpha):
-                raise MalformedInput(f"polys[{j}]: bad exponent {alpha}")
-            if coeff < 0:
-                raise NegativeCoefficient(f"polys[{j}] term {alpha}: coefficient {coeff} < 0")
-        if p.get(zero):
-            raise ConstantTerm(f"polys[{j}]: constant term {p[zero]} present")
-        if p.get(unit_index(n, j), Fraction(0)) <= 0:
-            raise MissingLinearTerm(f"polys[{j}]: linear self-coefficient a_{j + 1} absent or zero")
-    return PolyTuple(n=n, polys=polys)
+    return PolyTuple(tuple({unit_index(n, j): 1 / (rs[j] * rs[j])} for j in range(n)))
 
 
 # --- parse / serialize --------------------------------------------------------
@@ -272,14 +296,14 @@ class Admissibility:
 
     degree is the largest d >= 1 such that every mixed term of every P_j has
     total degree > d, 0 when some mixed term is linear, and None when there
-    are no mixed terms at all (the tuple then qualifies for every d).
+    are no mixed terms at all (the tuple is then admissible and qualifies for
+    every d).
     """
 
     degree: int | None
-    admissible: bool
 
     @property
-    def all_degrees(self) -> bool:
+    def admissible(self) -> bool:
         return self.degree is None
 
     def at_least(self, d: int) -> bool:
@@ -301,8 +325,8 @@ def admissibility_degree(P: PolyTuple) -> Admissibility:
                 if min_cross is None or deg < min_cross:
                     min_cross = deg
     if min_cross is None:
-        return Admissibility(degree=None, admissible=True)
-    return Admissibility(degree=min_cross - 1, admissible=False)
+        return Admissibility(degree=None)
+    return Admissibility(degree=min_cross - 1)
 
 
 def tilde_restrictions(P: PolyTuple) -> list[UnivariatePoly]:
@@ -313,6 +337,3 @@ def tilde_restrictions(P: PolyTuple) -> list[UnivariatePoly]:
                     if is_pure_term(alpha, j)})
     return out
 
-
-def univariate_eval(p: Mapping[int, Fraction], t: float) -> float:
-    return sum(float(c) * t ** k for k, c in p.items())

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .coeff import _axis_scaled, _check_expandable, _check_m, _divided
+from .coeff import _axis_scaled, _check_m, _divided
 from .polytuple import (
     MultiIndex,
     PolyTuple,
@@ -189,8 +189,6 @@ def _shift_witnesses(P: PolyTuple, m: Sequence[int], lo: MultiIndex, hi: MultiIn
             axis = _over_lcm([((d * den) ** a, B[a] * num ** a) for a in ranges[j]])
             values = [v * x for v in values for x in axis]
     else:
-        for q in P.polys:
-            _check_expandable(q)
         B, d = _divided(top, zip(P.polys, m))
         pairs = [(d ** sum(alpha) * sd ** alpha[-1], B[_offset(alpha, top)] * sn ** alpha[-1])
                  for alpha in itertools.product(*ranges)]

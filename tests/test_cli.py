@@ -219,6 +219,29 @@ def test_main_missing_config_exit_2(tmp_path):
     assert cli.main(["--config", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"command": "validate", "n": ' + b"1" * 5000 + b"}",
+    b'{"command": "validate", "note": "\xff"}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["int-literal-too-long", "not-utf8", "nested-too-deep"])
+def test_main_unreadable_config_exit_2(tmp_path, capsys, content):
+    config = tmp_path / "run.json"
+    config.write_bytes(content)
+    assert cli.main(["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config" in err and "Traceback" not in err
+
+
+def test_main_exact_value_too_long_to_print_exit_2(tmp_path, capsys):
+    # The partial trace of z_j + z_j^2 at K=25000 has numerator and denominator
+    # of more than 4300 digits, the longest int Python converts to a string.
+    code, report = _main_exit(tmp_path, {"command": "dettrace", "poly_tuple": FIB, "m": [1, 1], "K": 25000})
+    assert code == 2
+    assert report["error"] == "ResultTooLarge"
+    assert f"{sys.get_int_max_str_digits()} digits" in report["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _main_exit(tmp_path, config):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hartogs.errors import ZeroCoordinate
+from hartogs.errors import WrongDimension, ZeroCoordinate
 from hartogs.geometry import (
     forward,
     inverse,
@@ -56,6 +56,13 @@ def test_hartogs_membership():
     assert triangle_contains(P0, (0.2, 0.5))
     assert not triangle_contains(P0, (0.5, 0.2))
     assert not triangle_contains(P0, (0.2, 0.0))
+
+
+def test_membership_needs_a_point_of_n_coordinates():
+    P0 = hartogs_tuple(2)
+    for point in ((0.1, 0.5, 0.9), (0.3,)):
+        with pytest.raises(WrongDimension):
+            triangle_contains(P0, point)
 
 
 def test_hartogs_membership_boundary_is_outside():

@@ -1,16 +1,25 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs.errors import ConstantTerm, MalformedInput, MissingLinearTerm, NegativeCoefficient
+from hartogs.errors import (
+    ConstantTerm,
+    MalformedInput,
+    MissingLinearTerm,
+    NegativeCoefficient,
+    ResultTooLarge,
+)
 from hartogs.polytuple import (
     admissibility_degree,
+    format_rational,
     from_polys,
     hartogs_tuple,
     parse_and_validate,
+    parse_rational,
     serialize,
     tilde_restrictions,
     unit_index,
@@ -106,7 +115,7 @@ def test_roundtrip_property(P):
 def test_admissibility_hartogs():
     for n in (1, 2, 4):
         adm = admissibility_degree(hartogs_tuple(n))
-        assert adm.admissible and adm.all_degrees
+        assert adm.admissible and adm.degree is None
 
 
 def test_admissibility_a_positive():
@@ -149,3 +158,21 @@ def test_admissible_tuple_equals_its_restrictions():
         rebuilt = {tuple(k if i == j else 0 for i in range(P.n)): c
                    for k, c in tilde.items()}
         assert rebuilt == P.polys[j]
+
+
+def test_parse_rational_accepts_only_integers_and_p_over_q():
+    assert parse_rational("3/4") == F(3, 4)
+    assert parse_rational(" 7 ") == 7
+    assert parse_rational("-2") == -2
+    assert parse_rational(5) == 5
+    # Decimals, exponents and digit separators are other forms of Fraction;
+    # "1e10000000" would take seconds to expand and "1e-5000" could not be printed.
+    for text in ("1e-5000", "1e10000000", "0.5", "1_0", "1/0", "", "3 / 4"):
+        with pytest.raises(MalformedInput):
+            parse_rational(text)
+
+
+def test_format_rational_too_long_raises_result_too_large():
+    assert format_rational(F(-3, 4)) == "-3/4"
+    with pytest.raises(ResultTooLarge, match=f"{sys.get_int_max_str_digits()} digits"):
+        format_rational(F(10 ** 5000))

@@ -1,0 +1,66 @@
+"""Byte-identity of the CLI reports on the benchmark's seed-1 jobs.
+
+tests/data/report_digests.json holds one SHA-256 per workload and
+sub-command, over the (exit code, rendered report) of each of its jobs in job
+order.  A change that alters any report byte changes a digest.  The exact
+commands use only exact or correctly rounded arithmetic, so their digests are
+compared on every platform.  The other commands go through libm or LAPACK,
+whose last bits may differ between builds, so their digests are compared only
+when the Python minor version, the numpy version and the machine match the
+recorded ones.
+
+Regenerate the file after a deliberate report change with
+``PYTHONPATH=src python tests/test_report_digests.py``.
+"""
+
+import hashlib
+import importlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from hartogs import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "tests" / "data" / "report_digests.json"
+SEED = 1
+WORKLOADS = ("tables", "certify", "operators")
+EXACT_COMMANDS = {"coeffs", "weights", "dettrace", "subnormality"}
+
+
+def _environment() -> dict:
+    return {"python": "%d.%d" % sys.version_info[:2], "numpy": np.__version__,
+            "machine": platform.machine()}
+
+
+def report_digests(jobs) -> dict[str, str]:
+    """'workload/command' -> SHA-256 over the (code, rendered) of its seed-1 jobs."""
+    hashers: dict[str, hashlib._Hash] = {}
+    for workload in WORKLOADS:
+        for job in jobs.generate(workload, SEED):
+            code, rendered = cli.run(job.config, seed=job.seed, fmt=job.fmt)
+            key = f"{workload}/{job.config['command']}"
+            hashers.setdefault(key, hashlib.sha256()).update(f"{code}\0{rendered}\0".encode())
+    return {key: h.hexdigest() for key, h in sorted(hashers.items())}
+
+
+def test_reports_match_recorded_digests(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    recorded = json.loads(DIGESTS.read_text())
+    digests = report_digests(importlib.import_module("jobs"))
+    assert sorted(digests) == sorted(recorded["digests"])
+    same_platform = recorded["environment"] == _environment()
+    compared = [key for key in digests if same_platform or key.split("/")[1] in EXACT_COMMANDS]
+    assert any(key.split("/")[1] in EXACT_COMMANDS for key in compared)
+    assert {key: digests[key] for key in compared} == {key: recorded["digests"][key] for key in compared}
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps({"seed": SEED, "environment": _environment(),
+                                   "digests": report_digests(importlib.import_module("jobs"))},
+                                  indent=2, sort_keys=True) + "\n")
