@@ -228,11 +228,14 @@ def _cmd_weights(c: dict, rng):
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
     diagonals = [shiftops.hyponormality_diagonal(P, m, j, window, weights=wt) for j in range(P.n)]
-    entries = [{"alpha": list(alpha), "j": j + 1,
-                "omega": math.sqrt(float(wt.mult_weight_sq(j, alpha))),
-                "sigma": math.sqrt(float(wt.shift_weight_sq(j, alpha))),
-                "hypo_diag": format_rational(diagonals[j][alpha])}
-               for alpha in window.cells for j in range(P.n)]
+    try:
+        entries = [{"alpha": list(alpha), "j": j + 1,
+                    "omega": math.sqrt(float(wt.mult_weight_sq(j, alpha))),
+                    "sigma": math.sqrt(float(wt.shift_weight_sq(j, alpha))),
+                    "hypo_diag": format_rational(diagonals[j][alpha])}
+                   for alpha in window.cells for j in range(P.n)]
+    except OverflowError:  # float() of an exact squared weight
+        raise MalformedInput("a squared weight omega^2 or sigma^2 is beyond the float range") from None
     header = [f"alpha_{i + 1}" for i in range(P.n)] + ["j", "omega", "sigma", "hypo_diag"]
     rows = [[*e["alpha"], e["j"], e["omega"], e["sigma"], e["hypo_diag"]] for e in entries]
     return None, {"window": list(window.bounds), "weights": entries}, (header, rows)
@@ -276,8 +279,9 @@ def _cmd_dettrace(c: dict, rng):
           N=_int(1, default=400))
 def _cmd_radius(c: dict, rng):
     P = c["poly_tuple"]
+    radii = geometry.polydisc_radii(P)  # first: it rejects the a_j whose norm bound has no float
     rep = shiftops.spectral_radius_estimate(P, c["m"], c["j"] - 1, c["K"], c["N"])
-    return None, {"j": c["j"], "polydisc_radii": geometry.polydisc_radii(P), "estimate": rep.estimate,
+    return None, {"j": c["j"], "polydisc_radii": radii, "estimate": rep.estimate,
                   "norm_bound": rep.norm_bound, "approximants_tail": rep.approximants[-10:]}, None
 
 
@@ -372,13 +376,29 @@ def run(config: dict, seed: int = 0, fmt: str = "json") -> tuple[int, str]:
         csv.writer(buf, lineterminator="\n").writerows([table[0], *table[1]])
         rendered = buf.getvalue()
     else:
-        rendered = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        rendered = _render(report)
     return (0 if verdict in (None, True) else 1), rendered
 
 
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode  # compact, in C
+
+
+def _render(report: dict) -> str:
+    """A non-empty report as strict JSON with sorted keys: one line per top-level
+    key and, for a non-empty list value, one compact line per element.  A report
+    of scalars and lists of scalars renders as with indent=2."""
+    lines = []
+    for key, value in sorted(report.items()):
+        if isinstance(value, list) and value:
+            elements = ",\n    ".join(map(_encode, value))
+            lines.append(f"  {_encode(key)}: [\n    {elements}\n  ]")
+        else:
+            lines.append(f"  {_encode(key)}: {_encode(value)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def _error(name: str, message: str) -> str:
-    return json.dumps({"error": name, "message": message}, sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    return _render({"error": name, "message": message})
 
 
 def main(argv: Sequence[str] | None = None) -> int:

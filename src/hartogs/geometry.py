@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import WrongDimension, ZeroCoordinate
+from .errors import MalformedInput, WrongDimension, ZeroCoordinate
 from .polytuple import MultiIndex, PolyTuple, poly_eval, tilde_restrictions
 
 Point = tuple[complex, ...]
@@ -84,14 +84,20 @@ def polydisc_radii(P: PolyTuple) -> list[float]:
 
     The restriction has nonnegative coefficients and a positive linear one, so
     it is strictly increasing on [0, oo) and the root is found by bisection.
+    A coefficient beyond the float range raises MalformedInput.
     """
     radii = []
     for j, g in enumerate(tilde_restrictions(P)):
         g = {(k,): c for k, c in g.items()}  # a one-variable term map
-        a_j = float(P.linear_coefficient(j))
-        hi = max(1.0, 1.0 / a_j)
-        while poly_eval(g, (hi,)) < 1.0:
-            hi *= 2.0
+        try:
+            hi = max(1.0, 1.0 / float(P.linear_coefficient(j)))
+            while poly_eval(g, (hi,)) < 1.0:
+                hi *= 2.0
+        except (OverflowError, ZeroDivisionError):  # float(c) or 1/a_j beyond the float range
+            hi = math.inf
+        if hi == math.inf:  # also 1/a_j for a subnormal a_j, where the bisection would not end
+            raise MalformedInput(f"a coefficient of P_{j + 1}, or the reciprocal of its linear "
+                                 f"coefficient a_{j + 1}, is beyond the float range")
         lo = 0.0
         while hi - lo > _BISECTION_TOL:
             mid = 0.5 * (lo + hi)

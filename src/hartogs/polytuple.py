@@ -143,8 +143,7 @@ def parse_rational(value: object, where: str = "coeff") -> Fraction:
     raise MalformedInput(f"{where}: rational must be an integer or 'p/q' string, got {value!r:.80}")
 
 
-def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
+def format_rational(value: Fraction | int) -> str:
     try:
         if value.denominator == 1:
             return str(value.numerator)

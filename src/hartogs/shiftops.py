@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coeff import _axis_scaled, _check_m, coeff_function
-from .errors import EmptyWindow, NotAdmissible, WindowTooSmall, WrongDimension
+from .errors import EmptyWindow, MalformedInput, NotAdmissible, WindowTooSmall, WrongDimension
 from .polytuple import (
     MultiIndex,
     PolyTuple,
@@ -328,7 +328,8 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
     the box [0,K]^2 telescopes to a_1(K) * a_2(K)^2.  The trace itself is the
     limit (lim a_1) * (lim a_2)^2 and is not computed: the ``limit_trace`` field
     is float(a_1(K)) * float(a_2(K))^2, the partial trace again in floats (equal
-    to it up to rounding), not an extrapolation.
+    to it up to rounding), not an extrapolation; beyond the float range it
+    raises MalformedInput.
 
     The axis tables stay scaled integers B_j(k) = d_j^k A_j(k), never reduced
     to Fractions: a_j(k) = d_j B_j(k)/B_j(k+1), so a_j(k) <= a_j(k+1) exactly
@@ -355,12 +356,18 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
         diagonal[alpha] = d1 * (a2[alpha[1]] ** 2 - prev2)
 
     partial = a1[K] * a2[K] ** 2
+    try:
+        limit_trace = float(a1[K]) * float(a2[K]) ** 2
+    except OverflowError:  # a ratio a_j(K) or its square
+        limit_trace = math.inf
+    if limit_trace == math.inf:
+        raise MalformedInput(f"the partial trace a_1(K) a_2(K)^2 at K={K} is beyond the float range")
     return DetTraceReport(
         increasing=increasing,
         positive=all(increasing),
         diagonal=diagonal,
         partial_trace=partial,
-        limit_trace=float(a1[K]) * float(a2[K]) ** 2,
+        limit_trace=limit_trace,
         axes=axes,
     )
 

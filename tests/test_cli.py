@@ -351,6 +351,82 @@ def test_second_routes_pass_on_the_smallest_job_of_each_command(monkeypatch):
         checks.check(job, code, rendered)
 
 
+def _indent_2(report):
+    """The rendering of every JSON body before the line layout."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _lines(rendered):
+    """The report read line by line: each line is a brace, a top-level key or one list element."""
+    lines = rendered.splitlines()
+    assert rendered.endswith("\n") and lines[0] == "{" and lines[-1] == "}"
+    report, in_list = {}, None
+    for i, line in enumerate(lines[1:-1], start=1):
+        last = lines[i + 1].removesuffix(",") in ("}", "  ]")
+        assert line.endswith(",") != last or line.endswith("[")
+        body = line.removesuffix(",")
+        if in_list is not None and body == "  ]":
+            in_list = None
+        elif in_list is not None:
+            assert body.startswith("    ") and not body[4].isspace()
+            report[in_list].append(json.loads(body))
+        else:
+            key, value = body.split(": ", 1)
+            assert key.startswith('  "') and not key[3].isspace()
+            key = json.loads(key)
+            report[key] = [] if value == "[" else json.loads(value)
+            in_list = key if value == "[" else None
+    assert in_list is None
+    return report
+
+
+def _scalars_only(report):
+    return all(type(v) is not dict and (type(v) is not list or all(type(x) not in (list, dict) for x in v))
+               for v in report.values())
+
+
+def test_report_layout_on_the_smallest_job_of_each_command(monkeypatch):
+    # Every JSON body has one line per top-level key and one compact line per
+    # element of a list value; reports of scalars and lists of scalars keep
+    # the bytes they had with indent=2.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    jobs = importlib.import_module("jobs")
+    rendered_reports, render = [], cli._render
+
+    def recording(report):
+        rendered_reports.append((report, render(report)))
+        return rendered_reports[-1][1]
+
+    monkeypatch.setattr(cli, "_render", recording)
+    outputs = [cli.run(job.config, seed=seed)[1]
+               for seed, job in enumerate(jobs.smallest_of_each(random.Random("smallest:1"), ()))]
+    assert [rendered for _, rendered in rendered_reports] == outputs
+    assert sorted(report["command"] for report, _ in rendered_reports) == sorted(cli._COMMANDS)
+    for report, rendered in rendered_reports:
+        assert json.loads(rendered) == report
+        by_lines = _lines(rendered)
+        assert by_lines == report and list(by_lines) == sorted(report)
+        assert (rendered == _indent_2(report)) == _scalars_only(report)
+    assert {_scalars_only(report) for report, _ in rendered_reports} == {True, False}
+
+
+@pytest.mark.parametrize("report", [{"command": "x", "value": float("nan")},
+                                    {"command": "x", "values": [1.0, float("inf")]},
+                                    {"command": "x", "rows": [{"value": -float("inf")}]},
+                                    {"command": "x", "table": {"nested": [float("nan")]}}],
+                         ids=["scalar", "list", "list-element", "dict"])
+def test_render_rejects_nan_and_infinity(report):
+    with pytest.raises(ValueError):
+        cli._render(report)
+
+
+@pytest.mark.parametrize("message", ['value "1/0" is not a rational',
+                                     "the weight ω₁(α) ≥ 10⁴⁰⁰ is beyond the float range",
+                                     "tab\there, back\\slash, newline\n and \u0000 too"])
+def test_error_body_bytes_as_with_indent_2(message):
+    assert cli._error("InvalidConfig", message) == _indent_2({"error": "InvalidConfig", "message": message})
+
+
 AXIS_JOBS = [
     {"command": "radius", "poly_tuple": SCALED, "m": [2, 1], "j": 1, "K": 20, "N": 300},
     {"command": "dettrace", "poly_tuple": SCALED, "m": [2, 3], "K": 150},
@@ -383,6 +459,10 @@ def test_axis_commands_never_reduce_a_whole_table(monkeypatch, config):
     assert expected[0] == 0
     assert cli.run(config) == expected
 
+
+# (a z_1, z_2) for a linear coefficient a, or a weight of M_z, beyond the float range
+TINY, SUBNORMAL, HUGE = (serialize(from_polys([{(1, 0): a}, {(0, 1): 1}]))
+                         for a in (F(1, 10 ** 400), F(1, 10 ** 320), F(10 ** 400)))
 
 PICK = {"command": "pick-verify", "points": [[[0, 0], [0.5, 0]]], "targets": [[0, 0]],
         "a1": [[[0, 0]]], "a2": [[[4 / 3, 0]]]}
@@ -439,6 +519,14 @@ PROBES = {
     "quadrature-radial-nodes-0": {"command": "quadrature", "radial_nodes": 0},
     "probes-theta-trials-string": {"command": "probes", "poly_tuple": P1, "m": [1, 1],
                                    "window": [2, 2], "theta_trials": "3"},
+    "validate-linear-tiny": {"command": "validate", "poly_tuple": TINY},
+    "validate-linear-huge": {"command": "validate", "poly_tuple": HUGE},
+    # 1/a_1 overflows to inf, where the radius bisection never ended
+    "validate-linear-subnormal": {"command": "validate", "poly_tuple": SUBNORMAL},
+    "radius-linear-tiny": {"command": "radius", "poly_tuple": TINY, "m": [1, 1]},
+    "radius-linear-huge": {"command": "radius", "poly_tuple": HUGE, "m": [1, 1]},
+    "weights-linear-tiny": {"command": "weights", "poly_tuple": TINY, "m": [1, 1], "window": [2, 2]},
+    "dettrace-linear-tiny": {"command": "dettrace", "poly_tuple": TINY, "m": [1, 1], "K": 3},
     # no noncommuting witness fits in these windows
     "probes-window-0-0": {"command": "probes", "poly_tuple": P1, "m": [1, 1], "window": [0, 0]},
     "probes-window-1-0": {"command": "probes", "poly_tuple": P1, "m": [1, 1], "window": [1, 0]},

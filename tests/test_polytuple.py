@@ -174,5 +174,13 @@ def test_parse_rational_accepts_only_integers_and_p_over_q():
 
 def test_format_rational_too_long_raises_result_too_large():
     assert format_rational(F(-3, 4)) == "-3/4"
-    with pytest.raises(ResultTooLarge, match=f"{sys.get_int_max_str_digits()} digits"):
-        format_rational(F(10 ** 5000))
+    for value in (F(10 ** 5000), 10 ** 5000, F(1, 10 ** 5000)):
+        with pytest.raises(ResultTooLarge, match=f"{sys.get_int_max_str_digits()} digits"):
+            format_rational(value)
+
+
+def test_format_rational_ints_and_fractions():
+    # An int and a Fraction of the same value print alike: p, or p/q in lowest terms.
+    cases = [(0, "0"), (7, "7"), (-12, "-12"), (10 ** 30, "1" + "0" * 30), (F(0), "0"), (F(6, 2), "3"),
+             (F(-3, 4), "-3/4"), (F(4, -6), "-2/3"), (F(1, 10 ** 20), "1/1" + "0" * 20)]
+    assert [(value, format_rational(value)) for value, _ in cases] == cases

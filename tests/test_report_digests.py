@@ -1,8 +1,11 @@
-"""Byte-identity of the CLI reports on the benchmark's seed-1 jobs.
+"""Byte-identity and value-identity of the CLI reports on the benchmark's seed-1 jobs.
 
-tests/data/report_digests.json holds one SHA-256 per workload and
-sub-command, over the (exit code, rendered report) of each of its jobs in job
-order.  A change that alters any report byte changes a digest.  The exact
+tests/data/report_digests.json holds two SHA-256 per workload and
+sub-command, over the exit code and report of each of its jobs in job order:
+a byte digest over the rendered report, and a value digest over its canonical
+parsed value (``json.dumps(json.loads(report), sort_keys=True)`` for JSON, the
+text itself for CSV).  A change that alters any report byte changes a byte
+digest; a change of layout alone leaves the value digests as they are.  The exact
 commands use only exact or correctly rounded arithmetic, so their digests are
 compared on every platform.  The other commands go through libm or LAPACK,
 whose last bits may differ between builds, so their digests are compared only
@@ -36,31 +39,39 @@ def _environment() -> dict:
             "machine": platform.machine()}
 
 
-def report_digests(jobs) -> dict[str, str]:
-    """'workload/command' -> SHA-256 over the (code, rendered) of its seed-1 jobs."""
-    hashers: dict[str, hashlib._Hash] = {}
+def _value(rendered: str, fmt: str) -> str:
+    return json.dumps(json.loads(rendered), sort_keys=True) if fmt == "json" else rendered
+
+
+def report_digests(jobs) -> dict[str, dict[str, str]]:
+    """'digests' and 'value_digests': 'workload/command' -> SHA-256 over the
+    (code, rendered) and over the (code, canonical value) of its seed-1 jobs."""
+    hashers: dict[str, dict[str, hashlib._Hash]] = {"digests": {}, "value_digests": {}}
     for workload in WORKLOADS:
         for job in jobs.generate(workload, SEED):
             code, rendered = cli.run(job.config, seed=job.seed, fmt=job.fmt)
             key = f"{workload}/{job.config['command']}"
-            hashers.setdefault(key, hashlib.sha256()).update(f"{code}\0{rendered}\0".encode())
-    return {key: h.hexdigest() for key, h in sorted(hashers.items())}
+            for kind, text in (("digests", rendered), ("value_digests", _value(rendered, job.fmt))):
+                hashers[kind].setdefault(key, hashlib.sha256()).update(f"{code}\0{text}\0".encode())
+    return {kind: {key: h.hexdigest() for key, h in sorted(by_key.items())}
+            for kind, by_key in hashers.items()}
 
 
 def test_reports_match_recorded_digests(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     recorded = json.loads(DIGESTS.read_text())
-    digests = report_digests(importlib.import_module("jobs"))
-    assert sorted(digests) == sorted(recorded["digests"])
+    computed = report_digests(importlib.import_module("jobs"))
     same_platform = recorded["environment"] == _environment()
-    compared = [key for key in digests if same_platform or key.split("/")[1] in EXACT_COMMANDS]
-    assert any(key.split("/")[1] in EXACT_COMMANDS for key in compared)
-    assert {key: digests[key] for key in compared} == {key: recorded["digests"][key] for key in compared}
+    for kind, digests in computed.items():
+        assert sorted(digests) == sorted(recorded[kind])
+        compared = [key for key in digests if same_platform or key.split("/")[1] in EXACT_COMMANDS]
+        assert any(key.split("/")[1] in EXACT_COMMANDS for key in compared)
+        assert {key: digests[key] for key in compared} == {key: recorded[kind][key] for key in compared}
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "perfbench"))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps({"seed": SEED, "environment": _environment(),
-                                   "digests": report_digests(importlib.import_module("jobs"))},
+                                   **report_digests(importlib.import_module("jobs"))},
                                   indent=2, sort_keys=True) + "\n")
