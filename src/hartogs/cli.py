@@ -24,7 +24,8 @@ from typing import Sequence
 from . import geometry, hereditary, kernel, shiftops, subnormality
 from .coeff import coeff_function
 from .errors import HartogsError, InvalidConfig, MalformedInput, UnknownCommand
-from .polytuple import admissibility_degree, box, format_rational, parse_and_validate, parse_rational
+from .polytuple import (_to_float, admissibility_degree, box, format_rational, parse_and_validate,
+                        parse_rational)
 
 CSV_COMMANDS = {"coeffs", "kernel", "weights", "domain", "quadrature"}
 
@@ -228,14 +229,11 @@ def _cmd_weights(c: dict, rng):
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
     diagonals = [shiftops.hyponormality_diagonal(P, m, j, window, weights=wt) for j in range(P.n)]
-    try:
-        entries = [{"alpha": list(alpha), "j": j + 1,
-                    "omega": math.sqrt(float(wt.mult_weight_sq(j, alpha))),
-                    "sigma": math.sqrt(float(wt.shift_weight_sq(j, alpha))),
-                    "hypo_diag": format_rational(diagonals[j][alpha])}
-                   for alpha in window.cells for j in range(P.n)]
-    except OverflowError:  # float() of an exact squared weight
-        raise MalformedInput("a squared weight omega^2 or sigma^2 is beyond the float range") from None
+    entries = [{"alpha": list(alpha), "j": j + 1,
+                "omega": math.sqrt(_to_float(wt.mult_weight_sq(j, alpha), "a squared weight omega^2")),
+                "sigma": math.sqrt(_to_float(wt.shift_weight_sq(j, alpha), "a squared weight sigma^2")),
+                "hypo_diag": format_rational(diagonals[j][alpha])}
+               for alpha in window.cells for j in range(P.n)]
     header = [f"alpha_{i + 1}" for i in range(P.n)] + ["j", "omega", "sigma", "hypo_diag"]
     rows = [[*e["alpha"], e["j"], e["omega"], e["sigma"], e["hypo_diag"]] for e in entries]
     return None, {"window": list(window.bounds), "weights": entries}, (header, rows)
@@ -269,7 +267,8 @@ def _cmd_dettrace(c: dict, rng):
     rep = shiftops.det_commutator_and_trace(c["poly_tuple"], c["m"], c["K"])
     report = {"K": c["K"], "increasing": list(rep.increasing), "positive": rep.positive,
               "partial_trace": format_rational(rep.partial_trace),
-              "partial_trace_float": float(rep.partial_trace), "limit_trace": rep.limit_trace,
+              "partial_trace_float": _to_float(rep.partial_trace, "the partial trace"),
+              "limit_trace": rep.limit_trace,
               "diagonal": [{"alpha": list(a), "value": format_rational(v)}
                            for a, v in sorted(rep.diagonal.items())]}
     return None, report, None
@@ -279,7 +278,7 @@ def _cmd_dettrace(c: dict, rng):
           N=_int(1, default=400))
 def _cmd_radius(c: dict, rng):
     P = c["poly_tuple"]
-    radii = geometry.polydisc_radii(P)  # first: it rejects the a_j whose norm bound has no float
+    radii = geometry.polydisc_radii(P)
     rep = shiftops.spectral_radius_estimate(P, c["m"], c["j"] - 1, c["K"], c["N"])
     return None, {"j": c["j"], "polydisc_radii": radii, "estimate": rep.estimate,
                   "norm_bound": rep.norm_bound, "approximants_tail": rep.approximants[-10:]}, None

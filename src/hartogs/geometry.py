@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import MalformedInput, WrongDimension, ZeroCoordinate
-from .polytuple import MultiIndex, PolyTuple, poly_eval, tilde_restrictions
+from .polytuple import MultiIndex, PolyTuple, _to_float, poly_eval, tilde_restrictions
 
 Point = tuple[complex, ...]
 
@@ -67,7 +67,7 @@ def triangle_contains(P: PolyTuple, p: Sequence[complex]) -> bool:
     try:
         u = _squared_quotient_moduli(p)
         return u is not None and all(poly_eval(poly, u) < 1.0 for poly in P.polys)
-    except OverflowError:  # a modulus or a term beyond the float range: p is far outside
+    except OverflowError:  # a modulus or a power of one beyond the float range: p is far outside
         return False
 
 
@@ -75,35 +75,36 @@ def q_ball_contains(q: Mapping[MultiIndex, Fraction], p: Sequence[complex]) -> b
     """Strict membership |Q(p diamond conj(p))| < 1."""
     try:
         return abs(poly_eval(q, [abs(complex(z)) ** 2 for z in p])) < 1.0
-    except OverflowError:  # a modulus or a term beyond the float range: p is far outside
+    except OverflowError:  # a modulus or a power of one beyond the float range: p is far outside
         return False
 
 
 def polydisc_radii(P: PolyTuple) -> list[float]:
     """Radii r_j with r_j^2 the unique positive root of (restriction of P_j)(t) = 1.
 
-    The restriction has nonnegative coefficients and a positive linear one, so
-    it is strictly increasing on [0, oo) and the root is found by bisection.
-    A coefficient beyond the float range raises MalformedInput.
+    The restriction has nonnegative coefficients and a positive linear one a_j, so
+    it is increasing on [0, oo), and bisection finds the root below max(1, 1/a_j).
+    A coefficient, or that bracket or a power of it, beyond the float range raises MalformedInput.
     """
     radii = []
     for j, g in enumerate(tilde_restrictions(P)):
         g = {(k,): c for k, c in g.items()}  # a one-variable term map
+        hi = max(1.0, 1.0 / _to_float(P.linear_coefficient(j), f"the linear coefficient a_{j + 1}"))
         try:
-            hi = max(1.0, 1.0 / float(P.linear_coefficient(j)))
             while poly_eval(g, (hi,)) < 1.0:
                 hi *= 2.0
-        except (OverflowError, ZeroDivisionError):  # float(c) or 1/a_j beyond the float range
+        except OverflowError:  # a power of the point hi
             hi = math.inf
-        if hi == math.inf:  # also 1/a_j for a subnormal a_j, where the bisection would not end
-            raise MalformedInput(f"a coefficient of P_{j + 1}, or the reciprocal of its linear "
-                                 f"coefficient a_{j + 1}, is beyond the float range")
+        if hi == math.inf:  # also 1/a_j for a subnormal a_j: the bisection would not end
+            raise MalformedInput(f"the bisection bracket for r_{j + 1}^2 is beyond the float range")
         lo = 0.0
         while hi - lo > _BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi  # as 0.5 * (lo + hi), where lo + hi does not overflow
+            if not lo < mid < hi:  # adjacent floats, further apart than the tolerance
+                break
             if poly_eval(g, (mid,)) < 1.0:
                 lo = mid
             else:
                 hi = mid
-        radii.append(math.sqrt(0.5 * (lo + hi)))
+        radii.append(math.sqrt(0.5 * lo + 0.5 * hi))
     return radii

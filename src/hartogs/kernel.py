@@ -23,7 +23,7 @@ import numpy as np
 from .coeff import CoeffTable, coeff_function, hartogs_coeff_closed
 from .errors import InvalidMultiplicity, OutsideDomain, WindowTooSmall, ZeroCoordinate
 from .geometry import forward, triangle_contains
-from .polytuple import MultiIndex, PolyTuple, box, hartogs_tuple, poly_eval
+from .polytuple import MultiIndex, PolyTuple, _to_float, box, hartogs_tuple, poly_eval
 
 
 @dataclass(frozen=True)
@@ -46,20 +46,21 @@ def make_context(P: PolyTuple, m: Sequence[int], bounds: MultiIndex) -> KernelCo
     return KernelContext(P=P, m=tuple(m), table=coeff_function(P, m, bounds))
 
 
-def _hadamard_phi(z: Sequence[complex], w: Sequence[complex]) -> tuple[complex, ...]:
-    pz, pw = forward(z), forward(w)
-    return tuple(a * b.conjugate() for a, b in zip(pz, pw))
+def _hadamard_phi(ctx: KernelContext, z: Sequence[complex], w: Sequence[complex]):
+    """u = phi(z) diamond conj(phi(w)) and the prefactor prod_{j>=2} 1/(z_j conj(w_j))
+    of the kernel; both points must lie in the triangle."""
+    for point in (z, w):
+        if not triangle_contains(ctx.P, point):
+            raise OutsideDomain(f"point {tuple(point)} outside the triangle")
+    prefactor = 1 + 0j
+    for j in range(1, ctx.P.n):
+        prefactor /= complex(z[j]) * complex(w[j]).conjugate()
+    return tuple(a * b.conjugate() for a, b in zip(forward(z), forward(w))), prefactor
 
 
 def kernel_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[complex]) -> complex:
     """Closed-form kernel value; both points must lie in the triangle."""
-    for point in (z, w):
-        if not triangle_contains(ctx.P, point):
-            raise OutsideDomain(f"point {tuple(point)} outside the triangle")
-    u = _hadamard_phi(z, w)
-    value = 1 + 0j
-    for j in range(1, ctx.P.n):
-        value /= complex(z[j]) * complex(w[j]).conjugate()
+    u, value = _hadamard_phi(ctx, z, w)
     for j, poly in enumerate(ctx.P.polys):
         value /= (1 - poly_eval(poly, u)) ** ctx.m[j]
     return value
@@ -69,25 +70,21 @@ def kernel_series_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[com
     """Partial sum of the basis expansion over total degree <= cutoff."""
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    for point in (z, w):
-        if not triangle_contains(ctx.P, point):
-            raise OutsideDomain(f"point {tuple(point)} outside the triangle")
+    u, prefactor = _hadamard_phi(ctx, z, w)
     if any(cutoff > b for b in ctx.bounds):
         raise WindowTooSmall(f"cutoff {cutoff} exceeds table bounds {ctx.bounds}")
-    u = _hadamard_phi(z, w)
     n = ctx.P.n
     powers = [[1 + 0j] for _ in range(n)]
     for j in range(n):
         for _ in range(cutoff):
             powers[j].append(powers[j][-1] * u[j])
-    prefactor = 1 + 0j
-    for j in range(1, n):
-        prefactor /= complex(z[j]) * complex(w[j]).conjugate()
     total = 0j
     for alpha in (alpha for alpha in box((cutoff,) * n) if sum(alpha) <= cutoff):
         a = ctx.table.value(alpha)
         if a:
-            total += float(a) * math.prod(powers[j][alpha[j]] for j in range(n))
+            # an A(alpha) < 1 that rounds to 0.0 lies below the resolution of the sum
+            x = float(a) if a.numerator < a.denominator else _to_float(a, "a coefficient A(alpha)")
+            total += x * math.prod(powers[j][alpha[j]] for j in range(n))
     return prefactor * total
 
 
@@ -99,7 +96,7 @@ def basis_eval(ctx: KernelContext, alpha: MultiIndex, z: Sequence[complex]) -> c
         if z[j] == 0:
             raise ZeroCoordinate(f"coordinate {j + 1} is zero")
     phi = forward(z)
-    value = math.sqrt(float(ctx.table.value(alpha))) + 0j
+    value = math.sqrt(_to_float(ctx.table.value(alpha), f"the coefficient A{alpha}")) + 0j
     for j in range(n):
         if alpha[j]:
             value *= phi[j] ** alpha[j]
@@ -185,7 +182,7 @@ def bergman_norm_check(m: Sequence[int], alpha: MultiIndex, radial_nodes: int = 
         raise InvalidMultiplicity(f"all m_j must be >= 2, got {m}")
     if len(alpha) != len(m):
         raise ValueError("alpha and m must have the same length")
-    value = float(hartogs_coeff_closed(m, alpha))
+    value = _to_float(hartogs_coeff_closed(m, alpha), f"the coefficient A{alpha}")
     for mj, aj in zip(m, alpha):
         integral = disc_integral(lambda u: u ** aj * (1.0 - u) ** (mj - 2),
                                  radial_nodes=radial_nodes)

@@ -6,7 +6,7 @@ positive rational coefficients (zero terms are never stored).  A tuple
 each ``P_j`` carries a strictly positive coefficient ``a_j`` on ``z_j``;
 ``PolyTuple`` checks this when it is constructed, so every ``PolyTuple`` is
 valid.  ``poly_eval`` is the one evaluator and ``poly_mul`` the one product of
-term maps.  All arithmetic is exact.
+term maps.  All arithmetic is exact; ``_to_float`` is the one way to a float.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def poly_eval(p: Mapping[MultiIndex, Fraction], point: Iterable[complex]) -> com
         for z, k in zip(pt, alpha):
             if k:
                 mono *= z ** k
-        total += coeff * mono if isinstance(mono, Fraction) else float(coeff) * mono
+        total += coeff * mono if isinstance(mono, Fraction) else _to_float(coeff, "a coefficient") * mono
     return total
 
 
@@ -153,6 +153,17 @@ def format_rational(value: Fraction | int) -> str:
                              "the limit of Python's int-to-string conversion") from None
 
 
+def _to_float(value: Fraction | int, what: str) -> float:
+    """float(value), or MalformedInput when no float stands for value: it is
+    beyond the float range, or nonzero and rounds to 0.0."""
+    try:
+        if (x := float(value)) or not value:
+            return x
+    except OverflowError:
+        pass
+    raise MalformedInput(f"{what} has no float value")
+
+
 # --- the tuple itself ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -173,6 +184,8 @@ class PolyTuple:
         zero = (0,) * n
         for j, p in enumerate(self.polys):
             for alpha, coeff in p.items():
+                if type(coeff) not in (int, Fraction):
+                    raise MalformedInput(f"polys[{j}] term {alpha}: {coeff!r} is not an int or a Fraction")
                 if len(alpha) != n or not is_nonnegative(alpha):
                     raise MalformedInput(f"polys[{j}]: bad exponent {alpha}")
                 if coeff < 0:

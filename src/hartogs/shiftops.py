@@ -4,7 +4,7 @@ Multiplication by z_j moves the basis cell alpha to alpha + (0..0,1,..,1)
 (ones from slot j on) with weight sqrt(A(alpha)/A(alpha + increment)); the
 single-step shifts use the unit increment instead, and multiplication
 factors exactly into the product of the single steps.  All weights are
-carried as exact rational squares; floats appear only at matrix assembly.
+carried as exact rational squares, made floats only by ``polytuple._to_float``.
 
 Every exact weight over a window is a quotient of one coefficient table and
 is divided out once, when the weight table is built.  Truncation semantics:
@@ -30,6 +30,7 @@ from .polytuple import (
     MultiIndex,
     PolyTuple,
     _offset,
+    _to_float,
     add_index,
     admissibility_degree,
     box,
@@ -107,11 +108,11 @@ class WeightTable:
         """Truncated matrix of multiplication by z_j over the window enumeration;
         a column whose image leaves the window is zero.  Its transpose is the
         adjoint matrix, entry for entry."""
-        window, tail = self.window, self._tails[j]
+        window, tail, sq = self.window, self._tails[j], self.mult_sq[j]
         out = np.zeros((window.size, window.size))
         for col, alpha in enumerate(window.cells):
             if window.interior(alpha, tail):
-                out[window.offset(add_index(alpha, tail)), col] = math.sqrt(float(self.mult_sq[j][alpha]))
+                out[window.offset(add_index(alpha, tail)), col] = math.sqrt(_to_float(sq[alpha], "a weight"))
         return out
 
 
@@ -159,13 +160,10 @@ def norm_bounds(P: PolyTuple, m: Sequence[int], j: int) -> NormBounds:
     lower_sq = None
     if admissibility_degree(P).at_least(P.n):
         lower_sq = upper_sq / math.prod(m[j:], start=Fraction(1))
-    return NormBounds(
-        upper=math.sqrt(float(upper_sq)),
-        upper_sq=upper_sq,
-        lower=None if lower_sq is None else math.sqrt(float(lower_sq)),
-        lower_sq=lower_sq,
-        exact=lower_sq == upper_sq,
-    )
+    upper = math.sqrt(_to_float(upper_sq, "the squared upper bound"))
+    lower = None if lower_sq is None else math.sqrt(_to_float(lower_sq, "the squared lower bound"))
+    return NormBounds(upper=upper, upper_sq=upper_sq, lower=lower, lower_sq=lower_sq,
+                      exact=lower_sq == upper_sq)
 
 
 # --- commutation and factorization probes ---------------------------------------
@@ -328,8 +326,8 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
     the box [0,K]^2 telescopes to a_1(K) * a_2(K)^2.  The trace itself is the
     limit (lim a_1) * (lim a_2)^2 and is not computed: the ``limit_trace`` field
     is float(a_1(K)) * float(a_2(K))^2, the partial trace again in floats (equal
-    to it up to rounding), not an extrapolation; beyond the float range it
-    raises MalformedInput.
+    to it up to rounding), not an extrapolation; an a_j(K) without a float
+    value, or a product beyond the float range, raises MalformedInput.
 
     The axis tables stay scaled integers B_j(k) = d_j^k A_j(k), never reduced
     to Fractions: a_j(k) = d_j B_j(k)/B_j(k+1), so a_j(k) <= a_j(k+1) exactly
@@ -357,19 +355,13 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
 
     partial = a1[K] * a2[K] ** 2
     try:
-        limit_trace = float(a1[K]) * float(a2[K]) ** 2
-    except OverflowError:  # a ratio a_j(K) or its square
+        limit_trace = _to_float(a1[K], f"a_1({K})") * _to_float(a2[K], f"a_2({K})") ** 2
+    except OverflowError:  # the float square
         limit_trace = math.inf
-    if limit_trace == math.inf:
-        raise MalformedInput(f"the partial trace a_1(K) a_2(K)^2 at K={K} is beyond the float range")
-    return DetTraceReport(
-        increasing=increasing,
-        positive=all(increasing),
-        diagonal=diagonal,
-        partial_trace=partial,
-        limit_trace=limit_trace,
-        axes=axes,
-    )
+    if limit_trace == math.inf:  # or the float product
+        raise MalformedInput(f"the float product a_1(K) a_2(K)^2 at K={K} is beyond the float range")
+    return DetTraceReport(increasing=increasing, positive=all(increasing), diagonal=diagonal,
+                          partial_trace=partial, limit_trace=limit_trace, axes=axes)
 
 
 def det_diagonal_sum(report: DetTraceReport, K: int) -> Fraction:
@@ -411,6 +403,7 @@ def spectral_radius_estimate(P: PolyTuple, m: Sequence[int], j: int,
         raise ValueError(f"need K >= 0 and N >= 1, got K={K}, N={N}")
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("spectral radius formula needs each P_j to depend on z_j alone")
+    norm_bound = 1.0 / math.sqrt(_to_float(P.linear_coefficient(j), f"the linear coefficient a_{j + 1}"))
     scaled, d = _axis_scaled(P, m, j, K + N)
     log_d = math.log(d)
     logs = np.array([math.log(b) - k * log_d for k, b in enumerate(scaled)])
@@ -420,11 +413,7 @@ def spectral_radius_estimate(P: PolyTuple, m: Sequence[int], j: int,
         np.subtract(logs[k], logs[k + 1:k + N + 1], out=step)
         np.maximum(best, step, out=best)
     approximants = [math.exp(b / (2 * nn)) for nn, b in enumerate(best.tolist(), start=1)]
-    return SpectralRadiusReport(
-        approximants=approximants,
-        estimate=approximants[-1],
-        norm_bound=1.0 / math.sqrt(float(P.linear_coefficient(j))),
-    )
+    return SpectralRadiusReport(approximants=approximants, estimate=approximants[-1], norm_bound=norm_bound)
 
 
 # --- polydisc intertwining ---------------------------------------------------------
@@ -487,7 +476,7 @@ def circularity_check(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
         for alpha in window.cells:
             if not window.interior(alpha, tail):
                 continue
-            w = math.sqrt(float(wt.mult_weight_sq(j, alpha)))
+            w = math.sqrt(_to_float(wt.mult_weight_sq(j, alpha), "a squared weight"))
             conjugated = phase[alpha] * phase[add_index(alpha, tail)].conjugate() * w
             deviation = max(deviation, abs(conjugated - rotation * w))
     return deviation

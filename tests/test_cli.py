@@ -463,6 +463,7 @@ def test_axis_commands_never_reduce_a_whole_table(monkeypatch, config):
 # (a z_1, z_2) for a linear coefficient a, or a weight of M_z, beyond the float range
 TINY, SUBNORMAL, HUGE = (serialize(from_polys([{(1, 0): a}, {(0, 1): 1}]))
                          for a in (F(1, 10 ** 400), F(1, 10 ** 320), F(10 ** 400)))
+MILLION = serialize(from_polys([{(1, 0): 10 ** 6}, {(0, 1): 1}]))  # A(60, 0) = 10^360
 
 PICK = {"command": "pick-verify", "points": [[[0, 0], [0.5, 0]]], "targets": [[0, 0]],
         "a1": [[[0, 0]]], "a2": [[[4 / 3, 0]]]}
@@ -527,6 +528,17 @@ PROBES = {
     "radius-linear-huge": {"command": "radius", "poly_tuple": HUGE, "m": [1, 1]},
     "weights-linear-tiny": {"command": "weights", "poly_tuple": TINY, "m": [1, 1], "window": [2, 2]},
     "dettrace-linear-tiny": {"command": "dettrace", "poly_tuple": TINY, "m": [1, 1], "K": 3},
+    # a weight, a coefficient of P or a coefficient A(alpha) without a float value
+    # exited 3 or was read as 0.0, and a point was called outside for it
+    "probes-linear-tiny": {"command": "probes", "poly_tuple": TINY, "m": [1, 1], "window": [2, 2]},
+    "probes-linear-huge": {"command": "probes", "poly_tuple": HUGE, "m": [1, 1], "window": [2, 2]},
+    "weights-linear-huge": {"command": "weights", "poly_tuple": HUGE, "m": [1, 1], "window": [1, 1]},
+    "domain-linear-huge": {"command": "domain", "poly_tuple": HUGE, "points": [[[0, 0], [0.5, 0]]]},
+    "kernel-coefficient-overflow": {"command": "kernel", "poly_tuple": MILLION, "m": [1, 1],
+                                    "window": [60, 60], "cutoff": 60,
+                                    "pairs": [[[[0, 0], [0.5, 0]], [[0, 0], [0.5, 0]]]]},
+    "quadrature-bergman-overflow": {"command": "quadrature", "l_max": 0, "k_max": 0,
+                                    "bergman": {"m": [2000, 2], "alpha": [2000, 0]}},
     # no noncommuting witness fits in these windows
     "probes-window-0-0": {"command": "probes", "poly_tuple": P1, "m": [1, 1], "window": [0, 0]},
     "probes-window-1-0": {"command": "probes", "poly_tuple": P1, "m": [1, 1], "window": [1, 0]},
@@ -559,6 +571,35 @@ def test_internal_error_exit_3(tmp_path, monkeypatch):
     code, report = _main_exit(tmp_path, {"command": "validate"})
     assert code == 3
     assert report == {"error": "InternalError", "message": "RuntimeError: boom"}
+
+
+# The fields of each command that takes a poly_tuple, besides it.
+TUPLE_JOBS = {"validate": {}, "coeffs": {"m": [1, 1], "window": [2, 2]},
+              "domain": {"points": [[[0.1, 0], [0.5, 0]], [[0, 0], [0.5, 0]]]},
+              "kernel": {"m": [1, 1], "window": [3, 3], "pairs": [[[[0.1, 0], [0.5, 0]]] * 2]},
+              "weights": {"m": [1, 1], "window": [2, 2]}, "probes": {"m": [1, 1], "window": [2, 2]},
+              "dettrace": {"m": [1, 1], "K": 3}, "radius": {"m": [1, 1], "j": 2},
+              "subnormality": {"m": [1, 1], "gamma": [1, 1]}}
+
+
+@pytest.mark.parametrize("tuple_name", ["TINY", "SUBNORMAL", "HUGE"])
+@pytest.mark.parametrize("command", sorted(TUPLE_JOBS))
+def test_linear_coefficient_beyond_the_float_range_never_exits_3(tmp_path, command, tuple_name):
+    assert set(TUPLE_JOBS) == {name for name, (_, fields) in cli._COMMANDS.items() if "poly_tuple" in fields}
+    code, report = _main_exit(tmp_path, {"command": command, "poly_tuple": globals()[tuple_name],
+                                         **TUPLE_JOBS[command]})
+    assert code in (0, 1, 2)
+    assert code < 2 or set(report) == {"error", "message"}
+
+
+def test_kernel_coefficients_below_the_float_range_add_nothing():
+    # A(k) = 2^-k rounds to 0.0 beyond k = 1074, below the resolution of the sum.
+    half = {"n": 1, "polys": [{"terms": [{"alpha": [1], "coeff": "1/2"}]}]}
+    code, report = run_json({"command": "kernel", "poly_tuple": half, "m": [1], "window": [1100],
+                             "cutoff": 1100, "pairs": [[[[0.5, 0]], [[0.5, 0]]]]})
+    assert code == 0
+    assert report["pairs"] == [{"z": [[0.5, 0.0]], "w": [[0.5, 0.0]], "closed": [8 / 7, 0.0],
+                                "series": [8 / 7, 0.0], "abs_err": 0.0}]
 
 
 def test_module_entry_point_malformed_config_exit_2(tmp_path):

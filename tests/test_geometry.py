@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hartogs.errors import WrongDimension, ZeroCoordinate
+from hartogs.errors import MalformedInput, WrongDimension, ZeroCoordinate
 from hartogs.geometry import (
     forward,
     inverse,
@@ -149,3 +149,23 @@ def test_membership_implies_coordinate_bounds():
             assert abs(z[0]) < r[0] * r[1] + 1e-12
             assert abs(z[1]) < r[1] + 1e-12
     assert hits > 0
+
+
+@pytest.mark.parametrize("a", [F(1, 10 ** 400), F(1, 10 ** 320), F(10 ** 400)],
+                         ids=["tiny", "subnormal", "huge"])
+def test_coefficients_without_a_float_raise_malformed_input(a):
+    P = from_polys([{(1, 0): a}, {(0, 1): 1}])
+    with pytest.raises(MalformedInput):
+        polydisc_radii(P)
+    if a == F(1, 10 ** 320):  # a subnormal coefficient is kept
+        assert triangle_contains(P, (0.1, 0.5))
+    else:  # (0, 0.5) lies inside, but the huge coefficient made it read as outside
+        with pytest.raises(MalformedInput, match="has no float value"):
+            triangle_contains(P, (0, 0.5))
+
+
+@pytest.mark.parametrize("e", [4, 100, 307])
+def test_polydisc_radii_end_where_floats_are_coarser_than_the_tolerance(e):
+    # Beyond a root of about 4500 the spacing of floats exceeds the bisection
+    # tolerance, and the bisection for z_1 / 10^e never ended.
+    assert polydisc_radii(from_polys([{(1,): F(1, 10 ** e)}])) == pytest.approx([10.0 ** (e / 2)], rel=1e-12)

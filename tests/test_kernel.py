@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hartogs.coeff import hartogs_coeff_closed
-from hartogs.errors import InvalidMultiplicity, OutsideDomain, ZeroCoordinate
+from hartogs.errors import InvalidMultiplicity, MalformedInput, OutsideDomain, ZeroCoordinate
 from hartogs.kernel import (
     basis_eval,
     bergman_norm_check,
@@ -252,3 +252,12 @@ def test_series_cutoff_needs_window(ctx0):
     from hartogs.errors import WindowTooSmall
     with pytest.raises(WindowTooSmall):
         kernel_series_eval(ctx0, (0.1, 0.5), (0.1, 0.5), 41)
+
+
+def test_coefficients_beyond_the_float_range_raise_malformed_input():
+    # A(2000, 0) of the Bergman pair m = (2000, 2) exceeds the float range.
+    with pytest.raises(MalformedInput, match=r"A\(2000, 0\) has no float value"):
+        bergman_norm_check((2000, 2), (2000, 0))
+    ctx = make_context(hartogs_tuple(2), (2000, 2), (2000, 0))
+    with pytest.raises(MalformedInput, match="has no float value"):
+        basis_eval(ctx, (2000, 0), (0.5, 0.5))

@@ -14,6 +14,8 @@ from hartogs.errors import (
     ResultTooLarge,
 )
 from hartogs.polytuple import (
+    PolyTuple,
+    _to_float,
     admissibility_degree,
     format_rational,
     from_polys,
@@ -184,3 +186,20 @@ def test_format_rational_ints_and_fractions():
     cases = [(0, "0"), (7, "7"), (-12, "-12"), (10 ** 30, "1" + "0" * 30), (F(0), "0"), (F(6, 2), "3"),
              (F(-3, 4), "-3/4"), (F(4, -6), "-2/3"), (F(1, 10 ** 20), "1/1" + "0" * 20)]
     assert [(value, format_rational(value)) for value, _ in cases] == cases
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1.0, True], ids=["float", "integral-float", "bool"])
+def test_polytuple_rejects_inexact_coefficients(coeff):
+    # A float coefficient once made a valid tuple that serialize could not print.
+    with pytest.raises(MalformedInput, match="not an int or a Fraction"):
+        PolyTuple(({(1,): coeff},))
+    assert serialize(PolyTuple(({(1,): 2},))) == serialize(PolyTuple(({(1,): F(2)},)))
+
+
+def test_to_float_rejects_only_values_without_a_float():
+    for value in (F(10 ** 400), 10 ** 400, F(-(10 ** 400)), F(1, 10 ** 400), F(-1, 10 ** 400)):
+        with pytest.raises(MalformedInput, match="the value has no float value"):
+            _to_float(value, "the value")
+    kept = [(F(0), 0.0), (0, 0.0), (7, 7.0), (F(-3, 4), -0.75), (F(1, 10 ** 320), 1e-320)]
+    assert [(value, _to_float(value, "x")) for value, _ in kept] == kept
+    assert 0.0 < _to_float(F(1, 10 ** 320), "x") < sys.float_info.min  # subnormal, kept

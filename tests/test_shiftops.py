@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hartogs import shiftops
-from hartogs.errors import EmptyWindow, NotAdmissible, WindowTooSmall, WrongDimension
+from hartogs.errors import EmptyWindow, MalformedInput, NotAdmissible, WindowTooSmall, WrongDimension
 from hartogs.coeff import coeff_function, univariate_coeffs
 from hartogs.polytuple import (
     add_index,
@@ -540,3 +540,17 @@ def test_adjoint_matrix_reproduces_kernel_eigenvector():
             if window.interior(alpha, tail_index(2, j)):
                 row = window.offset(alpha)
                 assert image[row] == pytest.approx(eig * vec[row], rel=1e-10)
+
+
+@pytest.mark.parametrize("a", [F(1, 10 ** 400), F(10 ** 400)], ids=["tiny", "huge"])
+def test_float_views_of_values_without_a_float_raise_malformed_input(a):
+    # These raised a bare OverflowError or ZeroDivisionError, or read as 0.0.
+    P = from_polys([{(1, 0): a}, {(0, 1): 1}])
+    window = build_window((2, 2))
+    calls = [lambda: norm_bounds(P, (1, 1), 0), lambda: spectral_radius_estimate(P, (1, 1), 0, 3, 5),
+             lambda: WeightTable(P, (1, 1), window).mult_matrix(0),
+             lambda: circularity_check(P, (1, 1), window, [0.5, 1.0]),
+             lambda: det_commutator_and_trace(P, (1, 1), 3)]
+    for call in calls:
+        with pytest.raises(MalformedInput, match="has no float value"):
+            call()
