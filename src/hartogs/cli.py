@@ -188,8 +188,9 @@ def _cmd_validate(c: dict, rng) -> tuple[bool | None, dict, None]:
 def _cmd_coeffs(c: dict, rng):
     P, bounds = c["poly_tuple"], c["window"]
     table = coeff_function(P, c["m"], bounds)
-    entries = [{"alpha": list(alpha), "value": format_rational(value)}
-               for alpha, value in zip(box(bounds), table.values)]
+    scales = table.scales
+    entries = [{"alpha": list(alpha), "value": format_rational(b, scales[sum(alpha)])}
+               for alpha, b in zip(box(bounds), table.scaled)]
     header = [f"alpha_{j + 1}" for j in range(P.n)] + ["value"]
     rows = [[*e["alpha"], e["value"]] for e in entries]
     return None, {"bounds": list(bounds), "entries": entries}, (header, rows)

@@ -1,6 +1,6 @@
 """Exact coefficient tables for the expansions of 1/(1-Q)^k and their products.
 
-Tables are dense row-major arrays of Fractions over a finite lattice box.
+Tables are dense row-major arrays over a finite lattice box.
 Two independent routes compute the same numbers:
 
 * recursion  -- A_k(alpha) = A_{k-1}(alpha) + sum_gamma q_gamma A_k(alpha - gamma),
@@ -20,14 +20,17 @@ only, the table also factors into univariate axis tables; consumers that need
 only a few cells of such a table read the axis tables instead.
 
 The division kernel works in int: it yields the scaled table
-B(alpha) = d^|alpha| A(alpha) and the common denominator d.  The public routes
-reduce each cell to a Fraction.  The axis tables have one builder,
+B(alpha) = d^|alpha| A(alpha) and the common denominator d.  A CoeffTable
+holds that scaled form and reduces a cell to a Fraction only when a consumer
+asks for one: coeffs formats each cell from B(alpha) and d^|alpha|, and the
+kernel series divides them into floats.  The axis tables have one builder,
 _axis_scaled, and stay scaled integers: their consumers compare them, take
 logs, divide neighbouring cells or put their reciprocals over one denominator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,19 +54,32 @@ from .polytuple import (
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Dense table alpha -> value on the box 0 <= alpha <= bounds.
+    """Dense table alpha -> A(alpha) on the box 0 <= alpha <= bounds.
 
+    Held scaled: scaled lists B(alpha) = d^|alpha| A(alpha) in int, in
+    row-major order, over the common denominator d.  values, the cells as
+    reduced Fractions, is built on first use; value(alpha) reduces one cell.
     Lookups at indices with a negative entry return 0 (the expansion
     coefficients vanish off the nonnegative lattice); indices beyond the
     bounds raise WindowTooSmall.
     """
 
     bounds: MultiIndex
-    values: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+    d: int
 
     @property
     def n(self) -> int:
         return len(self.bounds)
+
+    @functools.cached_property
+    def scales(self) -> tuple[int, ...]:
+        """d^k for k = 0..|bounds|: A(alpha) = scaled[offset] / scales[|alpha|]."""
+        return tuple(self.d ** k for k in range(sum(self.bounds) + 1))
+
+    @functools.cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return _reduced(self)
 
     def value(self, alpha: MultiIndex) -> Fraction:
         if len(alpha) != len(self.bounds):
@@ -72,7 +88,7 @@ class CoeffTable:
             return Fraction(0)
         if any(a > b for a, b in zip(alpha, self.bounds)):
             raise WindowTooSmall(f"alpha {alpha} outside table bounds {self.bounds}")
-        return self.values[_offset(alpha, self.bounds)]
+        return Fraction(self.scaled[_offset(alpha, self.bounds)], self.scales[sum(alpha)])
 
 
 def _check_expandable(q: Mapping[MultiIndex, Fraction]) -> None:
@@ -104,13 +120,21 @@ def reciprocal_power_coeffs(
     if k < 0:
         raise ValueError(f"power k must be >= 0, got {k}")
     _check_expandable(q)
+    bounds = tuple(bounds)
     if mode == "recursion":
-        values = _reduced(bounds, *_divided(bounds, [(q, k)]))
+        scaled, d = _divided(bounds, [(q, k)])
     elif mode == "oracle":
-        values = _oracle_values(q, k, bounds)
+        d = math.lcm(*(c.denominator for _, c in _reachable(q, bounds)))
+        scaled = _scaled(bounds, _oracle_values(q, k, bounds), d)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return CoeffTable(bounds=tuple(bounds), values=tuple(values))
+    return CoeffTable(bounds=bounds, scaled=tuple(scaled), d=d)
+
+
+def _reachable(q: Mapping[MultiIndex, Fraction], bounds: MultiIndex) -> list[tuple[MultiIndex, Fraction]]:
+    """The nonzero terms of q with no exponent beyond the bound on its axis:
+    the others never reach the box."""
+    return [(g, c) for g, c in q.items() if c and all(x <= b for x, b in zip(g, bounds))]
 
 
 def _divided(bounds: MultiIndex,
@@ -131,8 +155,7 @@ def _divided(bounds: MultiIndex,
     alpha - gamma lands inside the padded box, on a zero cell when alpha - gamma
     leaves the lattice, and the inner loop needs no bounds test.
     """
-    factors = [([(g, c) for g, c in q.items() if c and all(x <= b for x, b in zip(g, bounds))], k)
-               for q, k in factors]
+    factors = [(_reachable(q, bounds), k) for q, k in factors]
     d = math.lcm(*(c.denominator for terms, _ in factors for _, c in terms))
     pad = [max((g[j] for terms, _ in factors for g, _ in terms), default=0)
            for j in range(len(bounds))]
@@ -156,15 +179,24 @@ def _divided(bounds: MultiIndex,
     return [table[off] for off in offsets], d
 
 
-def _reduced(bounds: MultiIndex, scaled: list[int], d: int) -> list:
-    """A(alpha) = B(alpha) / d^|alpha| as reduced Fractions, converted in place,
-    so that the int table is freed as the Fractions appear."""
-    if d == 1:
-        for i, b in enumerate(scaled):
-            scaled[i] = Fraction(b)
-        return scaled
-    for i, alpha in enumerate(box(bounds)):
-        scaled[i] = Fraction(scaled[i], d ** sum(alpha))
+def _reduced(table: CoeffTable) -> tuple[Fraction, ...]:
+    """A(alpha) = B(alpha) / d^|alpha| as reduced Fractions: the whole table,
+    which CoeffTable.values builds once."""
+    if table.d == 1:
+        return tuple(map(Fraction, table.scaled))
+    scales = table.scales
+    return tuple(Fraction(b, scales[sum(alpha)]) for alpha, b in zip(box(table.bounds), table.scaled))
+
+
+def _scaled(bounds: MultiIndex, values: list[Fraction], d: int) -> list[int]:
+    """B(alpha) = d^|alpha| A(alpha) over the box; each must be an integer,
+    since d is the lcm of the denominators of the terms that reach the box."""
+    scaled = []
+    for alpha, value in zip(box(bounds), values):
+        b = value * d ** sum(alpha)
+        if b.denominator != 1:
+            raise AssertionError(f"A{alpha} = {value} times d^|alpha| = {d}^{sum(alpha)} is not an integer")
+        scaled.append(b.numerator)
     return scaled
 
 
@@ -218,8 +250,8 @@ def coeff_function(P: PolyTuple, m: Sequence[int], bounds: MultiIndex) -> CoeffT
     m = _check_m(P, m)
     if len(bounds) != P.n or any(b < 0 for b in bounds):
         raise ValueError(f"bounds must be {P.n} nonnegative integers, got {bounds}")
-    values = _reduced(bounds, *_divided(bounds, zip(P.polys, m)))
-    return CoeffTable(bounds=tuple(bounds), values=tuple(values))
+    scaled, d = _divided(bounds, zip(P.polys, m))
+    return CoeffTable(bounds=tuple(bounds), scaled=tuple(scaled), d=d)
 
 
 def hartogs_coeff_closed(m: Sequence[int], alpha: MultiIndex) -> Fraction:

@@ -23,7 +23,7 @@ import numpy as np
 from .coeff import CoeffTable, coeff_function, hartogs_coeff_closed
 from .errors import InvalidMultiplicity, OutsideDomain, WindowTooSmall, ZeroCoordinate
 from .geometry import forward, triangle_contains
-from .polytuple import MultiIndex, PolyTuple, _to_float, box, hartogs_tuple, poly_eval
+from .polytuple import MultiIndex, PolyTuple, _strides, _to_float, hartogs_tuple, poly_eval
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,13 @@ def kernel_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[complex]) 
 
 
 def kernel_series_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[complex], cutoff: int) -> complex:
-    """Partial sum of the basis expansion over total degree <= cutoff."""
+    """Partial sum of the basis expansion over total degree <= cutoff.
+
+    Walks the cells with |alpha| <= cutoff in row-major order, carrying the
+    product ((1 u_1^alpha_1) u_2^alpha_2)... of powers, and reads each A(alpha)
+    as B(alpha) / d^|alpha| off the scaled table: the int true division is the
+    float of the Fraction, without building one.
+    """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     u, prefactor = _hadamard_phi(ctx, z, w)
@@ -78,13 +84,21 @@ def kernel_series_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[com
     for j in range(n):
         for _ in range(cutoff):
             powers[j].append(powers[j][-1] * u[j])
+    scaled, scales, strides = ctx.table.scaled, ctx.table.scales, _strides(ctx.bounds)
+    # (offset, product of powers, degree) of each prefix alpha_1..alpha_j, j < n
+    prefixes = [(0, 1, 0)]
+    for j in range(n - 1):
+        prefixes = [(off + a * strides[j], prod * powers[j][a], deg + a)
+                    for off, prod, deg in prefixes for a in range(cutoff - deg + 1)]
+    last = powers[n - 1]
     total = 0j
-    for alpha in (alpha for alpha in box((cutoff,) * n) if sum(alpha) <= cutoff):
-        a = ctx.table.value(alpha)
-        if a:
-            # an A(alpha) < 1 that rounds to 0.0 lies below the resolution of the sum
-            x = float(a) if a.numerator < a.denominator else _to_float(a, "a coefficient A(alpha)")
-            total += x * math.prod(powers[j][alpha[j]] for j in range(n))
+    for off, prod, deg in prefixes:
+        for a in range(cutoff - deg + 1):
+            if b := scaled[off + a]:
+                s = scales[deg + a]
+                # an A(alpha) < 1 that rounds to 0.0 lies below the resolution of the sum
+                x = b / s if b < s else _to_float(b, "a coefficient A(alpha)", s)
+                total += x * (prod * last[a])
     return prefactor * total
 
 

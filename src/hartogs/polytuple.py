@@ -143,21 +143,29 @@ def parse_rational(value: object, where: str = "coeff") -> Fraction:
     raise MalformedInput(f"{where}: rational must be an integer or 'p/q' string, got {value!r:.80}")
 
 
-def format_rational(value: Fraction | int) -> str:
+def format_rational(value: Fraction | int, denominator: int = 1) -> str:
+    """value / denominator in lowest terms, as "p" or "p/q"."""
+    num, den = value.numerator, value.denominator
+    if denominator != 1:
+        den *= denominator
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        if den == 1:
+            return str(num)
+        return f"{num}/{den}"
     except ValueError:  # Python's limit on int-to-string conversion
         raise ResultTooLarge(f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
                              "the limit of Python's int-to-string conversion") from None
 
 
-def _to_float(value: Fraction | int, what: str) -> float:
-    """float(value), or MalformedInput when no float stands for value: it is
-    beyond the float range, or nonzero and rounds to 0.0."""
+def _to_float(value: Fraction | int, what: str, denominator: int = 1) -> float:
+    """float(value / denominator), or MalformedInput when no float stands for
+    it: it is beyond the float range, or nonzero and rounds to 0.0.  With a
+    denominator, value is an int and the int true division rounds correctly,
+    as float() of the Fraction does."""
     try:
-        if (x := float(value)) or not value:
+        if (x := float(value) if denominator == 1 else value / denominator) or not value:
             return x
     except OverflowError:
         pass

@@ -132,6 +132,29 @@ def test_one_shift_subnormality_builds_no_fraction_table(monkeypatch):
         assert len(calls) == 1
 
 
+REDUCTION_FREE_JOBS = {
+    "coeffs-json": ({"command": "coeffs", "poly_tuple": SCALED, "m": [2, 3], "window": [4, 3]}, "json"),
+    "coeffs-csv": ({"command": "coeffs", "poly_tuple": SCALED, "m": [2, 3], "window": [4, 3]}, "csv"),
+    "kernel": ({"command": "kernel", "poly_tuple": SCALED, "m": [2, 1], "window": [6, 5], "cutoff": 4,
+                "pairs": [[[[0.1, 0], [0.4, 0]], [[0.05, 0.05], [0, 0.3]]]]}, "json"),
+}
+
+
+@pytest.mark.parametrize("config, fmt", REDUCTION_FREE_JOBS.values(), ids=REDUCTION_FREE_JOBS)
+def test_coeffs_and_kernel_build_no_fraction_table(monkeypatch, config, fmt):
+    # coeffs formats each cell from (B(alpha), d^|alpha|) and the kernel series
+    # divides the same pair into a float; SCALED has d = 30, so neither is
+    # trivial.  Neither reduces the whole table to Fractions.
+    expected = cli.run(config, fmt=fmt)
+    assert expected[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("a whole coefficient table was reduced to Fractions")
+
+    monkeypatch.setattr(coeff, "_reduced", refuse)
+    assert cli.run(config, fmt=fmt) == expected
+
+
 def test_hereditary_classify_and_lift():
     identity2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
     jordan = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]

@@ -93,7 +93,27 @@ def test_recursion_equals_oracle_property(n, k, data):
     bounds = tuple(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
     rec = reciprocal_power_coeffs(q, k, bounds, mode="recursion")
     orc = reciprocal_power_coeffs(q, k, bounds, mode="oracle")
+    # the oracle's Fractions, put over the recursion's common denominator,
+    # are the recursion's scaled integers
+    assert (rec.scaled, rec.d) == (orc.scaled, orc.d)
     assert rec.values == orc.values
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_value_reads_one_cell_of_the_scaled_table(n, data):
+    # value(alpha) reduces one cell, B(alpha) / d^|alpha|, and leaves the whole
+    # reduced table unbuilt; it agrees with that table once it is built
+    coeffs = st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6)
+    polys = [{tuple(int(i == j) for i in range(n)): data.draw(coeffs), (1,) * n: data.draw(coeffs)}
+             for j in range(n)]
+    m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    bounds = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    table = coeff_function(from_polys(polys), m, bounds)
+    cells = [table.value(alpha) for alpha in box(bounds)]
+    assert "values" not in vars(table)
+    assert tuple(cells) == table.values
+    assert all(type(v) is F for v in cells)
 
 
 def test_terms_beyond_the_box_are_dropped(monkeypatch):

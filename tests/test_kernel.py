@@ -3,12 +3,17 @@ import itertools
 import math
 import random
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartogs.coeff import hartogs_coeff_closed
 from hartogs.errors import InvalidMultiplicity, MalformedInput, OutsideDomain, ZeroCoordinate
 from hartogs.kernel import (
+    _hadamard_phi,
     basis_eval,
     bergman_norm_check,
     beta_integral_check,
@@ -19,8 +24,8 @@ from hartogs.kernel import (
     kernel_series_eval,
     make_context,
 )
-from hartogs.geometry import triangle_contains
-from hartogs.polytuple import box, hartogs_tuple, tail_index
+from hartogs.geometry import inverse, triangle_contains
+from hartogs.polytuple import _to_float, box, from_polys, hartogs_tuple, tail_index
 
 
 def random_hartogs_points(count, seed, radius=0.9, P=None):
@@ -255,9 +260,59 @@ def test_series_cutoff_needs_window(ctx0):
 
 
 def test_coefficients_beyond_the_float_range_raise_malformed_input():
-    # A(2000, 0) of the Bergman pair m = (2000, 2) exceeds the float range.
-    with pytest.raises(MalformedInput, match=r"A\(2000, 0\) has no float value"):
-        bergman_norm_check((2000, 2), (2000, 0))
-    ctx = make_context(hartogs_tuple(2), (2000, 2), (2000, 0))
+    # A(520, 0) = C(1039, 519) of the Bergman pair m = (520, 2) has 1034 bits,
+    # beyond the float range; so has A(520) of the disc with m = (520,).
+    assert math.comb(1039, 519).bit_length() == 1034
+    with pytest.raises(MalformedInput, match=r"A\(520, 0\) has no float value"):
+        bergman_norm_check((520, 2), (520, 0))
+    ctx = make_context(hartogs_tuple(2), (520, 2), (520, 0))
     with pytest.raises(MalformedInput, match="has no float value"):
-        basis_eval(ctx, (2000, 0), (0.5, 0.5))
+        basis_eval(ctx, (520, 0), (0.5, 0.5))
+    ctx = make_context(hartogs_tuple(1), (520,), (520,))
+    with pytest.raises(MalformedInput, match="has no float value"):
+        kernel_series_eval(ctx, (0.5,), (0.5,), 520)
+
+
+def _box_series(ctx, z, w, cutoff):
+    """The series as a filter of the whole (cutoff+1)^n box, one value(alpha)
+    and one math.prod of powers per cell: an oracle for the row-major walk."""
+    u, prefactor = _hadamard_phi(ctx, z, w)
+    n = ctx.P.n
+    powers = [[1 + 0j] for _ in range(n)]
+    for j in range(n):
+        for _ in range(cutoff):
+            powers[j].append(powers[j][-1] * u[j])
+    total = 0j
+    for alpha in (alpha for alpha in box((cutoff,) * n) if sum(alpha) <= cutoff):
+        a = ctx.table.value(alpha)
+        if a:
+            x = float(a) if a.numerator < a.denominator else _to_float(a, "a coefficient A(alpha)")
+            total += x * math.prod(powers[j][alpha[j]] for j in range(n))
+    return prefactor * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_series_walk_equals_the_box_filter(n, data):
+    # Rational coefficients make d != 1, so every term divides B(alpha) by
+    # d^|alpha|; the walk must give the box filter's complex to the last bit,
+    # with the cutoff at the table bounds and below them.
+    coeffs = st.fractions(min_value=F(1, 5), max_value=3, max_denominator=5)
+    linear = [data.draw(coeffs) for _ in range(n)]
+    linear[0] = data.draw(st.sampled_from([F(1, 2), F(2, 3), F(4, 3), F(5, 2), F(3, 5)]))
+    mixed = data.draw(coeffs)
+    P = from_polys([{tuple(int(i == j) for i in range(n)): linear[j], (2,) * n: mixed}
+                    for j in range(n)])
+    m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    cutoff = data.draw(st.integers(0, {1: 12, 2: 6, 3: 4}[n]))
+    bounds = tuple(max(1, cutoff + e) for e in data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    ctx = make_context(P, m, bounds)
+    assert ctx.table.d > 1
+    # quotient moduli |u_j|^2 <= 0.4 / (a_j + c) keep every P_j below 0.4
+    points = []
+    for _ in range(2):
+        phi = [cmath.rect(math.sqrt(0.4 / float(a + mixed)) * data.draw(st.floats(0.2, 1.0)),
+                          data.draw(st.floats(0, 2 * math.pi))) for a in linear]
+        points.append(inverse(phi))
+    z, w = points
+    assert kernel_series_eval(ctx, z, w, cutoff) == _box_series(ctx, z, w, cutoff)

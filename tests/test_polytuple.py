@@ -179,6 +179,8 @@ def test_format_rational_too_long_raises_result_too_large():
     for value in (F(10 ** 5000), 10 ** 5000, F(1, 10 ** 5000)):
         with pytest.raises(ResultTooLarge, match=f"{sys.get_int_max_str_digits()} digits"):
             format_rational(value)
+    with pytest.raises(ResultTooLarge, match=f"{sys.get_int_max_str_digits()} digits"):
+        format_rational(1, 3 ** 10000)
 
 
 def test_format_rational_ints_and_fractions():
@@ -186,6 +188,12 @@ def test_format_rational_ints_and_fractions():
     cases = [(0, "0"), (7, "7"), (-12, "-12"), (10 ** 30, "1" + "0" * 30), (F(0), "0"), (F(6, 2), "3"),
              (F(-3, 4), "-3/4"), (F(4, -6), "-2/3"), (F(1, 10 ** 20), "1/1" + "0" * 20)]
     assert [(value, format_rational(value)) for value, _ in cases] == cases
+
+
+def test_format_rational_over_a_denominator_is_the_reduced_fraction():
+    # coeffs prints B(alpha) over d^|alpha| without building the Fraction
+    cases = [(0, 9), (6, 4), (-6, 4), (7, 1), (12, 3), (F(1, 2), 3), (F(-4, 3), 2), (3 ** 40, 6 ** 25)]
+    assert [format_rational(v, d) for v, d in cases] == [format_rational(F(v) / d) for v, d in cases]
 
 
 @pytest.mark.parametrize("coeff", [0.5, 1.0, True], ids=["float", "integral-float", "bool"])
