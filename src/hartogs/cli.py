@@ -224,16 +224,22 @@ def _cmd_kernel(c: dict, rng):
     return None, {"cutoff": c["cutoff"], "pairs": entries}, (header, rows)
 
 
+def _weight(quotient: tuple[int, int], what: str) -> float:
+    num, den = quotient
+    return math.sqrt(_to_float(num, what, den))
+
+
 @_command("weights", poly_tuple=_P, m=_M, window=_WINDOW)
 def _cmd_weights(c: dict, rng):
     P, m = c["poly_tuple"], c["m"]
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
-    diagonals = [shiftops.hyponormality_diagonal(P, m, j, window, weights=wt) for j in range(P.n)]
+    # Each column reads one integer quotient (num, den) of the scaled table; the
+    # int true division rounds correctly, as float() of the Fraction does.
     entries = [{"alpha": list(alpha), "j": j + 1,
-                "omega": math.sqrt(_to_float(wt.mult_weight_sq(j, alpha), "a squared weight omega^2")),
-                "sigma": math.sqrt(_to_float(wt.shift_weight_sq(j, alpha), "a squared weight sigma^2")),
-                "hypo_diag": format_rational(diagonals[j][alpha])}
+                "omega": _weight(wt.mult_quotient(j, alpha), "a squared weight omega^2"),
+                "sigma": _weight(wt.shift_quotient(j, alpha), "a squared weight sigma^2"),
+                "hypo_diag": format_rational(*wt.hypo_quotient(j, alpha))}
                for alpha in window.cells for j in range(P.n)]
     header = [f"alpha_{i + 1}" for i in range(P.n)] + ["j", "omega", "sigma", "hypo_diag"]
     rows = [[*e["alpha"], e["j"], e["omega"], e["sigma"], e["hypo_diag"]] for e in entries]

@@ -83,19 +83,29 @@ def polydisc_radii(P: PolyTuple) -> list[float]:
     """Radii r_j with r_j^2 the unique positive root of (restriction of P_j)(t) = 1.
 
     The restriction has nonnegative coefficients and a positive linear one a_j, so
-    it is increasing on [0, oo), and bisection finds the root below max(1, 1/a_j).
-    A coefficient, or that bracket or a power of it, beyond the float range raises MalformedInput.
+    it is increasing on [0, oo), and bisection finds the root below
+    max(1, min over the terms c t^k of c^(-1/k)).  There one term reaches 1 and
+    none exceeds it, so evaluating the restriction there cannot overflow; the
+    bracket is doubled only while rounding leaves the value below 1.  A
+    coefficient, or that bracket, beyond the float range raises MalformedInput.
     """
     radii = []
     for j, g in enumerate(tilde_restrictions(P)):
+        a_j = _to_float(P.linear_coefficient(j), f"the linear coefficient a_{j + 1}")
+        hi = math.inf
+        for k, c in g.items():
+            try:
+                hi = min(hi, (a_j if k == 1 else _to_float(c, "a coefficient")) ** (-1.0 / k))
+            except OverflowError:  # c^(-1/k) for a subnormal c
+                pass
+        hi = max(1.0, hi)
         g = {(k,): c for k, c in g.items()}  # a one-variable term map
-        hi = max(1.0, 1.0 / _to_float(P.linear_coefficient(j), f"the linear coefficient a_{j + 1}"))
         try:
             while poly_eval(g, (hi,)) < 1.0:
                 hi *= 2.0
         except OverflowError:  # a power of the point hi
             hi = math.inf
-        if hi == math.inf:  # also 1/a_j for a subnormal a_j: the bisection would not end
+        if hi == math.inf:  # every c^(-1/k) overflowed: the bisection would not end
             raise MalformedInput(f"the bisection bracket for r_{j + 1}^2 is beyond the float range")
         lo = 0.0
         while hi - lo > _BISECTION_TOL:

@@ -3,11 +3,11 @@
 Multiplication by z_j moves the basis cell alpha to alpha + (0..0,1,..,1)
 (ones from slot j on) with weight sqrt(A(alpha)/A(alpha + increment)); the
 single-step shifts use the unit increment instead, and multiplication
-factors exactly into the product of the single steps.  All weights are
-carried as exact rational squares, made floats only by ``polytuple._to_float``.
-
-Every exact weight over a window is a quotient of one coefficient table and
-is divided out once, when the weight table is built.  Truncation semantics:
+factors exactly into the product of the single steps.  Every squared weight
+is one integer quotient of the scaled coefficient table B(alpha) =
+d^|alpha| A(alpha) over the window and a one-step margin.  A report divides
+it into a float by ``polytuple._to_float`` or formats it, and a ``Fraction``
+is made only where a caller asks for an exact square.  Truncation semantics:
 an operator column whose image leaves the window is zeroed, and every
 assertion quantifies over interior cells only, so the checked identities are
 free of truncation artifacts.
@@ -72,10 +72,15 @@ def build_window(bounds: MultiIndex) -> LatticeWindow:
 class WeightTable:
     """Exact squared multiplication and shift weights over a window.
 
-    mult_sq[j][alpha] = A(alpha)/A(alpha + tail_j) and shift_sq[j][alpha] =
-    A(alpha)/A(alpha + e_j) are computed once, for every window cell, from the
-    coefficient table of (P, m) over the window plus a one-step margin.  The
-    adjoint weight at alpha is the multiplication weight at alpha - tail_j.
+    The table keeps the scaled coefficient table B(alpha) = d^|alpha| A(alpha)
+    of (P, m) over the window plus a one-step margin, and every squared weight
+    at a window cell is one integer quotient of it.  With |tail_j| = n - j:
+      mult_sq[j][alpha]  = A(alpha)/A(alpha + tail_j) = d^(n-j) B(alpha) / B(alpha + tail_j),
+      shift_sq[j][alpha] = A(alpha)/A(alpha + e_j) = d B(alpha) / B(alpha + e_j).
+    The adjoint weight at alpha is the multiplication weight at alpha - tail_j,
+    and 0 off the window.  mult_quotient, shift_quotient and hypo_quotient give
+    (numerator, denominator) in int; the *_weight_sq methods and the dicts
+    mult_sq and shift_sq, built on first use, make one Fraction per weight.
     """
 
     def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow):
@@ -84,16 +89,42 @@ class WeightTable:
         self.window = window
         table = coeff_function(P, m, tuple(b + 1 for b in window.bounds))
         n = P.n
+        self.scaled, self.d = table.scaled, table.d
         self._tails = [tail_index(n, j) for j in range(n)]
-        values, bounds = table.values, table.bounds
-        offsets = [_offset(alpha, bounds) for alpha in window.cells]
+        self._offsets = {alpha: _offset(alpha, table.bounds) for alpha in window.cells}
+        # alpha + tail_j and alpha + e_j sit these many cells after alpha in the table.
+        self._tail_steps = [_offset(tail, table.bounds) for tail in self._tails]
+        self._unit_steps = [_offset(unit_index(n, j), table.bounds) for j in range(n)]
+        self._tail_scales = [table.d ** (n - j) for j in range(n)]
 
-        def ratios(step: MultiIndex) -> dict[MultiIndex, Fraction]:
-            shift = _offset(step, bounds)
-            return {alpha: values[off] / values[off + shift] for alpha, off in zip(window.cells, offsets)}
+    def mult_quotient(self, j: int, alpha: MultiIndex) -> tuple[int, int]:
+        off = self._offsets[alpha]
+        return self._tail_scales[j] * self.scaled[off], self.scaled[off + self._tail_steps[j]]
 
-        self.mult_sq = [ratios(tail) for tail in self._tails]
-        self.shift_sq = [ratios(unit_index(n, j)) for j in range(n)]
+    def shift_quotient(self, j: int, alpha: MultiIndex) -> tuple[int, int]:
+        off = self._offsets[alpha]
+        return self.d * self.scaled[off], self.scaled[off + self._unit_steps[j]]
+
+    def hypo_quotient(self, j: int, alpha: MultiIndex) -> tuple[int, int]:
+        """mult_sq[j][alpha] - (adjoint weight at alpha), over the common
+        denominator B(alpha) B(alpha + tail_j); B(alpha - tail_j) reads 0 when
+        alpha - tail_j leaves the lattice."""
+        B, off, step = self.scaled, self._offsets[alpha], self._tail_steps[j]
+        b, up = B[off], B[off + step]
+        down = B[off - step] if 0 not in alpha[j:] else 0
+        return self._tail_scales[j] * (b * b - down * up), b * up
+
+    def _squares(self, scale: int, step: int) -> dict[MultiIndex, Fraction]:
+        B = self.scaled
+        return {alpha: Fraction(scale * B[off], B[off + step]) for alpha, off in self._offsets.items()}
+
+    @cached_property
+    def mult_sq(self) -> list[dict[MultiIndex, Fraction]]:
+        return [self._squares(scale, step) for scale, step in zip(self._tail_scales, self._tail_steps)]
+
+    @cached_property
+    def shift_sq(self) -> list[dict[MultiIndex, Fraction]]:
+        return [self._squares(self.d, step) for step in self._unit_steps]
 
     def mult_weight_sq(self, j: int, alpha: MultiIndex) -> Fraction:
         return self.mult_sq[j][alpha]
@@ -102,17 +133,19 @@ class WeightTable:
         return self.shift_sq[j][alpha]
 
     def adjoint_weight_sq(self, j: int, alpha: MultiIndex) -> Fraction:
-        return self.mult_sq[j].get(sub_index(alpha, self._tails[j]), Fraction(0))
+        beta = sub_index(alpha, self._tails[j])
+        return Fraction(*self.mult_quotient(j, beta)) if beta in self._offsets else Fraction(0)
 
     def mult_matrix(self, j: int) -> np.ndarray:
         """Truncated matrix of multiplication by z_j over the window enumeration;
         a column whose image leaves the window is zero.  Its transpose is the
         adjoint matrix, entry for entry."""
-        window, tail, sq = self.window, self._tails[j], self.mult_sq[j]
+        window, tail = self.window, self._tails[j]
         out = np.zeros((window.size, window.size))
         for col, alpha in enumerate(window.cells):
             if window.interior(alpha, tail):
-                out[window.offset(add_index(alpha, tail)), col] = math.sqrt(_to_float(sq[alpha], "a weight"))
+                num, den = self.mult_quotient(j, alpha)
+                out[window.offset(add_index(alpha, tail)), col] = math.sqrt(_to_float(num, "a weight", den))
         return out
 
 
@@ -279,16 +312,16 @@ def hyponormality_diagonal(P: PolyTuple, m: Sequence[int], j: int, window: Latti
     """Diagonal of the self-commutator of multiplication by z_j, exactly.
 
     Entry at alpha is A(alpha)/A(alpha+step) - A(alpha-step)/A(alpha) with
-    step the tail increment of z_j; the operator is separately hyponormal on
-    the window iff every entry is nonnegative.  A weight table of (P, m)
-    covering the window may be passed as weights, so that the diagonals of
-    all j share one; otherwise one is built.
+    step the tail increment of z_j, one Fraction of WeightTable.hypo_quotient;
+    the operator is separately hyponormal on the window iff every entry is
+    nonnegative.  A weight table of (P, m) covering the window may be passed
+    as weights, so that the diagonals of all j share one; otherwise one is
+    built.
     """
     if not 0 <= j < P.n:
         raise ValueError(f"j must be in [0, {P.n}), got {j}")
     wt = _weights_over(P, m, window, weights)
-    return {alpha: wt.mult_weight_sq(j, alpha) - wt.adjoint_weight_sq(j, alpha)
-            for alpha in window.cells}
+    return {alpha: Fraction(*wt.hypo_quotient(j, alpha)) for alpha in window.cells}
 
 
 # --- determinant operator diagonal and trace -------------------------------------
@@ -476,7 +509,8 @@ def circularity_check(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
         for alpha in window.cells:
             if not window.interior(alpha, tail):
                 continue
-            w = math.sqrt(_to_float(wt.mult_weight_sq(j, alpha), "a squared weight"))
+            num, den = wt.mult_quotient(j, alpha)
+            w = math.sqrt(_to_float(num, "a squared weight", den))
             conjugated = phase[alpha] * phase[add_index(alpha, tail)].conjugate() * w
             deviation = max(deviation, abs(conjugated - rotation * w))
     return deviation

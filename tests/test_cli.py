@@ -20,6 +20,7 @@ P0 = serialize(hartogs_tuple(2))
 P1 = serialize(hartogs_tuple(2, 1))
 FIB = serialize(from_polys([{(1, 0): 1, (2, 0): 1}, {(0, 1): 1, (0, 2): 1}]))
 SCALED = serialize(from_polys([{(1, 0): F(4, 3), (2, 0): F(1, 5)}, {(0, 1): F(3, 2)}]))
+MIXED = serialize(from_polys([{(1, 0): F(4, 3), (1, 1): F(2, 5)}, {(0, 1): 1, (1, 1): F(1, 3)}]))
 
 
 def run_json(config, seed=0):
@@ -137,14 +138,20 @@ REDUCTION_FREE_JOBS = {
     "coeffs-csv": ({"command": "coeffs", "poly_tuple": SCALED, "m": [2, 3], "window": [4, 3]}, "csv"),
     "kernel": ({"command": "kernel", "poly_tuple": SCALED, "m": [2, 1], "window": [6, 5], "cutoff": 4,
                 "pairs": [[[[0.1, 0], [0.4, 0]], [[0.05, 0.05], [0, 0.3]]]]}, "json"),
+    "weights-json": ({"command": "weights", "poly_tuple": SCALED, "m": [2, 3], "window": [3, 2]}, "json"),
+    "weights-csv": ({"command": "weights", "poly_tuple": SCALED, "m": [2, 3], "window": [3, 2]}, "csv"),
+    "probes": ({"command": "probes", "poly_tuple": SCALED, "m": [1, 2], "window": [3, 3]}, "json"),
+    "probes-mixed": ({"command": "probes", "poly_tuple": MIXED, "m": [2, 1], "window": [2, 3]}, "json"),
 }
 
 
 @pytest.mark.parametrize("config, fmt", REDUCTION_FREE_JOBS.values(), ids=REDUCTION_FREE_JOBS)
 def test_coeffs_and_kernel_build_no_fraction_table(monkeypatch, config, fmt):
     # coeffs formats each cell from (B(alpha), d^|alpha|) and the kernel series
-    # divides the same pair into a float; SCALED has d = 30, so neither is
-    # trivial.  Neither reduces the whole table to Fractions.
+    # divides the same pair into a float; weights and probes take each squared
+    # weight from one integer quotient of the scaled table, also of the table
+    # of the polydisc counterpart of MIXED.  SCALED has d = 30 and MIXED d = 15,
+    # so none is trivial.  None reduces a whole table to Fractions.
     expected = cli.run(config, fmt=fmt)
     assert expected[0] == 0
 

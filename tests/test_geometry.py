@@ -164,6 +164,14 @@ def test_coefficients_without_a_float_raise_malformed_input(a):
             triangle_contains(P, (0, 0.5))
 
 
+@pytest.mark.parametrize("a", [F(1, 10 ** 200), F(1, 10 ** 320)], ids=["tiny", "subnormal"])
+def test_polydisc_radii_bracket_at_the_term_that_reaches_1_first(a):
+    # a t + t^2 = 1 has its root near 1, but the bracket 1/a squared overflowed
+    # (and 1/a itself for the subnormal a), so the tuple was rejected.
+    P = from_polys([{(1, 0): a, (2, 0): 1}, {(0, 1): 1}])
+    assert polydisc_radii(P) == pytest.approx([1.0, 1.0], abs=1e-9)
+
+
 @pytest.mark.parametrize("e", [4, 100, 307])
 def test_polydisc_radii_end_where_floats_are_coarser_than_the_tolerance(e):
     # Beyond a root of about 4500 the spacing of floats exceeds the bisection

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs import shiftops
+from hartogs import cli, shiftops
 from hartogs.errors import EmptyWindow, MalformedInput, NotAdmissible, WindowTooSmall, WrongDimension
 from hartogs.coeff import coeff_function, univariate_coeffs
 from hartogs.polytuple import (
@@ -15,6 +16,7 @@ from hartogs.polytuple import (
     box,
     from_polys,
     hartogs_tuple,
+    serialize,
     sub_index,
     tail_index,
     tilde_restrictions,
@@ -129,10 +131,20 @@ def test_passed_weights_must_belong_to_the_tuple(P, m):
         hyponormality_diagonal(P, m, 0, window))
 
 
+def scaled_triple():
+    # c_j z_j with rational c_j: d = 12, so every weight carries a power d^(n-j)
+    return from_polys([{(1, 0, 0): F(4, 3)}, {(0, 1, 0): F(3, 2)}, {(0, 0, 1): F(5, 4)}])
+
+
+# d = 1 for the first four, d = 3 for hartogs_tuple(2, 2/3) and 12 for the last
+WEIGHT_TUPLES = [hartogs_tuple(2), hartogs_tuple(2, 1), fib_tuple(), hartogs_tuple(3, 1),
+                 hartogs_tuple(2, F(2, 3)), scaled_triple()]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_weights_are_exact_ratios_of_a_passed_table(data):
-    P = data.draw(st.sampled_from([hartogs_tuple(2), hartogs_tuple(2, 1), fib_tuple(), hartogs_tuple(3, 1)]))
+    P = data.draw(st.sampled_from(WEIGHT_TUPLES))
     n = P.n
     m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="m"))
     bounds = tuple(data.draw(st.lists(st.integers(0, 5 - n), min_size=n, max_size=n), label="window"))
@@ -141,6 +153,7 @@ def test_weights_are_exact_ratios_of_a_passed_table(data):
     A = coeff_function(P, m, tuple(b + 1 for b in bounds)).value
     for j in range(n):
         tail = tail_index(n, j)
+        diagonal = hyponormality_diagonal(P, m, j, window, weights=wt)
         assert set(wt.mult_sq[j]) == set(wt.shift_sq[j]) == set(window.cells)
         adjoint = np.zeros((window.size, window.size))
         for col, alpha in enumerate(window.cells):
@@ -149,10 +162,47 @@ def test_weights_are_exact_ratios_of_a_passed_table(data):
             beta = sub_index(alpha, tail)
             if min(beta) < 0:
                 assert wt.adjoint_weight_sq(j, alpha) == 0
+                assert diagonal[alpha] == A(alpha) / A(add_index(alpha, tail))
             else:
                 assert wt.adjoint_weight_sq(j, alpha) == A(beta) / A(alpha)
+                assert diagonal[alpha] == A(alpha) / A(add_index(alpha, tail)) - A(beta) / A(alpha)
                 adjoint[window.offset(beta), col] = math.sqrt(float(A(beta) / A(alpha)))
         assert np.array_equal(wt.mult_matrix(j).T, adjoint)
+
+
+def fraction_route_weights(P, m, bounds):
+    """The rows (omega, sigma, hypo_diag) of the weights report by the route of
+    reduced Fractions: the whole table reduced, one Fraction division per
+    weight, and the diagonal as the difference of two of them."""
+    n = P.n
+    table = coeff_function(P, m, tuple(b + 1 for b in bounds))
+    values = dict(zip(box(table.bounds), table.values))
+    rows = {}
+    for alpha in box(bounds):
+        for j in range(n):
+            tail = tail_index(n, j)
+            mult = values[alpha] / values[add_index(alpha, tail)]
+            shift = values[alpha] / values[add_index(alpha, unit_index(n, j))]
+            beta = sub_index(alpha, tail)
+            below = values[beta] / values[alpha] if min(beta) >= 0 else F(0)
+            rows[alpha, j + 1] = (math.sqrt(float(mult)), math.sqrt(float(shift)), str(mult - below))
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_weights_report_equals_the_fraction_route(data):
+    # Int true division rounds correctly, as float() of a Fraction does, so the
+    # floats agree to the bit; the diagonal is the same reduced rational.
+    P = data.draw(st.sampled_from(WEIGHT_TUPLES))
+    n = P.n
+    m = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="m")
+    bounds = data.draw(st.lists(st.integers(0, 5 - n), min_size=n, max_size=n), label="window")
+    code, rendered = cli.run({"command": "weights", "poly_tuple": serialize(P), "m": m, "window": bounds})
+    assert code == 0
+    rows = {(tuple(e["alpha"]), e["j"]): (e["omega"], e["sigma"], e["hypo_diag"])
+            for e in json.loads(rendered)["weights"]}
+    assert rows == fraction_route_weights(P, m, tuple(bounds))
 
 
 def test_mult_matrices_zero_diagonal_and_graded():
