@@ -2,7 +2,10 @@
 
 One run executes exactly one sub-command and writes one deterministic report
 (JSON, or CSV for tabular commands).  Each command declares its config fields
-in one table, next to its implementation.  Exit codes: 0 success, 1
+in one table, next to its implementation, and returns its JSON entries with
+its CSV rows as a generator over them, so only a CSV run builds the rows.
+One C JSON encoder, built once at import, renders every JSON line and every
+JSON cell of a CSV row.  Exit codes: 0 success, 1
 mathematically negative verdict (failed monotonicity, failed certificate,
 "neither" classification), 2 input error, 3 internal error (a defect of the
 program, never a verdict).
@@ -192,7 +195,7 @@ def _cmd_coeffs(c: dict, rng):
     entries = [{"alpha": list(alpha), "value": format_rational(b, scales[sum(alpha)])}
                for alpha, b in zip(box(bounds), table.scaled)]
     header = [f"alpha_{j + 1}" for j in range(P.n)] + ["value"]
-    rows = [[*e["alpha"], e["value"]] for e in entries]
+    rows = ([*e["alpha"], e["value"]] for e in entries)
     return None, {"bounds": list(bounds), "entries": entries}, (header, rows)
 
 
@@ -200,7 +203,7 @@ def _cmd_coeffs(c: dict, rng):
 def _cmd_domain(c: dict, rng):
     entries = [{"point": [[z.real, z.imag] for z in p],
                 "inside": geometry.triangle_contains(c["poly_tuple"], p)} for p in c["points"]]
-    rows = [[json.dumps(e["point"]), int(e["inside"])] for e in entries]
+    rows = ([_encode(e["point"]), int(e["inside"])] for e in entries)
     return None, {"points": entries}, (["point", "inside"], rows)
 
 
@@ -219,8 +222,8 @@ def _cmd_kernel(c: dict, rng):
                         "closed": [closed.real, closed.imag], "series": [series.real, series.imag],
                         "abs_err": abs_err})
     header = ["z", "w", "closed_re", "closed_im", "series_re", "series_im", "abs_err"]
-    rows = [[json.dumps(e["z"]), json.dumps(e["w"]), *e["closed"], *e["series"], e["abs_err"]]
-            for e in entries]
+    rows = ([_encode(e["z"]), _encode(e["w"]), *e["closed"], *e["series"], e["abs_err"]]
+            for e in entries)
     return None, {"cutoff": c["cutoff"], "pairs": entries}, (header, rows)
 
 
@@ -242,7 +245,7 @@ def _cmd_weights(c: dict, rng):
                 "hypo_diag": format_rational(*wt.hypo_quotient(j, alpha))}
                for alpha in window.cells for j in range(P.n)]
     header = [f"alpha_{i + 1}" for i in range(P.n)] + ["j", "omega", "sigma", "hypo_diag"]
-    rows = [[*e["alpha"], e["j"], e["omega"], e["sigma"], e["hypo_diag"]] for e in entries]
+    rows = ([*e["alpha"], e["j"], e["omega"], e["sigma"], e["hypo_diag"]] for e in entries)
     return None, {"window": list(window.bounds), "weights": entries}, (header, rows)
 
 
@@ -360,7 +363,7 @@ def _cmd_quadrature(c: dict, rng):
     if c["bergman"] is not None:
         report["bergman_norm"] = kernel.bergman_norm_check(c["bergman"]["m"], c["bergman"]["alpha"],
                                                            radial_nodes=c["radial_nodes"])
-    return None, report, (["l", "k", "numeric", "closed", "abs_err"], [list(e.values()) for e in entries])
+    return None, report, (["l", "k", "numeric", "closed", "abs_err"], (list(e.values()) for e in entries))
 
 
 def run(config: dict, seed: int = 0, fmt: str = "json") -> tuple[int, str]:
@@ -379,20 +382,34 @@ def run(config: dict, seed: int = 0, fmt: str = "json") -> tuple[int, str]:
     report = {"command": command, "seed": seed, **report}
     if fmt == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([table[0], *table[1]])
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(table[0])
+        writer.writerows(table[1])
         rendered = buf.getvalue()
     else:
         rendered = _render(report)
     return (0 if verdict in (None, True) else 1), rendered
 
 
-_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode  # compact, in C
+# The C encoder with the arguments JSONEncoder(sort_keys=True, allow_nan=False)
+# passes it, built once rather than per call.  Without a markers dict no state
+# outlives a failed encode; a cycle still raises (RecursionError), and so do a
+# NaN or an infinity (ValueError) and a value that is not JSON (TypeError).
+_chunks = json.encoder.c_make_encoder(None, json.JSONEncoder().default,
+                                      json.encoder.encode_basestring_ascii,
+                                      None, ": ", ", ", True, False, False)
+
+
+def _encode(value) -> str:
+    """value as compact strict JSON with sorted keys."""
+    return "".join(_chunks(value, 0))
 
 
 def _render(report: dict) -> str:
     """A non-empty report as strict JSON with sorted keys: one line per top-level
-    key and, for a non-empty list value, one compact line per element.  A report
-    of scalars and lists of scalars renders as with indent=2."""
+    key and, for a non-empty list value, one compact line per element, each
+    rendered by the one C encoder.  A report of scalars and lists of scalars
+    renders as with indent=2."""
     lines = []
     for key, value in sorted(report.items()):
         if isinstance(value, list) and value:
@@ -430,8 +447,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         traceback.print_exc()
         code, rendered = 3, _error("InternalError", f"{type(exc).__name__}: {exc}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:  # exit 1 would read as a negative verdict
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return code

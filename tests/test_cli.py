@@ -272,10 +272,19 @@ def test_main_exact_value_too_long_to_print_exit_2(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def _main_exit(tmp_path, config):
+@pytest.mark.parametrize("out", ["absent/r.json", "."], ids=["missing-directory", "a-directory"])
+def test_main_unwritable_out_exit_2(tmp_path, capsys, out):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"command": "validate", "poly_tuple": P0}))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write report" in err and "Traceback" not in err
+
+
+def _main_exit(tmp_path, config, *args):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
-    code = cli.main(["--config", str(path), "--out", str(tmp_path / "r.json")])
+    code = cli.main(["--config", str(path), "--out", str(tmp_path / "r.json"), *args])
     return code, json.loads((tmp_path / "r.json").read_text())
 
 
@@ -457,6 +466,48 @@ def test_error_body_bytes_as_with_indent_2(message):
     assert cli._error("InvalidConfig", message) == _indent_2({"error": "InvalidConfig", "message": message})
 
 
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]), st.text())
+JSON_TREES = st.recursive(JSON_LEAVES, lambda children: st.lists(children, max_size=4)
+                          | st.dictionaries(st.text(max_size=4), children, max_size=4), max_leaves=20)
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_encode_is_compact_json_with_sorted_keys(value):
+    assert cli._encode(value) == _dumps(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_TREES, st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+       st.lists(st.sampled_from(["list", "dict"]), max_size=4))
+def test_encode_rejects_nan_and_infinity_at_any_depth_and_then_encodes(value, bad, path):
+    for kind in path:
+        bad = [value, bad] if kind == "list" else {"b": bad, "a": value}
+    with pytest.raises(ValueError):
+        cli._encode(bad)
+    assert cli._encode(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [object(), [1, b"x"], {"a": {"b": {1j}}}], ids=["object", "bytes", "set"])
+def test_encode_rejects_values_that_are_not_json(value):
+    with pytest.raises(TypeError):
+        cli._encode(value)
+    assert cli._encode({"b": [1.5, "é"], "a": None}) == _dumps({"b": [1.5, "é"], "a": None})
+
+
+def test_encode_raises_on_a_cycle():
+    cycle: list = [1]
+    cycle.append({"a": cycle})
+    with pytest.raises(RecursionError):
+        cli._encode(cycle)
+
+
 AXIS_JOBS = [
     {"command": "radius", "poly_tuple": SCALED, "m": [2, 1], "j": 1, "K": 20, "N": 300},
     {"command": "dettrace", "poly_tuple": SCALED, "m": [2, 3], "K": 150},
@@ -580,6 +631,16 @@ def test_malformed_config_exit_2(tmp_path, name):
     code, report = _main_exit(tmp_path, PROBES[name])
     assert code == 2
     assert set(report) == {"error", "message"}
+
+
+# The CSV rows are built from the report entries only in a CSV run, so a value
+# without a float form must fail there as it does in JSON.
+@pytest.mark.parametrize("name", ["domain-linear-huge", "kernel-coefficient-overflow", "kernel-value-overflow",
+                                  "quadrature-bergman-overflow", "weights-linear-huge", "weights-linear-tiny"])
+def test_malformed_value_csv_exit_2_with_the_json_error_body(tmp_path, name):
+    code, report = _main_exit(tmp_path, PROBES[name], "--format", "csv")
+    assert code == 2
+    assert (code, report) == _main_exit(tmp_path, PROBES[name])
 
 
 @pytest.mark.parametrize("a1", [[[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]],
