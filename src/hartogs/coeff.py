@@ -41,6 +41,7 @@ from .polytuple import (
     MultiIndex,
     PolyTuple,
     TermMap,
+    _box_offsets,
     _offset,
     _strides,
     box,
@@ -160,10 +161,8 @@ def _divided(bounds: MultiIndex,
     pad = [max((g[j] for terms, _ in factors for g, _ in terms), default=0)
            for j in range(len(bounds))]
     padded = tuple(b + p for b, p in zip(bounds, pad))
-    # Row-major offsets of the real cells inside the padded box, one axis at a time.
-    offsets = [0]
-    for b, p, stride in zip(bounds, pad, _strides(padded)):
-        offsets = [off + (p + a) * stride for off in offsets for a in range(b + 1)]
+    # Row-major offsets of the real cells inside the padded box.
+    offsets = _box_offsets(bounds, _strides(padded), _offset(pad, padded))
     table = [0] * box_size(padded)
     table[offsets[0]] = 1
     for terms, k in factors:

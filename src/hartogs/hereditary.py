@@ -10,7 +10,7 @@ defect recursion, which pins the left-adjoint convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,7 +29,9 @@ from .polytuple import MultiIndex, PolyTuple, hartogs_tuple, poly_mul
 
 
 def _opnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
+    """The spectral norm, the largest singular value: the LAPACK call of
+    np.linalg.norm(a, 2) without its axis-handling wrappers."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _finite(value, what: str):
@@ -46,6 +48,7 @@ class MatrixTuple:
 
     matrices: tuple[np.ndarray, ...]
     tolerance: float = 1e-12
+    norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
@@ -56,7 +59,8 @@ class MatrixTuple:
         for m in mats:
             if m.shape != (d, d):
                 raise WrongDimension("all matrices must be square of equal size")
-        norms = [_opnorm(m) for m in mats]
+        norms = tuple(_opnorm(m) for m in mats)
+        object.__setattr__(self, "norms", norms)
         if not np.isfinite(norms).all():
             raise MalformedInput("matrix norms overflow the float range")
         for j in range(len(mats)):
@@ -80,7 +84,7 @@ class MatrixTuple:
 
     @property
     def max_norm(self) -> float:
-        return max(_opnorm(m) for m in self.matrices)
+        return max(self.norms)
 
 
 def matrix_from_json(entries) -> np.ndarray:

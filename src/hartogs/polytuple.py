@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConstantTerm, MalformedInput, MissingLinearTerm, NegativeCoefficient, ResultTooLarge
 
@@ -74,6 +74,16 @@ def box_size(bounds: MultiIndex) -> int:
 def _strides(bounds: MultiIndex) -> tuple[int, ...]:
     """Row-major strides of box(bounds): alpha + e_j sits strides[j] after alpha."""
     return tuple(math.prod(b + 1 for b in bounds[j + 1:]) for j in range(len(bounds)))
+
+
+def _box_offsets(bounds: MultiIndex, strides: Sequence[int], start: int = 0) -> list[int]:
+    """Offsets of the cells of box(bounds), in row-major order, in a flat table
+    with these strides whose cell for the origin sits at start; empty when a
+    bound is negative."""
+    offsets = [start]
+    for b, stride in zip(bounds, strides):
+        offsets = [off + a * stride for off in offsets for a in range(b + 1)]
+    return offsets
 
 
 def _offset(alpha: MultiIndex, bounds: MultiIndex) -> int:

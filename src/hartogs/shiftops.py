@@ -5,12 +5,15 @@ Multiplication by z_j moves the basis cell alpha to alpha + (0..0,1,..,1)
 single-step shifts use the unit increment instead, and multiplication
 factors exactly into the product of the single steps.  Every squared weight
 is one integer quotient of the scaled coefficient table B(alpha) =
-d^|alpha| A(alpha) over the window and a one-step margin.  A report divides
-it into a float by ``polytuple._to_float`` or formats it, and a ``Fraction``
-is made only where a caller asks for an exact square.  Truncation semantics:
-an operator column whose image leaves the window is zeroed, and every
-assertion quantifies over interior cells only, so the checked identities are
-free of truncation artifacts.
+d^|alpha| A(alpha) over the window and a one-step margin, held as one flat
+row-major list with a zero cell padded at the front of each axis.  The
+probes decide each identity on integer cross-products of B read at fixed
+offsets, where the zero pad stands for a cell off the lattice.  A report
+divides a quotient into a float by ``polytuple._to_float`` or formats it,
+and a ``Fraction`` is made only where a caller asks for an exact square.
+Truncation semantics: an operator column whose image leaves the window is
+zeroed, and every assertion quantifies over interior cells only, so the
+checked identities are free of truncation artifacts.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,11 +32,14 @@ from .errors import EmptyWindow, MalformedInput, NotAdmissible, WindowTooSmall, 
 from .polytuple import (
     MultiIndex,
     PolyTuple,
+    _box_offsets,
     _offset,
+    _strides,
     _to_float,
     add_index,
     admissibility_degree,
     box,
+    box_size,
     from_polys,
     index_leq,
     sub_index,
@@ -72,15 +78,20 @@ def build_window(bounds: MultiIndex) -> LatticeWindow:
 class WeightTable:
     """Exact squared multiplication and shift weights over a window.
 
-    The table keeps the scaled coefficient table B(alpha) = d^|alpha| A(alpha)
-    of (P, m) over the window plus a one-step margin, and every squared weight
-    at a window cell is one integer quotient of it.  With |tail_j| = n - j:
+    B is one flat row-major list of the scaled coefficient table
+    B(alpha) = d^|alpha| A(alpha) of (P, m) over the window plus a one-step
+    margin, with one zero cell padded at the front of each axis.  Cell alpha
+    sits at _origin + sum_i alpha_i _strides[i], so a read one step below the
+    lattice, on any set of axes, finds 0: no scan tests bounds or builds an
+    index tuple.  Every squared weight at a window cell is one integer
+    quotient of B.  With |tail_j| = n - j:
       mult_sq[j][alpha]  = A(alpha)/A(alpha + tail_j) = d^(n-j) B(alpha) / B(alpha + tail_j),
       shift_sq[j][alpha] = A(alpha)/A(alpha + e_j) = d B(alpha) / B(alpha + e_j).
     The adjoint weight at alpha is the multiplication weight at alpha - tail_j,
     and 0 off the window.  mult_quotient, shift_quotient and hypo_quotient give
     (numerator, denominator) in int; the *_weight_sq methods and the dicts
-    mult_sq and shift_sq, built on first use, make one Fraction per weight.
+    mult_sq and shift_sq, built on first use, are exact views that make one
+    Fraction per weight.
     """
 
     def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow):
@@ -89,33 +100,66 @@ class WeightTable:
         self.window = window
         table = coeff_function(P, m, tuple(b + 1 for b in window.bounds))
         n = P.n
-        self.scaled, self.d = table.scaled, table.d
+        self.d = table.d
+        # An axis of bound b holds b + 3 cells: the pad, the window and the margin.
+        padded = tuple(b + 2 for b in window.bounds)
+        self._sizes = tuple(b + 1 for b in padded)
+        self._strides = _strides(padded)
+        self._origin = sum(self._strides)
+        self.B = [0] * box_size(padded)
+        for off, b in zip(_box_offsets(table.bounds, self._strides, self._origin), table.scaled):
+            self.B[off] = b
         self._tails = [tail_index(n, j) for j in range(n)]
-        self._offsets = {alpha: _offset(alpha, table.bounds) for alpha in window.cells}
-        # alpha + tail_j and alpha + e_j sit these many cells after alpha in the table.
-        self._tail_steps = [_offset(tail, table.bounds) for tail in self._tails]
-        self._unit_steps = [_offset(unit_index(n, j), table.bounds) for j in range(n)]
+        self._offsets = dict(zip(window.cells, self._interior(window, (0,) * n)))
+        # alpha + tail_j sits _tail_steps[j] cells after alpha in B, and alpha + e_j _strides[j].
+        self._tail_steps = [sum(self._strides[j:]) for j in range(n)]
         self._tail_scales = [table.d ** (n - j) for j in range(n)]
+        self._floats: dict[MultiIndex, list[list[tuple[int, float]]]] = {}
+
+    def _interior(self, window: LatticeWindow, increment: MultiIndex) -> list[int]:
+        """Offsets in B of the cells alpha of the window with alpha + increment
+        in it, in row-major order.  The window may be smaller than the table's."""
+        return _box_offsets([b - i for b, i in zip(window.bounds, increment)], self._strides, self._origin)
+
+    def _step(self, increment: MultiIndex) -> int:
+        """alpha + increment sits this many cells after alpha in B."""
+        return sum(i * s for i, s in zip(increment, self._strides))
+
+    def _cell(self, off: int) -> MultiIndex:
+        return tuple(off // s % size - 1 for s, size in zip(self._strides, self._sizes))
 
     def mult_quotient(self, j: int, alpha: MultiIndex) -> tuple[int, int]:
         off = self._offsets[alpha]
-        return self._tail_scales[j] * self.scaled[off], self.scaled[off + self._tail_steps[j]]
+        return self._tail_scales[j] * self.B[off], self.B[off + self._tail_steps[j]]
 
     def shift_quotient(self, j: int, alpha: MultiIndex) -> tuple[int, int]:
         off = self._offsets[alpha]
-        return self.d * self.scaled[off], self.scaled[off + self._unit_steps[j]]
+        return self.d * self.B[off], self.B[off + self._strides[j]]
 
     def hypo_quotient(self, j: int, alpha: MultiIndex) -> tuple[int, int]:
         """mult_sq[j][alpha] - (adjoint weight at alpha), over the common
-        denominator B(alpha) B(alpha + tail_j); B(alpha - tail_j) reads 0 when
-        alpha - tail_j leaves the lattice."""
-        B, off, step = self.scaled, self._offsets[alpha], self._tail_steps[j]
+        denominator B(alpha) B(alpha + tail_j); B(alpha - tail_j) reads the
+        zero pad when alpha - tail_j leaves the lattice."""
+        B, off, step = self.B, self._offsets[alpha], self._tail_steps[j]
         b, up = B[off], B[off + step]
-        down = B[off - step] if 0 not in alpha[j:] else 0
-        return self._tail_scales[j] * (b * b - down * up), b * up
+        return self._tail_scales[j] * (b * b - B[off - step] * up), b * up
+
+    def _mult_floats(self, window: LatticeWindow) -> list[list[tuple[int, float]]]:
+        """For each j, the pairs (offset in the window, float weight of z_j) over
+        the cells alpha of the window with alpha + tail_j in it, in row-major
+        order; divided once per window."""
+        floats = self._floats.get(window.bounds)
+        if floats is None:
+            B, strides, floats = self.B, _strides(window.bounds), []
+            for tail, step, scale in zip(self._tails, self._tail_steps, self._tail_scales):
+                inside = [b - t for b, t in zip(window.bounds, tail)]
+                floats.append([(at, math.sqrt(_to_float(scale * B[off], "a squared weight", B[off + step])))
+                               for at, off in zip(_box_offsets(inside, strides), self._interior(window, tail))])
+            self._floats[window.bounds] = floats
+        return floats
 
     def _squares(self, scale: int, step: int) -> dict[MultiIndex, Fraction]:
-        B = self.scaled
+        B = self.B
         return {alpha: Fraction(scale * B[off], B[off + step]) for alpha, off in self._offsets.items()}
 
     @cached_property
@@ -124,7 +168,7 @@ class WeightTable:
 
     @cached_property
     def shift_sq(self) -> list[dict[MultiIndex, Fraction]]:
-        return [self._squares(self.d, step) for step in self._unit_steps]
+        return [self._squares(self.d, step) for step in self._strides]
 
     def mult_weight_sq(self, j: int, alpha: MultiIndex) -> Fraction:
         return self.mult_sq[j][alpha]
@@ -226,23 +270,24 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     to its own axis, whose weight table is built whole, so a table that does
     not factor fails the check.  Coefficients of the compositions are square
     roots of rationals, so equality and vanishing are decided exactly on the
-    squares.  A weight table of (P, m) covering the window may be passed as
-    weights; otherwise one is built.  It also serves as the counterpart's
-    table when each P_j depends on z_j alone.
+    squares, as integer cross-products of the scaled table.  A weight table
+    of (P, m) covering the window may be passed as weights; otherwise one is
+    built.  It also serves as the counterpart's table when each P_j depends
+    on z_j alone.
     """
     n = P.n
     if n < 2:
         raise WrongDimension("commutation probe needs at least two variables")
     wt = _weights_over(P, m, window, weights)
-    cells_checked, mismatches = _telescoping_mismatches(wt, window, wt.shift_weight_sq)
-    witness = _commutator_witness(window, wt.shift_sq[n - 1], unit_index(n, n - 1),
-                                  wt.mult_sq[n - 2], tail_index(n, n - 2))
+    # The single shift in z_k at the cell of offset o has square d B[o] / B[o + stride_k].
+    dB = [wt.d * b for b in wt.B]
+    cells_checked, mismatches = _telescoping_mismatches(wt, window, [(dB, wt.B[s:]) for s in wt._strides])
+    witness = _commutator_witness(wt, window, unit_index(n, n - 1), tail_index(n, n - 2))
     counterpart = from_polys({tuple(e * u for u in unit_index(n, j)): c for e, c in r.items()}
                              for j, r in enumerate(tilde_restrictions(P)))
     polydisc = wt if counterpart == P else WeightTable(counterpart, m, window)
     polydisc_all_zero = all(
-        _commutator_witness(window, polydisc.shift_sq[j], unit_index(n, j),
-                            polydisc.shift_sq[k], unit_index(n, k)) is None
+        _commutator_witness(polydisc, window, unit_index(n, j), unit_index(n, k)) is None
         for j in range(n) for k in range(n) if j != k)
     return CommutationProbe(
         factorization_exact=not mismatches,
@@ -252,51 +297,57 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     )
 
 
-def _commutator_witness(window: LatticeWindow, a_sq: dict[MultiIndex, Fraction], a: MultiIndex,
-                        b_sq: dict[MultiIndex, Fraction], b: MultiIndex) -> MultiIndex | None:
-    """The first interior cell alpha (alpha + a in the window) at which
-    S_b* S_a and S_a S_b* differ, or None.
+def _commutator_witness(wt: WeightTable, window: LatticeWindow, a: MultiIndex,
+                        b: MultiIndex) -> MultiIndex | None:
+    """The first cell alpha of the window in row-major order, with alpha + a
+    in the window, at which S_b* S_a and S_a S_b* differ, or None.
 
-    S_a moves alpha to alpha + a with squared weight a_sq[alpha], and S_b*
-    moves beta to beta - b with squared weight b_sq[beta - b].  Both orders
-    reach alpha + a - b, so they differ exactly when the products of the
-    squares do; an order that leaves the lattice has weight 0.  The squares
-    are keyed by the window cells, so a cell off the lattice reads 0.
+    S_a moves alpha to alpha + a with squared weight d^|a| B(alpha)/B(alpha + a),
+    and S_b* moves beta to beta - b with the squared weight of S_b at beta - b.
+    Both orders reach gamma = alpha + a - b, and the products of their squares
+    are d^(|a|+|b|) B(alpha) B(gamma) / B(alpha + a)^2 and
+    d^(|a|+|b|) B(alpha - b)^2 / (B(alpha) B(gamma)).  B is positive on the
+    lattice, so the orders differ exactly when
+    B(alpha) B(gamma) != B(alpha - b) B(alpha + a).  An order that leaves the
+    lattice reads the zero pad at gamma or at alpha - b, and has weight 0.
     """
-    zero = Fraction(0)
-    for alpha in window.cells:
-        if not window.interior(alpha, a):
-            continue
-        down = sub_index(alpha, b)
-        if a_sq[alpha] * b_sq.get(add_index(down, a), zero) != b_sq.get(down, zero) * a_sq.get(down, zero):
-            return alpha
+    B, up, down = wt.B, wt._step(a), wt._step(b)
+    for off in wt._interior(window, a):
+        if B[off] * B[off + up - down] != B[off - down] * B[off + up]:
+            return wt._cell(off)
     return None
 
 
 def _telescoping_mismatches(wt: WeightTable, window: LatticeWindow,
-                            step_sq: Callable[[int, MultiIndex], Fraction],
+                            steps: Sequence[tuple[list[int], list[int]]],
                             ) -> tuple[int, list[tuple[int, MultiIndex]]]:
-    """The telescoping scan: over the interior cells alpha of each tail_j,
-    compare the product of the single-step squares step_sq(k, cur) along
-    alpha -> alpha + tail_j, k from n - 1 down to j, with the squared
-    multiplication weight at alpha.  Returns the cells checked and the
-    mismatching (j, alpha) in scan order."""
-    n = wt.P.n
+    """The telescoping scan: over the cells alpha of the window with
+    alpha + tail_j in it, compare the product of the single-step squares
+    along alpha -> alpha + tail_j, k from n - 1 down to j, with the squared
+    multiplication weight d^(n-j) B(alpha) / B(alpha + tail_j).
+
+    steps[k] = (nums, dens) gives the single-step square in z_k at the cell
+    of offset o in wt.B as nums[o] / dens[o], with dens positive on the
+    lattice; the comparison is the integer cross-product
+    prod nums * B(alpha + tail_j) == d^(n-j) B(alpha) * prod dens.  Returns
+    the cells checked and the mismatching (j, alpha) in scan order."""
+    n, B = wt.P.n, wt.B
     mismatches = []
     checked = 0
     for j in range(n):
-        tail = tail_index(n, j)
-        for alpha in window.cells:
-            if not window.interior(alpha, tail):
-                continue
-            checked += 1
-            acc = Fraction(1)
-            cur = alpha
-            for k in range(n - 1, j - 1, -1):
-                acc *= step_sq(k, cur)
-                cur = add_index(cur, unit_index(n, k))
-            if acc != wt.mult_weight_sq(j, alpha):
-                mismatches.append((j, alpha))
+        path = [(*steps[k], wt._strides[k]) for k in range(n - 1, j - 1, -1)]
+        step, scale = wt._tail_steps[j], wt._tail_scales[j]
+        offsets = wt._interior(window, wt._tails[j])
+        checked += len(offsets)
+        for off in offsets:
+            num = den = 1
+            cur = off
+            for nums, dens, stride in path:
+                num *= nums[cur]
+                den *= dens[cur]
+                cur += stride
+            if num * B[off + step] != scale * B[off] * den:
+                mismatches.append((j, wt._cell(off)))
     return checked, mismatches
 
 
@@ -472,12 +523,20 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
     """
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("intertwining needs each P_j to depend on z_j alone")
-    # ratios[k][i] = A_k(i)/A_k(i + 1), the weight of the polydisc shift in z_k
-    # at every cell whose k-th entry is i.
-    ratios = [_scaled_ratios(*_axis_scaled(P, m, k, r + 1), range(r + 1))
-              for k, r in enumerate(window.bounds)]
-    checked, mismatches = _telescoping_mismatches(WeightTable(P, m, window), window,
-                                                  lambda k, cur: ratios[k][cur[k]])
+    wt = WeightTable(P, m, window)
+
+    def along(k: int, values: list[int]) -> list[int]:
+        # values[p] at every cell of B whose k-th padded coordinate is p.
+        stride = wt._strides[k]
+        return [v for v in values for _ in range(stride)] * (len(wt.B) // (stride * len(values)))
+
+    # The polydisc shift in z_k at every cell whose k-th entry is i has square
+    # A_k(i)/A_k(i + 1) = d_k B_k(i) / B_k(i + 1); 0 fills the pad and the margin.
+    steps = []
+    for k, r in enumerate(window.bounds):
+        scaled, d = _axis_scaled(P, m, k, r + 1)
+        steps.append((along(k, [0, *(d * b for b in scaled[:-1]), 0]), along(k, [0, *scaled[1:], 0])))
+    checked, mismatches = _telescoping_mismatches(wt, window, steps)
     return IntertwiningReport(ok=not mismatches, cells_checked=checked,
                               mismatches=mismatches[:16])
 
@@ -492,7 +551,8 @@ def circularity_check(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
     conjugation shifts the phase of each multiplication weight by exactly
     theta_j, so the deviation is pure floating-point noise.  A weight table
     of (P, m) covering the window may be passed as weights, so that many
-    trials share one; otherwise one is built.
+    trials share one and its float weights, each divided once per window;
+    otherwise one is built.  The phases are read by window offset.
     """
     n = P.n
     theta = list(theta)
@@ -500,17 +560,13 @@ def circularity_check(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
         raise ValueError(f"theta must have {n} finite entries, got {theta}")
     tilde = [theta[j] - theta[j + 1] for j in range(n - 1)] + [theta[n - 1]]
     wt = _weights_over(P, m, window, weights)
-    phase = {alpha: cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha))) for alpha in window.cells}
+    phase = [cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha))) for alpha in window.cells]
 
     deviation = 0.0
-    for j in range(n):
-        tail = tail_index(n, j)
+    for j, weights_j in enumerate(wt._mult_floats(window)):
+        step = _offset(tail_index(n, j), window.bounds)
         rotation = cmath.exp(1j * theta[j])
-        for alpha in window.cells:
-            if not window.interior(alpha, tail):
-                continue
-            num, den = wt.mult_quotient(j, alpha)
-            w = math.sqrt(_to_float(num, "a squared weight", den))
-            conjugated = phase[alpha] * phase[add_index(alpha, tail)].conjugate() * w
+        for at, w in weights_j:
+            conjugated = phase[at] * phase[at + step].conjugate() * w
             deviation = max(deviation, abs(conjugated - rotation * w))
     return deviation

@@ -14,6 +14,7 @@ from hartogs.errors import (
 )
 from hartogs.hereditary import (
     MatrixTuple,
+    _opnorm,
     hereditary_eval,
     matrix_from_json,
     ordering_check,
@@ -287,3 +288,23 @@ def test_eval_agrees_with_defect_recursion_three_variables():
 def test_reciprocal_polynomial_three_variable_family_clears():
     p = reciprocal_kernel_polynomial(hartogs_tuple(3, 1), (1, 1, 2))
     assert all(all(x >= 0 for x in alpha) for alpha, _ in p.terms)
+
+
+def test_opnorm_is_the_two_norm_to_the_bit():
+    rng = np.random.default_rng(7)
+    matrices = [np.zeros((3, 3), dtype=complex), np.zeros((1, 1), dtype=complex)]
+    for d in range(1, 7):
+        for scale in (1.0, 1e150):
+            for _ in range(5):
+                matrices.append(scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))))
+    for a in matrices:
+        assert _opnorm(a) == float(np.linalg.norm(a, 2))
+
+
+def test_matrix_tuple_keeps_its_norms():
+    rng = random.Random(3)
+    T = random_commuting_pair(rng)
+    assert T.norms == tuple(float(np.linalg.norm(m, 2)) for m in T.matrices)
+    assert T.max_norm == max(T.norms)
+    lifted = toral_lift(T)
+    assert lifted.norms == tuple(_opnorm(m) for m in lifted.matrices)

@@ -300,6 +300,54 @@ def test_probe_verdicts_match_hand_computed(P, m, bounds, witness):
     assert probe.ok
 
 
+def oracle_commutator_witness(window, a_sq, a, b_sq, b):
+    """The tuple scan of the commutator identity over Fraction squares: the
+    first interior cell alpha (alpha + a in the window) at which
+    a_sq[alpha] b_sq[alpha + a - b] != b_sq[alpha - b] a_sq[alpha - b], where
+    a cell off the lattice reads 0."""
+    zero = F(0)
+    for alpha in window.cells:
+        if not window.interior(alpha, a):
+            continue
+        down = sub_index(alpha, b)
+        if a_sq[alpha] * b_sq.get(add_index(down, a), zero) != b_sq.get(down, zero) * a_sq.get(down, zero):
+            return alpha
+    return None
+
+
+def oracle_telescoping_mismatches(wt, window, step_sq):
+    """The tuple scan of the telescoping identity over Fraction squares: the
+    product of step_sq(k, cur) along alpha -> alpha + tail_j, k from n - 1
+    down to j, against the squared multiplication weight at alpha."""
+    n = wt.P.n
+    mismatches = []
+    checked = 0
+    for j in range(n):
+        tail = tail_index(n, j)
+        for alpha in window.cells:
+            if not window.interior(alpha, tail):
+                continue
+            checked += 1
+            acc = F(1)
+            cur = alpha
+            for k in range(n - 1, j - 1, -1):
+                acc *= step_sq(k, cur)
+                cur = add_index(cur, unit_index(n, k))
+            if acc != wt.mult_weight_sq(j, alpha):
+                mismatches.append((j, alpha))
+    return checked, mismatches
+
+
+def oracle_polydisc_all_zero(P, m, window):
+    n = P.n
+    counterpart = from_polys({tuple(e * u for u in unit_index(n, j)): c for e, c in r.items()}
+                             for j, r in enumerate(tilde_restrictions(P)))
+    table = WeightTable(counterpart, m, window)
+    return all(oracle_commutator_witness(window, table.shift_sq[j], unit_index(n, j),
+                                         table.shift_sq[k], unit_index(n, k)) is None
+               for j in range(n) for k in range(n) if j != k)
+
+
 def test_commutator_scan_finds_a_witness_on_weights_that_do_not_factor():
     # The triangle weights of a tuple with a mixed term do not factor over the
     # axes, so its single shifts do not doubly commute; those of its polydisc
@@ -307,10 +355,120 @@ def test_commutator_scan_finds_a_witness_on_weights_that_do_not_factor():
     window = build_window((4, 4))
     e1, e2 = unit_index(2, 0), unit_index(2, 1)
     mixed = WeightTable(hartogs_tuple(2, 1), (1, 2), window)
-    assert shiftops._commutator_witness(window, mixed.shift_sq[0], e1, mixed.shift_sq[1], e2) == (0, 1)
+    assert shiftops._commutator_witness(mixed, window, e1, e2) == (0, 1)
+    assert oracle_commutator_witness(window, mixed.shift_sq[0], e1, mixed.shift_sq[1], e2) == (0, 1)
     axes = WeightTable(hartogs_tuple(2), (1, 2), window)
-    assert shiftops._commutator_witness(window, axes.shift_sq[0], e1, axes.shift_sq[1], e2) is None
-    assert shiftops._commutator_witness(window, axes.shift_sq[1], e2, axes.shift_sq[0], e1) is None
+    assert shiftops._commutator_witness(axes, window, e1, e2) is None
+    assert shiftops._commutator_witness(axes, window, e2, e1) is None
+
+
+FRACTIONAL = [F(1, 2), F(2, 3), F(3, 4), F(5, 2)]
+COEFFS = [F(1), F(2), F(1, 3), F(3, 2)]
+
+
+@st.composite
+def probe_tuples(draw):
+    """n = 2 or 3; each P_j is a_j z_j plus optional axis powers and, for a
+    mixed tuple, optional mixed terms.  a_1 is not an integer, so d != 1."""
+    n = draw(st.sampled_from([2, 3]))
+    mixed = draw(st.booleans())
+    polys = []
+    for j in range(n):
+        terms = {unit_index(n, j): draw(st.sampled_from(FRACTIONAL if j == 0 else COEFFS))}
+        if draw(st.booleans()):
+            terms[tuple(2 if i == j else 0 for i in range(n))] = draw(st.sampled_from(COEFFS))
+        if mixed and draw(st.booleans()):
+            other = draw(st.sampled_from([i for i in range(n) if i != j]))
+            terms[tuple(int(i in (j, other)) for i in range(n))] = draw(st.sampled_from(COEFFS))
+        polys.append(terms)
+    return from_polys(polys)
+
+
+def assert_scans_match_oracles(wt, window):
+    n = wt.P.n
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                e_j, e_k = unit_index(n, j), unit_index(n, k)
+                assert shiftops._commutator_witness(wt, window, e_j, e_k) == oracle_commutator_witness(
+                    window, wt.shift_sq[j], e_j, wt.shift_sq[k], e_k)
+    a, b = unit_index(n, n - 1), tail_index(n, n - 2)
+    assert shiftops._commutator_witness(wt, window, a, b) == oracle_commutator_witness(
+        window, wt.shift_sq[n - 1], a, wt.mult_sq[n - 2], b)
+    dB = [wt.d * v for v in wt.B]
+    steps = [(dB, wt.B[s:]) for s in wt._strides]
+    assert shiftops._telescoping_mismatches(wt, window, steps) == oracle_telescoping_mismatches(
+        wt, window, wt.shift_weight_sq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flat_scans_equal_the_tuple_oracles(data):
+    # The flat scans read B at offsets, with the zero pad for a cell off the
+    # lattice; the oracles key Fraction squares by index tuples.  Windows may
+    # have a 0 bound, and the table may be built over a larger window.
+    P = data.draw(probe_tuples(), label="P")
+    n = P.n
+    m = tuple(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n), label="m"))
+    bounds = tuple(data.draw(st.lists(st.integers(0, 6 - n), min_size=n, max_size=n), label="window"))
+    extra = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="extra"))
+    window = build_window(bounds)
+    wt = WeightTable(P, m, build_window(add_index(bounds, extra)))
+    assert wt.d != 1
+    assert_scans_match_oracles(wt, window)
+    probe = factorization_and_commutation_probe(P, m, window, weights=wt)
+    assert probe == factorization_and_commutation_probe(P, m, window)
+    a, b = unit_index(n, n - 1), tail_index(n, n - 2)
+    checked, mismatches = oracle_telescoping_mismatches(wt, window, wt.shift_weight_sq)
+    assert probe.cells_checked == checked
+    assert probe.factorization_exact == (not mismatches)
+    assert probe.noncommuting_witness == oracle_commutator_witness(
+        window, wt.shift_sq[n - 1], a, wt.mult_sq[n - 2], b)
+    assert probe.polydisc_all_zero == oracle_polydisc_all_zero(P, m, window)
+
+
+@pytest.mark.parametrize("P, m, bounds, cell", [
+    (hartogs_tuple(2), (1, 2), (3, 3), (0, 2)),
+    (hartogs_tuple(2), (2, 1), (3, 3), (2, 0)),
+    (hartogs_tuple(3), (1, 1, 2), (2, 2, 2), (0, 1, 0)),
+    (hartogs_tuple(3), (2, 1, 1), (2, 2, 2), (1, 0, 1)),
+])
+def test_flat_scans_on_a_perturbed_table_agree_at_the_lattice_edge(P, m, bounds, cell):
+    # The table of a tuple whose weights factor, with one cell on a face
+    # alpha_k = 0 raised by 1: the commutators now fail first at a cell on
+    # that face, where one read of each identity steps off the lattice.  The
+    # Fraction squares of the oracles are built from the perturbed table.
+    n = P.n
+    window = build_window(bounds)
+    wt = WeightTable(P, m, window)
+    wt.B[wt._offsets[cell]] += 1
+    witnesses = [shiftops._commutator_witness(wt, window, unit_index(n, j), unit_index(n, k))
+                 for j in range(n) for k in range(n) if j != k]
+    assert any(w is not None and 0 in w for w in witnesses)
+    assert_scans_match_oracles(wt, window)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_intertwining_scan_equals_the_tuple_oracle_on_foreign_axis_tables(data):
+    # Hand the intertwining check the axis tables of another admissible tuple:
+    # the telescoping products then miss the multiplication weights, and the
+    # flat scan must report the same mismatches as the oracle.
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    P, Q = (from_polys([{unit_index(n, j): data.draw(st.sampled_from(FRACTIONAL + COEFFS))}
+                        for j in range(n)]) for _ in range(2))
+    m = tuple(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n), label="m"))
+    window = build_window(tuple(data.draw(st.lists(st.integers(0, 6 - n), min_size=n, max_size=n))))
+    axis_scaled = shiftops._axis_scaled
+    tables = [axis_scaled(Q, m, k, r + 1) for k, r in enumerate(window.bounds)]
+    ratios = [{i: F(d * B[i], B[i + 1]) for i in range(len(B) - 1)} for B, d in tables]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shiftops, "_axis_scaled", lambda P, m, k, K: axis_scaled(Q, m, k, K))
+        report = polydisc_intertwining_check(P, m, window)
+    checked, mismatches = oracle_telescoping_mismatches(
+        WeightTable(P, m, window), window, lambda k, cur: ratios[k][cur[k]])
+    assert (report.cells_checked, report.mismatches, report.ok) == (checked, mismatches[:16], not mismatches)
+    assert report.ok or P != Q
 
 
 def test_probe_polydisc_verdict_fails_on_a_table_that_does_not_factor(monkeypatch):
