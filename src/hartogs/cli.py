@@ -240,10 +240,10 @@ def _cmd_weights(c: dict, rng):
     # Each column reads one integer quotient (num, den) of the scaled table; the
     # int true division rounds correctly, as float() of the Fraction does.
     entries = [{"alpha": list(alpha), "j": j + 1,
-                "omega": _weight(wt.mult_quotient(j, alpha), "a squared weight omega^2"),
-                "sigma": _weight(wt.shift_quotient(j, alpha), "a squared weight sigma^2"),
-                "hypo_diag": format_rational(*wt.hypo_quotient(j, alpha))}
-               for alpha in window.cells for j in range(P.n)]
+                "omega": _weight(wt.mult_quotient(j, off), "a squared weight omega^2"),
+                "sigma": _weight(wt.shift_quotient(j, off), "a squared weight sigma^2"),
+                "hypo_diag": format_rational(*wt.hypo_quotient(j, off))}
+               for alpha, off in zip(window.cells, wt.walk(window)) for j in range(P.n)]
     header = [f"alpha_{i + 1}" for i in range(P.n)] + ["j", "omega", "sigma", "hypo_diag"]
     rows = ([*e["alpha"], e["j"], e["omega"], e["sigma"], e["hypo_diag"]] for e in entries)
     return None, {"window": list(window.bounds), "weights": entries}, (header, rows)

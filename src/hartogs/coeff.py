@@ -41,7 +41,7 @@ from .polytuple import (
     MultiIndex,
     PolyTuple,
     TermMap,
-    _box_offsets,
+    _box_walk,
     _offset,
     _strides,
     box,
@@ -162,7 +162,7 @@ def _divided(bounds: MultiIndex,
            for j in range(len(bounds))]
     padded = tuple(b + p for b, p in zip(bounds, pad))
     # Row-major offsets of the real cells inside the padded box.
-    offsets = _box_offsets(bounds, _strides(padded), _offset(pad, padded))
+    offsets = _box_walk(bounds, _strides(padded), _offset(pad, padded))
     table = [0] * box_size(padded)
     table[offsets[0]] = 1
     for terms, k in factors:

@@ -76,7 +76,7 @@ def _strides(bounds: MultiIndex) -> tuple[int, ...]:
     return tuple(math.prod(b + 1 for b in bounds[j + 1:]) for j in range(len(bounds)))
 
 
-def _box_offsets(bounds: MultiIndex, strides: Sequence[int], start: int = 0) -> list[int]:
+def _box_walk(bounds: MultiIndex, strides: Sequence[int], start: int = 0) -> list[int]:
     """Offsets of the cells of box(bounds), in row-major order, in a flat table
     with these strides whose cell for the origin sits at start; empty when a
     bound is negative."""

@@ -6,11 +6,13 @@ single-step shifts use the unit increment instead, and multiplication
 factors exactly into the product of the single steps.  Every squared weight
 is one integer quotient of the scaled coefficient table B(alpha) =
 d^|alpha| A(alpha) over the window and a one-step margin, held as one flat
-row-major list with a zero cell padded at the front of each axis.  The
-probes decide each identity on integer cross-products of B read at fixed
-offsets, where the zero pad stands for a cell off the lattice.  A report
-divides a quotient into a float by ``polytuple._to_float`` or formats it,
-and a ``Fraction`` is made only where a caller asks for an exact square.
+row-major list with a zero cell padded at the front of each axis, and a
+cell is reached only by its offset in that list, from one walk over a
+window.  The probes decide each identity on integer cross-products of B
+read at fixed offsets, where the zero pad stands for a cell off the
+lattice.  A report divides a quotient into a float by
+``polytuple._to_float`` or formats it, and a ``Fraction`` is made only
+where a caller asks for an exact value, as the views ``mult_sq``/``shift_sq`` do.
 Truncation semantics: an operator column whose image leaves the window is
 zeroed, and every assertion quantifies over interior cells only, so the
 checked identities are free of truncation artifacts.
@@ -32,7 +34,7 @@ from .errors import EmptyWindow, MalformedInput, NotAdmissible, WindowTooSmall, 
 from .polytuple import (
     MultiIndex,
     PolyTuple,
-    _box_offsets,
+    _box_walk,
     _offset,
     _strides,
     _to_float,
@@ -88,10 +90,11 @@ class WeightTable:
       mult_sq[j][alpha]  = A(alpha)/A(alpha + tail_j) = d^(n-j) B(alpha) / B(alpha + tail_j),
       shift_sq[j][alpha] = A(alpha)/A(alpha + e_j) = d B(alpha) / B(alpha + e_j).
     The adjoint weight at alpha is the multiplication weight at alpha - tail_j,
-    and 0 off the window.  mult_quotient, shift_quotient and hypo_quotient give
-    (numerator, denominator) in int; the *_weight_sq methods and the dicts
-    mult_sq and shift_sq, built on first use, are exact views that make one
-    Fraction per weight.
+    and 0 off the lattice.  mult_quotient, shift_quotient and hypo_quotient
+    give (numerator, denominator) in int at a cell offset from walk; the dicts
+    mult_sq and shift_sq, built on first use, are the only exact views: one
+    Fraction per weight.  mult_matrix and circularity_check read the same
+    float weights, divided once per window.
     """
 
     def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow):
@@ -107,19 +110,19 @@ class WeightTable:
         self._strides = _strides(padded)
         self._origin = sum(self._strides)
         self.B = [0] * box_size(padded)
-        for off, b in zip(_box_offsets(table.bounds, self._strides, self._origin), table.scaled):
+        for off, b in zip(_box_walk(table.bounds, self._strides, self._origin), table.scaled):
             self.B[off] = b
         self._tails = [tail_index(n, j) for j in range(n)]
-        self._offsets = dict(zip(window.cells, self._interior(window, (0,) * n)))
         # alpha + tail_j sits _tail_steps[j] cells after alpha in B, and alpha + e_j _strides[j].
         self._tail_steps = [sum(self._strides[j:]) for j in range(n)]
         self._tail_scales = [table.d ** (n - j) for j in range(n)]
-        self._floats: dict[MultiIndex, list[list[tuple[int, float]]]] = {}
+        self._floats: dict[MultiIndex, list[list[tuple[int, int, float]]]] = {}
 
-    def _interior(self, window: LatticeWindow, increment: MultiIndex) -> list[int]:
-        """Offsets in B of the cells alpha of the window with alpha + increment
-        in it, in row-major order.  The window may be smaller than the table's."""
-        return _box_offsets([b - i for b, i in zip(window.bounds, increment)], self._strides, self._origin)
+    def walk(self, window: LatticeWindow, increment: MultiIndex | None = None) -> list[int]:
+        """Offsets in B of the cells alpha of the window (with alpha + increment
+        in it), in row-major order.  The window may be smaller than the table's."""
+        bounds = window.bounds if increment is None else [b - i for b, i in zip(window.bounds, increment)]
+        return _box_walk(bounds, self._strides, self._origin)
 
     def _step(self, increment: MultiIndex) -> int:
         """alpha + increment sits this many cells after alpha in B."""
@@ -128,68 +131,63 @@ class WeightTable:
     def _cell(self, off: int) -> MultiIndex:
         return tuple(off // s % size - 1 for s, size in zip(self._strides, self._sizes))
 
-    def mult_quotient(self, j: int, alpha: MultiIndex) -> tuple[int, int]:
-        off = self._offsets[alpha]
+    def mult_quotient(self, j: int, off: int) -> tuple[int, int]:
         return self._tail_scales[j] * self.B[off], self.B[off + self._tail_steps[j]]
 
-    def shift_quotient(self, j: int, alpha: MultiIndex) -> tuple[int, int]:
-        off = self._offsets[alpha]
+    def shift_quotient(self, j: int, off: int) -> tuple[int, int]:
         return self.d * self.B[off], self.B[off + self._strides[j]]
 
-    def hypo_quotient(self, j: int, alpha: MultiIndex) -> tuple[int, int]:
-        """mult_sq[j][alpha] - (adjoint weight at alpha), over the common
-        denominator B(alpha) B(alpha + tail_j); B(alpha - tail_j) reads the
-        zero pad when alpha - tail_j leaves the lattice."""
-        B, off, step = self.B, self._offsets[alpha], self._tail_steps[j]
+    def hypo_quotient(self, j: int, off: int) -> tuple[int, int]:
+        """mult_sq[j][alpha] - (adjoint weight at alpha) at the cell alpha of offset
+        off, over B(alpha) B(alpha + tail_j); B(alpha - tail_j) reads the zero
+        pad when alpha - tail_j leaves the lattice."""
+        B, step = self.B, self._tail_steps[j]
         b, up = B[off], B[off + step]
         return self._tail_scales[j] * (b * b - B[off - step] * up), b * up
 
-    def _mult_floats(self, window: LatticeWindow) -> list[list[tuple[int, float]]]:
-        """For each j, the pairs (offset in the window, float weight of z_j) over
-        the cells alpha of the window with alpha + tail_j in it, in row-major
-        order; divided once per window."""
+    def _mult_floats(self, window: LatticeWindow) -> list[list[tuple[int, int, float]]]:
+        """For each j, the triples (window offsets of alpha and alpha + tail_j,
+        float weight of z_j) over the cells alpha of the window with
+        alpha + tail_j in it, in row-major order; divided once per window."""
         floats = self._floats.get(window.bounds)
         if floats is None:
             B, strides, floats = self.B, _strides(window.bounds), []
             for tail, step, scale in zip(self._tails, self._tail_steps, self._tail_scales):
-                inside = [b - t for b, t in zip(window.bounds, tail)]
-                floats.append([(at, math.sqrt(_to_float(scale * B[off], "a squared weight", B[off + step])))
-                               for at, off in zip(_box_offsets(inside, strides), self._interior(window, tail))])
+                inside, rise = [b - t for b, t in zip(window.bounds, tail)], _offset(tail, window.bounds)
+                weights = (math.sqrt(_to_float(scale * B[off], "a squared weight", B[off + step]))
+                           for off in self.walk(window, tail))
+                floats.append([(at, at + rise, w) for at, w in zip(_box_walk(inside, strides), weights)])
             self._floats[window.bounds] = floats
         return floats
 
-    def _squares(self, scale: int, step: int) -> dict[MultiIndex, Fraction]:
-        B = self.B
-        return {alpha: Fraction(scale * B[off], B[off + step]) for alpha, off in self._offsets.items()}
+    def _squares(self, quotient) -> list[dict[MultiIndex, Fraction]]:
+        cells = list(zip(self.window.cells, self.walk(self.window)))
+        return [{alpha: Fraction(*quotient(j, off)) for alpha, off in cells} for j in range(self.P.n)]
 
     @cached_property
     def mult_sq(self) -> list[dict[MultiIndex, Fraction]]:
-        return [self._squares(scale, step) for scale, step in zip(self._tail_scales, self._tail_steps)]
+        return self._squares(self.mult_quotient)
 
     @cached_property
     def shift_sq(self) -> list[dict[MultiIndex, Fraction]]:
-        return [self._squares(self.d, step) for step in self._strides]
-
-    def mult_weight_sq(self, j: int, alpha: MultiIndex) -> Fraction:
-        return self.mult_sq[j][alpha]
-
-    def shift_weight_sq(self, j: int, alpha: MultiIndex) -> Fraction:
-        return self.shift_sq[j][alpha]
+        return self._squares(self.shift_quotient)
 
     def adjoint_weight_sq(self, j: int, alpha: MultiIndex) -> Fraction:
+        """mult_sq[j][alpha - tail_j] at the cell alpha of the window, or 0 when
+        alpha - tail_j leaves the lattice."""
+        if not index_leq(alpha, self.window.bounds):
+            raise WindowTooSmall(f"cell {alpha} lies beyond the window {self.window.bounds}")
         beta = sub_index(alpha, self._tails[j])
-        return Fraction(*self.mult_quotient(j, beta)) if beta in self._offsets else Fraction(0)
+        return self.mult_sq[j][beta] if min(beta) >= 0 else Fraction(0)
 
     def mult_matrix(self, j: int) -> np.ndarray:
-        """Truncated matrix of multiplication by z_j over the window enumeration;
-        a column whose image leaves the window is zero.  Its transpose is the
-        adjoint matrix, entry for entry."""
-        window, tail = self.window, self._tails[j]
-        out = np.zeros((window.size, window.size))
-        for col, alpha in enumerate(window.cells):
-            if window.interior(alpha, tail):
-                num, den = self.mult_quotient(j, alpha)
-                out[window.offset(add_index(alpha, tail)), col] = math.sqrt(_to_float(num, "a weight", den))
+        """Truncated matrix of multiplication by z_j over the window enumeration,
+        from the float weights that circularity_check reads; a column whose
+        image leaves the window is zero.  Its transpose is the adjoint matrix,
+        entry for entry."""
+        out = np.zeros((self.window.size, self.window.size))
+        for col, row, w in self._mult_floats(self.window)[j]:
+            out[row, col] = w
         return out
 
 
@@ -312,7 +310,7 @@ def _commutator_witness(wt: WeightTable, window: LatticeWindow, a: MultiIndex,
     lattice reads the zero pad at gamma or at alpha - b, and has weight 0.
     """
     B, up, down = wt.B, wt._step(a), wt._step(b)
-    for off in wt._interior(window, a):
+    for off in wt.walk(window, a):
         if B[off] * B[off + up - down] != B[off - down] * B[off + up]:
             return wt._cell(off)
     return None
@@ -337,7 +335,7 @@ def _telescoping_mismatches(wt: WeightTable, window: LatticeWindow,
     for j in range(n):
         path = [(*steps[k], wt._strides[k]) for k in range(n - 1, j - 1, -1)]
         step, scale = wt._tail_steps[j], wt._tail_scales[j]
-        offsets = wt._interior(window, wt._tails[j])
+        offsets = wt.walk(window, wt._tails[j])
         checked += len(offsets)
         for off in offsets:
             num = den = 1
@@ -372,7 +370,7 @@ def hyponormality_diagonal(P: PolyTuple, m: Sequence[int], j: int, window: Latti
     if not 0 <= j < P.n:
         raise ValueError(f"j must be in [0, {P.n}), got {j}")
     wt = _weights_over(P, m, window, weights)
-    return {alpha: Fraction(*wt.hypo_quotient(j, alpha)) for alpha in window.cells}
+    return {alpha: Fraction(*wt.hypo_quotient(j, off)) for alpha, off in zip(window.cells, wt.walk(window))}
 
 
 # --- determinant operator diagonal and trace -------------------------------------
@@ -564,9 +562,8 @@ def circularity_check(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
 
     deviation = 0.0
     for j, weights_j in enumerate(wt._mult_floats(window)):
-        step = _offset(tail_index(n, j), window.bounds)
         rotation = cmath.exp(1j * theta[j])
-        for at, w in weights_j:
-            conjugated = phase[at] * phase[at + step].conjugate() * w
+        for at, row, w in weights_j:
+            conjugated = phase[at] * phase[row].conjugate() * w
             deviation = max(deviation, abs(conjugated - rotation * w))
     return deviation

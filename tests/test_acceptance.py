@@ -188,9 +188,9 @@ def test_criterion_05_norm_bounds():
         for j in range(2):
             bound_sq = norm_bounds(P, m, j).upper_sq
             for alpha in window.cells:
-                ok = ok and wt.mult_weight_sq(j, alpha) <= bound_sq
+                ok = ok and wt.mult_sq[j][alpha] <= bound_sq
     wt = op_weights(P0_2, (1, 1), window)
-    unit = all(wt.mult_weight_sq(j, alpha) == 1
+    unit = all(wt.mult_sq[j][alpha] == 1
                for j in range(2) for alpha in window.cells)
     ok = ok and unit
     _report(5, ok, "exact weight bound, unit weights for the Hartogs pair")

@@ -162,24 +162,28 @@ def test_coeffs_and_kernel_build_no_fraction_table(monkeypatch, config, fmt):
     assert cli.run(config, fmt=fmt) == expected
 
 
-PROBE_JOBS = {
+SQUARE_FREE_JOBS = {
     "scaled": {"command": "probes", "poly_tuple": SCALED, "m": [1, 2], "window": [3, 3]},
     "mixed": {"command": "probes", "poly_tuple": MIXED, "m": [2, 1], "window": [2, 3]},
     "hartogs-3": {"command": "probes", "poly_tuple": serialize(hartogs_tuple(3, F(1, 2))), "m": [1, 2, 1],
                   "window": [0, 2, 1], "theta_trials": 2},
+    "weights-scaled": {"command": "weights", "poly_tuple": SCALED, "m": [2, 1], "window": [3, 2]},
+    "weights-hartogs-3": {"command": "weights", "poly_tuple": serialize(hartogs_tuple(3, F(1, 2))),
+                          "m": [1, 2, 1], "window": [1, 2, 1]},
 }
 
 
-@pytest.mark.parametrize("config", PROBE_JOBS.values(), ids=PROBE_JOBS)
-def test_probes_build_no_fraction_squares(monkeypatch, config):
-    # The probe scans compare integer cross-products of the scaled table, so
-    # the exact views mult_sq and shift_sq, one Fraction per weight, are never
-    # built, for the tuple or for its polydisc counterpart.
+@pytest.mark.parametrize("config", SQUARE_FREE_JOBS.values(), ids=SQUARE_FREE_JOBS)
+def test_probes_and_weights_build_no_fraction_squares(monkeypatch, config):
+    # The probe scans compare integer cross-products of the scaled table, and
+    # the weights report reads one integer quotient per column, so the exact
+    # views mult_sq and shift_sq, one Fraction per weight, are never built,
+    # for the tuple or for its polydisc counterpart.
     expected = cli.run(config)
     assert expected[0] == 0
 
     def refuse(self):
-        raise AssertionError("a probe built the Fraction squares of a weight table")
+        raise AssertionError("a report built the Fraction squares of a weight table")
 
     monkeypatch.setattr(shiftops.WeightTable, "mult_sq", property(refuse))
     monkeypatch.setattr(shiftops.WeightTable, "shift_sq", property(refuse))

@@ -1,6 +1,6 @@
-"""Byte-identity and value-identity of the CLI reports on the benchmark's seed-1 jobs.
+"""Byte-identity and value-identity of the CLI reports on the benchmark's jobs of seeds 1-3.
 
-tests/data/report_digests.json holds two SHA-256 per workload and
+tests/data/report_digests.json holds two SHA-256 per seed, workload and
 sub-command, over the exit code and report of each of its jobs in job order:
 a byte digest over the rendered report, and a value digest over its canonical
 parsed value (``json.dumps(json.loads(report), sort_keys=True)`` for JSON, the
@@ -29,7 +29,7 @@ from hartogs import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "tests" / "data" / "report_digests.json"
-SEED = 1
+SEEDS = (1, 2, 3)
 WORKLOADS = ("tables", "certify", "operators")
 EXACT_COMMANDS = {"coeffs", "weights", "dettrace", "subnormality"}
 
@@ -43,12 +43,12 @@ def _value(rendered: str, fmt: str) -> str:
     return json.dumps(json.loads(rendered), sort_keys=True) if fmt == "json" else rendered
 
 
-def report_digests(jobs) -> dict[str, dict[str, str]]:
+def report_digests(jobs, seed: int) -> dict[str, dict[str, str]]:
     """'digests' and 'value_digests': 'workload/command' -> SHA-256 over the
-    (code, rendered) and over the (code, canonical value) of its seed-1 jobs."""
+    (code, rendered) and over the (code, canonical value) of its jobs of the seed."""
     hashers: dict[str, dict[str, hashlib._Hash]] = {"digests": {}, "value_digests": {}}
     for workload in WORKLOADS:
-        for job in jobs.generate(workload, SEED):
+        for job in jobs.generate(workload, seed):
             code, rendered = cli.run(job.config, seed=job.seed, fmt=job.fmt)
             key = f"{workload}/{job.config['command']}"
             for kind, text in (("digests", rendered), ("value_digests", _value(rendered, job.fmt))):
@@ -57,21 +57,32 @@ def report_digests(jobs) -> dict[str, dict[str, str]]:
             for kind, by_key in hashers.items()}
 
 
+def all_digests(jobs) -> dict[str, dict[str, dict[str, str]]]:
+    """'digests' and 'value_digests': seed -> report_digests of that seed."""
+    by_seed = {str(seed): report_digests(jobs, seed) for seed in SEEDS}
+    return {kind: {seed: digests[kind] for seed, digests in by_seed.items()}
+            for kind in ("digests", "value_digests")}
+
+
 def test_reports_match_recorded_digests(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     recorded = json.loads(DIGESTS.read_text())
-    computed = report_digests(importlib.import_module("jobs"))
+    computed = all_digests(importlib.import_module("jobs"))
     same_platform = recorded["environment"] == _environment()
-    for kind, digests in computed.items():
-        assert sorted(digests) == sorted(recorded[kind])
-        compared = [key for key in digests if same_platform or key.split("/")[1] in EXACT_COMMANDS]
-        assert any(key.split("/")[1] in EXACT_COMMANDS for key in compared)
-        assert {key: digests[key] for key in compared} == {key: recorded[kind][key] for key in compared}
+    assert recorded["seeds"] == list(SEEDS)
+    for kind, by_seed in computed.items():
+        assert sorted(by_seed) == sorted(recorded[kind])
+        for seed, digests in by_seed.items():
+            expected = recorded[kind][seed]
+            assert sorted(digests) == sorted(expected)
+            compared = [key for key in digests if same_platform or key.split("/")[1] in EXACT_COMMANDS]
+            assert any(key.split("/")[1] in EXACT_COMMANDS for key in compared)
+            assert {key: digests[key] for key in compared} == {key: expected[key] for key in compared}
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "perfbench"))
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps({"seed": SEED, "environment": _environment(),
-                                   **report_digests(importlib.import_module("jobs"))},
+    DIGESTS.write_text(json.dumps({"seeds": list(SEEDS), "environment": _environment(),
+                                   **all_digests(importlib.import_module("jobs"))},
                                   indent=2, sort_keys=True) + "\n")

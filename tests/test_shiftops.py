@@ -81,15 +81,15 @@ def test_hartogs_unit_weights():
     wt = op_weights(hartogs_tuple(3), (1, 1, 1), build_window((3, 3, 3)))
     for alpha in wt.window.cells:
         for j in range(3):
-            assert wt.mult_weight_sq(j, alpha) == 1
-            assert wt.shift_weight_sq(j, alpha) == 1
+            assert wt.mult_sq[j][alpha] == 1
+            assert wt.shift_sq[j][alpha] == 1
 
 
 def test_weight_example_m12():
     wt = op_weights(hartogs_tuple(2), (1, 2), build_window((4, 4)))
     for alpha in wt.window.cells:
-        assert wt.mult_weight_sq(1, alpha) == F(alpha[1] + 1, alpha[1] + 2)
-    assert wt.mult_weight_sq(1, (0, 0)) == F(1, 2)
+        assert wt.mult_sq[1][alpha] == F(alpha[1] + 1, alpha[1] + 2)
+    assert wt.mult_sq[1][(0, 0)] == F(1, 2)
 
 
 def test_adjoint_vanishes_on_bottom_row():
@@ -100,6 +100,20 @@ def test_adjoint_vanishes_on_bottom_row():
             if alpha[1] == 0:
                 assert wt.adjoint_weight_sq(j, alpha) == 0
                 assert not adjoint[:, wt.window.offset(alpha)].any()
+
+
+def test_adjoint_weight_beyond_the_window_raises():
+    # A cell beyond the window read 0, where a table over a larger window
+    # gives its weight; a cell whose tail step back leaves the lattice reads 0.
+    P, m = hartogs_tuple(2, 1), (1, 2)
+    wt, larger = op_weights(P, m, build_window((3, 3))), op_weights(P, m, build_window((6, 6)))
+    assert larger.adjoint_weight_sq(0, (5, 5)) == F(35, 109)
+    for j in range(2):
+        for alpha in [(5, 5), (4, 4), (4, 0), (0, 4)]:
+            with pytest.raises(WindowTooSmall):
+                wt.adjoint_weight_sq(j, alpha)
+        assert wt.adjoint_weight_sq(j, (3, 0)) == larger.adjoint_weight_sq(j, (3, 0)) == 0
+        assert wt.adjoint_weight_sq(j, (3, 3)) == larger.adjoint_weight_sq(j, (3, 3))
 
 
 def test_passed_weights_must_cover_the_window():
@@ -222,10 +236,8 @@ def test_truncated_matrices_commute_on_inner_cells():
             for alpha in wt.window.cells:
                 if not wt.window.interior(alpha, step):
                     continue
-                jk = wt.mult_weight_sq(k, alpha) * wt.mult_weight_sq(
-                    j, tuple(a + t for a, t in zip(alpha, tail_index(2, k))))
-                kj = wt.mult_weight_sq(j, alpha) * wt.mult_weight_sq(
-                    k, tuple(a + t for a, t in zip(alpha, tail_index(2, j))))
+                jk = wt.mult_sq[k][alpha] * wt.mult_sq[j][add_index(alpha, tail_index(2, k))]
+                kj = wt.mult_sq[j][alpha] * wt.mult_sq[k][add_index(alpha, tail_index(2, j))]
                 assert jk == kj
 
 
@@ -259,7 +271,7 @@ def test_weights_below_upper_bound_exactly():
         for j in range(2):
             bound = norm_bounds(P, m, j).upper_sq
             for alpha in wt.window.cells:
-                assert wt.mult_weight_sq(j, alpha) <= bound
+                assert wt.mult_sq[j][alpha] <= bound
 
 
 def test_probe_hartogs_dichotomy():
@@ -333,7 +345,7 @@ def oracle_telescoping_mismatches(wt, window, step_sq):
             for k in range(n - 1, j - 1, -1):
                 acc *= step_sq(k, cur)
                 cur = add_index(cur, unit_index(n, k))
-            if acc != wt.mult_weight_sq(j, alpha):
+            if acc != wt.mult_sq[j][alpha]:
                 mismatches.append((j, alpha))
     return checked, mismatches
 
@@ -398,7 +410,7 @@ def assert_scans_match_oracles(wt, window):
     dB = [wt.d * v for v in wt.B]
     steps = [(dB, wt.B[s:]) for s in wt._strides]
     assert shiftops._telescoping_mismatches(wt, window, steps) == oracle_telescoping_mismatches(
-        wt, window, wt.shift_weight_sq)
+        wt, window, lambda k, cur: wt.shift_sq[k][cur])
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,7 +431,7 @@ def test_flat_scans_equal_the_tuple_oracles(data):
     probe = factorization_and_commutation_probe(P, m, window, weights=wt)
     assert probe == factorization_and_commutation_probe(P, m, window)
     a, b = unit_index(n, n - 1), tail_index(n, n - 2)
-    checked, mismatches = oracle_telescoping_mismatches(wt, window, wt.shift_weight_sq)
+    checked, mismatches = oracle_telescoping_mismatches(wt, window, lambda k, cur: wt.shift_sq[k][cur])
     assert probe.cells_checked == checked
     assert probe.factorization_exact == (not mismatches)
     assert probe.noncommuting_witness == oracle_commutator_witness(
@@ -441,7 +453,7 @@ def test_flat_scans_on_a_perturbed_table_agree_at_the_lattice_edge(P, m, bounds,
     n = P.n
     window = build_window(bounds)
     wt = WeightTable(P, m, window)
-    wt.B[wt._offsets[cell]] += 1
+    wt.B[wt.walk(window)[window.offset(cell)]] += 1
     witnesses = [shiftops._commutator_witness(wt, window, unit_index(n, j), unit_index(n, k))
                  for j in range(n) for k in range(n) if j != k]
     assert any(w is not None and 0 in w for w in witnesses)
@@ -657,7 +669,7 @@ def test_intertwining_hartogs_example():
     rep = polydisc_intertwining_check(hartogs_tuple(2), (1, 2), build_window((4, 4)))
     assert rep.ok and rep.cells_checked > 0
     wt = op_weights(hartogs_tuple(2), (1, 2), build_window((4, 4)))
-    assert wt.mult_weight_sq(0, (0, 0)) == F(1, 2)
+    assert wt.mult_sq[0][(0, 0)] == F(1, 2)
 
 
 def test_intertwining_random_admissible():
@@ -704,7 +716,7 @@ def test_self_commutator_ray_constancy():
     # the position on the ray for tuples whose components separate variables
     P = from_polys([{(1, 0): F(1), (2, 0): F(1, 2)}, {(0, 1): F(2)}])
     wt = op_weights(P, (1, 1), build_window((6, 6)))
-    values = {wt.mult_weight_sq(1, (l, 0)) for l in range(6)}
+    values = {wt.mult_sq[1][(l, 0)] for l in range(6)}
     assert len(values) == 1
 
 
