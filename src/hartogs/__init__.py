@@ -12,7 +12,6 @@ from .polytuple import (
     from_polys,
     hartogs_tuple,
     parse_and_validate,
-    scaled_tuple,
     serialize,
     tilde_restrictions,
 )

@@ -191,9 +191,9 @@ def _cmd_validate(c: dict, rng) -> tuple[bool | None, dict, None]:
 def _cmd_coeffs(c: dict, rng):
     P, bounds = c["poly_tuple"], c["window"]
     table = coeff_function(P, c["m"], bounds)
-    scales = table.scales
-    entries = [{"alpha": list(alpha), "value": format_rational(b, scales[sum(alpha)])}
-               for alpha, b in zip(box(bounds), table.scaled)]
+    B, scales = table.B, table.scales
+    entries = [{"alpha": list(alpha), "value": format_rational(B[off], scales[sum(alpha)])}
+               for alpha, off in zip(box(bounds), table.walk(bounds))]
     header = [f"alpha_{j + 1}" for j in range(P.n)] + ["value"]
     rows = ([*e["alpha"], e["value"]] for e in entries)
     return None, {"bounds": list(bounds), "entries": entries}, (header, rows)

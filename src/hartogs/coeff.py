@@ -14,16 +14,20 @@ the indicator table, divide by (1-P_j) m_j times for each j.  The division
 drops the terms that cannot reach the box and runs on a table padded at the
 front of each axis by the largest remaining exponent on that axis; the padded
 cells stay zero, so a read of alpha - gamma off the lattice finds 0 and the
-inner loop has no bounds test.  This is the one route of coeff_function, for
-every tuple.  For tuples whose components each depend on their own variable
-only, the table also factors into univariate axis tables; consumers that need
-only a few cells of such a table read the axis tables instead.
+inner loop has no bounds test.  That padded list is the table every reader
+gets: a CoeffTable holds it with its per-axis pad, and a reader reaches a
+cell only through the table's offset rule.  This is the one route of
+coeff_function, for every tuple.  For tuples whose components each depend on
+their own variable only, the table also factors into univariate axis tables;
+consumers that need only a few cells of such a table read the axis tables
+instead.
 
 The division kernel works in int: it yields the scaled table
 B(alpha) = d^|alpha| A(alpha) and the common denominator d.  A CoeffTable
 holds that scaled form and reduces a cell to a Fraction only when a consumer
 asks for one: coeffs formats each cell from B(alpha) and d^|alpha|, and the
-kernel series divides them into floats.  The axis tables have one builder,
+kernel series divides them into floats.  The oracle route builds the same
+table with pad 0, the compact layout.  The axis tables have one builder,
 _axis_scaled, and stay scaled integers: their consumers compare them, take
 logs, divide neighbouring cells or put their reciprocals over one denominator.
 """
@@ -44,6 +48,7 @@ from .polytuple import (
     _box_walk,
     _offset,
     _strides,
+    add_index,
     box,
     box_size,
     index_leq,
@@ -57,25 +62,49 @@ from .polytuple import (
 class CoeffTable:
     """Dense table alpha -> A(alpha) on the box 0 <= alpha <= bounds.
 
-    Held scaled: scaled lists B(alpha) = d^|alpha| A(alpha) in int, in
-    row-major order, over the common denominator d.  values, the cells as
-    reduced Fractions, is built on first use; value(alpha) reduces one cell.
-    Lookups at indices with a negative entry return 0 (the expansion
-    coefficients vanish off the nonnegative lattice); indices beyond the
-    bounds raise WindowTooSmall.
+    Held scaled: B lists B(alpha) = d^|alpha| A(alpha) in int over the common
+    denominator d, row-major over the box padded at the front of axis i by
+    pad[i] zero cells.  Cell alpha sits at offset(alpha) = origin +
+    sum_i alpha_i strides[i], and walk gives the offsets of a sub-box; a
+    reader reaches a cell only through these, so a read up to pad[i] steps
+    below the lattice on axis i finds 0, and pad = (0, ..., 0) is the compact
+    layout.  values, the cells as reduced Fractions in row-major order, is
+    built on first use; value(alpha) reduces one cell.  Lookups at indices
+    with a negative entry return 0 (the expansion coefficients vanish off the
+    nonnegative lattice); indices beyond the bounds raise WindowTooSmall.
     """
 
     bounds: MultiIndex
-    scaled: tuple[int, ...]
+    B: list[int]
     d: int
+    pad: MultiIndex
 
     @property
     def n(self) -> int:
         return len(self.bounds)
 
     @functools.cached_property
+    def strides(self) -> tuple[int, ...]:
+        return _strides(add_index(self.bounds, self.pad))
+
+    @functools.cached_property
+    def origin(self) -> int:
+        """The offset of the cell 0."""
+        return sum(p * s for p, s in zip(self.pad, self.strides))
+
+    def offset(self, alpha: MultiIndex) -> int:
+        """Offset of the cell alpha in B; linear in alpha, so alpha + gamma sits
+        offset(gamma) - origin after alpha."""
+        return self.origin + sum(a * s for a, s in zip(alpha, self.strides))
+
+    def walk(self, bounds: MultiIndex, lo: MultiIndex | None = None) -> list[int]:
+        """Offsets in B of the cells lo + beta, 0 <= beta <= bounds, in
+        row-major order; lo is the cell 0 when not given."""
+        return _box_walk(bounds, self.strides, self.origin if lo is None else self.offset(lo))
+
+    @functools.cached_property
     def scales(self) -> tuple[int, ...]:
-        """d^k for k = 0..|bounds|: A(alpha) = scaled[offset] / scales[|alpha|]."""
+        """d^k for k = 0..|bounds|: A(alpha) = B[offset(alpha)] / scales[|alpha|]."""
         return tuple(self.d ** k for k in range(sum(self.bounds) + 1))
 
     @functools.cached_property
@@ -89,7 +118,7 @@ class CoeffTable:
             return Fraction(0)
         if any(a > b for a, b in zip(alpha, self.bounds)):
             raise WindowTooSmall(f"alpha {alpha} outside table bounds {self.bounds}")
-        return Fraction(self.scaled[_offset(alpha, self.bounds)], self.scales[sum(alpha)])
+        return Fraction(self.B[self.offset(alpha)], self.scales[sum(alpha)])
 
 
 def _check_expandable(q: Mapping[MultiIndex, Fraction]) -> None:
@@ -123,13 +152,11 @@ def reciprocal_power_coeffs(
     _check_expandable(q)
     bounds = tuple(bounds)
     if mode == "recursion":
-        scaled, d = _divided(bounds, [(q, k)])
-    elif mode == "oracle":
+        return _divided(bounds, [(q, k)])
+    if mode == "oracle":
         d = math.lcm(*(c.denominator for _, c in _reachable(q, bounds)))
-        scaled = _scaled(bounds, _oracle_values(q, k, bounds), d)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return CoeffTable(bounds=bounds, scaled=tuple(scaled), d=d)
+        return CoeffTable(bounds, _scaled(bounds, _oracle_values(q, k, bounds), d), d, (0,) * len(bounds))
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _reachable(q: Mapping[MultiIndex, Fraction], bounds: MultiIndex) -> list[tuple[MultiIndex, Fraction]]:
@@ -139,13 +166,13 @@ def _reachable(q: Mapping[MultiIndex, Fraction], bounds: MultiIndex) -> list[tup
 
 
 def _divided(bounds: MultiIndex,
-             factors: Iterable[tuple[Mapping[MultiIndex, Fraction], int]]) -> tuple[list[int], int]:
+             factors: Iterable[tuple[Mapping[MultiIndex, Fraction], int]]) -> CoeffTable:
     """Scaled coefficients of prod 1/(1-Q)^k over the pairs (Q, k) in factors, on the box.
 
-    Returns (B, d): B lists B(alpha) = d^|alpha| A(alpha) in int over the box in
-    row-major order, where A is the coefficient table and d the lcm of all
-    coefficient denominators, so each q_gamma d^|gamma| is an integer.
-    Starting from the indicator table, each division by (1-Q) solves
+    Returns the table it fills: B(alpha) = d^|alpha| A(alpha) in int, where A
+    is the coefficient table and d the lcm of all coefficient denominators,
+    so each q_gamma d^|gamma| is an integer.  Starting from the indicator
+    table, each division by (1-Q) solves
     new(alpha) = old(alpha) + sum_gamma q_gamma new(alpha - gamma) in place;
     row-major order finishes alpha - gamma before alpha because gamma != 0.
 
@@ -158,33 +185,32 @@ def _divided(bounds: MultiIndex,
     """
     factors = [(_reachable(q, bounds), k) for q, k in factors]
     d = math.lcm(*(c.denominator for terms, _ in factors for _, c in terms))
-    pad = [max((g[j] for terms, _ in factors for g, _ in terms), default=0)
-           for j in range(len(bounds))]
-    padded = tuple(b + p for b, p in zip(bounds, pad))
-    # Row-major offsets of the real cells inside the padded box.
-    offsets = _box_walk(bounds, _strides(padded), _offset(pad, padded))
-    table = [0] * box_size(padded)
-    table[offsets[0]] = 1
+    pad = tuple(max((g[j] for terms, _ in factors for g, _ in terms), default=0)
+                for j in range(len(bounds)))
+    table = CoeffTable(bounds, [0] * box_size(add_index(bounds, pad)), d, pad)
+    B, offsets = table.B, table.walk(bounds)
+    B[table.origin] = 1
     for terms, k in factors:
         # Offsets of alpha - gamma relative to alpha are constant shifts.
-        shifts = [(c.numerator * (d ** total_degree(g) // c.denominator), _offset(g, padded))
+        shifts = [(c.numerator * (d ** total_degree(g) // c.denominator), table.offset(g) - table.origin)
                   for g, c in terms]
         for _ in range(k):
             for off in offsets:
-                val = table[off]
+                val = B[off]
                 for coeff, shift in shifts:
-                    val += coeff * table[off - shift]
-                table[off] = val
-    return [table[off] for off in offsets], d
+                    val += coeff * B[off - shift]
+                B[off] = val
+    return table
 
 
 def _reduced(table: CoeffTable) -> tuple[Fraction, ...]:
     """A(alpha) = B(alpha) / d^|alpha| as reduced Fractions: the whole table,
     which CoeffTable.values builds once."""
+    cells = map(table.B.__getitem__, table.walk(table.bounds))
     if table.d == 1:
-        return tuple(map(Fraction, table.scaled))
+        return tuple(map(Fraction, cells))
     scales = table.scales
-    return tuple(Fraction(b, scales[sum(alpha)]) for alpha, b in zip(box(table.bounds), table.scaled))
+    return tuple(Fraction(b, scales[sum(alpha)]) for alpha, b in zip(box(table.bounds), cells))
 
 
 def _scaled(bounds: MultiIndex, values: list[Fraction], d: int) -> list[int]:
@@ -230,7 +256,8 @@ def _axis_scaled(P: PolyTuple, m: Sequence[int], j: int, kmax: int) -> tuple[lis
     linear coefficient of the restriction is.
     """
     q = {(e,): Fraction(c) for e, c in tilde_restrictions(P)[j].items()}
-    return _divided((kmax,), [(q, m[j])])
+    table = _divided((kmax,), [(q, m[j])])
+    return table.B[table.origin:], table.d
 
 
 def _check_m(P: PolyTuple, m: Sequence[int]) -> tuple[int, ...]:
@@ -249,8 +276,7 @@ def coeff_function(P: PolyTuple, m: Sequence[int], bounds: MultiIndex) -> CoeffT
     m = _check_m(P, m)
     if len(bounds) != P.n or any(b < 0 for b in bounds):
         raise ValueError(f"bounds must be {P.n} nonnegative integers, got {bounds}")
-    scaled, d = _divided(bounds, zip(P.polys, m))
-    return CoeffTable(bounds=tuple(bounds), scaled=tuple(scaled), d=d)
+    return _divided(tuple(bounds), zip(P.polys, m))
 
 
 def hartogs_coeff_closed(m: Sequence[int], alpha: MultiIndex) -> Fraction:

@@ -23,7 +23,7 @@ import numpy as np
 from .coeff import CoeffTable, coeff_function, hartogs_coeff_closed
 from .errors import InvalidMultiplicity, OutsideDomain, WindowTooSmall, ZeroCoordinate
 from .geometry import forward, triangle_contains
-from .polytuple import MultiIndex, PolyTuple, _strides, _to_float, hartogs_tuple, poly_eval
+from .polytuple import MultiIndex, PolyTuple, _to_float, hartogs_tuple, poly_eval
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,10 @@ def kernel_series_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[com
     for j in range(n):
         for _ in range(cutoff):
             powers[j].append(powers[j][-1] * u[j])
-    scaled, scales, strides = ctx.table.scaled, ctx.table.scales, _strides(ctx.bounds)
-    # (offset, product of powers, degree) of each prefix alpha_1..alpha_j, j < n
-    prefixes = [(0, 1, 0)]
+    B, scales, strides = ctx.table.B, ctx.table.scales, ctx.table.strides
+    # (offset, product of powers, degree) of each prefix alpha_1..alpha_j, j < n;
+    # the last axis has stride 1
+    prefixes = [(ctx.table.origin, 1, 0)]
     for j in range(n - 1):
         prefixes = [(off + a * strides[j], prod * powers[j][a], deg + a)
                     for off, prod, deg in prefixes for a in range(cutoff - deg + 1)]
@@ -94,7 +95,7 @@ def kernel_series_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[com
     total = 0j
     for off, prod, deg in prefixes:
         for a in range(cutoff - deg + 1):
-            if b := scaled[off + a]:
+            if b := B[off + a]:
                 s = scales[deg + a]
                 # an A(alpha) < 1 that rounds to 0.0 lies below the resolution of the sum
                 x = b / s if b < s else _to_float(b, "a coefficient A(alpha)", s)

@@ -250,13 +250,6 @@ def hartogs_tuple(n: int, a: Fraction | int = 0) -> PolyTuple:
     return PolyTuple(tuple(polys))
 
 
-def scaled_tuple(radii: Iterable[Fraction]) -> PolyTuple:
-    """The tuple with components z_j / r_j^2, whose triangle has polyradii r."""
-    rs = [Fraction(r) for r in radii]
-    n = len(rs)
-    return PolyTuple(tuple({unit_index(n, j): 1 / (rs[j] * rs[j])} for j in range(n)))
-
-
 # --- parse / serialize --------------------------------------------------------
 
 def parse_and_validate(document: str | Mapping) -> PolyTuple:

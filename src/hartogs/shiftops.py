@@ -5,11 +5,11 @@ Multiplication by z_j moves the basis cell alpha to alpha + (0..0,1,..,1)
 single-step shifts use the unit increment instead, and multiplication
 factors exactly into the product of the single steps.  Every squared weight
 is one integer quotient of the scaled coefficient table B(alpha) =
-d^|alpha| A(alpha) over the window and a one-step margin, held as one flat
-row-major list with a zero cell padded at the front of each axis, and a
-cell is reached only by its offset in that list, from one walk over a
-window.  The probes decide each identity on integer cross-products of B
-read at fixed offsets, where the zero pad stands for a cell off the
+d^|alpha| A(alpha) over the window and a one-step margin: the padded list
+that coeff_function fills, whose per-axis pad holds at least one zero cell,
+and a cell is reached only through that table's offset rule, from one walk
+over a window.  The probes decide each identity on integer cross-products
+of B read at fixed offsets, where the zero pad stands for a cell off the
 lattice.  A report divides a quotient into a float by
 ``polytuple._to_float`` or formats it, and a ``Fraction`` is made only
 where a caller asks for an exact value, as the views ``mult_sq``/``shift_sq`` do.
@@ -38,13 +38,10 @@ from .polytuple import (
     _offset,
     _strides,
     _to_float,
-    add_index,
     admissibility_degree,
     box,
-    box_size,
     from_polys,
     index_leq,
-    sub_index,
     tail_index,
     tilde_restrictions,
     unit_index,
@@ -65,10 +62,6 @@ class LatticeWindow:
     def offset(self, alpha: MultiIndex) -> int:
         return _offset(alpha, self.bounds)
 
-    def interior(self, alpha: MultiIndex, increment: MultiIndex) -> bool:
-        """True when alpha + increment stays inside the window."""
-        return index_leq(add_index(alpha, increment), self.bounds)
-
 
 def build_window(bounds: MultiIndex) -> LatticeWindow:
     bounds = tuple(bounds)
@@ -80,41 +73,33 @@ def build_window(bounds: MultiIndex) -> LatticeWindow:
 class WeightTable:
     """Exact squared multiplication and shift weights over a window.
 
-    B is one flat row-major list of the scaled coefficient table
-    B(alpha) = d^|alpha| A(alpha) of (P, m) over the window plus a one-step
-    margin, with one zero cell padded at the front of each axis.  Cell alpha
-    sits at _origin + sum_i alpha_i _strides[i], so a read one step below the
+    B is the scaled coefficient table B(alpha) = d^|alpha| A(alpha) of (P, m)
+    over the window plus a one-step margin: the list coeff_function fills,
+    read through that table's offset rule (walk, _strides).  Every P_j has
+    the term z_j and the table's bounds are >= 1, so its pad holds at least
+    one zero cell at the front of each axis, and a read one step below the
     lattice, on any set of axes, finds 0: no scan tests bounds or builds an
     index tuple.  Every squared weight at a window cell is one integer
     quotient of B.  With |tail_j| = n - j:
       mult_sq[j][alpha]  = A(alpha)/A(alpha + tail_j) = d^(n-j) B(alpha) / B(alpha + tail_j),
       shift_sq[j][alpha] = A(alpha)/A(alpha + e_j) = d B(alpha) / B(alpha + e_j).
-    The adjoint weight at alpha is the multiplication weight at alpha - tail_j,
-    and 0 off the lattice.  mult_quotient, shift_quotient and hypo_quotient
-    give (numerator, denominator) in int at a cell offset from walk; the dicts
-    mult_sq and shift_sq, built on first use, are the only exact views: one
-    Fraction per weight.  mult_matrix and circularity_check read the same
-    float weights, divided once per window.
+    mult_quotient, shift_quotient and hypo_quotient give (numerator,
+    denominator) in int at a cell offset from walk; the dicts mult_sq and
+    shift_sq, built on first use, are the only exact views: one Fraction per
+    weight.  mult_matrix and circularity_check read the same float weights,
+    divided once per window.
     """
 
     def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow):
         self.P = P
         self.m = tuple(m)
         self.window = window
-        table = coeff_function(P, m, tuple(b + 1 for b in window.bounds))
+        self._table = table = coeff_function(P, m, tuple(b + 1 for b in window.bounds))
         n = P.n
-        self.d = table.d
-        # An axis of bound b holds b + 3 cells: the pad, the window and the margin.
-        padded = tuple(b + 2 for b in window.bounds)
-        self._sizes = tuple(b + 1 for b in padded)
-        self._strides = _strides(padded)
-        self._origin = sum(self._strides)
-        self.B = [0] * box_size(padded)
-        for off, b in zip(_box_walk(table.bounds, self._strides, self._origin), table.scaled):
-            self.B[off] = b
+        self.d, self.B, self._strides = table.d, table.B, table.strides
         self._tails = [tail_index(n, j) for j in range(n)]
         # alpha + tail_j sits _tail_steps[j] cells after alpha in B, and alpha + e_j _strides[j].
-        self._tail_steps = [sum(self._strides[j:]) for j in range(n)]
+        self._tail_steps = [self._step(tail) for tail in self._tails]
         self._tail_scales = [table.d ** (n - j) for j in range(n)]
         self._floats: dict[MultiIndex, list[list[tuple[int, int, float]]]] = {}
 
@@ -122,14 +107,15 @@ class WeightTable:
         """Offsets in B of the cells alpha of the window (with alpha + increment
         in it), in row-major order.  The window may be smaller than the table's."""
         bounds = window.bounds if increment is None else [b - i for b, i in zip(window.bounds, increment)]
-        return _box_walk(bounds, self._strides, self._origin)
+        return self._table.walk(bounds)
 
     def _step(self, increment: MultiIndex) -> int:
         """alpha + increment sits this many cells after alpha in B."""
-        return sum(i * s for i, s in zip(increment, self._strides))
+        return self._table.offset(increment) - self._table.origin
 
     def _cell(self, off: int) -> MultiIndex:
-        return tuple(off // s % size - 1 for s, size in zip(self._strides, self._sizes))
+        t = self._table
+        return tuple(off // s % (b + p + 1) - p for s, b, p in zip(t.strides, t.bounds, t.pad))
 
     def mult_quotient(self, j: int, off: int) -> tuple[int, int]:
         return self._tail_scales[j] * self.B[off], self.B[off + self._tail_steps[j]]
@@ -171,14 +157,6 @@ class WeightTable:
     @cached_property
     def shift_sq(self) -> list[dict[MultiIndex, Fraction]]:
         return self._squares(self.shift_quotient)
-
-    def adjoint_weight_sq(self, j: int, alpha: MultiIndex) -> Fraction:
-        """mult_sq[j][alpha - tail_j] at the cell alpha of the window, or 0 when
-        alpha - tail_j leaves the lattice."""
-        if not index_leq(alpha, self.window.bounds):
-            raise WindowTooSmall(f"cell {alpha} lies beyond the window {self.window.bounds}")
-        beta = sub_index(alpha, self._tails[j])
-        return self.mult_sq[j][beta] if min(beta) >= 0 else Fraction(0)
 
     def mult_matrix(self, j: int) -> np.ndarray:
         """Truncated matrix of multiplication by z_j over the window enumeration,
@@ -533,7 +511,8 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
     steps = []
     for k, r in enumerate(window.bounds):
         scaled, d = _axis_scaled(P, m, k, r + 1)
-        steps.append((along(k, [0, *(d * b for b in scaled[:-1]), 0]), along(k, [0, *scaled[1:], 0])))
+        pad = [0] * wt._table.pad[k]
+        steps.append((along(k, [*pad, *(d * b for b in scaled[:-1]), 0]), along(k, [*pad, *scaled[1:], 0])))
     checked, mismatches = _telescoping_mismatches(wt, window, steps)
     return IntertwiningReport(ok=not mismatches, cells_checked=checked,
                               mismatches=mismatches[:16])

@@ -164,7 +164,8 @@ def _shift_witnesses(P: PolyTuple, m: Sequence[int], lo: MultiIndex, hi: MultiIn
     gives 1/A_j(a) = d_j^a / B_j(a), with the scale folded into the last
     axis; each axis is put over one denominator (_over_lcm) and the integer
     axes are multiplied out row-major.  Otherwise _divided gives B on the box
-    from 0, and the whole box is put over one denominator.
+    from 0, its walk reads the cells of lo <= alpha <= top, and they are put
+    over one denominator.
     """
     m = _check_m(P, m)
     n = P.n
@@ -181,6 +182,7 @@ def _shift_witnesses(P: PolyTuple, m: Sequence[int], lo: MultiIndex, hi: MultiIn
     sn, sd = scale.numerator, scale.denominator
     top = tuple(h + e + order for h, e in zip(hi, embedded_shift(window)))
     ranges = [range(a, b + 1) for a, b in zip(lo, top)]
+    shape = sub_index(top, lo)
     if admissibility_degree(P).admissible:
         values = [1]
         for j in range(n):
@@ -189,11 +191,11 @@ def _shift_witnesses(P: PolyTuple, m: Sequence[int], lo: MultiIndex, hi: MultiIn
             axis = _over_lcm([((d * den) ** a, B[a] * num ** a) for a in ranges[j]])
             values = [v * x for v in values for x in axis]
     else:
-        B, d = _divided(top, zip(P.polys, m))
-        pairs = [(d ** sum(alpha) * sd ** alpha[-1], B[_offset(alpha, top)] * sn ** alpha[-1])
-                 for alpha in itertools.product(*ranges)]
+        table = _divided(top, zip(P.polys, m))
+        B, d = table.B, table.d
+        pairs = [(d ** sum(alpha) * sd ** alpha[-1], B[off] * sn ** alpha[-1])
+                 for alpha, off in zip(itertools.product(*ranges), table.walk(shape, lo))]
         values = _over_lcm(pairs)
-    shape = sub_index(top, lo)
     strides = _strides(shape)
     steps = [sum(strides[j:]) for j in range(n)]
     starts = {add_index(lo, g): _offset(g, shape) for g in box(sub_index(hi, lo))}

@@ -94,8 +94,10 @@ def test_recursion_equals_oracle_property(n, k, data):
     rec = reciprocal_power_coeffs(q, k, bounds, mode="recursion")
     orc = reciprocal_power_coeffs(q, k, bounds, mode="oracle")
     # the oracle's Fractions, put over the recursion's common denominator,
-    # are the recursion's scaled integers
-    assert (rec.scaled, rec.d) == (orc.scaled, orc.d)
+    # are the recursion's scaled integers, read through its padded layout;
+    # the oracle's table is the pad-0 case of that layout
+    assert orc.pad == (0,) * n and orc.walk(bounds) == list(range(len(orc.B)))
+    assert ([rec.B[off] for off in rec.walk(bounds)], rec.d) == (orc.B, orc.d)
     assert rec.values == orc.values
 
 

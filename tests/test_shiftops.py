@@ -16,6 +16,7 @@ from hartogs.polytuple import (
     box,
     from_polys,
     hartogs_tuple,
+    index_leq,
     serialize,
     sub_index,
     tail_index,
@@ -55,13 +56,22 @@ def random_admissible_pair(rng):
     return from_polys(polys)
 
 
-def test_build_window_size_and_interior():
+def inside(window, alpha, increment):
+    """True when alpha + increment stays inside the window."""
+    return index_leq(add_index(alpha, increment), window.bounds)
+
+
+def adjoint_weight_sq(wt, j, alpha):
+    """The squared weight of the adjoint of z_j at alpha: mult_sq[j][alpha - tail_j],
+    or 0 when alpha - tail_j leaves the lattice."""
+    beta = sub_index(alpha, tail_index(wt.P.n, j))
+    return wt.mult_sq[j][beta] if min(beta) >= 0 else F(0)
+
+
+def test_build_window_size_and_cells():
     w = build_window((2, 2))
     assert w.size == 9
     assert w.cells[0] == (0, 0) and w.cells[-1] == (2, 2)
-    assert not w.interior((2, 0), (1, 1))
-    assert w.interior((0, 0), (2, 2))
-    assert w.interior((1, 1), (1, 1))
 
 
 def test_build_window_rejects_bad_bounds():
@@ -98,22 +108,40 @@ def test_adjoint_vanishes_on_bottom_row():
         adjoint = wt.mult_matrix(j).T
         for alpha in wt.window.cells:
             if alpha[1] == 0:
-                assert wt.adjoint_weight_sq(j, alpha) == 0
+                assert adjoint_weight_sq(wt, j, alpha) == 0
                 assert not adjoint[:, wt.window.offset(alpha)].any()
 
 
-def test_adjoint_weight_beyond_the_window_raises():
-    # A cell beyond the window read 0, where a table over a larger window
-    # gives its weight; a cell whose tail step back leaves the lattice reads 0.
+def test_adjoint_weight_agrees_with_a_larger_window():
+    # A table over a larger window gives the same adjoint weights on the
+    # smaller one; a cell whose tail step back leaves the lattice reads 0.
     P, m = hartogs_tuple(2, 1), (1, 2)
     wt, larger = op_weights(P, m, build_window((3, 3))), op_weights(P, m, build_window((6, 6)))
-    assert larger.adjoint_weight_sq(0, (5, 5)) == F(35, 109)
+    assert adjoint_weight_sq(larger, 0, (5, 5)) == F(35, 109)
     for j in range(2):
-        for alpha in [(5, 5), (4, 4), (4, 0), (0, 4)]:
-            with pytest.raises(WindowTooSmall):
-                wt.adjoint_weight_sq(j, alpha)
-        assert wt.adjoint_weight_sq(j, (3, 0)) == larger.adjoint_weight_sq(j, (3, 0)) == 0
-        assert wt.adjoint_weight_sq(j, (3, 3)) == larger.adjoint_weight_sq(j, (3, 3))
+        assert adjoint_weight_sq(wt, j, (3, 0)) == adjoint_weight_sq(larger, j, (3, 0)) == 0
+        assert adjoint_weight_sq(wt, j, (3, 3)) == adjoint_weight_sq(larger, j, (3, 3))
+
+
+@pytest.mark.parametrize("P, pad", [(hartogs_tuple(2, 1), (1, 1)), (fib_tuple(), (2, 1))],
+                         ids=["pad-1", "pad-2"])
+def test_weight_table_reads_the_coefficient_table_in_place(P, pad, monkeypatch):
+    # The weight table keeps the list coeff_function filled, with its per-axis
+    # pad, and reaches cells through that table's offset rule: no copy.
+    tables = []
+
+    def capture(*args):
+        tables.append(coeff_function(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(shiftops, "coeff_function", capture)
+    window = build_window((3, 2))
+    wt = WeightTable(P, (2, 1), window)
+    [table] = tables
+    assert table.pad == pad
+    assert wt.B is table.B
+    assert wt.walk(window) == table.walk(window.bounds)
+    assert [wt._cell(off) for off in wt.walk(window)] == list(window.cells)
 
 
 def test_passed_weights_must_cover_the_window():
@@ -175,10 +203,10 @@ def test_weights_are_exact_ratios_of_a_passed_table(data):
             assert wt.shift_sq[j][alpha] == A(alpha) / A(add_index(alpha, unit_index(n, j)))
             beta = sub_index(alpha, tail)
             if min(beta) < 0:
-                assert wt.adjoint_weight_sq(j, alpha) == 0
+                assert adjoint_weight_sq(wt, j, alpha) == 0
                 assert diagonal[alpha] == A(alpha) / A(add_index(alpha, tail))
             else:
-                assert wt.adjoint_weight_sq(j, alpha) == A(beta) / A(alpha)
+                assert adjoint_weight_sq(wt, j, alpha) == A(beta) / A(alpha)
                 assert diagonal[alpha] == A(alpha) / A(add_index(alpha, tail)) - A(beta) / A(alpha)
                 adjoint[window.offset(beta), col] = math.sqrt(float(A(beta) / A(alpha)))
         assert np.array_equal(wt.mult_matrix(j).T, adjoint)
@@ -234,7 +262,7 @@ def test_truncated_matrices_commute_on_inner_cells():
         for k in range(2):
             step = tuple(x + y for x, y in zip(tail_index(2, j), tail_index(2, k)))
             for alpha in wt.window.cells:
-                if not wt.window.interior(alpha, step):
+                if not inside(wt.window, alpha, step):
                     continue
                 jk = wt.mult_sq[k][alpha] * wt.mult_sq[j][add_index(alpha, tail_index(2, k))]
                 kj = wt.mult_sq[j][alpha] * wt.mult_sq[k][add_index(alpha, tail_index(2, j))]
@@ -319,7 +347,7 @@ def oracle_commutator_witness(window, a_sq, a, b_sq, b):
     a cell off the lattice reads 0."""
     zero = F(0)
     for alpha in window.cells:
-        if not window.interior(alpha, a):
+        if not inside(window, alpha, a):
             continue
         down = sub_index(alpha, b)
         if a_sq[alpha] * b_sq.get(add_index(down, a), zero) != b_sq.get(down, zero) * a_sq.get(down, zero):
@@ -337,7 +365,7 @@ def oracle_telescoping_mismatches(wt, window, step_sq):
     for j in range(n):
         tail = tail_index(n, j)
         for alpha in window.cells:
-            if not window.interior(alpha, tail):
+            if not inside(window, alpha, tail):
                 continue
             checked += 1
             acc = F(1)
@@ -380,15 +408,17 @@ COEFFS = [F(1), F(2), F(1, 3), F(3, 2)]
 
 @st.composite
 def probe_tuples(draw):
-    """n = 2 or 3; each P_j is a_j z_j plus optional axis powers and, for a
-    mixed tuple, optional mixed terms.  a_1 is not an integer, so d != 1."""
+    """n = 2 or 3; each P_j is a_j z_j plus an optional axis power of degree
+    2 or 3 and, for a mixed tuple, optional mixed terms, so the table's pad
+    is 1, 2 or 3 on each axis.  a_1 is not an integer, so d != 1."""
     n = draw(st.sampled_from([2, 3]))
     mixed = draw(st.booleans())
     polys = []
     for j in range(n):
         terms = {unit_index(n, j): draw(st.sampled_from(FRACTIONAL if j == 0 else COEFFS))}
         if draw(st.booleans()):
-            terms[tuple(2 if i == j else 0 for i in range(n))] = draw(st.sampled_from(COEFFS))
+            degree = draw(st.sampled_from([2, 3]))
+            terms[tuple(degree if i == j else 0 for i in range(n))] = draw(st.sampled_from(COEFFS))
         if mixed and draw(st.booleans()):
             other = draw(st.sampled_from([i for i in range(n) if i != j]))
             terms[tuple(int(i in (j, other)) for i in range(n))] = draw(st.sampled_from(COEFFS))
@@ -757,7 +787,7 @@ def test_adjoint_matrix_reproduces_kernel_eigenvector():
         image = wt.mult_matrix(j).T @ vec
         eig = complex(w[j]).conjugate()
         for alpha in window.cells:
-            if window.interior(alpha, tail_index(2, j)):
+            if inside(window, alpha, tail_index(2, j)):
                 row = window.offset(alpha)
                 assert image[row] == pytest.approx(eig * vec[row], rel=1e-10)
 
