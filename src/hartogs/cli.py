@@ -4,6 +4,8 @@ One run executes exactly one sub-command and writes one deterministic report
 (JSON, or CSV for tabular commands).  Each command declares its config fields
 in one table, next to its implementation, and returns its JSON entries with
 its CSV rows as a generator over them, so only a CSV run builds the rows.
+A command imports the modules it runs inside its function, so a run loads
+only those: numpy only for radius, quadrature, hereditary and pick-verify.
 One C JSON encoder, built once at import, renders every JSON line and every
 JSON cell of a CSV row.  Exit codes: 0 success, 1
 mathematically negative verdict (failed monotonicity, failed certificate,
@@ -24,8 +26,6 @@ import sys
 import traceback
 from typing import Sequence
 
-from . import geometry, hereditary, kernel, shiftops, subnormality
-from .coeff import coeff_function
 from .errors import HartogsError, InvalidConfig, MalformedInput, UnknownCommand
 from .polytuple import (_to_float, admissibility_degree, box, format_rational, parse_and_validate,
                         parse_rational)
@@ -135,6 +135,7 @@ def _matrix():
         _must(width and all(type(row) is list and len(row) == width for row in value)
               and _is_pairs(list(itertools.chain.from_iterable(value))),
               where, "a rectangular matrix of [re, im] pairs of finite numbers", value)
+        from . import hereditary
         return hereditary.matrix_from_json(value)
     return check, _REQUIRED
 
@@ -179,6 +180,7 @@ _P, _M, _WINDOW = (_tuple, _REQUIRED), _ints(1, _n), _ints(0, _n)
 
 @_command("validate", poly_tuple=_P)
 def _cmd_validate(c: dict, rng) -> tuple[bool | None, dict, None]:
+    from . import geometry
     P = c["poly_tuple"]
     adm = admissibility_degree(P)
     return None, {"valid": True, "n": P.n, "admissible": adm.admissible,
@@ -189,6 +191,7 @@ def _cmd_validate(c: dict, rng) -> tuple[bool | None, dict, None]:
 
 @_command("coeffs", poly_tuple=_P, m=_M, window=_WINDOW)
 def _cmd_coeffs(c: dict, rng):
+    from .coeff import coeff_function
     P, bounds = c["poly_tuple"], c["window"]
     table = coeff_function(P, c["m"], bounds)
     B, scales = table.B, table.scales
@@ -201,6 +204,7 @@ def _cmd_coeffs(c: dict, rng):
 
 @_command("domain", poly_tuple=_P, points=_list(_point(_n)))
 def _cmd_domain(c: dict, rng):
+    from . import geometry
     entries = [{"point": [[z.real, z.imag] for z in p],
                 "inside": geometry.triangle_contains(c["poly_tuple"], p)} for p in c["points"]]
     rows = ([_encode(e["point"]), int(e["inside"])] for e in entries)
@@ -211,6 +215,7 @@ def _cmd_domain(c: dict, rng):
           cutoff=_int(0, lambda c: min(c["window"]), default=lambda c: min(c["window"])),
           pairs=_list(_list(_point(_n), 2)))
 def _cmd_kernel(c: dict, rng):
+    from . import kernel
     ctx = kernel.make_context(c["poly_tuple"], c["m"], c["window"])
     entries = []
     for z, w in c["pairs"]:
@@ -234,6 +239,7 @@ def _weight(quotient: tuple[int, int], what: str) -> float:
 
 @_command("weights", poly_tuple=_P, m=_M, window=_WINDOW)
 def _cmd_weights(c: dict, rng):
+    from . import shiftops
     P, m = c["poly_tuple"], c["m"]
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
@@ -252,6 +258,7 @@ def _cmd_weights(c: dict, rng):
 @_command("probes", poly_tuple=_P, m=_M, window=_WINDOW, theta_trials=_int(0, default=5),
           circularity_tolerance=_number(1e-12))
 def _cmd_probes(c: dict, rng):
+    from . import shiftops
     P, m = c["poly_tuple"], c["m"]
     # A noncommuting witness needs a step along each of the last two axes.
     _must(min(c["window"][-2:]) >= 1, "window", "integers >= 0 whose last two are >= 1", list(c["window"]))
@@ -274,6 +281,7 @@ def _cmd_probes(c: dict, rng):
 
 @_command("dettrace", poly_tuple=_P, m=_M, K=_int(1))
 def _cmd_dettrace(c: dict, rng):
+    from . import shiftops
     rep = shiftops.det_commutator_and_trace(c["poly_tuple"], c["m"], c["K"])
     report = {"K": c["K"], "increasing": list(rep.increasing), "positive": rep.positive,
               "partial_trace": format_rational(rep.partial_trace),
@@ -287,6 +295,7 @@ def _cmd_dettrace(c: dict, rng):
 @_command("radius", poly_tuple=_P, m=_M, j=_int(1, _n, default=1), K=_int(0, default=30),
           N=_int(1, default=400))
 def _cmd_radius(c: dict, rng):
+    from . import geometry, shiftops
     P = c["poly_tuple"]
     radii = geometry.polydisc_radii(P)
     rep = shiftops.spectral_radius_estimate(P, c["m"], c["j"] - 1, c["K"], c["N"])
@@ -304,6 +313,7 @@ def _cmd_radius(c: dict, rng):
           window=_ints(0, lambda c: len(c["m"]), default=lambda c: (2,) * len(c["m"])),
           order=_int(1, default=4), scale=_rational(1))
 def _cmd_subnormality(c: dict, rng):
+    from . import subnormality
     order, window = c["order"], c["window"]
     if c["poly_tuple"] is not None:
         rep = subnormality.shift_check(c["poly_tuple"], c["m"], c["gamma"], window, order, c["scale"])
@@ -323,6 +333,7 @@ def _cmd_subnormality(c: dict, rng):
 @_command("hereditary", matrices=_list(_matrix()), tolerance=_number(1e-10),
           commutation_tolerance=_number(1e-12), mode=_choice("classify", "lift", "ordering"))
 def _cmd_hereditary(c: dict, rng):
+    from . import hereditary
     T = hereditary.MatrixTuple(tuple(c["matrices"]), tolerance=c["commutation_tolerance"])
     mode = c["mode"]
     if mode == "ordering":
@@ -342,6 +353,7 @@ def _cmd_hereditary(c: dict, rng):
 @_command("pick-verify", points=_list(_point(None)), targets=_point(lambda c: len(c["points"])),
           a1=_matrix(), a2=_matrix(), tolerance=_number(1e-10))
 def _cmd_pick_verify(c: dict, rng):
+    from . import hereditary
     ok = hereditary.pick_verify(c["points"], c["targets"], c["a1"], c["a2"], tol=c["tolerance"])
     return ok, {"verified": ok}, None
 
@@ -351,6 +363,7 @@ def _cmd_pick_verify(c: dict, rng):
           hardy=_object(n=_int(1), alpha=_ints(0, lambda s: s["n"])),
           bergman=_object(m=_ints(1), alpha=_ints(0, lambda s: len(s["m"]))))
 def _cmd_quadrature(c: dict, rng):
+    from . import kernel
     entries = []
     for l in range(c["l_max"] + 1):
         for k in range(c["k_max"] + 1):

@@ -16,14 +16,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .coeff import CoeffTable, coeff_function, hartogs_coeff_closed
 from .errors import InvalidMultiplicity, OutsideDomain, WindowTooSmall, ZeroCoordinate
 from .geometry import forward, triangle_contains
 from .polytuple import MultiIndex, PolyTuple, _to_float, hartogs_tuple, poly_eval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,7 @@ def basis_eval(ctx: KernelContext, alpha: MultiIndex, z: Sequence[complex]) -> c
 
 def gram_psd_check(ctx: KernelContext, points: Sequence[Sequence[complex]]) -> float:
     """Minimum eigenvalue of the Gram matrix [K(z_i, z_j)] over the points."""
+    import numpy as np
     k = len(points)
     gram = np.empty((k, k), dtype=complex)
     for i in range(k):
@@ -140,6 +142,7 @@ _HARDY_STEPS = 26  # the Hardy norm supremum runs over t = 1 - 2^-k, k = 1..26
 def gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [0, 1], computed once
     per node count; the cached arrays are read-only."""
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(nodes)
     u, wu = 0.5 * (x + 1.0), 0.5 * w
     u.flags.writeable = wu.flags.writeable = False
@@ -153,6 +156,7 @@ def disc_integral(g, radial_nodes: int = 32) -> float:
     pi * int_0^1 g(u) du, here by Gauss-Legendre on radial_nodes nodes: exact
     for polynomial g of degree < 2 * radial_nodes.  g maps numpy arrays to arrays.
     """
+    import numpy as np
     u, wu = gauss_legendre_01(radial_nodes)
     return math.pi * float(np.sum(wu * g(u)))
 

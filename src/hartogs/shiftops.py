@@ -27,8 +27,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .coeff import _axis_scaled, _check_m, coeff_function
 from .errors import EmptyWindow, MalformedInput, NotAdmissible, WindowTooSmall, WrongDimension
 from .polytuple import (
@@ -86,8 +84,8 @@ class WeightTable:
     mult_quotient, shift_quotient and hypo_quotient give (numerator,
     denominator) in int at a cell offset from walk; the dicts mult_sq and
     shift_sq, built on first use, are the only exact views: one Fraction per
-    weight.  mult_matrix and circularity_check read the same float weights,
-    divided once per window.
+    weight.  circularity_check reads the float weights, divided once per
+    window.
     """
 
     def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow):
@@ -157,16 +155,6 @@ class WeightTable:
     @cached_property
     def shift_sq(self) -> list[dict[MultiIndex, Fraction]]:
         return self._squares(self.shift_quotient)
-
-    def mult_matrix(self, j: int) -> np.ndarray:
-        """Truncated matrix of multiplication by z_j over the window enumeration,
-        from the float weights that circularity_check reads; a column whose
-        image leaves the window is zero.  Its transpose is the adjoint matrix,
-        entry for entry."""
-        out = np.zeros((self.window.size, self.window.size))
-        for col, row, w in self._mult_floats(self.window)[j]:
-            out[row, col] = w
-        return out
 
 
 def op_weights(P: PolyTuple, m: Sequence[int], window: LatticeWindow) -> WeightTable:
@@ -456,6 +444,7 @@ def spectral_radius_estimate(P: PolyTuple, m: Sequence[int], j: int,
     log B(k) - k log d; the suprema for all n run as K + 1 elementwise maxima
     over slices of length N.
     """
+    import numpy as np
     m = _check_m(P, m)
     if not 0 <= j < P.n:
         raise ValueError(f"j must be in [0, {P.n}), got {j}")

@@ -405,6 +405,68 @@ def test_traced_all_shift_certify_times_subnormality(monkeypatch):
     assert tracer.metrics()["subnormality.self_s"] > 0
 
 
+NUMPY_COMMANDS = ("hereditary", "pick-verify", "quadrature", "radius")
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
+def _modules_after(commands):
+    """The numpy and hartogs.* modules a new interpreter holds after importing
+    hartogs.cli, and after each cli.run of the TRACED_JOBS configs of each command."""
+    code = ("import json, sys\n"
+            "from hartogs import cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m == 'numpy' or m.startswith('hartogs.'))\n"
+            "seen = [loaded()]\n"
+            "for configs in json.loads(sys.argv[1]):\n"
+            "    for config in configs:\n"
+            "        assert cli.run(config)[0] in (0, 1)\n"
+            "    seen.append(loaded())\n"
+            "print(json.dumps(seen))\n")
+    configs = json.dumps([TRACED_JOBS[command][1] for command in commands])
+    proc = subprocess.run([sys.executable, "-c", code, configs], capture_output=True, text=True,
+                          env=SRC_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [set(modules) for modules in json.loads(proc.stdout)]
+
+
+def test_commands_without_numpy_never_import_it():
+    commands = sorted(set(cli._COMMANDS) - set(NUMPY_COMMANDS))
+    assert len(commands) == 8
+    seen = _modules_after(commands)
+    assert seen[0] == {"hartogs.cli", "hartogs.errors", "hartogs.polytuple"}
+    assert all("numpy" not in modules for modules in seen)
+
+
+@pytest.mark.parametrize("command", NUMPY_COMMANDS)
+def test_numpy_commands_import_it(command):
+    before, after = _modules_after([command])
+    assert "numpy" not in before
+    assert "numpy" in after
+
+
+def test_coeffs_loads_only_its_layers():
+    _, after = _modules_after(["coeffs"])
+    assert "hartogs.coeff" in after
+    assert not after & {"hartogs.shiftops", "hartogs.kernel", "hartogs.subnormality",
+                        "hartogs.geometry", "hartogs.hereditary"}
+
+
+def test_module_entry_point_imports_neither_numpy_nor_shiftops_for_coeffs(tmp_path):
+    config = TRACED_JOBS["coeffs"][1][0]
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(config))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hartogs.cli", "--config", str(path)],
+                          capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert {"hartogs", "hartogs.coeff", "hartogs.polytuple"} <= imported
+    assert not {name for name in imported if name == "numpy" or name.startswith("numpy.")}
+    assert "hartogs.shiftops" not in imported
+    assert proc.stdout == cli.run(config)[1]
+
+
 def test_second_routes_pass_on_the_smallest_job_of_each_command(monkeypatch):
     # The benchmark's independent checks, on one small job of every command.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -724,10 +786,8 @@ def test_kernel_coefficients_below_the_float_range_add_nothing():
 def test_module_entry_point_malformed_config_exit_2(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(PROBES["radius-N-0"]))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "hartogs.cli", "--config", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=SRC_ENV, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"] == "InvalidConfig"

@@ -1,0 +1,83 @@
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hartogs
+
+# The public names of the package, by the module that defines each.
+EXPORTS = {
+    "polytuple": ["Admissibility", "PolyTuple", "admissibility_degree", "from_polys", "hartogs_tuple",
+                  "parse_and_validate", "serialize", "tilde_restrictions"],
+    "coeff": ["CoeffTable", "coeff_function", "hartogs_coeff_closed", "reciprocal_power_coeffs",
+              "univariate_coeffs"],
+    "geometry": ["jacobian_inverse", "polydisc_radii", "q_ball_contains", "triangle_contains"],
+    "kernel": ["KernelContext", "basis_eval", "bergman_norm_check", "beta_integral_check", "gram_psd_check",
+               "hardy_norm_check", "kernel_eval", "kernel_series_eval", "make_context"],
+    "shiftops": ["LatticeWindow", "WeightTable", "build_window", "circularity_check",
+                 "det_commutator_and_trace", "factorization_and_commutation_probe",
+                 "hyponormality_diagonal", "norm_bounds", "op_weights", "polydisc_intertwining_check",
+                 "spectral_radius_estimate"],
+    "subnormality": ["complete_monotonicity_check", "hartogs_certify", "shift_check"],
+    "hereditary": ["HereditaryPoly", "MatrixTuple", "hereditary_eval", "ordering_check", "pick_verify",
+                   "reciprocal_kernel_polynomial", "toral_lift", "triangle_defect_classify"],
+}
+NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+
+def fresh_python(code: str) -> str:
+    """stdout of code run by a new interpreter that imports hartogs from this checkout."""
+    src = str(Path(hartogs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_all_is_the_export_list():
+    assert len(NAMES) == 48
+    assert sorted(hartogs.__all__) == NAMES
+    assert hartogs.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_each_name_is_the_object_of_its_module(module):
+    defining = importlib.import_module(f"hartogs.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(hartogs, name) is getattr(defining, name)
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from hartogs import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == NAMES
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        hartogs.nope
+    assert not hasattr(hartogs, "nope")
+    assert set(NAMES) <= set(dir(hartogs))
+
+
+def test_import_loads_no_submodule():
+    loaded = fresh_python("import sys, json, hartogs\n"
+                          "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hartogs.'))))")
+    assert json.loads(loaded) == []
+
+
+def test_import_error_of_a_submodule_propagates():
+    # A name whose module fails to import raises that ImportError, not an
+    # AttributeError that hasattr would swallow.
+    raised = fresh_python("import sys\n"
+                          "sys.modules['hartogs.geometry'] = None\n"
+                          "import hartogs\n"
+                          "try:\n"
+                          "    hartogs.polydisc_radii\n"
+                          "except ImportError as exc:\n"
+                          "    print(type(exc).__name__, exc)\n")
+    assert raised.startswith("ModuleNotFoundError") and "hartogs.geometry" in raised
