@@ -16,7 +16,7 @@ _EXPORTS = {
                   "parse_and_validate", "serialize", "tilde_restrictions"),
     "coeff": ("CoeffTable", "coeff_function", "hartogs_coeff_closed", "reciprocal_power_coeffs",
               "univariate_coeffs"),
-    "geometry": ("jacobian_inverse", "polydisc_radii", "q_ball_contains", "triangle_contains"),
+    "geometry": ("polydisc_radii", "triangle_contains"),
     "kernel": ("KernelContext", "basis_eval", "bergman_norm_check", "beta_integral_check",
                "gram_psd_check", "hardy_norm_check", "kernel_eval", "kernel_series_eval",
                "make_context"),

@@ -4,10 +4,13 @@ One run executes exactly one sub-command and writes one deterministic report
 (JSON, or CSV for tabular commands).  Each command declares its config fields
 in one table, next to its implementation, and returns its JSON entries with
 its CSV rows as a generator over them, so only a CSV run builds the rows.
+coeffs and weights, the large tables, instead build one list of flat rows in
+CSV column order: CSV writes those rows as they are, and JSON writes each
+through one str.format template per job, with its keys in sorted order.
 A command imports the modules it runs inside its function, so a run loads
 only those: numpy only for radius, quadrature, hereditary and pick-verify.
-One C JSON encoder, built once at import, renders every JSON line and every
-JSON cell of a CSV row.  Exit codes: 0 success, 1
+One C JSON encoder, built once at import, renders every other JSON line and
+every JSON cell of a CSV row.  Exit codes: 0 success, 1
 mathematically negative verdict (failed monotonicity, failed certificate,
 "neither" classification), 2 input error, 3 internal error (a defect of the
 program, never a verdict).
@@ -195,11 +198,11 @@ def _cmd_coeffs(c: dict, rng):
     P, bounds = c["poly_tuple"], c["window"]
     table = coeff_function(P, c["m"], bounds)
     B, scales = table.B, table.scales
-    entries = [{"alpha": list(alpha), "value": format_rational(B[off], scales[sum(alpha)])}
-               for alpha, off in zip(box(bounds), table.walk(bounds))]
+    rows = _Rows(_template(P.n, value='"{}"'),
+                 ((*alpha, format_rational(B[off], scales[sum(alpha)]))
+                  for alpha, off in zip(box(bounds), table.walk(bounds))))
     header = [f"alpha_{j + 1}" for j in range(P.n)] + ["value"]
-    rows = ([*e["alpha"], e["value"]] for e in entries)
-    return None, {"bounds": list(bounds), "entries": entries}, (header, rows)
+    return None, {"bounds": list(bounds), "entries": rows}, (header, rows)
 
 
 @_command("domain", poly_tuple=_P, points=_list(_point(_n)))
@@ -243,16 +246,16 @@ def _cmd_weights(c: dict, rng):
     P, m = c["poly_tuple"], c["m"]
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
+    n = P.n
     # Each column reads one integer quotient (num, den) of the scaled table; the
     # int true division rounds correctly, as float() of the Fraction does.
-    entries = [{"alpha": list(alpha), "j": j + 1,
-                "omega": _weight(wt.mult_quotient(j, off), "a squared weight omega^2"),
-                "sigma": _weight(wt.shift_quotient(j, off), "a squared weight sigma^2"),
-                "hypo_diag": format_rational(*wt.hypo_quotient(j, off))}
-               for alpha, off in zip(window.cells, wt.walk(window)) for j in range(P.n)]
-    header = [f"alpha_{i + 1}" for i in range(P.n)] + ["j", "omega", "sigma", "hypo_diag"]
-    rows = ([*e["alpha"], e["j"], e["omega"], e["sigma"], e["hypo_diag"]] for e in entries)
-    return None, {"window": list(window.bounds), "weights": entries}, (header, rows)
+    rows = _Rows(_template(n, j="{}", omega="{!r}", sigma="{!r}", hypo_diag='"{}"'),
+                 ((*alpha, j + 1, _weight(wt.mult_quotient(j, off), "a squared weight omega^2"),
+                   _weight(wt.shift_quotient(j, off), "a squared weight sigma^2"),
+                   format_rational(*wt.hypo_quotient(j, off)))
+                  for alpha, off in zip(window.cells, wt.walk(window)) for j in range(n)))
+    header = [f"alpha_{i + 1}" for i in range(n)] + ["j", "omega", "sigma", "hypo_diag"]
+    return None, {"window": list(window.bounds), "weights": rows}, (header, rows)
 
 
 @_command("probes", poly_tuple=_P, m=_M, window=_WINDOW, theta_trials=_int(0, default=5),
@@ -418,15 +421,44 @@ def _encode(value) -> str:
     return "".join(_chunks(value, 0))
 
 
+def _template(n: int, **columns: str) -> str:
+    """A str.format template that writes a row (*alpha, *columns) as a compact
+    JSON object with the keys alpha and columns in sorted order.  A column's
+    text is its JSON form around one {} field: "{}" for an int, "{!r}" for a
+    float, '"{}"' for a format_rational string."""
+    fields = {"alpha": "[" + ", ".join(f"{{{i}}}" for i in range(n)) + "]"}
+    for i, (key, text) in enumerate(columns.items(), start=n):
+        fields[key] = text.replace("{", f"{{{i}", 1)  # "{!r}" -> "{5!r}": the row's field i
+    return "{{" + ", ".join(f'"{key}": {fields[key]}' for key in sorted(fields)) + "}}"
+
+
+class _Rows(list):
+    """Table rows as flat tuples in CSV column order, with the _template that
+    writes one row as its JSON line.  A cell is an int (int.__repr__, as in
+    JSON), a float (float.__repr__, as the C encoder writes it) or a
+    format_rational string, which needs no escaping."""
+
+    def __init__(self, template: str, rows):
+        super().__init__(rows)
+        self.template = template
+
+
 def _render(report: dict) -> str:
     """A non-empty report as strict JSON with sorted keys: one line per top-level
     key and, for a non-empty list value, one compact line per element, each
-    rendered by the one C encoder.  A report of scalars and lists of scalars
-    renders as with indent=2."""
+    rendered by the one C encoder or, for _Rows, by the rows' template.  A
+    report of scalars and lists of scalars renders as with indent=2."""
     lines = []
     for key, value in sorted(report.items()):
         if isinstance(value, list) and value:
-            elements = ",\n    ".join(map(_encode, value))
+            if type(value) is _Rows:
+                elements = ",\n    ".join(itertools.starmap(value.template.format, value))
+                # repr writes a non-finite float as nan, inf or -inf, which no
+                # other cell and no template key holds.
+                if "nan" in elements or "inf" in elements:
+                    raise ValueError("Out of range float values are not JSON compliant")
+            else:
+                elements = ",\n    ".join(map(_encode, value))
             lines.append(f"  {_encode(key)}: [\n    {elements}\n  ]")
         else:
             lines.append(f"  {_encode(key)}: {_encode(value)}")

@@ -9,11 +9,10 @@ inequalities: the domains are open, boundary points are outside.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import MalformedInput, WrongDimension, ZeroCoordinate
-from .polytuple import MultiIndex, PolyTuple, _to_float, poly_eval, tilde_restrictions
+from .polytuple import PolyTuple, _to_float, poly_eval, tilde_restrictions
 
 Point = tuple[complex, ...]
 
@@ -28,27 +27,6 @@ def forward(p: Sequence[complex]) -> Point:
         if p[j] == 0:
             raise ZeroCoordinate(f"coordinate {j + 1} is zero; quotient map undefined")
     return tuple(p[j] / p[j + 1] for j in range(n - 1)) + (p[n - 1],)
-
-
-def inverse(p: Sequence[complex]) -> Point:
-    """Product coordinates (w_1*...*w_n, ..., w_n); defined everywhere."""
-    p = tuple(complex(z) for z in p)
-    n = len(p)
-    out = []
-    tail = 1 + 0j
-    for j in range(n - 1, -1, -1):
-        tail *= p[j]
-        out.append(tail)
-    return tuple(reversed(out))
-
-
-def jacobian_inverse(p: Sequence[complex]) -> complex:
-    """Jacobian determinant of the product map: z_2^1 * z_3^2 * ... * z_n^(n-1)."""
-    p = tuple(complex(z) for z in p)
-    out = 1 + 0j
-    for j in range(1, len(p)):
-        out *= p[j] ** j
-    return out
 
 
 def _squared_quotient_moduli(p: Sequence[complex]) -> list[float] | None:
@@ -67,14 +45,6 @@ def triangle_contains(P: PolyTuple, p: Sequence[complex]) -> bool:
     try:
         u = _squared_quotient_moduli(p)
         return u is not None and all(poly_eval(poly, u) < 1.0 for poly in P.polys)
-    except OverflowError:  # a modulus or a power of one beyond the float range: p is far outside
-        return False
-
-
-def q_ball_contains(q: Mapping[MultiIndex, Fraction], p: Sequence[complex]) -> bool:
-    """Strict membership |Q(p diamond conj(p))| < 1."""
-    try:
-        return abs(poly_eval(q, [abs(complex(z)) ** 2 for z in p])) < 1.0
     except OverflowError:  # a modulus or a power of one beyond the float range: p is far outside
         return False
 

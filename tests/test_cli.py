@@ -1,4 +1,6 @@
+import csv
 import importlib
+import io
 import json
 import os
 import random
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from hartogs import cli, coeff, shiftops, subnormality
 from hartogs.errors import HartogsError, InvalidConfig, UnknownCommand
-from hartogs.polytuple import from_polys, hartogs_tuple, serialize
+from hartogs.polytuple import box, format_rational, from_polys, hartogs_tuple, serialize, unit_index
 
 P0 = serialize(hartogs_tuple(2))
 P1 = serialize(hartogs_tuple(2, 1))
@@ -514,10 +516,25 @@ def _scalars_only(report):
                for v in report.values())
 
 
+# The keys of a coeffs or weights row after its multi-index, in CSV column order.
+ROW_KEYS = {"coeffs": ("value",), "weights": ("j", "omega", "sigma", "hypo_diag")}
+
+
+def _expanded(report):
+    """report with each table of rows written out as the dict entries it stands for."""
+    keys = ROW_KEYS.get(report["command"], ())
+
+    def entry(row):
+        return {"alpha": list(row[:-len(keys)]), **dict(zip(keys, row[-len(keys):]))}
+    return {key: [entry(row) for row in value] if type(value) is cli._Rows else value
+            for key, value in report.items()}
+
+
 def test_report_layout_on_the_smallest_job_of_each_command(monkeypatch):
     # Every JSON body has one line per top-level key and one compact line per
     # element of a list value; reports of scalars and lists of scalars keep
-    # the bytes they had with indent=2.
+    # the bytes they had with indent=2.  coeffs and weights hand their rows
+    # over as tuples, which read as the dict entries they stand for.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     jobs = importlib.import_module("jobs")
     rendered_reports, render = [], cli._render
@@ -531,7 +548,10 @@ def test_report_layout_on_the_smallest_job_of_each_command(monkeypatch):
                for seed, job in enumerate(jobs.smallest_of_each(random.Random("smallest:1"), ()))]
     assert [rendered for _, rendered in rendered_reports] == outputs
     assert sorted(report["command"] for report, _ in rendered_reports) == sorted(cli._COMMANDS)
+    assert sorted(report["command"] for report, _ in rendered_reports
+                  if any(type(v) is cli._Rows for v in report.values())) == sorted(ROW_KEYS)
     for report, rendered in rendered_reports:
+        report = _expanded(report)
         assert json.loads(rendered) == report
         by_lines = _lines(rendered)
         assert by_lines == report and list(by_lines) == sorted(report)
@@ -542,11 +562,71 @@ def test_report_layout_on_the_smallest_job_of_each_command(monkeypatch):
 @pytest.mark.parametrize("report", [{"command": "x", "value": float("nan")},
                                     {"command": "x", "values": [1.0, float("inf")]},
                                     {"command": "x", "rows": [{"value": -float("inf")}]},
-                                    {"command": "x", "table": {"nested": [float("nan")]}}],
-                         ids=["scalar", "list", "list-element", "dict"])
+                                    {"command": "x", "table": {"nested": [float("nan")]}},
+                                    {"command": "x", "rows": cli._Rows(cli._template(1, y="{!r}"),
+                                                                        [(1, 0.5), (2, float("nan"))])},
+                                    {"command": "x", "rows": cli._Rows(cli._template(0, y="{!r}"),
+                                                                        [(-float("inf"),)])}],
+                         ids=["scalar", "list", "list-element", "dict", "row-nan", "row-inf"])
 def test_render_rejects_nan_and_infinity(report):
     with pytest.raises(ValueError):
         cli._render(report)
+
+
+# The dict entries and CSV rows of coeffs and weights as they were built
+# before the row template, kept as the oracle of the rendered bytes.
+
+def _oracle_coeffs(P, m, bounds):
+    table = coeff.coeff_function(P, m, bounds)
+    B, scales = table.B, table.scales
+    entries = [{"alpha": list(alpha), "value": format_rational(B[off], scales[sum(alpha)])}
+               for alpha, off in zip(box(bounds), table.walk(bounds))]
+    header = [f"alpha_{j + 1}" for j in range(P.n)] + ["value"]
+    rows = ([*e["alpha"], e["value"]] for e in entries)
+    return {"bounds": list(bounds), "entries": entries}, header, rows
+
+
+def _oracle_weights(P, m, bounds):
+    window = shiftops.build_window(bounds)
+    wt = shiftops.op_weights(P, m, window)
+    entries = [{"alpha": list(alpha), "j": j + 1,
+                "omega": cli._weight(wt.mult_quotient(j, off), "a squared weight omega^2"),
+                "sigma": cli._weight(wt.shift_quotient(j, off), "a squared weight sigma^2"),
+                "hypo_diag": format_rational(*wt.hypo_quotient(j, off))}
+               for alpha, off in zip(window.cells, wt.walk(window)) for j in range(P.n)]
+    header = [f"alpha_{i + 1}" for i in range(P.n)] + ["j", "omega", "sigma", "hypo_diag"]
+    rows = ([*e["alpha"], e["j"], e["omega"], e["sigma"], e["hypo_diag"]] for e in entries)
+    return {"window": list(window.bounds), "weights": entries}, header, rows
+
+
+RATIONAL_A = st.builds(F, st.integers(1, 7), st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_rows_render_the_bytes_of_the_dict_entries(data):
+    # z_j + a*z_1*...*z_n (d = the denominator of a) or c_j*z_j (admissible),
+    # on windows that often have a 0 bound.
+    n = data.draw(st.integers(1, 3), label="n")
+    if data.draw(st.booleans(), label="general"):
+        P = hartogs_tuple(n, data.draw(RATIONAL_A, label="a"))
+    else:
+        P = from_polys([{unit_index(n, j): data.draw(RATIONAL_A, label=f"c_{j + 1}")} for j in range(n)])
+    m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="m"))
+    bounds = data.draw(st.lists(st.integers(0, 6 - n), min_size=n, max_size=n), label="window")
+    if (zero := data.draw(st.integers(-1, n - 1), label="zero bound")) >= 0:
+        bounds[zero] = 0
+    bounds = tuple(bounds)
+    config = {"poly_tuple": serialize(P), "m": list(m), "window": list(bounds)}
+    for command, oracle in (("coeffs", _oracle_coeffs), ("weights", _oracle_weights)):
+        report, header, rows = oracle(P, m, bounds)
+        assert cli.run({"command": command, **config}, seed=3) == (
+            0, cli._render({"command": command, "seed": 3, **report}))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert cli.run({"command": command, **config}, fmt="csv") == (0, buf.getvalue())
 
 
 @pytest.mark.parametrize("message", ['value "1/0" is not a rational',
