@@ -14,15 +14,14 @@ import importlib
 _EXPORTS = {
     "polytuple": ("Admissibility", "PolyTuple", "admissibility_degree", "from_polys", "hartogs_tuple",
                   "parse_and_validate", "serialize", "tilde_restrictions"),
-    "coeff": ("CoeffTable", "coeff_function", "hartogs_coeff_closed", "reciprocal_power_coeffs",
-              "univariate_coeffs"),
+    "coeff": ("CoeffTable", "coeff_function", "hartogs_coeff_closed", "reciprocal_power_coeffs"),
     "geometry": ("polydisc_radii", "triangle_contains"),
     "kernel": ("KernelContext", "basis_eval", "bergman_norm_check", "beta_integral_check",
                "gram_psd_check", "hardy_norm_check", "kernel_eval", "kernel_series_eval",
                "make_context"),
     "shiftops": ("LatticeWindow", "WeightTable", "build_window", "circularity_check",
                  "det_commutator_and_trace", "factorization_and_commutation_probe",
-                 "hyponormality_diagonal", "norm_bounds", "op_weights", "polydisc_intertwining_check",
+                 "norm_bounds", "op_weights", "polydisc_intertwining_check",
                  "spectral_radius_estimate"),
     "subnormality": ("complete_monotonicity_check", "hartogs_certify", "shift_check"),
     "hereditary": ("HereditaryPoly", "MatrixTuple", "hereditary_eval", "ordering_check", "pick_verify",

@@ -79,10 +79,6 @@ class CoeffTable:
     d: int
     pad: MultiIndex
 
-    @property
-    def n(self) -> int:
-        return len(self.bounds)
-
     @functools.cached_property
     def strides(self) -> tuple[int, ...]:
         return _strides(add_index(self.bounds, self.pad))
@@ -240,12 +236,6 @@ def _oracle_values(q: Mapping[MultiIndex, Fraction], k: int, bounds: MultiIndex)
         for mono, v in power.items():
             values[_offset(mono, bounds)] += c * v
     return values
-
-
-def univariate_coeffs(p: Mapping[int, Fraction], k: int, kmax: int) -> list[Fraction]:
-    """Coefficients of 1/(1-p(t))^k up to degree kmax, for univariate p."""
-    q = {(e,): Fraction(c) for e, c in p.items()}
-    return list(reciprocal_power_coeffs(q, k, (kmax,)).values)
 
 
 def _axis_scaled(P: PolyTuple, m: Sequence[int], j: int, kmax: int) -> tuple[list[int], int]:

@@ -243,7 +243,6 @@ class OrderingReport:
     margins: tuple[float, ...]
     spectrum_checked: bool
     spectrum_in_triangle: bool | None
-    joint_eigenvalues: tuple[tuple[complex, ...], ...] | None
 
 
 def ordering_check(T: MatrixTuple, tol: float = 1e-10) -> OrderingReport:
@@ -265,14 +264,11 @@ def ordering_check(T: MatrixTuple, tol: float = 1e-10) -> OrderingReport:
         margins.append(_finite(float(np.linalg.eigvalsh(diff)[0]), f"margin {j + 1}"))
     chain_holds = all(mu >= -tol for mu in margins)
 
-    joint = None
-    if all(_is_upper_triangular(m, tol) for m in mats):
-        joint = tuple(tuple(m[i, i] for m in mats) for i in range(T.dim))
-    if joint is None:
-        return OrderingReport(chain_holds, tuple(margins), False, None, None)
+    if not all(_is_upper_triangular(m, tol) for m in mats):
+        return OrderingReport(chain_holds, tuple(margins), False, None)
     P0 = hartogs_tuple(n)
-    inside = all(triangle_contains(P0, lam) for lam in joint)
-    return OrderingReport(chain_holds, tuple(margins), True, inside, joint)
+    inside = all(triangle_contains(P0, tuple(m[i, i] for m in mats)) for i in range(T.dim))
+    return OrderingReport(chain_holds, tuple(margins), True, inside)
 
 
 def _is_upper_triangular(m: np.ndarray, tol: float) -> bool:

@@ -135,9 +135,6 @@ def gram_psd_check(ctx: KernelContext, points: Sequence[Sequence[complex]]) -> f
 
 # --- radial quadrature on the unit disc and the torus -------------------------
 
-_HARDY_STEPS = 26  # the Hardy norm supremum runs over t = 1 - 2^-k, k = 1..26
-
-
 @functools.cache
 def gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [0, 1], computed once
@@ -176,16 +173,14 @@ def hardy_norm_check(n: int, alpha: MultiIndex) -> float:
     On the torus |z_j| = t^(n-j) every quotient coordinate has modulus t, so
     |e_alpha|^2 is constant there: its value at the real point (t^(n-j))_j
     times prod t_j^(2j-1) is the weighted torus integral.  The integrand is
-    monotone in t for basis monomials, so the supremum over the grid t = 1 - 2^-k
-    sits at the largest t, where t^(2|alpha|+n) is within the check tolerances of 1.
+    monotone in t for basis monomials, so its supremum over t < 1 is its limit
+    at t = 1, read once at t = 1 - 2^-26, where t^(2|alpha|+n) is within the
+    check tolerances of 1.
     """
     ctx = make_context(hartogs_tuple(n), (1,) * n, alpha)
-    best = 0.0
-    for k in range(1, _HARDY_STEPS + 1):
-        t = 1.0 - 0.5 ** k
-        value = abs(basis_eval(ctx, alpha, [t ** (n - j) for j in range(n)])) ** 2
-        best = max(best, value * math.prod(t ** (2 * j + 1) for j in range(n)))
-    return best
+    t = 1.0 - 0.5 ** 26
+    value = abs(basis_eval(ctx, alpha, [t ** (n - j) for j in range(n)])) ** 2
+    return value * math.prod(t ** (2 * j + 1) for j in range(n))
 
 
 def bergman_norm_check(m: Sequence[int], alpha: MultiIndex, radial_nodes: int = 32) -> float:

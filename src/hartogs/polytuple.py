@@ -225,9 +225,6 @@ class PolyTuple:
     def linear_coefficients(self) -> tuple[Fraction, ...]:
         return tuple(self.linear_coefficient(j) for j in range(self.n))
 
-    def degree(self, j: int) -> int:
-        return max(total_degree(alpha) for alpha in self.polys[j])
-
 
 def from_polys(polys: Iterable[Mapping[MultiIndex, Fraction]]) -> PolyTuple:
     """Build and validate a tuple from raw term maps (duplicates summed, zeros dropped)."""

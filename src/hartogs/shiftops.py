@@ -57,9 +57,6 @@ class LatticeWindow:
     def size(self) -> int:
         return len(self.cells)
 
-    def offset(self, alpha: MultiIndex) -> int:
-        return _offset(alpha, self.bounds)
-
 
 def build_window(bounds: MultiIndex) -> LatticeWindow:
     bounds = tuple(bounds)
@@ -82,10 +79,11 @@ class WeightTable:
       mult_sq[j][alpha]  = A(alpha)/A(alpha + tail_j) = d^(n-j) B(alpha) / B(alpha + tail_j),
       shift_sq[j][alpha] = A(alpha)/A(alpha + e_j) = d B(alpha) / B(alpha + e_j).
     mult_quotient, shift_quotient and hypo_quotient give (numerator,
-    denominator) in int at a cell offset from walk; the dicts mult_sq and
-    shift_sq, built on first use, are the only exact views: one Fraction per
-    weight.  circularity_check reads the float weights, divided once per
-    window.
+    denominator) in int at a cell offset from walk; the weights command
+    formats the hypo_quotient of each cell as its hypo_diag column.  The dicts
+    mult_sq and shift_sq, built on first use, are the only exact views: one
+    Fraction per weight.  circularity_check reads the float weights, divided
+    once per window.
     """
 
     def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow):
@@ -320,32 +318,13 @@ def _scaled_ratios(scaled: list[int], d: int, ks) -> dict[int, Fraction]:
     return {k: Fraction(d * scaled[k], scaled[k + 1]) for k in ks}
 
 
-# --- hyponormality diagonal -----------------------------------------------------
-
-def hyponormality_diagonal(P: PolyTuple, m: Sequence[int], j: int, window: LatticeWindow,
-                           weights: WeightTable | None = None) -> dict[MultiIndex, Fraction]:
-    """Diagonal of the self-commutator of multiplication by z_j, exactly.
-
-    Entry at alpha is A(alpha)/A(alpha+step) - A(alpha-step)/A(alpha) with
-    step the tail increment of z_j, one Fraction of WeightTable.hypo_quotient;
-    the operator is separately hyponormal on the window iff every entry is
-    nonnegative.  A weight table of (P, m) covering the window may be passed
-    as weights, so that the diagonals of all j share one; otherwise one is
-    built.
-    """
-    if not 0 <= j < P.n:
-        raise ValueError(f"j must be in [0, {P.n}), got {j}")
-    wt = _weights_over(P, m, window, weights)
-    return {alpha: Fraction(*wt.hypo_quotient(j, off)) for alpha, off in zip(window.cells, wt.walk(window))}
-
-
 # --- determinant operator diagonal and trace -------------------------------------
 
 @dataclass
 class DetTraceReport:
     """axes holds the scaled axis tables (B_j, d_j) with B_j(k) = d_j^k A_j(k)
-    for k = 0..K+1; the exact ratio sequences ratios_1 and ratios_2, a_j(k)
-    for k = 0..K, are divided out of them only when first read."""
+    for k = 0..K+1; ratios(j) divides the exact ratio sequence a_j(k),
+    k = 0..K, out of axis j (0-based) when it is read."""
 
     increasing: tuple[bool, bool]
     positive: bool
@@ -354,14 +333,8 @@ class DetTraceReport:
     limit_trace: float
     axes: tuple[tuple[list[int], int], tuple[list[int], int]] = field(repr=False, compare=False)
 
-    @cached_property
-    def ratios_1(self) -> list[Fraction]:
-        scaled, d = self.axes[0]
-        return list(_scaled_ratios(scaled, d, range(len(scaled) - 1)).values())
-
-    @cached_property
-    def ratios_2(self) -> list[Fraction]:
-        scaled, d = self.axes[1]
+    def ratios(self, j: int) -> list[Fraction]:
+        scaled, d = self.axes[j]
         return list(_scaled_ratios(scaled, d, range(len(scaled) - 1)).values())
 
 
@@ -414,7 +387,7 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
 
 def det_diagonal_sum(report: DetTraceReport, K: int) -> Fraction:
     """Brute-force partial trace: sum the diagonal entries over the box [0,K]^2."""
-    a1, a2 = report.ratios_1, report.ratios_2
+    a1, a2 = report.ratios(0), report.ratios(1)
     total = Fraction(0)
     for i in range(K + 1):
         d1 = a1[i] - (a1[i - 1] if i else Fraction(0))

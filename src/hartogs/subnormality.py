@@ -60,13 +60,6 @@ class MonotonicityReport:
     witness: tuple[MultiIndex, MultiIndex] | None  # (beta, k) of the first failure
     checked: int
 
-    @property
-    def message(self) -> str:
-        if self.passed:
-            return f"consistent with Hausdorff moment up to order {self.order}"
-        beta, k = self.witness
-        return f"signed difference negative at beta={beta}, k={k}"
-
 
 def complete_monotonicity_check(s: Callable[[MultiIndex], Fraction | int], window: MultiIndex,
                                 order: int) -> MonotonicityReport:

@@ -206,7 +206,7 @@ def test_criterion_06_det_trace():
                and rep11.partial_trace == 1 and rep11.positive)
 
     rep22 = det_commutator_and_trace(P0_2, (2, 2), 998)
-    ratio_ok = rep22.positive and rep22.ratios_1[:3] == [F(1, 2), F(2, 3), F(3, 4)]
+    ratio_ok = rep22.positive and rep22.ratios(0)[:3] == [F(1, 2), F(2, 3), F(3, 4)]
     # independent oracle at a brute-force-friendly truncation: the 2-D diagonal
     # sum telescopes to the reported partial trace exactly
     small = det_commutator_and_trace(P0_2, (2, 2), 60)

@@ -10,10 +10,14 @@ from hartogs.coeff import (
     coeff_function,
     hartogs_coeff_closed,
     reciprocal_power_coeffs,
-    univariate_coeffs,
 )
 from hartogs.errors import ConstantTerm, WindowTooSmall
 from hartogs.polytuple import box, box_size, from_polys, hartogs_tuple, total_degree
+
+
+def univariate_coeffs(p, k, kmax):
+    """Coefficients of 1/(1-p(t))^k up to degree kmax, for univariate p, as Fractions."""
+    return list(reciprocal_power_coeffs({(e,): F(c) for e, c in p.items()}, k, (kmax,)).values)
 
 
 def fib(count):
@@ -155,6 +159,9 @@ def test_hartogs_closed_form_examples():
     assert hartogs_coeff_closed((2, 2), (3, 0)) == 4
     assert hartogs_coeff_closed((2, 3), (0, 0)) == 1
     assert hartogs_coeff_closed((2, 3), (1, 2)) == 2 * 6
+    # off the nonnegative lattice the closed form vanishes, as the table does
+    table = coeff_function(hartogs_tuple(2), (2, 3), (2, 2))
+    assert hartogs_coeff_closed((2, 3), (-1, 2)) == table.value((-1, 2)) == 0
 
 
 def test_hartogs_closed_form_rejects_length_mismatch():

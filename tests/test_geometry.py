@@ -162,3 +162,12 @@ def test_polydisc_radii_end_where_floats_are_coarser_than_the_tolerance(e):
     # Beyond a root of about 4500 the spacing of floats exceeds the bisection
     # tolerance, and the bisection for z_1 / 10^e never ended.
     assert polydisc_radii(from_polys([{(1,): F(1, 10 ** e)}])) == pytest.approx([10.0 ** (e / 2)], rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [93, 99, 161])
+def test_polydisc_radii_double_the_bracket_where_rounding_leaves_it_below_1(q):
+    # float(1/q) * float(1/q)^-1 rounds below 1 for these q, so the bracket at
+    # the term that reaches 1 first is doubled before the bisection starts.
+    a = F(1, q)
+    assert float(a) * float(a) ** -1.0 < 1.0
+    assert polydisc_radii(from_polys([{(1,): a}])) == pytest.approx([math.sqrt(q)], rel=1e-12)

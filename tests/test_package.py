@@ -3,24 +3,26 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hartogs
+from hartogs import cli, errors
 
 # The public names of the package, by the module that defines each.
 EXPORTS = {
     "polytuple": ["Admissibility", "PolyTuple", "admissibility_degree", "from_polys", "hartogs_tuple",
                   "parse_and_validate", "serialize", "tilde_restrictions"],
-    "coeff": ["CoeffTable", "coeff_function", "hartogs_coeff_closed", "reciprocal_power_coeffs",
-              "univariate_coeffs"],
+    "coeff": ["CoeffTable", "coeff_function", "hartogs_coeff_closed", "reciprocal_power_coeffs"],
     "geometry": ["polydisc_radii", "triangle_contains"],
     "kernel": ["KernelContext", "basis_eval", "bergman_norm_check", "beta_integral_check", "gram_psd_check",
                "hardy_norm_check", "kernel_eval", "kernel_series_eval", "make_context"],
     "shiftops": ["LatticeWindow", "WeightTable", "build_window", "circularity_check",
                  "det_commutator_and_trace", "factorization_and_commutation_probe",
-                 "hyponormality_diagonal", "norm_bounds", "op_weights", "polydisc_intertwining_check",
+                 "norm_bounds", "op_weights", "polydisc_intertwining_check",
                  "spectral_radius_estimate"],
     "subnormality": ["complete_monotonicity_check", "hartogs_certify", "shift_check"],
     "hereditary": ["HereditaryPoly", "MatrixTuple", "hereditary_eval", "ordering_check", "pick_verify",
@@ -39,7 +41,7 @@ def fresh_python(code: str) -> str:
 
 
 def test_all_is_the_export_list():
-    assert len(NAMES) == 46
+    assert len(NAMES) == 44
     assert sorted(hartogs.__all__) == NAMES
     assert hartogs.__version__ == "0.1.0"
 
@@ -81,3 +83,54 @@ def test_import_error_of_a_submodule_propagates():
                           "except ImportError as exc:\n"
                           "    print(type(exc).__name__, exc)\n")
     assert raised.startswith("ModuleNotFoundError") and "hartogs.geometry" in raised
+
+
+# One call per input check of the public entry points, with the error it
+# raises.  The tuples are built with from_polys or PolyTuple, since
+# parse_and_validate rejects them before PolyTuple sees them.
+INPUT_CHECKS = {
+    "tuple-no-component": (lambda: hartogs.PolyTuple(()), errors.MalformedInput),
+    "tuple-bad-exponent": (lambda: hartogs.from_polys([{(1, 0): 1, (0, -1): 1}, {(0, 1): 1}]),
+                           errors.MalformedInput),
+    "tuple-negative-coefficient": (lambda: hartogs.from_polys([{(1,): 1, (2,): -1}]),
+                                   errors.NegativeCoefficient),
+    "tuple-constant-term": (lambda: hartogs.from_polys([{(1,): 1, (0,): 1}]), errors.ConstantTerm),
+    "hartogs-tuple-negative-a": (lambda: hartogs.hartogs_tuple(2, -1), errors.NegativeCoefficient),
+    "parse-term-not-object": (lambda: hartogs.parse_and_validate({"n": 1, "polys": [{"terms": [5]}]}),
+                              errors.MalformedInput),
+    "parse-no-terms-list": (lambda: hartogs.parse_and_validate({"n": 1, "polys": [{}]}),
+                            errors.MalformedInput),
+    "power-negative-coefficient": (lambda: hartogs.reciprocal_power_coeffs({(1,): F(-1)}, 1, (3,)),
+                                   errors.NegativeCoefficient),
+    "power-negative-k": (lambda: hartogs.reciprocal_power_coeffs({(1,): F(1)}, -1, (3,)), ValueError),
+    "power-unknown-mode": (lambda: hartogs.reciprocal_power_coeffs({(1,): F(1)}, 1, (3,), mode="x"),
+                           ValueError),
+    "coeff-function-bounds-length": (lambda: hartogs.coeff_function(hartogs.hartogs_tuple(2), (1, 1), (3,)),
+                                     ValueError),
+    "closed-form-m-0": (lambda: hartogs.hartogs_coeff_closed((0, 1), (1, 1)), ValueError),
+    "context-m-0": (lambda: hartogs.make_context(hartogs.hartogs_tuple(2), (0, 1), (2, 2)),
+                    errors.InvalidMultiplicity),
+    "beta-negative-l": (lambda: hartogs.beta_integral_check(-1, 0), ValueError),
+    "bergman-lengths": (lambda: hartogs.bergman_norm_check((2, 2), (1,)), ValueError),
+    "matrix-not-square": (lambda: hartogs.MatrixTuple((np.zeros((2, 3)),)), errors.WrongDimension),
+    "kernel-polynomial-n-1": (lambda: hartogs.reciprocal_kernel_polynomial(hartogs.hartogs_tuple(1), (1,)),
+                              errors.NotHereditaryPolynomial),
+    "kernel-polynomial-m-length": (
+        lambda: hartogs.reciprocal_kernel_polynomial(hartogs.hartogs_tuple(2), (1,)), ValueError),
+    "hereditary-n-mismatch": (
+        lambda: hartogs.hereditary_eval(hartogs.reciprocal_kernel_polynomial(hartogs.hartogs_tuple(2), (1, 1)),
+                                        hartogs.MatrixTuple((np.eye(2),))),
+        errors.WrongDimension),
+    "pick-three-coordinates": (lambda: hartogs.pick_verify([(0, 0, 0)], [0], [[1]], [[1]]),
+                               errors.WrongDimension),
+    "pick-certificate-shape": (lambda: hartogs.pick_verify([(0, 0.5)], [0], np.eye(2), np.eye(2)),
+                               errors.WrongDimension),
+    "run-config-not-a-dict": (lambda: cli.run([]), errors.InvalidConfig),
+    "run-format-xml": (lambda: cli.run({"command": "coeffs"}, fmt="xml"), errors.InvalidConfig),
+}
+
+
+@pytest.mark.parametrize("call, error", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_each_input_check_raises_its_error(call, error):
+    with pytest.raises(error):
+        call()

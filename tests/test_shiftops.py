@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from hartogs import cli, shiftops
 from hartogs.errors import EmptyWindow, MalformedInput, NotAdmissible, WindowTooSmall, WrongDimension
-from hartogs.coeff import coeff_function, univariate_coeffs
+from hartogs.coeff import coeff_function, reciprocal_power_coeffs
 from hartogs.polytuple import (
+    _offset,
     add_index,
     box,
     from_polys,
@@ -30,7 +31,6 @@ from hartogs.shiftops import (
     det_commutator_and_trace,
     det_diagonal_sum,
     factorization_and_commutation_probe,
-    hyponormality_diagonal,
     norm_bounds,
     op_weights,
     polydisc_intertwining_check,
@@ -68,6 +68,19 @@ def adjoint_weight_sq(wt, j, alpha):
     return wt.mult_sq[j][beta] if min(beta) >= 0 else F(0)
 
 
+def hypo_diagonal(wt, j):
+    """Diagonal of the self-commutator of multiplication by z_j over the table's
+    window: mult_sq[j][alpha] - (adjoint weight at alpha), one Fraction of
+    WeightTable.hypo_quotient per cell, as the weights command's hypo_diag."""
+    window = wt.window
+    return {alpha: F(*wt.hypo_quotient(j, off)) for alpha, off in zip(window.cells, wt.walk(window))}
+
+
+def univariate_coeffs(p, k, kmax):
+    """Coefficients of 1/(1-p(t))^k up to degree kmax, for univariate p, as Fractions."""
+    return list(reciprocal_power_coeffs({(e,): F(c) for e, c in p.items()}, k, (kmax,)).values)
+
+
 def mult_matrix(wt, j):
     """Truncated matrix of multiplication by z_j over the window enumeration,
     from the float weights that circularity_check reads; a column whose image
@@ -95,7 +108,7 @@ def test_build_window_rejects_bad_bounds():
 def test_window_enumeration_stable():
     assert build_window((1, 2)).cells == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
     w = build_window((3, 3))
-    assert all(w.offset(c) == i for i, c in enumerate(w.cells))
+    assert all(_offset(c, w.bounds) == i for i, c in enumerate(w.cells))
 
 
 def test_hartogs_unit_weights():
@@ -120,7 +133,7 @@ def test_adjoint_vanishes_on_bottom_row():
         for alpha in wt.window.cells:
             if alpha[1] == 0:
                 assert adjoint_weight_sq(wt, j, alpha) == 0
-                assert not adjoint[:, wt.window.offset(alpha)].any()
+                assert not adjoint[:, _offset(alpha, wt.window.bounds)].any()
 
 
 def test_adjoint_weight_agrees_with_a_larger_window():
@@ -158,10 +171,9 @@ def test_weight_table_reads_the_coefficient_table_in_place(P, pad, monkeypatch):
 def test_passed_weights_must_cover_the_window():
     P, m, window = hartogs_tuple(2, 1), (1, 2), build_window((3, 3))
     larger = op_weights(P, m, build_window((4, 3)))
-    assert hyponormality_diagonal(P, m, 0, window, weights=larger) == hyponormality_diagonal(P, m, 0, window)
+    assert (factorization_and_commutation_probe(P, m, window, weights=larger)
+            == factorization_and_commutation_probe(P, m, window))
     smaller = op_weights(P, m, build_window((3, 2)))
-    with pytest.raises(WindowTooSmall):
-        hyponormality_diagonal(P, m, 0, window, weights=smaller)
     with pytest.raises(WindowTooSmall):
         factorization_and_commutation_probe(P, m, window, weights=smaller)
     with pytest.raises(WindowTooSmall):
@@ -171,17 +183,15 @@ def test_passed_weights_must_cover_the_window():
 @pytest.mark.parametrize("P, m", [(hartogs_tuple(2), (1, 2)), (hartogs_tuple(2, 1), (2, 1))],
                          ids=["other-tuple", "other-m"])
 def test_passed_weights_must_belong_to_the_tuple(P, m):
-    # the weights of another (P, m) gave that pair's diagonal and probes silently
+    # the weights of another (P, m) gave that pair's probes silently
     window = build_window((3, 3))
     other = op_weights(hartogs_tuple(2, 1), (1, 2), window)
-    with pytest.raises(ValueError):
-        hyponormality_diagonal(P, m, 0, window, weights=other)
     with pytest.raises(ValueError):
         factorization_and_commutation_probe(P, m, window, weights=other)
     with pytest.raises(ValueError):
         circularity_check(P, m, window, [0.0, 0.0], weights=other)
-    assert hyponormality_diagonal(P, list(m), 0, window, weights=op_weights(P, m, window)) == (
-        hyponormality_diagonal(P, m, 0, window))
+    assert factorization_and_commutation_probe(P, list(m), window, weights=op_weights(P, m, window)) == (
+        factorization_and_commutation_probe(P, m, window))
 
 
 def scaled_triple():
@@ -206,7 +216,7 @@ def test_weights_are_exact_ratios_of_a_passed_table(data):
     A = coeff_function(P, m, tuple(b + 1 for b in bounds)).value
     for j in range(n):
         tail = tail_index(n, j)
-        diagonal = hyponormality_diagonal(P, m, j, window, weights=wt)
+        diagonal = hypo_diagonal(wt, j)
         assert set(wt.mult_sq[j]) == set(wt.shift_sq[j]) == set(window.cells)
         adjoint = np.zeros((window.size, window.size))
         for col, alpha in enumerate(window.cells):
@@ -219,7 +229,7 @@ def test_weights_are_exact_ratios_of_a_passed_table(data):
             else:
                 assert adjoint_weight_sq(wt, j, alpha) == A(beta) / A(alpha)
                 assert diagonal[alpha] == A(alpha) / A(add_index(alpha, tail)) - A(beta) / A(alpha)
-                adjoint[window.offset(beta), col] = math.sqrt(float(A(beta) / A(alpha)))
+                adjoint[_offset(beta, window.bounds), col] = math.sqrt(float(A(beta) / A(alpha)))
         assert np.array_equal(mult_matrix(wt, j).T, adjoint)
 
 
@@ -494,7 +504,7 @@ def test_flat_scans_on_a_perturbed_table_agree_at_the_lattice_edge(P, m, bounds,
     n = P.n
     window = build_window(bounds)
     wt = WeightTable(P, m, window)
-    wt.B[wt.walk(window)[window.offset(cell)]] += 1
+    wt.B[wt.walk(window)[_offset(cell, window.bounds)]] += 1
     witnesses = [shiftops._commutator_witness(wt, window, unit_index(n, j), unit_index(n, k))
                  for j in range(n) for k in range(n) if j != k]
     assert any(w is not None and 0 in w for w in witnesses)
@@ -542,9 +552,9 @@ def test_probe_rejects_one_variable():
 
 
 def test_hyponormality_hartogs_pattern():
-    w = build_window((3, 3))
+    wt = WeightTable(hartogs_tuple(2), (1, 1), build_window((3, 3)))
     for j in range(2):
-        diag = hyponormality_diagonal(hartogs_tuple(2), (1, 1), j, w)
+        diag = hypo_diagonal(wt, j)
         step = tail_index(2, j)
         for alpha, value in diag.items():
             expected = 0 if all(a >= s for a, s in zip(alpha, step)) else 1
@@ -554,21 +564,14 @@ def test_hyponormality_hartogs_pattern():
 def test_hyponormality_origin_positive():
     w = build_window((3, 3))
     for P, m in [(hartogs_tuple(2, 1), (1, 1)), (fib_tuple(), (2, 1))]:
+        wt = WeightTable(P, m, w)
         for j in range(2):
-            diag = hyponormality_diagonal(P, m, j, w)
-            assert diag[(0, 0)] > 0
-
-
-@pytest.mark.parametrize("j", [-1, 2])
-def test_hyponormality_rejects_index_out_of_range(j):
-    # j = -1 must not be read as the diagonal of z_n
-    with pytest.raises(ValueError):
-        hyponormality_diagonal(hartogs_tuple(2), (1, 1), j, build_window((2, 2)))
+            assert hypo_diagonal(wt, j)[(0, 0)] > 0
 
 
 def test_hyponormality_detects_failure():
     P = from_polys([{(1, 0): F(1), (0, 2): F(2)}, {(0, 1): F(1)}])
-    diag = hyponormality_diagonal(P, (1, 1), 0, build_window((4, 4)))
+    diag = hypo_diagonal(WeightTable(P, (1, 1), build_window((4, 4))), 0)
     assert any(v < 0 for v in diag.values())
 
 
@@ -583,7 +586,7 @@ def test_det_trace_unit_multiplicities():
 
 def test_det_trace_bergman_multiplicities():
     rep = det_commutator_and_trace(hartogs_tuple(2), (2, 2), 98)
-    assert rep.ratios_1[:3] == [F(1, 2), F(2, 3), F(3, 4)]
+    assert rep.ratios(0)[:3] == [F(1, 2), F(2, 3), F(3, 4)]
     assert rep.positive
     assert rep.partial_trace == F(99, 100) ** 3
     assert det_diagonal_sum(rep, 98) == rep.partial_trace
@@ -591,7 +594,7 @@ def test_det_trace_bergman_multiplicities():
 
 def test_det_trace_nonmonotone_ratios():
     rep = det_commutator_and_trace(fib_tuple(), (1, 1), 12)
-    assert rep.ratios_1[:3] == [F(1, 1), F(1, 2), F(2, 3)]
+    assert rep.ratios(0)[:3] == [F(1, 1), F(1, 2), F(2, 3)]
     assert not rep.positive
     assert any(v < 0 for v in rep.diagonal.values())
 
@@ -658,7 +661,7 @@ def test_det_trace_matches_fraction_reference(data):
         for i, j in box((min(K, 6), min(K, 6)))}
     assert rep.partial_trace == a1[K] * a2[K] ** 2
     assert rep.limit_trace == float(a1[K]) * float(a2[K]) ** 2
-    assert rep.ratios_1 == a1 and rep.ratios_2 == a2
+    assert rep.ratios(0) == a1 and rep.ratios(1) == a2
 
 
 def _reference_radius(axis, K, N):
@@ -774,8 +777,8 @@ def test_repeated_mult_targets_are_distinct():
         step = (beta[0], beta[0] + beta[1])  # beta_1 * (1, 1) + beta_2 * (0, 1)
         targets = set()
         for alpha in box((2, 2)):
-            rows = np.flatnonzero(power[:, wt.window.offset(alpha)])
-            assert list(rows) == [wt.window.offset(add_index(alpha, step))]
+            rows = np.flatnonzero(power[:, _offset(alpha, wt.window.bounds)])
+            assert list(rows) == [_offset(add_index(alpha, step), wt.window.bounds)]
             targets.add(rows[0])
         assert len(targets) == 9
 
@@ -799,7 +802,7 @@ def test_adjoint_matrix_reproduces_kernel_eigenvector():
         eig = complex(w[j]).conjugate()
         for alpha in window.cells:
             if inside(window, alpha, tail_index(2, j)):
-                row = window.offset(alpha)
+                row = _offset(alpha, window.bounds)
                 assert image[row] == pytest.approx(eig * vec[row], rel=1e-10)
 
 

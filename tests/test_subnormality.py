@@ -114,7 +114,6 @@ def test_constant_sequence_passes_all_orders():
 def test_reciprocal_sequence_passes():
     report = complete_monotonicity_check(lambda beta: F(1, 1 + beta[0]), (4,), 4)
     assert report.passed
-    assert "consistent" in report.message
 
 
 def test_geometric_growth_fails_at_first_difference():
