@@ -7,6 +7,8 @@ its CSV rows as a generator over them, so only a CSV run builds the rows.
 coeffs and weights, the large tables, instead build one list of flat rows in
 CSV column order: CSV writes those rows as they are, and JSON writes each
 through one str.format template per job, with its keys in sorted order.
+coeffs formats its whole value column in one format_rationals call, a few
+C-level maps over the cells; weights formats its quotients cell by cell.
 A command imports the modules it runs inside its function, so a run loads
 only those: numpy only for radius, quadrature, hereditary and pick-verify.
 One C JSON encoder, built once at import, renders every other JSON line and
@@ -30,8 +32,8 @@ import traceback
 from typing import Sequence
 
 from .errors import HartogsError, InvalidConfig, MalformedInput, UnknownCommand
-from .polytuple import (_to_float, admissibility_degree, box, format_rational, parse_and_validate,
-                        parse_rational)
+from .polytuple import (_box_walk, _to_float, admissibility_degree, box, format_rational, format_rationals,
+                        parse_and_validate, parse_rational)
 
 CSV_COMMANDS = {"coeffs", "kernel", "weights", "domain", "quadrature"}
 
@@ -197,10 +199,11 @@ def _cmd_coeffs(c: dict, rng):
     from .coeff import coeff_function
     P, bounds = c["poly_tuple"], c["window"]
     table = coeff_function(P, c["m"], bounds)
-    B, scales = table.B, table.scales
+    cells = map(table.B.__getitem__, table.walk(bounds))
+    # A(alpha) = B(alpha) / d^|alpha|, and the unit strides walk the box as |alpha|.
+    scales = None if table.d == 1 else map(table.scales.__getitem__, _box_walk(bounds, (1,) * P.n))
     rows = _Rows(_template(P.n, value='"{}"'),
-                 ((*alpha, format_rational(B[off], scales[sum(alpha)]))
-                  for alpha, off in zip(box(bounds), table.walk(bounds))))
+                 map(tuple.__add__, box(bounds), zip(format_rationals(cells, scales))))
     header = [f"alpha_{j + 1}" for j in range(P.n)] + ["value"]
     return None, {"bounds": list(bounds), "entries": rows}, (header, rows)
 

@@ -25,11 +25,13 @@ instead.
 The division kernel works in int: it yields the scaled table
 B(alpha) = d^|alpha| A(alpha) and the common denominator d.  A CoeffTable
 holds that scaled form and reduces a cell to a Fraction only when a consumer
-asks for one: coeffs formats each cell from B(alpha) and d^|alpha|, and the
-kernel series divides them into floats.  The oracle route builds the same
-table with pad 0, the compact layout.  The axis tables have one builder,
-_axis_scaled, and stay scaled integers: their consumers compare them, take
-logs, divide neighbouring cells or put their reciprocals over one denominator.
+asks for one: coeffs reduces and formats its whole value column at once,
+with one gcd map over the cells B(alpha) and the scales d^|alpha| and two
+floordiv maps, and the kernel series divides them into floats.  The oracle
+route builds the same table with pad 0, the compact layout.  The axis tables
+have one builder, _axis_scaled, and stay scaled integers: their consumers
+compare them, take logs, divide neighbouring cells or put their reciprocals
+over one denominator.
 """
 
 from __future__ import annotations
@@ -178,6 +180,10 @@ def _divided(bounds: MultiIndex,
     most 2^n times the box.  Padded cells stay zero, so every read of
     alpha - gamma lands inside the padded box, on a zero cell when alpha - gamma
     leaves the lattice, and the inner loop needs no bounds test.
+
+    The loop over a factor's terms is unrolled by their number after the drop:
+    one or two terms update a cell in one statement, three or more run the
+    generic loop, and a factor with none leaves the table as it is.
     """
     factors = [(_reachable(q, bounds), k) for q, k in factors]
     d = math.lcm(*(c.denominator for terms, _ in factors for _, c in terms))
@@ -190,12 +196,25 @@ def _divided(bounds: MultiIndex,
         # Offsets of alpha - gamma relative to alpha are constant shifts.
         shifts = [(c.numerator * (d ** total_degree(g) // c.denominator), table.offset(g) - table.origin)
                   for g, c in terms]
-        for _ in range(k):
-            for off in offsets:
-                val = B[off]
-                for coeff, shift in shifts:
-                    val += coeff * B[off - shift]
-                B[off] = val
+        # One or two terms, the tuples z_j + a z_1...z_n, c_j z_j, z_j + c z_j^2
+        # and their axis tables, take one statement per cell; no term, no pass.
+        if len(shifts) == 1:
+            (c1, s1), = shifts
+            for _ in range(k):
+                for off in offsets:
+                    B[off] += c1 * B[off - s1]
+        elif len(shifts) == 2:
+            (c1, s1), (c2, s2) = shifts
+            for _ in range(k):
+                for off in offsets:
+                    B[off] += c1 * B[off - s1] + c2 * B[off - s2]
+        elif shifts:
+            for _ in range(k):
+                for off in offsets:
+                    val = B[off]
+                    for coeff, shift in shifts:
+                        val += coeff * B[off - shift]
+                    B[off] = val
     return table
 
 

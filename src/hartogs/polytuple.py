@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -165,8 +166,27 @@ def format_rational(value: Fraction | int, denominator: int = 1) -> str:
             return str(num)
         return f"{num}/{den}"
     except ValueError:  # Python's limit on int-to-string conversion
-        raise ResultTooLarge(f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
-                             "the limit of Python's int-to-string conversion") from None
+        raise _too_large() from None
+
+
+def format_rationals(nums: Iterable[int], dens: Iterable[int] | None = None) -> list[str]:
+    """format_rational(num, den) over a column of numerators and one of
+    denominators, reduced by one gcd map and two floordiv maps; the ints of
+    nums themselves when dens is None."""
+    try:
+        if dens is None:
+            return list(map(str, nums))
+        nums, dens = list(nums), list(dens)
+        gcds = list(map(math.gcd, nums, dens))
+        return [f"{p}/{q}" if q != 1 else str(p)
+                for p, q in zip(map(operator.floordiv, nums, gcds), map(operator.floordiv, dens, gcds))]
+    except ValueError:  # Python's limit on int-to-string conversion
+        raise _too_large() from None
+
+
+def _too_large() -> ResultTooLarge:
+    return ResultTooLarge(f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+                          "the limit of Python's int-to-string conversion")
 
 
 def _to_float(value: Fraction | int, what: str, denominator: int = 1) -> float:

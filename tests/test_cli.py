@@ -302,6 +302,19 @@ def test_main_exact_value_too_long_to_print_exit_2(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a", [F(10 ** 50), F(10 ** 50, 3)], ids=["integer", "rational"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_main_coeffs_cell_too_long_to_print_exit_2(tmp_path, capsys, a, fmt):
+    # A(100) of a z_1 is a^100, a numerator of 5001 digits: more than the 4300
+    # Python converts to a string, both on the integer and the reduced-rational route.
+    config = {"command": "coeffs", "poly_tuple": serialize(from_polys([{(1,): a}])), "m": [1], "window": [100]}
+    code, report = _main_exit(tmp_path, config, "--format", fmt)
+    assert code == 2
+    assert report["error"] == "ResultTooLarge"
+    assert f"{sys.get_int_max_str_digits()} digits" in report["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("out", ["absent/r.json", "."], ids=["missing-directory", "a-directory"])
 def test_main_unwritable_out_exit_2(tmp_path, capsys, out):
     config = tmp_path / "run.json"
@@ -707,6 +720,24 @@ def test_axis_commands_never_reduce_a_whole_table(monkeypatch, config):
         monkeypatch.setattr(coeff, name, refuse)
     assert expected[0] == 0
     assert cli.run(config) == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_coeffs_formats_its_cells_a_column_at_a_time(monkeypatch, fmt):
+    # coeffs reduces and formats its value column with C-level maps, never
+    # through one format_rational call per cell.
+    P = serialize(from_polys([{(1, 0): 1, (1, 1): F(2, 3)}, {(0, 1): 1, (1, 1): F(2, 3)}]))
+    config = {"command": "coeffs", "poly_tuple": P, "m": [2, 2], "window": [12, 12]}
+    expected = cli.run(config, fmt=fmt)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return format_rational(*args)
+
+    monkeypatch.setattr(cli, "format_rational", counted)
+    assert cli.run(config, fmt=fmt) == expected
+    assert calls == []
 
 
 # (a z_1, z_2) for a linear coefficient a, or a weight of M_z, beyond the float range

@@ -227,6 +227,57 @@ def test_convolve_definition_brute_force():
     assert table.values == tuple(expected[alpha] for alpha in box(bounds))
 
 
+def _first_component(n, reach, c):
+    # c z_1, z_1 + c z_1 z_2 and z_1 + z_1^2 + c z_1 z_2 (z_1 + c z_1^3 and
+    # z_1 + z_1^2 + c z_1^3 when n = 1), whose terms all reach the box of
+    # _branch_bounds, and c z_1 under a bound of 0 on z_1, which none reaches.
+    unit, square = (1,) + (0,) * (n - 1), (2,) + (0,) * (n - 1)
+    mixed = (1, 1) + (0,) * (n - 2) if n > 1 else (3,)
+    return [{unit: c}, {unit: c}, {unit: F(1), mixed: c}, {unit: F(1), square: F(1), mixed: c}][reach]
+
+
+def _branch_bounds(n, reach):
+    bounds = {1: (6,), 2: (4, 4), 3: (2, 2, 2)}[n]
+    return (0,) * (reach == 0) + bounds[reach == 0:]
+
+
+def _pad_cells(table):
+    inside = set(table.walk(table.bounds))
+    return [b for off, b in enumerate(table.B) if off not in inside]
+
+
+# The division kernel unrolls its term loop by the number of terms that reach
+# the box: none (no pass), one, two, and the generic loop for three or more.
+BRANCHES = pytest.mark.parametrize("n, reach, c", [(n, reach, c) for n in (1, 2, 3) for reach in range(4)
+                                                   for c in (F(1), F(2, 3))])
+
+
+@BRANCHES
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_division_kernel_branches_match_the_oracle(n, reach, c, k):
+    q, bounds = _first_component(n, reach, c), _branch_bounds(n, reach)
+    assert len(coeff._reachable(q, bounds)) == reach
+    table = coeff._divided(bounds, [(q, k)])
+    oracle = reciprocal_power_coeffs(q, k, bounds, mode="oracle")
+    assert ([table.B[off] for off in table.walk(bounds)], table.d) == (oracle.B, oracle.d)
+    assert table.d == (1 if c == 1 or reach == 0 else 3)
+    assert table.values == oracle.values
+    assert not any(_pad_cells(table))  # every reader relies on the zero pad
+
+
+@BRANCHES
+@pytest.mark.parametrize("mj", [1, 2, 3])
+def test_division_kernel_branches_match_the_convolution(n, reach, c, mj):
+    # The first factor takes each branch; the others, c z_j, take the one-term branch.
+    P = from_polys([_first_component(n, reach, c)]
+                   + [{tuple(int(i == j) for i in range(n)): c} for j in range(1, n)])
+    m, bounds = tuple((mj + j - 1) % 3 + 1 for j in range(n)), _branch_bounds(n, reach)
+    table = coeff_function(P, m, bounds)
+    expected = _convolution_by_definition(P, m, bounds)
+    assert table.values == tuple(expected[alpha] for alpha in box(bounds))
+    assert not any(_pad_cells(table))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_general_route_equals_convolution_property(n, data):

@@ -18,6 +18,7 @@ from hartogs.polytuple import (
     _to_float,
     admissibility_degree,
     format_rational,
+    format_rationals,
     from_polys,
     hartogs_tuple,
     parse_and_validate,
@@ -181,6 +182,9 @@ def test_format_rational_too_long_raises_result_too_large():
             format_rational(value)
     with pytest.raises(ResultTooLarge, match=f"{sys.get_int_max_str_digits()} digits"):
         format_rational(1, 3 ** 10000)
+    for columns in ([[1, 10 ** 5000]], [[1, 2], [1, 3 ** 10000]]):  # ints, and over denominators
+        with pytest.raises(ResultTooLarge, match=f"{sys.get_int_max_str_digits()} digits"):
+            format_rationals(*columns)
 
 
 def test_format_rational_ints_and_fractions():
@@ -191,9 +195,13 @@ def test_format_rational_ints_and_fractions():
 
 
 def test_format_rational_over_a_denominator_is_the_reduced_fraction():
-    # coeffs prints B(alpha) over d^|alpha| without building the Fraction
+    # coeffs prints B(alpha) over d^|alpha| without building the Fraction, a
+    # column at a time; weights prints its quotients one cell at a time
     cases = [(0, 9), (6, 4), (-6, 4), (7, 1), (12, 3), (F(1, 2), 3), (F(-4, 3), 2), (3 ** 40, 6 ** 25)]
     assert [format_rational(v, d) for v, d in cases] == [format_rational(F(v) / d) for v, d in cases]
+    ints = [(v, d) for v, d in cases if type(v) is int]
+    assert format_rationals(*zip(*ints)) == [format_rational(v, d) for v, d in ints]
+    assert format_rationals(v for v, _ in ints) == [format_rational(v) for v, _ in ints]
 
 
 @pytest.mark.parametrize("coeff", [0.5, 1.0, True], ids=["float", "integral-float", "bool"])
