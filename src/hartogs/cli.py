@@ -7,8 +7,8 @@ its CSV rows as a generator over them, so only a CSV run builds the rows.
 coeffs and weights, the large tables, instead build one list of flat rows in
 CSV column order: CSV writes those rows as they are, and JSON writes each
 through one str.format template per job, with its keys in sorted order.
-coeffs formats its whole value column in one format_rationals call, a few
-C-level maps over the cells; weights formats its quotients cell by cell.
+coeffs and weights format each exact column in one format_rationals call, a
+few C-level maps over the cells, and weights maps its float columns as well.
 A command imports the modules it runs inside its function, so a run loads
 only those: numpy only for radius, quadrature, hereditary and pick-verify.
 One C JSON encoder, built once at import, renders every other JSON line and
@@ -238,25 +238,32 @@ def _cmd_kernel(c: dict, rng):
     return None, {"cutoff": c["cutoff"], "pairs": entries}, (header, rows)
 
 
-def _weight(quotient: tuple[int, int], what: str) -> float:
-    num, den = quotient
-    return math.sqrt(_to_float(num, what, den))
-
-
 @_command("weights", poly_tuple=_P, m=_M, window=_WINDOW)
 def _cmd_weights(c: dict, rng):
     from . import shiftops
     P, m = c["poly_tuple"], c["m"]
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
-    n = P.n
-    # Each column reads one integer quotient (num, den) of the scaled table; the
-    # int true division rounds correctly, as float() of the Fraction does.
+    n, walk = P.n, wt.walk(window)
+    # Per j, int columns of the scaled table; _to_float's int division rounds as float(Fraction) does.
+    floats, hypos = [], []
+    for j, ((step, scale), shift) in enumerate(zip(wt.mult_steps, wt.shift_steps)):
+        w_num, w_den = wt.quotients(walk, step, scale)  # omega^2 at alpha
+        low_num, low_den = wt.quotients([off - step for off in walk], step, scale)  # and at alpha - tail_j
+        s_num, s_den = wt.quotients(walk, *shift)  # sigma^2 at alpha
+        floats += (map(math.sqrt, map(_to_float, w_num, itertools.repeat("a squared weight omega^2"), w_den)),
+                   map(math.sqrt, map(_to_float, s_num, itertools.repeat("a squared weight sigma^2"), s_den)))
+        # hypo_diag = omega^2(alpha) - omega^2(alpha - tail_j), where low_den is B(alpha)
+        hypos.append(([p * q - r * s for p, q, r, s in zip(w_num, low_den, low_num, w_den)],
+                      [p * q for p, q in zip(w_den, low_den)]))
+    # Every float first, in row order (omega, sigma of j = 1, ..., n per cell), so
+    # a weight without a float value fails at its row before any hypo_diag is formatted.
+    floats = list(itertools.chain.from_iterable(zip(*floats)))
+    columns = [map(tuple.__add__, window.cells, zip(itertools.repeat(j + 1), floats[2 * j::2 * n],
+                                                    floats[2 * j + 1::2 * n], format_rationals(*hypo)))
+               for j, hypo in enumerate(hypos)]
     rows = _Rows(_template(n, j="{}", omega="{!r}", sigma="{!r}", hypo_diag='"{}"'),
-                 ((*alpha, j + 1, _weight(wt.mult_quotient(j, off), "a squared weight omega^2"),
-                   _weight(wt.shift_quotient(j, off), "a squared weight sigma^2"),
-                   format_rational(*wt.hypo_quotient(j, off)))
-                  for alpha, off in zip(window.cells, wt.walk(window)) for j in range(n)))
+                 itertools.chain.from_iterable(zip(*columns)))
     header = [f"alpha_{i + 1}" for i in range(n)] + ["j", "omega", "sigma", "hypo_diag"]
     return None, {"window": list(window.bounds), "weights": rows}, (header, rows)
 

@@ -16,8 +16,6 @@ from .polytuple import PolyTuple, _to_float, poly_eval, tilde_restrictions
 
 Point = tuple[complex, ...]
 
-_BISECTION_TOL = 1e-12
-
 
 def forward(p: Sequence[complex]) -> Point:
     """Quotient coordinates (z_1/z_2, ..., z_{n-1}/z_n, z_n); tail entries must be nonzero."""
@@ -53,7 +51,8 @@ def polydisc_radii(P: PolyTuple) -> list[float]:
     """Radii r_j with r_j^2 the unique positive root of (restriction of P_j)(t) = 1.
 
     The restriction has nonnegative coefficients and a positive linear one a_j, so
-    it is increasing on [0, oo), and bisection finds the root below
+    it is increasing on [0, oo), and bisection in floats narrows the root down to
+    two adjacent floats, at any scale of the root, below the bracket
     max(1, min over the terms c t^k of c^(-1/k)).  There one term reaches 1 and
     none exceeds it, so evaluating the restriction there cannot overflow; the
     bracket is doubled only while rounding leaves the value below 1.  A
@@ -77,14 +76,12 @@ def polydisc_radii(P: PolyTuple) -> list[float]:
             hi = math.inf
         if hi == math.inf:  # every c^(-1/k) overflowed: the bisection would not end
             raise MalformedInput(f"the bisection bracket for r_{j + 1}^2 is beyond the float range")
-        lo = 0.0
-        while hi - lo > _BISECTION_TOL:
-            mid = 0.5 * lo + 0.5 * hi  # as 0.5 * (lo + hi), where lo + hi does not overflow
-            if not lo < mid < hi:  # adjacent floats, further apart than the tolerance
-                break
+        lo, mid = 0.0, 0.5 * hi
+        while lo < mid < hi:  # until lo and hi are adjacent floats
             if poly_eval(g, (mid,)) < 1.0:
                 lo = mid
             else:
                 hi = mid
-        radii.append(math.sqrt(0.5 * lo + 0.5 * hi))
+            mid = 0.5 * lo + 0.5 * hi  # as 0.5 * (lo + hi), where lo + hi does not overflow
+        radii.append(math.sqrt(mid))
     return radii

@@ -8,11 +8,12 @@ is one integer quotient of the scaled coefficient table B(alpha) =
 d^|alpha| A(alpha) over the window and a one-step margin: the padded list
 that coeff_function fills, whose per-axis pad holds at least one zero cell,
 and a cell is reached only through that table's offset rule, from one walk
-over a window.  The probes decide each identity on integer cross-products
-of B read at fixed offsets, where the zero pad stands for a cell off the
-lattice.  A report divides a quotient into a float by
-``polytuple._to_float`` or formats it, and a ``Fraction`` is made only
-where a caller asks for an exact value, as the views ``mult_sq``/``shift_sq`` do.
+over a window.  One reader, WeightTable.quotients, gives every weight view
+those quotients as two int columns over a walk.  The probes decide each
+identity on integer cross-products of B read at fixed offsets, where the zero
+pad stands for a cell off the lattice.  A report divides the columns into
+floats by ``polytuple._to_float`` or formats them, and a ``Fraction`` is made
+only where a caller asks for an exact value, as ``mult_sq``/``shift_sq`` do.
 Truncation semantics: an operator column whose image leaves the window is
 zeroed, and every assertion quantifies over interior cells only, so the
 checked identities are free of truncation artifacts.
@@ -21,6 +22,7 @@ checked identities are free of truncation artifacts.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -78,9 +80,8 @@ class WeightTable:
     quotient of B.  With |tail_j| = n - j:
       mult_sq[j][alpha]  = A(alpha)/A(alpha + tail_j) = d^(n-j) B(alpha) / B(alpha + tail_j),
       shift_sq[j][alpha] = A(alpha)/A(alpha + e_j) = d B(alpha) / B(alpha + e_j).
-    mult_quotient, shift_quotient and hypo_quotient give (numerator,
-    denominator) in int at a cell offset from walk; the weights command
-    formats the hypo_quotient of each cell as its hypo_diag column.  The dicts
+    mult_steps[j] and shift_steps[j] are the (step, scale) of these quotients;
+    quotients reads their int columns over a walk for every weight view.  The dicts
     mult_sq and shift_sq, built on first use, are the only exact views: one
     Fraction per weight.  circularity_check reads the float weights, divided
     once per window.
@@ -94,9 +95,9 @@ class WeightTable:
         n = P.n
         self.d, self.B, self._strides = table.d, table.B, table.strides
         self._tails = [tail_index(n, j) for j in range(n)]
-        # alpha + tail_j sits _tail_steps[j] cells after alpha in B, and alpha + e_j _strides[j].
-        self._tail_steps = [self._step(tail) for tail in self._tails]
-        self._tail_scales = [table.d ** (n - j) for j in range(n)]
+        # alpha + tail_j sits mult_steps[j][0] cells after alpha in B, and alpha + e_j _strides[j].
+        self.mult_steps = [(self._step(tail), table.d ** (n - j)) for j, tail in enumerate(self._tails)]
+        self.shift_steps = [(stride, table.d) for stride in table.strides]
         self._floats: dict[MultiIndex, list[list[tuple[int, int, float]]]] = {}
 
     def walk(self, window: LatticeWindow, increment: MultiIndex | None = None) -> list[int]:
@@ -113,19 +114,12 @@ class WeightTable:
         t = self._table
         return tuple(off // s % (b + p + 1) - p for s, b, p in zip(t.strides, t.bounds, t.pad))
 
-    def mult_quotient(self, j: int, off: int) -> tuple[int, int]:
-        return self._tail_scales[j] * self.B[off], self.B[off + self._tail_steps[j]]
-
-    def shift_quotient(self, j: int, off: int) -> tuple[int, int]:
-        return self.d * self.B[off], self.B[off + self._strides[j]]
-
-    def hypo_quotient(self, j: int, off: int) -> tuple[int, int]:
-        """mult_sq[j][alpha] - (adjoint weight at alpha) at the cell alpha of offset
-        off, over B(alpha) B(alpha + tail_j); B(alpha - tail_j) reads the zero
-        pad when alpha - tail_j leaves the lattice."""
-        B, step = self.B, self._tail_steps[j]
-        b, up = B[off], B[off + step]
-        return self._tail_scales[j] * (b * b - B[off - step] * up), b * up
+    def quotients(self, walk: Sequence[int], step: int, scale: int) -> tuple[list[int], list[int]]:
+        """The int columns scale B(alpha) and B(alpha + step) over the offsets
+        of the cells alpha in walk: their quotients, cell by cell, are the
+        squared weights of the view (step, scale)."""
+        B = self.B
+        return [scale * B[off] for off in walk], [B[off + step] for off in walk]
 
     def _mult_floats(self, window: LatticeWindow) -> list[list[tuple[int, int, float]]]:
         """For each j, the triples (window offsets of alpha and alpha + tail_j,
@@ -133,26 +127,26 @@ class WeightTable:
         alpha + tail_j in it, in row-major order; divided once per window."""
         floats = self._floats.get(window.bounds)
         if floats is None:
-            B, strides, floats = self.B, _strides(window.bounds), []
-            for tail, step, scale in zip(self._tails, self._tail_steps, self._tail_scales):
+            strides, floats = _strides(window.bounds), []
+            for tail, (step, scale) in zip(self._tails, self.mult_steps):
                 inside, rise = [b - t for b, t in zip(window.bounds, tail)], _offset(tail, window.bounds)
-                weights = (math.sqrt(_to_float(scale * B[off], "a squared weight", B[off + step]))
-                           for off in self.walk(window, tail))
+                nums, dens = self.quotients(self.walk(window, tail), step, scale)
+                weights = map(math.sqrt, map(_to_float, nums, itertools.repeat("a squared weight"), dens))
                 floats.append([(at, at + rise, w) for at, w in zip(_box_walk(inside, strides), weights)])
             self._floats[window.bounds] = floats
         return floats
 
-    def _squares(self, quotient) -> list[dict[MultiIndex, Fraction]]:
-        cells = list(zip(self.window.cells, self.walk(self.window)))
-        return [{alpha: Fraction(*quotient(j, off)) for alpha, off in cells} for j in range(self.P.n)]
+    def _squares(self, steps) -> list[dict[MultiIndex, Fraction]]:
+        walk = self.walk(self.window)
+        return [dict(zip(self.window.cells, map(Fraction, *self.quotients(walk, *view)))) for view in steps]
 
     @cached_property
     def mult_sq(self) -> list[dict[MultiIndex, Fraction]]:
-        return self._squares(self.mult_quotient)
+        return self._squares(self.mult_steps)
 
     @cached_property
     def shift_sq(self) -> list[dict[MultiIndex, Fraction]]:
-        return self._squares(self.shift_quotient)
+        return self._squares(self.shift_steps)
 
 
 def op_weights(P: PolyTuple, m: Sequence[int], window: LatticeWindow) -> WeightTable:
@@ -293,22 +287,21 @@ def _telescoping_mismatches(wt: WeightTable, window: LatticeWindow,
     lattice; the comparison is the integer cross-product
     prod nums * B(alpha + tail_j) == d^(n-j) B(alpha) * prod dens.  Returns
     the cells checked and the mismatching (j, alpha) in scan order."""
-    n, B = wt.P.n, wt.B
+    n = wt.P.n
     mismatches = []
     checked = 0
     for j in range(n):
         path = [(*steps[k], wt._strides[k]) for k in range(n - 1, j - 1, -1)]
-        step, scale = wt._tail_steps[j], wt._tail_scales[j]
         offsets = wt.walk(window, wt._tails[j])
         checked += len(offsets)
-        for off in offsets:
+        for off, scaled, up in zip(offsets, *wt.quotients(offsets, *wt.mult_steps[j])):
             num = den = 1
             cur = off
             for nums, dens, stride in path:
                 num *= nums[cur]
                 den *= dens[cur]
                 cur += stride
-            if num * B[off + step] != scale * B[off] * den:
+            if num * up != scaled * den:
                 mismatches.append((j, wt._cell(off)))
     return checked, mismatches
 

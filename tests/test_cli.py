@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from hartogs import cli, coeff, shiftops, subnormality
 from hartogs.errors import HartogsError, InvalidConfig, UnknownCommand
-from hartogs.polytuple import box, format_rational, from_polys, hartogs_tuple, serialize, unit_index
+from hartogs.polytuple import (_to_float, add_index, box, format_rational, from_polys, hartogs_tuple, serialize,
+                               sub_index, tail_index, unit_index)
 
 P0 = serialize(hartogs_tuple(2))
 P1 = serialize(hartogs_tuple(2, 1))
@@ -600,13 +602,28 @@ def _oracle_coeffs(P, m, bounds):
 
 
 def _oracle_weights(P, m, bounds):
+    # Per cell and j, the quotients of the scaled table B(alpha) = d^|alpha| A(alpha):
+    # omega^2 = d^(n-j) B(alpha) / B(alpha + tail_j), sigma^2 = d B(alpha) / B(alpha + e_j),
+    # hypo_diag = d^(n-j) (B(alpha)^2 - B(alpha - tail_j) B(alpha + tail_j)) / (B(alpha) B(alpha + tail_j)).
     window = shiftops.build_window(bounds)
     wt = shiftops.op_weights(P, m, window)
-    entries = [{"alpha": list(alpha), "j": j + 1,
-                "omega": cli._weight(wt.mult_quotient(j, off), "a squared weight omega^2"),
-                "sigma": cli._weight(wt.shift_quotient(j, off), "a squared weight sigma^2"),
-                "hypo_diag": format_rational(*wt.hypo_quotient(j, off))}
-               for alpha, off in zip(window.cells, wt.walk(window)) for j in range(P.n)]
+    n, d = P.n, wt.d
+
+    def B(alpha):
+        return wt.B[wt._table.offset(alpha)]
+
+    def weight(num, den, what):
+        return math.sqrt(_to_float(num, what, den))
+
+    def entry(alpha, j):
+        tail, scale = tail_index(n, j), d ** (n - j)
+        b, up, low = B(alpha), B(add_index(alpha, tail)), B(sub_index(alpha, tail))
+        return {"alpha": list(alpha), "j": j + 1,
+                "omega": weight(scale * b, up, "a squared weight omega^2"),
+                "sigma": weight(d * b, B(add_index(alpha, unit_index(n, j))), "a squared weight sigma^2"),
+                "hypo_diag": format_rational(scale * (b * b - low * up), b * up)}
+
+    entries = [entry(alpha, j) for alpha in window.cells for j in range(n)]
     header = [f"alpha_{i + 1}" for i in range(P.n)] + ["j", "omega", "sigma", "hypo_diag"]
     rows = ([*e["alpha"], e["j"], e["omega"], e["sigma"], e["hypo_diag"]] for e in entries)
     return {"window": list(window.bounds), "weights": entries}, header, rows
@@ -740,6 +757,24 @@ def test_coeffs_formats_its_cells_a_column_at_a_time(monkeypatch, fmt):
     assert calls == []
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_weights_formats_its_cells_a_column_at_a_time(monkeypatch, fmt):
+    # weights reads its quotients as int columns and formats hypo_diag with
+    # C-level maps, never through one format_rational call per cell.
+    P = serialize(from_polys([{(1, 0): 1, (1, 1): F(2, 3)}, {(0, 1): 1, (1, 1): F(2, 3)}]))
+    config = {"command": "weights", "poly_tuple": P, "m": [2, 2], "window": [12, 12]}
+    expected = cli.run(config, fmt=fmt)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return format_rational(*args)
+
+    monkeypatch.setattr(cli, "format_rational", counted)
+    assert cli.run(config, fmt=fmt) == expected
+    assert calls == []
+
+
 # (a z_1, z_2) for a linear coefficient a, or a weight of M_z, beyond the float range
 TINY, SUBNORMAL, HUGE = (serialize(from_polys([{(1, 0): a}, {(0, 1): 1}]))
                          for a in (F(1, 10 ** 400), F(1, 10 ** 320), F(10 ** 400)))
@@ -840,6 +875,14 @@ def test_malformed_value_csv_exit_2_with_the_json_error_body(tmp_path, name):
     code, report = _main_exit(tmp_path, PROBES[name], "--format", "csv")
     assert code == 2
     assert (code, report) == _main_exit(tmp_path, PROBES[name])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", ["weights-linear-tiny", "weights-linear-huge"])
+def test_weights_without_a_float_value_name_the_first_weight_in_row_order(tmp_path, name, fmt):
+    # omega_1 at alpha = 0 is the first weight of the rows; it has no float value.
+    assert _main_exit(tmp_path, PROBES[name], "--format", fmt) == (
+        2, {"error": "MalformedInput", "message": "a squared weight omega^2 has no float value"})
 
 
 @pytest.mark.parametrize("a1", [[[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]],

@@ -171,3 +171,22 @@ def test_polydisc_radii_double_the_bracket_where_rounding_leaves_it_below_1(q):
     a = F(1, q)
     assert float(a) * float(a) ** -1.0 < 1.0
     assert polydisc_radii(from_polys([{(1,): a}])) == pytest.approx([math.sqrt(q)], rel=1e-12)
+
+
+
+def _r1(c):
+    r1, r2 = polydisc_radii(from_polys([{(1, 0): c}, {(0, 1): 1}]))
+    assert r2 == 1.0
+    return r1
+
+
+def test_polydisc_radii_to_the_last_bits_for_every_power_of_ten():
+    # r_1^2 of c z_1 is 1/c.  An absolute stop of the bisection on r^2 read
+    # r_1 of 10^13 z_1 as 6.74e-7 for 3.16e-7; adjacent floats hold it to an ulp.
+    for k in range(308):
+        assert _r1(10 ** k) == pytest.approx(math.sqrt(1 / 10 ** k), rel=1e-15, abs=0), k
+
+
+@pytest.mark.parametrize("c", [F(3, 2), F(2, 3), F(7, 3), F(355, 113), F(10 ** 12, 7), F(1, 10 ** 12)], ids=str)
+def test_polydisc_radii_to_the_last_bits_for_a_rational_coefficient(c):
+    assert _r1(c) == pytest.approx(math.sqrt(1 / c), rel=1e-15, abs=0)

@@ -13,7 +13,9 @@ when the Python minor version, the numpy version and the machine match the
 recorded ones.
 
 Regenerate the file after a deliberate report change with
-``PYTHONPATH=src python tests/test_report_digests.py``.
+``PYTHONPATH=src python tests/test_report_digests.py``; it prints each
+digest that changed, as ``kind seed workload/command``, so a report-changing
+commit shows exactly which commands moved.
 """
 
 import hashlib
@@ -80,9 +82,29 @@ def test_reports_match_recorded_digests(monkeypatch):
             assert {key: digests[key] for key in compared} == {key: expected[key] for key in compared}
 
 
+def changed_keys(old: dict, new: dict) -> list[str]:
+    """'kind seed workload/command' for each digest that differs between two
+    digest files, or that only one of them holds."""
+    return [f"{kind} {seed} {key}" for kind in ("digests", "value_digests")
+            for seed in sorted(set(old.get(kind, {})) | set(new[kind]))
+            for key in sorted(set(old.get(kind, {}).get(seed, {})) | set(new[kind].get(seed, {})))
+            if old.get(kind, {}).get(seed, {}).get(key) != new[kind].get(seed, {}).get(key)]
+
+
+def test_changed_keys_name_each_moved_or_new_digest():
+    old = {"digests": {"1": {"a/x": "0", "a/y": "1"}}, "value_digests": {"1": {"a/x": "0", "a/y": "1"}}}
+    new = {"digests": {"1": {"a/x": "0", "a/y": "2", "b/z": "3"}}, "value_digests": {"1": {"a/x": "0", "a/y": "1"}}}
+    assert changed_keys(old, new) == ["digests 1 a/y", "digests 1 b/z"]
+    assert changed_keys(new, new) == []
+    assert changed_keys({}, new) == ["digests 1 a/x", "digests 1 a/y", "digests 1 b/z",
+                                     "value_digests 1 a/x", "value_digests 1 a/y"]
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "perfbench"))
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps({"seeds": list(SEEDS), "environment": _environment(),
-                                   **all_digests(importlib.import_module("jobs"))},
-                                  indent=2, sort_keys=True) + "\n")
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    new = {"seeds": list(SEEDS), "environment": _environment(), **all_digests(importlib.import_module("jobs"))}
+    DIGESTS.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    changed = changed_keys(old, new)
+    print("\n".join(changed) if changed else "no digest changed")

@@ -68,12 +68,24 @@ def adjoint_weight_sq(wt, j, alpha):
     return wt.mult_sq[j][beta] if min(beta) >= 0 else F(0)
 
 
+def scaled_cell(wt, alpha):
+    """B(alpha) of the table, read by the cell's own offset; 0 in the pad below the lattice."""
+    return wt.B[wt._table.offset(alpha)]
+
+
 def hypo_diagonal(wt, j):
     """Diagonal of the self-commutator of multiplication by z_j over the table's
-    window: mult_sq[j][alpha] - (adjoint weight at alpha), one Fraction of
-    WeightTable.hypo_quotient per cell, as the weights command's hypo_diag."""
-    window = wt.window
-    return {alpha: F(*wt.hypo_quotient(j, off)) for alpha, off in zip(window.cells, wt.walk(window))}
+    window: mult_sq[j][alpha] - (adjoint weight at alpha), one Fraction per cell
+    d^(n-j) (B(alpha)^2 - B(alpha - tail_j) B(alpha + tail_j)) / (B(alpha) B(alpha + tail_j)),
+    as the weights command's hypo_diag."""
+    n = wt.P.n
+    tail, scale = tail_index(n, j), wt.d ** (n - j)
+
+    def entry(alpha):
+        b, up = scaled_cell(wt, alpha), scaled_cell(wt, add_index(alpha, tail))
+        return F(scale * (b * b - scaled_cell(wt, sub_index(alpha, tail)) * up), b * up)
+
+    return {alpha: entry(alpha) for alpha in wt.window.cells}
 
 
 def univariate_coeffs(p, k, kmax):
@@ -445,6 +457,36 @@ def probe_tuples(draw):
             terms[tuple(int(i in (j, other)) for i in range(n))] = draw(st.sampled_from(COEFFS))
         polys.append(terms)
     return from_polys(polys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quotient_columns_are_the_per_cell_quotients(data):
+    # The one reader against the per-cell quotients d^(n-j) B(alpha) / B(alpha + tail_j)
+    # and d B(alpha) / B(alpha + e_j), on tables whose pad is 1, 2 or 3 per axis,
+    # over the window, over the cells with alpha + tail_j inside, and one tail
+    # below the window, where the lattice ends in the zero pad.
+    P = data.draw(probe_tuples(), label="P")
+    n = P.n
+    m = tuple(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n), label="m"))
+    bounds = tuple(data.draw(st.lists(st.integers(0, 6 - n), min_size=n, max_size=n), label="window"))
+    wt = WeightTable(P, m, build_window(bounds))
+    assert set(wt._table.pad) <= {1, 2, 3}
+    for j in range(n):
+        tail, e = tail_index(n, j), unit_index(n, j)
+        for increment in (None, tail):
+            cells = [alpha for alpha in wt.window.cells if increment is None or inside(wt.window, alpha, tail)]
+            walk = wt.walk(wt.window, increment)
+            assert wt.quotients(walk, *wt.mult_steps[j]) == (
+                [wt.d ** (n - j) * scaled_cell(wt, alpha) for alpha in cells],
+                [scaled_cell(wt, add_index(alpha, tail)) for alpha in cells])
+            assert wt.quotients(walk, *wt.shift_steps[j]) == (
+                [wt.d * scaled_cell(wt, alpha) for alpha in cells],
+                [scaled_cell(wt, add_index(alpha, e)) for alpha in cells])
+        step = wt.mult_steps[j][0]
+        below = wt.quotients([off - step for off in wt.walk(wt.window)], *wt.mult_steps[j])
+        assert below == ([wt.d ** (n - j) * scaled_cell(wt, sub_index(alpha, tail)) for alpha in wt.window.cells],
+                         [scaled_cell(wt, alpha) for alpha in wt.window.cells])
 
 
 def assert_scans_match_oracles(wt, window):
