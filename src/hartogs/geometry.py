@@ -47,6 +47,14 @@ def triangle_contains(P: PolyTuple, p: Sequence[complex]) -> bool:
         return False
 
 
+def _eval_terms(terms: list[tuple[int, float]], t: float) -> float:
+    """sum of c t^k over the float terms (k, c) in order, as poly_eval sums a term map."""
+    total = 0.0
+    for k, c in terms:
+        total += c * t ** k
+    return total
+
+
 def polydisc_radii(P: PolyTuple) -> list[float]:
     """Radii r_j with r_j^2 the unique positive root of (restriction of P_j)(t) = 1.
 
@@ -55,22 +63,24 @@ def polydisc_radii(P: PolyTuple) -> list[float]:
     two adjacent floats, at any scale of the root, below the bracket
     max(1, min over the terms c t^k of c^(-1/k)).  There one term reaches 1 and
     none exceeds it, so evaluating the restriction there cannot overflow; the
-    bracket is doubled only while rounding leaves the value below 1.  A
-    coefficient, or that bracket, beyond the float range raises MalformedInput.
+    bracket is doubled only while rounding leaves the value below 1.  The
+    restriction is converted to float terms (k, c) once and evaluated with the
+    float operations of poly_eval.  A coefficient, or that bracket, beyond the
+    float range raises MalformedInput.
     """
     radii = []
     for j, g in enumerate(tilde_restrictions(P)):
         a_j = _to_float(P.linear_coefficient(j), f"the linear coefficient a_{j + 1}")
+        terms = [(k, a_j if k == 1 else _to_float(c, "a coefficient")) for k, c in g.items()]
         hi = math.inf
-        for k, c in g.items():
+        for k, c in terms:
             try:
-                hi = min(hi, (a_j if k == 1 else _to_float(c, "a coefficient")) ** (-1.0 / k))
+                hi = min(hi, c ** (-1.0 / k))
             except OverflowError:  # c^(-1/k) for a subnormal c
                 pass
         hi = max(1.0, hi)
-        g = {(k,): c for k, c in g.items()}  # a one-variable term map
         try:
-            while poly_eval(g, (hi,)) < 1.0:
+            while _eval_terms(terms, hi) < 1.0:
                 hi *= 2.0
         except OverflowError:  # a power of the point hi
             hi = math.inf
@@ -78,7 +88,7 @@ def polydisc_radii(P: PolyTuple) -> list[float]:
             raise MalformedInput(f"the bisection bracket for r_{j + 1}^2 is beyond the float range")
         lo, mid = 0.0, 0.5 * hi
         while lo < mid < hi:  # until lo and hi are adjacent floats
-            if poly_eval(g, (mid,)) < 1.0:
+            if _eval_terms(terms, mid) < 1.0:
                 lo = mid
             else:
                 hi = mid

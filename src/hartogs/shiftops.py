@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -313,6 +314,22 @@ def _scaled_ratios(scaled: list[int], d: int, ks) -> dict[int, Fraction]:
 
 # --- determinant operator diagonal and trace -------------------------------------
 
+def _log_concave(B: list[int], K: int) -> bool:
+    """B(k+1)^2 >= B(k) B(k+2) for k = 0..K-1, over positive ints, decided on the
+    ratios r_k = B(k+1)/B(k) as floats.  The int true division rounds correctly
+    and rounding is monotone, so r_k > r_{k+1} or r_k < r_{k+1} as floats holds
+    exactly too; only a float tie is settled by the exact products, and a ratio
+    beyond the float range (OverflowError) by the exact product scan."""
+    try:
+        ratios = map(operator.truediv, B[1:K + 2], B[:K + 1])
+        for k, (r, s) in enumerate(itertools.pairwise(ratios)):
+            if r < s or (r == s and B[k + 1] * B[k + 1] < B[k] * B[k + 2]):
+                return False
+        return True
+    except OverflowError:
+        return all(B[k + 1] * B[k + 1] >= B[k] * B[k + 2] for k in range(K))
+
+
 @dataclass
 class DetTraceReport:
     """axes holds the scaled axis tables (B_j, d_j) with B_j(k) = d_j^k A_j(k)
@@ -345,8 +362,11 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
 
     The axis tables stay scaled integers B_j(k) = d_j^k A_j(k), never reduced
     to Fractions: a_j(k) = d_j B_j(k)/B_j(k+1), so a_j(k) <= a_j(k+1) exactly
-    when B_j(k+1)^2 >= B_j(k) B_j(k+2), and a_j(k) itself is divided out only
-    for the diagonal, over the corner [0, min(K, 6)]^2, and for k = K.
+    when B_j(k+1)/B_j(k) >= B_j(k+2)/B_j(k+1), which ``_log_concave`` decides
+    on the correctly rounded float ratios and, at a float tie, on the exact
+    products.  a_j(k) itself is divided out only for the diagonal, over the
+    corner [0, min(K, 6)]^2, where each entry is the product of one factor
+    per axis, and for k = K.
     """
     if P.n != 2:
         raise WrongDimension(f"determinant operator needs n = 2, got n = {P.n}")
@@ -356,16 +376,13 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("determinant trace formulas need each P_j to depend on z_j alone")
     axes = (_axis_scaled(P, m, 0, K + 1), _axis_scaled(P, m, 1, K + 1))
-    increasing = tuple(all(B[k + 1] * B[k + 1] >= B[k] * B[k + 2] for k in range(K))
-                       for B, _ in axes)
+    increasing = tuple(_log_concave(B, K) for B, _ in axes)
     corner = min(K, 6)
     a1, a2 = (_scaled_ratios(B, d, [*range(corner + 1), K]) for B, d in axes)
-
-    diagonal: dict[MultiIndex, Fraction] = {}
-    for alpha in box((corner, corner)):
-        d1 = a1[alpha[0]] - (a1[alpha[0] - 1] if alpha[0] else Fraction(0))
-        prev2 = a2[alpha[1] - 1] ** 2 if alpha[1] else Fraction(0)
-        diagonal[alpha] = d1 * (a2[alpha[1]] ** 2 - prev2)
+    sq2 = [a2[j] ** 2 for j in range(corner + 1)]
+    f1 = [a1[0], *(a1[i] - a1[i - 1] for i in range(1, corner + 1))]
+    f2 = [sq2[0], *(sq2[j] - sq2[j - 1] for j in range(1, corner + 1))]
+    diagonal = {alpha: f1[alpha[0]] * f2[alpha[1]] for alpha in box((corner, corner))}
 
     partial = a1[K] * a2[K] ** 2
     try:
@@ -407,8 +424,10 @@ def spectral_radius_estimate(P: PolyTuple, m: Sequence[int], j: int,
     axis table of the restriction of P_j; approximants are reported for
     n = 1..N with the supremum over k = 0..K, without extrapolation.  The
     table stays scaled, B(k) = d^k A(k) in int, and log A(k) is taken as
-    log B(k) - k log d; the suprema for all n run as K + 1 elementwise maxima
-    over slices of length N.
+    log B(k) - k log d by one math.log map and one array operation; the
+    suprema for all n run as K + 1 elementwise maxima over slices of length
+    N, and the approximants are exp(sup / 2n) by one array division and one
+    math.exp map, the IEEE operations of the per-element formulas.
     """
     import numpy as np
     m = _check_m(P, m)
@@ -421,13 +440,13 @@ def spectral_radius_estimate(P: PolyTuple, m: Sequence[int], j: int,
     norm_bound = 1.0 / math.sqrt(_to_float(P.linear_coefficient(j), f"the linear coefficient a_{j + 1}"))
     scaled, d = _axis_scaled(P, m, j, K + N)
     log_d = math.log(d)
-    logs = np.array([math.log(b) - k * log_d for k, b in enumerate(scaled)])
+    logs = np.fromiter(map(math.log, scaled), float, len(scaled)) - log_d * np.arange(len(scaled))
     best = logs[0] - logs[1:N + 1]
     step = np.empty(N)
     for k in range(1, K + 1):
         np.subtract(logs[k], logs[k + 1:k + N + 1], out=step)
         np.maximum(best, step, out=best)
-    approximants = [math.exp(b / (2 * nn)) for nn, b in enumerate(best.tolist(), start=1)]
+    approximants = list(map(math.exp, (best / np.arange(2, 2 * N + 1, 2)).tolist()))
     return SpectralRadiusReport(approximants=approximants, estimate=approximants[-1], norm_bound=norm_bound)
 
 

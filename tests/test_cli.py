@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hartogs import cli, coeff, shiftops, subnormality
+from hartogs import cli, coeff, geometry, shiftops, subnormality
 from hartogs.errors import HartogsError, InvalidConfig, UnknownCommand
 from hartogs.polytuple import (_to_float, add_index, box, format_rational, from_polys, hartogs_tuple, serialize,
                                sub_index, tail_index, unit_index)
@@ -773,6 +773,51 @@ def test_weights_formats_its_cells_a_column_at_a_time(monkeypatch, fmt):
     monkeypatch.setattr(cli, "format_rational", counted)
     assert cli.run(config, fmt=fmt) == expected
     assert calls == []
+
+
+def test_validate_and_radius_never_evaluate_a_term_map(monkeypatch):
+    # The polydisc radii convert each restriction to float terms once and never
+    # call poly_eval; domain (triangle_contains) still evaluates through it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    jobs = [job for job in importlib.import_module("jobs").generate("operators", 1)
+            if job.config["command"] in ("validate", "radius", "domain")]
+    expected = [cli.run(job.config, seed=job.seed, fmt=job.fmt) for job in jobs]
+
+    class Evaluated(Exception):
+        pass
+
+    def evaluated(*args):
+        raise Evaluated
+
+    monkeypatch.setattr(geometry, "poly_eval", evaluated)
+    assert {job.config["command"] for job in jobs} == {"validate", "radius", "domain"}
+    for job, run in zip(jobs, expected):
+        if job.config["command"] == "domain":
+            with pytest.raises(Evaluated):
+                cli.run(job.config, seed=job.seed, fmt=job.fmt)
+        else:
+            assert cli.run(job.config, seed=job.seed, fmt=job.fmt) == run
+
+
+@pytest.mark.parametrize("m", [(2, 1), (1, 1), (3, 2)])
+def test_dettrace_decides_ratios_beyond_the_float_range_exactly(tmp_path, m):
+    # With d = 10^400 every ratio B(k+1)/B(k) of the scaled axis tables is
+    # beyond the float range, so the monotonicity scan falls back to the exact
+    # products; the verdict is that of the Fraction ratios a_j(k).
+    c = [F(10 ** 400 + 1, 10 ** 400), F(10 ** 400 + 3, 10 ** 400)]
+    P = from_polys([{(1, 0): c[0]}, {(0, 1): c[1]}])
+    code, report = _main_exit(tmp_path, {"command": "dettrace", "poly_tuple": serialize(P), "m": list(m), "K": 40})
+    assert code == 0
+    rep = shiftops.det_commutator_and_trace(P, m, 40)
+    increasing = [all(a[k + 1] >= a[k] for k in range(40)) for a in (rep.ratios(0), rep.ratios(1))]
+    assert report["increasing"] == increasing == list(rep.increasing)
+
+
+def test_dettrace_ratio_without_a_float_still_exits_2(tmp_path):
+    # The ratios of 10^400 z_1 overflow in the scan, and a_1(K) has no float value.
+    P = serialize(from_polys([{(1, 0): F(10 ** 400)}, {(0, 1): 1}]))
+    assert _main_exit(tmp_path, {"command": "dettrace", "poly_tuple": P, "m": [1, 1], "K": 5}) == (
+        2, {"error": "MalformedInput", "message": "a_1(5) has no float value"})
 
 
 # (a z_1, z_2) for a linear coefficient a, or a weight of M_z, beyond the float range

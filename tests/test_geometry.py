@@ -4,10 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartogs.errors import MalformedInput, WrongDimension, ZeroCoordinate
 from hartogs.geometry import forward, polydisc_radii, triangle_contains
-from hartogs.polytuple import from_polys, hartogs_tuple, poly_eval
+from hartogs.polytuple import _to_float, from_polys, hartogs_tuple, poly_eval, tilde_restrictions
 
 
 def inverse(p):
@@ -190,3 +192,65 @@ def test_polydisc_radii_to_the_last_bits_for_every_power_of_ten():
 @pytest.mark.parametrize("c", [F(3, 2), F(2, 3), F(7, 3), F(355, 113), F(10 ** 12, 7), F(1, 10 ** 12)], ids=str)
 def test_polydisc_radii_to_the_last_bits_for_a_rational_coefficient(c):
     assert _r1(c) == pytest.approx(math.sqrt(1 / c), rel=1e-15, abs=0)
+
+
+def _poly_eval_radii(P):
+    """polydisc_radii with the restriction as a Fraction term map, evaluated by
+    poly_eval (which converts each coefficient again) at every step."""
+    radii = []
+    for j, g in enumerate(tilde_restrictions(P)):
+        a_j = _to_float(P.linear_coefficient(j), f"the linear coefficient a_{j + 1}")
+        hi = math.inf
+        for k, c in g.items():
+            try:
+                hi = min(hi, (a_j if k == 1 else _to_float(c, "a coefficient")) ** (-1.0 / k))
+            except OverflowError:
+                pass
+        hi = max(1.0, hi)
+        g = {(k,): c for k, c in g.items()}
+        try:
+            while poly_eval(g, (hi,)) < 1.0:
+                hi *= 2.0
+        except OverflowError:
+            hi = math.inf
+        if hi == math.inf:
+            raise MalformedInput(f"the bisection bracket for r_{j + 1}^2 is beyond the float range")
+        lo, mid = 0.0, 0.5 * hi
+        while lo < mid < hi:
+            if poly_eval(g, (mid,)) < 1.0:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * lo + 0.5 * hi
+        radii.append(math.sqrt(mid))
+    return radii
+
+
+def _outcome(radii, P):
+    try:
+        return radii(P)
+    except MalformedInput as exc:
+        return type(exc), str(exc)
+
+
+_COEFFS = st.one_of(
+    st.builds(lambda c, e: c * F(10) ** e, st.fractions(F(1, 9), 9), st.integers(-300, 300)),
+    st.sampled_from([F(1, 10 ** 320), F(1, 10 ** 400), F(10 ** 400)]))  # subnormal, tiny, huge
+
+
+@st.composite
+def _restriction_tuples(draw):
+    n = draw(st.integers(1, 2))
+    polys = []
+    for j in range(n):
+        degrees = draw(st.sets(st.integers(2, 8), max_size=3))
+        polys.append({tuple(k if i == j else 0 for i in range(n)): draw(_COEFFS) for k in [1, *degrees]})
+    return from_polys(polys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(P=_restriction_tuples())
+def test_polydisc_radii_are_the_poly_eval_bisection(P):
+    # The float terms, converted once per axis, give the floats and the errors
+    # of the bisection that evaluates the Fraction term map at every step.
+    assert _outcome(polydisc_radii, P) == _outcome(_poly_eval_radii, P)

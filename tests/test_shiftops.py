@@ -734,6 +734,62 @@ def test_spectral_radius_matches_fraction_log_loop(P, m, j, exact):
                 assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("P, m, j", [
+    (fib_tuple(), (1, 1), 0),
+    (fib_tuple(), (3, 1), 0),
+    (scaled_tuple(F(4, 3), F(5, 3)), (2, 1), 0),
+    (scaled_tuple(F(3, 2), F(5, 4)), (1, 2), 1),
+    (from_polys([{(1, 0): F(2, 3), (3, 0): F(1, 5)}, {(0, 1): F(1)}]), (2, 1), 0),
+], ids=["fib-11", "fib-31", "scaled-4/3", "scaled-5/4", "cubic-2/3"])
+def test_spectral_radius_floats_are_the_per_element_formulas(P, m, j):
+    # The array forms of the logs and the approximants give the floats of the
+    # per-element formulas bit for bit, with d = 1 and with d > 1.
+    for K, N in ((0, 1), (10, 50), (30, 400)):
+        scaled, d = shiftops._axis_scaled(P, m, j, K + N)
+        log_d = math.log(d)
+        logs = [math.log(b) - k * log_d for k, b in enumerate(scaled)]
+        best = [max(logs[k] - logs[k + n] for k in range(K + 1)) for n in range(1, N + 1)]
+        want = [math.exp(b / (2 * n)) for n, b in enumerate(best, start=1)]
+        assert spectral_radius_estimate(P, m, j, K, N).approximants == want
+
+
+def _ratio_table(n, D):
+    """B(k) = D^(K+1-k) n_0 ... n_(k-1), k = 0..K+1, so that B(k+1)/B(k) = n_k/D exactly."""
+    B = [D ** len(n)]
+    for x in n:
+        B.append(B[-1] // D * x)
+    return B
+
+
+@st.composite
+def _log_concave_cases(draw):
+    kind = draw(st.sampled_from(["random", "geometric", "sub-ulp", "overflow", "underflow"]))
+    if kind == "random":  # positive big ints
+        return draw(st.lists(st.integers(1, 2 ** 2100), min_size=2, max_size=14))
+    K = draw(st.integers(0, 12))
+    if kind == "geometric":  # p^k q^(K+1-k), now and then times a small factor: float and exact ties
+        p, q = draw(st.integers(1, 10 ** 30)), draw(st.integers(1, 10 ** 30))
+        factors = draw(st.lists(st.sampled_from([1] * 8 + [2, 3, 5]), min_size=K + 2, max_size=K + 2))
+        return [p ** k * q ** (K + 1 - k) * f for k, f in enumerate(factors)]
+    small = st.integers(1, 5)
+    if kind == "sub-ulp":  # ratios 1 + e/2^100, all rounding to 1.0
+        n, D = [2 ** 100 + e for e in draw(st.lists(st.integers(-2, 2), min_size=K + 1, max_size=K + 1))], 2 ** 100
+    elif kind == "overflow":  # some ratios at or above 2^1024
+        n, D = draw(st.lists(st.one_of(small, small.map(lambda c: c << 1100)), min_size=K + 1, max_size=K + 1)), 1
+    else:  # some ratios below 2^-1075, which round to 0.0
+        n, D = draw(st.lists(st.one_of(small, small.map(lambda c: c << 1100)), min_size=K + 1, max_size=K + 1)), 2 ** 1100
+    if draw(st.booleans()):  # nonincreasing ratios: the log-concave case
+        n.sort(reverse=True)
+    return _ratio_table(n, D)
+
+
+@settings(max_examples=400, deadline=None)
+@given(B=_log_concave_cases())
+def test_log_concave_matches_exact_products(B):
+    K = len(B) - 2
+    assert shiftops._log_concave(B, K) == all(B[k + 1] * B[k + 1] >= B[k] * B[k + 2] for k in range(K))
+
+
 @pytest.mark.parametrize("call", [
     lambda: spectral_radius_estimate(hartogs_tuple(2), (1, 1), 2, 10, 10),
     lambda: spectral_radius_estimate(hartogs_tuple(2), (1, 1), -1, 10, 10),
