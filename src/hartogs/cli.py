@@ -5,10 +5,11 @@ One run executes exactly one sub-command and writes one deterministic report
 in one table, next to its implementation, and returns its JSON entries with
 its CSV rows as a generator over them, so only a CSV run builds the rows.
 coeffs and weights, the large tables, instead build one list of flat rows in
-CSV column order: CSV writes those rows as they are, and JSON writes each
-through one str.format template per job, with its keys in sorted order.
-coeffs and weights format each exact column in one format_rationals call, a
-few C-level maps over the cells, and weights maps its float columns as well.
+CSV column order, whose cells are ints and text: CSV writes each row through
+one printf-style line, and JSON through one str.format template per job, with
+its keys in sorted order.  coeffs and weights format each exact column in one
+format_rationals call, a few C-level maps over the cells; weights maps its
+float columns as well and turns each distinct weight into text once.
 A command imports the modules it runs inside its function, so a run loads
 only those: numpy only for radius, quadrature, hereditary and pick-verify.
 One C JSON encoder, built once at import, renders every other JSON line and
@@ -246,23 +247,36 @@ def _cmd_weights(c: dict, rng):
     wt = shiftops.op_weights(P, m, window)
     n, walk = P.n, wt.walk(window)
     # Per j, int columns of the scaled table; _to_float's int division rounds as float(Fraction) does.
-    floats, hypos = [], []
+    squares, hypos = [], []
     for j, ((step, scale), shift) in enumerate(zip(wt.mult_steps, wt.shift_steps)):
         w_num, w_den = wt.quotients(walk, step, scale)  # omega^2 at alpha
         low_num, low_den = wt.quotients([off - step for off in walk], step, scale)  # and at alpha - tail_j
-        s_num, s_den = wt.quotients(walk, *shift)  # sigma^2 at alpha
-        floats += (map(math.sqrt, map(_to_float, w_num, itertools.repeat("a squared weight omega^2"), w_den)),
-                   map(math.sqrt, map(_to_float, s_num, itertools.repeat("a squared weight sigma^2"), s_den)))
+        squares += ((w_num, w_den, "a squared weight omega^2"),
+                    (*wt.quotients(walk, *shift), "a squared weight sigma^2"))  # sigma^2 at alpha
         # hypo_diag = omega^2(alpha) - omega^2(alpha - tail_j), where low_den is B(alpha)
         hypos.append(([p * q - r * s for p, q, r, s in zip(w_num, low_den, low_num, w_den)],
                       [p * q for p, q in zip(w_den, low_den)]))
-    # Every float first, in row order (omega, sigma of j = 1, ..., n per cell), so
-    # a weight without a float value fails at its row before any hypo_diag is formatted.
-    floats = list(itertools.chain.from_iterable(zip(*floats)))
-    columns = [map(tuple.__add__, window.cells, zip(itertools.repeat(j + 1), floats[2 * j::2 * n],
-                                                    floats[2 * j + 1::2 * n], format_rationals(*hypo)))
+    # Every float first, in row order (omega, sigma of j = 1, ..., n per cell).
+    try:
+        floats = list(itertools.chain.from_iterable(zip(*[
+            map(math.sqrt, map(_to_float, num, itertools.repeat(what), den)) for num, den, what in squares])))
+    except MalformedInput:
+        # Replay the rows up to the weight without a float value as the per-row build
+        # ran them, so a hypo_diag of an earlier row too long to print fails first.
+        for cell, j in itertools.product(range(len(walk)), range(n)):
+            for num, den, what in squares[2 * j:2 * j + 2]:
+                _to_float(num[cell], what, den[cell])
+            format_rational(hypos[j][0][cell], hypos[j][1][cell])
+        raise
+    # Each distinct weight turned into text once, by the float.__repr__ that "{!r}"
+    # and csv.writer call.  Equal floats have one text but for +-0.0, and no weight
+    # is -0.0: each is the square root of a quotient of nonnegative ints.
+    distinct = set(floats)
+    texts = list(map(dict(zip(distinct, map(repr, distinct))).__getitem__, floats))
+    columns = [map(tuple.__add__, window.cells, zip(itertools.repeat(j + 1), texts[2 * j::2 * n],
+                                                    texts[2 * j + 1::2 * n], format_rationals(*hypo)))
                for j, hypo in enumerate(hypos)]
-    rows = _Rows(_template(n, j="{}", omega="{!r}", sigma="{!r}", hypo_diag='"{}"'),
+    rows = _Rows(_template(n, j="{}", omega="{}", sigma="{}", hypo_diag='"{}"'),
                  itertools.chain.from_iterable(zip(*columns)))
     header = [f"alpha_{i + 1}" for i in range(n)] + ["j", "omega", "sigma", "hypo_diag"]
     return None, {"window": list(window.bounds), "weights": rows}, (header, rows)
@@ -407,11 +421,14 @@ def run(config: dict, seed: int = 0, fmt: str = "json") -> tuple[int, str]:
     verdict, report, table = function(_parse(config, fields), random.Random(seed))
     report = {"command": command, "seed": seed, **report}
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(table[0])
-        writer.writerows(table[1])
-        rendered = buf.getvalue()
+        header, rows = table
+        if type(rows) is _Rows:  # no cell holds a comma, a quote or a line break to quote
+            line = ",".join(["%s"] * len(header)) + "\n"
+            rendered = ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
+        else:
+            buf = io.StringIO()  # point cells are JSON text with commas, which csv quotes
+            csv.writer(buf, lineterminator="\n").writerows(itertools.chain([header], rows))
+            rendered = buf.getvalue()
     else:
         rendered = _render(report)
     return (0 if verdict in (None, True) else 1), rendered
@@ -434,19 +451,20 @@ def _encode(value) -> str:
 def _template(n: int, **columns: str) -> str:
     """A str.format template that writes a row (*alpha, *columns) as a compact
     JSON object with the keys alpha and columns in sorted order.  A column's
-    text is its JSON form around one {} field: "{}" for an int, "{!r}" for a
-    float, '"{}"' for a format_rational string."""
+    text is its JSON form around one {} field: "{}" for an int or a float's
+    repr text, '"{}"' for a format_rational string."""
     fields = {"alpha": "[" + ", ".join(f"{{{i}}}" for i in range(n)) + "]"}
     for i, (key, text) in enumerate(columns.items(), start=n):
-        fields[key] = text.replace("{", f"{{{i}", 1)  # "{!r}" -> "{5!r}": the row's field i
+        fields[key] = text.replace("{", f"{{{i}", 1)  # '"{}"' -> '"{5}"': the row's field i
     return "{{" + ", ".join(f'"{key}": {fields[key]}' for key in sorted(fields)) + "}}"
 
 
 class _Rows(list):
     """Table rows as flat tuples in CSV column order, with the _template that
     writes one row as its JSON line.  A cell is an int (int.__repr__, as in
-    JSON), a float (float.__repr__, as the C encoder writes it) or a
-    format_rational string, which needs no escaping."""
+    JSON and CSV), the repr text of a float (as the C encoder and csv.writer
+    write it) or a format_rational string.  None holds a comma, a quote, a
+    backslash or a line break, so no cell needs JSON escaping or CSV quoting."""
 
     def __init__(self, template: str, rows):
         super().__init__(rows)

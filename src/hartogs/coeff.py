@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstantTerm, NegativeCoefficient, WindowTooSmall
 from .polytuple import (

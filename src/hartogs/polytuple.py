@@ -17,9 +17,9 @@ import math
 import operator
 import re
 import sys
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConstantTerm, MalformedInput, MissingLinearTerm, NegativeCoefficient, ResultTooLarge
 

@@ -531,8 +531,10 @@ def _scalars_only(report):
                for v in report.values())
 
 
-# The keys of a coeffs or weights row after its multi-index, in CSV column order.
+# The keys of a coeffs or weights row after its multi-index, in CSV column order,
+# and the keys whose cells hold the text of a float.
 ROW_KEYS = {"coeffs": ("value",), "weights": ("j", "omega", "sigma", "hypo_diag")}
+FLOAT_TEXT_KEYS = {"omega", "sigma"}
 
 
 def _expanded(report):
@@ -540,7 +542,9 @@ def _expanded(report):
     keys = ROW_KEYS.get(report["command"], ())
 
     def entry(row):
-        return {"alpha": list(row[:-len(keys)]), **dict(zip(keys, row[-len(keys):]))}
+        return {"alpha": list(row[:-len(keys)]),
+                **{key: float(cell) if key in FLOAT_TEXT_KEYS else cell
+                   for key, cell in zip(keys, row[-len(keys):])}}
     return {key: [entry(row) for row in value] if type(value) is cli._Rows else value
             for key, value in report.items()}
 
@@ -629,7 +633,10 @@ def _oracle_weights(P, m, bounds):
     return {"window": list(window.bounds), "weights": entries}, header, rows
 
 
-RATIONAL_A = st.builds(F, st.integers(1, 7), st.integers(1, 5))
+# Small coefficients, or ones of up to 40 digits: then omega and sigma include
+# exponent-form floats such as 1e-05, and hypo_diag runs to long cells.
+RATIONAL_A = st.builds(F, st.integers(1, 7), st.integers(1, 5)) | st.builds(F, st.integers(1, 10 ** 40),
+                                                                           st.integers(1, 10 ** 40))
 
 
 @settings(max_examples=60, deadline=None)
@@ -773,6 +780,48 @@ def test_weights_formats_its_cells_a_column_at_a_time(monkeypatch, fmt):
     monkeypatch.setattr(cli, "format_rational", counted)
     assert cli.run(config, fmt=fmt) == expected
     assert calls == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_weights_turns_each_distinct_weight_into_text_once(monkeypatch, fmt):
+    # The omega and sigma cells hold the text of their float, one str object
+    # per distinct value.  With d = 1, omega_n = sigma_n, so each j = n row
+    # holds one object twice.
+    config = {"command": "weights", "poly_tuple": P1, "m": [1, 1], "window": [12, 12]}
+    expected = cli.run(config, fmt=fmt)
+    tables = []
+
+    class Recorded(cli._Rows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(cli, "_Rows", Recorded)
+    assert cli.run(config, fmt=fmt) == expected
+    [rows] = tables
+    texts = [cell for row in rows for cell in row[3:5]]
+    assert {type(cell) for cell in texts} == {str}
+    assert len({id(cell) for cell in texts}) == len(set(map(float, texts))) < len(texts)
+    assert all(omega is sigma for _, _, j, omega, sigma, _ in rows if j == 2)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("window", [[0, 1], [1, 1]])
+def test_weights_hypo_diag_too_long_to_print_fails_before_a_later_weight(tmp_path, window, fmt):
+    # Under a 640-digit limit, hypo_diag of the first row (alpha = 0, j = 1) has
+    # 661 digits, and omega_1 of a later row, at alpha = (0, 1), has no float
+    # value.  The rows fail in order, so the run fails on the hypo_diag.
+    E = 10 ** 330
+    P = serialize(from_polys([{(1, 0): F(E, E + 1)}, {(0, 1): F(E + 2, E + 3), (0, 2): F(10 ** 400)}]))
+    config = {"command": "weights", "poly_tuple": P, "m": [1, 1], "window": window}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, report = _main_exit(tmp_path, config, "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, report["error"]) == (2, "ResultTooLarge")
+    assert "more than 640 digits" in report["message"]
 
 
 def test_validate_and_radius_never_evaluate_a_term_map(monkeypatch):
