@@ -89,12 +89,13 @@ def _int(lo: int, hi=math.inf, default=_REQUIRED):
     return check, default
 
 
-def _ints(lo: int, length=None, default=_REQUIRED):
+def _ints(lo: int, length=None, default=_REQUIRED, least=0):
     def check(value, parsed, where):
         size = _at(length, parsed)
-        _must(isinstance(value, list) and size in (None, len(value))
+        count = f"{size} " if size is not None else f"{least} or more " if least else ""
+        _must(isinstance(value, list) and size in (None, len(value)) and len(value) >= least
               and all(type(x) is int and x >= lo for x in value),
-              where, f"a list of {'' if size is None else f'{size} '}integers >= {lo}", value)
+              where, f"a list of {count}integers >= {lo}", value)
         return tuple(value)
     return check, default
 
@@ -245,7 +246,7 @@ def _cmd_weights(c: dict, rng):
     P, m = c["poly_tuple"], c["m"]
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
-    n, walk = P.n, wt.walk(window)
+    n, walk = P.n, wt.walk()
     # Per j, int columns of the scaled table; _to_float's int division rounds as float(Fraction) does.
     squares, hypos = [], []
     for j, ((step, scale), shift) in enumerate(zip(wt.mult_steps, wt.shift_steps)):
@@ -289,13 +290,9 @@ def _cmd_probes(c: dict, rng):
     P, m = c["poly_tuple"], c["m"]
     # A noncommuting witness needs a step along each of the last two axes.
     _must(min(c["window"][-2:]) >= 1, "window", "integers >= 0 whose last two are >= 1", list(c["window"]))
-    window = shiftops.build_window(c["window"])
-    wt = shiftops.op_weights(P, m, window)  # one weight table for the probe and every trial
-    probe = shiftops.factorization_and_commutation_probe(P, m, window, weights=wt)
-    max_dev = 0.0
-    for _ in range(c["theta_trials"]):
-        theta = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(P.n)]
-        max_dev = max(max_dev, shiftops.circularity_check(P, m, window, theta, weights=wt))
+    thetas = [[rng.uniform(0.0, 2.0 * math.pi) for _ in range(P.n)] for _ in range(c["theta_trials"])]
+    probe = shiftops.factorization_and_commutation_probe(P, m, shiftops.build_window(c["window"]), thetas)
+    max_dev = probe.circularity_max_deviation
     verdict = probe.ok and max_dev <= c["circularity_tolerance"]
     witness = probe.noncommuting_witness
     report = {"factorization_exact": probe.factorization_exact,
@@ -333,7 +330,7 @@ def _cmd_radius(c: dict, rng):
 # Without poly_tuple, subnormality certifies the Hartogs tuple for every shift
 # up to gamma_bound; with it, it checks the single shift gamma.
 @_command("subnormality", poly_tuple=(_tuple, None),
-          m=_ints(1, lambda c: c["poly_tuple"].n if c["poly_tuple"] else None),
+          m=_ints(1, lambda c: c["poly_tuple"].n if c["poly_tuple"] else None, least=1),
           gamma=_ints(0, lambda c: len(c["m"]), default=lambda c: _REQUIRED if c["poly_tuple"] else None),
           gamma_bound=_ints(0, lambda c: len(c["m"]),
                             default=lambda c: None if c["poly_tuple"] else _REQUIRED),

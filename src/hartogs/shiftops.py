@@ -8,12 +8,13 @@ is one integer quotient of the scaled coefficient table B(alpha) =
 d^|alpha| A(alpha) over the window and a one-step margin: the padded list
 that coeff_function fills, whose per-axis pad holds at least one zero cell,
 and a cell is reached only through that table's offset rule, from one walk
-over a window.  One reader, WeightTable.quotients, gives every weight view
-those quotients as two int columns over a walk.  The probes decide each
-identity on integer cross-products of B read at fixed offsets, where the zero
-pad stands for a cell off the lattice.  A report divides the columns into
-floats by ``polytuple._to_float`` or formats them, and a ``Fraction`` is made
-only where a caller asks for an exact value, as ``mult_sq``/``shift_sq`` do.
+over the table's one window.  One reader, WeightTable.quotients, gives
+every weight view those quotients as two int columns over a walk.  The
+probes decide each identity on integer cross-products of B read at fixed
+offsets, where the zero pad stands for a cell off the lattice.  A report
+divides the columns into floats by ``polytuple._to_float`` or formats them,
+and a ``Fraction`` is made only where a caller asks for an exact value, as
+``mult_sq``/``shift_sq`` do.
 Truncation semantics: an operator column whose image leaves the window is
 zeroed, and every assertion quantifies over interior cells only, so the
 checked identities are free of truncation artifacts.
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeff import _axis_scaled, _check_m, coeff_function
-from .errors import EmptyWindow, MalformedInput, NotAdmissible, WindowTooSmall, WrongDimension
+from .errors import EmptyWindow, MalformedInput, NotAdmissible, WrongDimension
 from .polytuple import (
     MultiIndex,
     PolyTuple,
@@ -42,7 +43,6 @@ from .polytuple import (
     admissibility_degree,
     box,
     from_polys,
-    index_leq,
     tail_index,
     tilde_restrictions,
     unit_index,
@@ -69,10 +69,10 @@ def build_window(bounds: MultiIndex) -> LatticeWindow:
 
 
 class WeightTable:
-    """Exact squared multiplication and shift weights over a window.
+    """Exact squared multiplication and shift weights over one window.
 
     B is the scaled coefficient table B(alpha) = d^|alpha| A(alpha) of (P, m)
-    over the window plus a one-step margin: the list coeff_function fills,
+    over its window plus a one-step margin: the list coeff_function fills,
     read through that table's offset rule (walk, _strides).  Every P_j has
     the term z_j and the table's bounds are >= 1, so its pad holds at least
     one zero cell at the front of each axis, and a read one step below the
@@ -84,13 +84,11 @@ class WeightTable:
     mult_steps[j] and shift_steps[j] are the (step, scale) of these quotients;
     quotients reads their int columns over a walk for every weight view.  The dicts
     mult_sq and shift_sq, built on first use, are the only exact views: one
-    Fraction per weight.  circularity_check reads the float weights, divided
-    once per window.
+    Fraction per weight.
     """
 
     def __init__(self, P: PolyTuple, m: Sequence[int], window: LatticeWindow):
         self.P = P
-        self.m = tuple(m)
         self.window = window
         self._table = table = coeff_function(P, m, tuple(b + 1 for b in window.bounds))
         n = P.n
@@ -99,13 +97,12 @@ class WeightTable:
         # alpha + tail_j sits mult_steps[j][0] cells after alpha in B, and alpha + e_j _strides[j].
         self.mult_steps = [(self._step(tail), table.d ** (n - j)) for j, tail in enumerate(self._tails)]
         self.shift_steps = [(stride, table.d) for stride in table.strides]
-        self._floats: dict[MultiIndex, list[list[tuple[int, int, float]]]] = {}
 
-    def walk(self, window: LatticeWindow, increment: MultiIndex | None = None) -> list[int]:
+    def walk(self, increment: MultiIndex | None = None) -> list[int]:
         """Offsets in B of the cells alpha of the window (with alpha + increment
-        in it), in row-major order.  The window may be smaller than the table's."""
-        bounds = window.bounds if increment is None else [b - i for b, i in zip(window.bounds, increment)]
-        return self._table.walk(bounds)
+        in it), in row-major order."""
+        bounds = self.window.bounds
+        return self._table.walk(bounds if increment is None else [b - i for b, i in zip(bounds, increment)])
 
     def _step(self, increment: MultiIndex) -> int:
         """alpha + increment sits this many cells after alpha in B."""
@@ -122,23 +119,8 @@ class WeightTable:
         B = self.B
         return [scale * B[off] for off in walk], [B[off + step] for off in walk]
 
-    def _mult_floats(self, window: LatticeWindow) -> list[list[tuple[int, int, float]]]:
-        """For each j, the triples (window offsets of alpha and alpha + tail_j,
-        float weight of z_j) over the cells alpha of the window with
-        alpha + tail_j in it, in row-major order; divided once per window."""
-        floats = self._floats.get(window.bounds)
-        if floats is None:
-            strides, floats = _strides(window.bounds), []
-            for tail, (step, scale) in zip(self._tails, self.mult_steps):
-                inside, rise = [b - t for b, t in zip(window.bounds, tail)], _offset(tail, window.bounds)
-                nums, dens = self.quotients(self.walk(window, tail), step, scale)
-                weights = map(math.sqrt, map(_to_float, nums, itertools.repeat("a squared weight"), dens))
-                floats.append([(at, at + rise, w) for at, w in zip(_box_walk(inside, strides), weights)])
-            self._floats[window.bounds] = floats
-        return floats
-
     def _squares(self, steps) -> list[dict[MultiIndex, Fraction]]:
-        walk = self.walk(self.window)
+        walk = self.walk()
         return [dict(zip(self.window.cells, map(Fraction, *self.quotients(walk, *view)))) for view in steps]
 
     @cached_property
@@ -153,19 +135,6 @@ class WeightTable:
 def op_weights(P: PolyTuple, m: Sequence[int], window: LatticeWindow) -> WeightTable:
     """Build the weight table for (P, m) over the window."""
     return WeightTable(P, m, window)
-
-
-def _weights_over(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
-                  weights: WeightTable | None) -> WeightTable:
-    """The weights passed in, once they are known to be those of (P, m) and to
-    cover the window, or a new table."""
-    if weights is None:
-        return WeightTable(P, m, window)
-    if weights.P != P or weights.m != tuple(m):
-        raise ValueError("weights were built for another polynomial tuple or multiplicity")
-    if not index_leq(window.bounds, weights.window.bounds):
-        raise WindowTooSmall(f"weights over {weights.window.bounds} do not cover window {window.bounds}")
-    return weights
 
 
 # --- norm bounds ---------------------------------------------------------------
@@ -208,6 +177,7 @@ class CommutationProbe:
     noncommuting_witness: MultiIndex | None
     polydisc_all_zero: bool
     cells_checked: int
+    circularity_max_deviation: float
 
     @property
     def ok(self) -> bool:
@@ -216,8 +186,9 @@ class CommutationProbe:
 
 
 def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
-                                        weights: WeightTable | None = None) -> CommutationProbe:
-    """Exact checks of the shift factorization and the commuting dichotomy.
+                                        thetas: Sequence[Sequence[float]] = ()) -> CommutationProbe:
+    """Exact checks of the shift factorization and the commuting dichotomy,
+    and the circularity of the multiplication tuple, over one weight table.
 
     Verifies the telescoping identity between multiplication and shift
     weights on interior cells, exhibits a cell where the cross commutator
@@ -227,35 +198,45 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     to its own axis, whose weight table is built whole, so a table that does
     not factor fails the check.  Coefficients of the compositions are square
     roots of rationals, so equality and vanishing are decided exactly on the
-    squares, as integer cross-products of the scaled table.  A weight table
-    of (P, m) covering the window may be passed as weights; otherwise one is
-    built.  It also serves as the counterpart's table when each P_j depends
-    on z_j alone.
+    squares, as integer cross-products of the scaled table.  The table of
+    (P, m) also serves as the counterpart's table when each P_j depends on
+    z_j alone.
+
+    circularity_max_deviation is the largest entrywise deviation, over the
+    angle tuples theta in thetas (each of n finite angles, else ValueError),
+    of the tuple conjugated by the diagonal phase operator from the rotated
+    tuple (e^{i theta_j} z_j), and 0.0 without angles.  The phase of alpha
+    is exp(-i <tilde, alpha>) with tilde_j = theta_j - theta_{j+1} and
+    tilde_n = theta_n; these quotient angles telescope over tail_j, so
+    phase(alpha) conj(phase(alpha + tail_j)) = e^{i theta_j} at every cell,
+    whatever the weights, and the deviation is float rounding only.  The
+    field stays because acceptance criterion 8 and the benchmark's
+    check_probes (perfbench/checks.py) read it.
     """
     n = P.n
     if n < 2:
         raise WrongDimension("commutation probe needs at least two variables")
-    wt = _weights_over(P, m, window, weights)
+    wt = WeightTable(P, m, window)
     # The single shift in z_k at the cell of offset o has square d B[o] / B[o + stride_k].
     dB = [wt.d * b for b in wt.B]
-    cells_checked, mismatches = _telescoping_mismatches(wt, window, [(dB, wt.B[s:]) for s in wt._strides])
-    witness = _commutator_witness(wt, window, unit_index(n, n - 1), tail_index(n, n - 2))
+    cells_checked, mismatches = _telescoping_mismatches(wt, [(dB, wt.B[s:]) for s in wt._strides])
+    witness = _commutator_witness(wt, unit_index(n, n - 1), tail_index(n, n - 2))
     counterpart = from_polys({tuple(e * u for u in unit_index(n, j)): c for e, c in r.items()}
                              for j, r in enumerate(tilde_restrictions(P)))
     polydisc = wt if counterpart == P else WeightTable(counterpart, m, window)
     polydisc_all_zero = all(
-        _commutator_witness(polydisc, window, unit_index(n, j), unit_index(n, k)) is None
+        _commutator_witness(polydisc, unit_index(n, j), unit_index(n, k)) is None
         for j in range(n) for k in range(n) if j != k)
     return CommutationProbe(
         factorization_exact=not mismatches,
         noncommuting_witness=witness,
         polydisc_all_zero=polydisc_all_zero,
         cells_checked=cells_checked,
+        circularity_max_deviation=_circularity_deviation(wt, thetas),
     )
 
 
-def _commutator_witness(wt: WeightTable, window: LatticeWindow, a: MultiIndex,
-                        b: MultiIndex) -> MultiIndex | None:
+def _commutator_witness(wt: WeightTable, a: MultiIndex, b: MultiIndex) -> MultiIndex | None:
     """The first cell alpha of the window in row-major order, with alpha + a
     in the window, at which S_b* S_a and S_a S_b* differ, or None.
 
@@ -269,14 +250,13 @@ def _commutator_witness(wt: WeightTable, window: LatticeWindow, a: MultiIndex,
     lattice reads the zero pad at gamma or at alpha - b, and has weight 0.
     """
     B, up, down = wt.B, wt._step(a), wt._step(b)
-    for off in wt.walk(window, a):
+    for off in wt.walk(a):
         if B[off] * B[off + up - down] != B[off - down] * B[off + up]:
             return wt._cell(off)
     return None
 
 
-def _telescoping_mismatches(wt: WeightTable, window: LatticeWindow,
-                            steps: Sequence[tuple[list[int], list[int]]],
+def _telescoping_mismatches(wt: WeightTable, steps: Sequence[tuple[list[int], list[int]]],
                             ) -> tuple[int, list[tuple[int, MultiIndex]]]:
     """The telescoping scan: over the cells alpha of the window with
     alpha + tail_j in it, compare the product of the single-step squares
@@ -293,7 +273,7 @@ def _telescoping_mismatches(wt: WeightTable, window: LatticeWindow,
     checked = 0
     for j in range(n):
         path = [(*steps[k], wt._strides[k]) for k in range(n - 1, j - 1, -1)]
-        offsets = wt.walk(window, wt._tails[j])
+        offsets = wt.walk(wt._tails[j])
         checked += len(offsets)
         for off, scaled, up in zip(offsets, *wt.quotients(offsets, *wt.mult_steps[j])):
             num = den = 1
@@ -305,6 +285,37 @@ def _telescoping_mismatches(wt: WeightTable, window: LatticeWindow,
             if num * up != scaled * den:
                 mismatches.append((j, wt._cell(off)))
     return checked, mismatches
+
+
+def _circularity_deviation(wt: WeightTable, thetas: Sequence[Sequence[float]]) -> float:
+    """The circularity scan: the largest |phase(alpha) conj(phase(alpha + tail_j)) w
+    - e^{i theta_j} w| over the angle tuples theta and the cells alpha of the
+    window with alpha + tail_j in it, w the float weight of z_j at alpha.
+    Phases and weights are read by window offset; the weights are divided
+    once, and only when there is an angle tuple."""
+    n, window = wt.P.n, wt.window
+    thetas = [list(theta) for theta in thetas]
+    for theta in thetas:
+        if len(theta) != n or not all(math.isfinite(t) for t in theta):
+            raise ValueError(f"theta must have {n} finite entries, got {theta}")
+    if not thetas:
+        return 0.0
+    strides, floats = _strides(window.bounds), []
+    for tail, (step, scale) in zip(wt._tails, wt.mult_steps):
+        inside, rise = [b - t for b, t in zip(window.bounds, tail)], _offset(tail, window.bounds)
+        nums, dens = wt.quotients(wt.walk(tail), step, scale)
+        weights = map(math.sqrt, map(_to_float, nums, itertools.repeat("a squared weight"), dens))
+        floats.append([(at, at + rise, w) for at, w in zip(_box_walk(inside, strides), weights)])
+    deviation = 0.0
+    for theta in thetas:
+        tilde = [theta[j] - theta[j + 1] for j in range(n - 1)] + [theta[n - 1]]
+        phase = [cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha))) for alpha in window.cells]
+        for j, weights_j in enumerate(floats):
+            rotation = cmath.exp(1j * theta[j])
+            for at, row, w in weights_j:
+                conjugated = phase[at] * phase[row].conjugate() * w
+                deviation = max(deviation, abs(conjugated - rotation * w))
+    return deviation
 
 
 def _scaled_ratios(scaled: list[int], d: int, ks) -> dict[int, Fraction]:
@@ -487,36 +498,7 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
         scaled, d = _axis_scaled(P, m, k, r + 1)
         pad = [0] * wt._table.pad[k]
         steps.append((along(k, [*pad, *(d * b for b in scaled[:-1]), 0]), along(k, [*pad, *scaled[1:], 0])))
-    checked, mismatches = _telescoping_mismatches(wt, window, steps)
+    checked, mismatches = _telescoping_mismatches(wt, steps)
     return IntertwiningReport(ok=not mismatches, cells_checked=checked,
                               mismatches=mismatches[:16])
 
-
-# --- circularity --------------------------------------------------------------------
-
-def circularity_check(P: PolyTuple, m: Sequence[int], window: LatticeWindow,
-                      theta: Sequence[float], weights: WeightTable | None = None) -> float:
-    """Max entrywise deviation of the conjugated tuple from the rotated tuple.
-
-    The diagonal phase operator uses the quotient-transformed angles; the
-    conjugation shifts the phase of each multiplication weight by exactly
-    theta_j, so the deviation is pure floating-point noise.  A weight table
-    of (P, m) covering the window may be passed as weights, so that many
-    trials share one and its float weights, each divided once per window;
-    otherwise one is built.  The phases are read by window offset.
-    """
-    n = P.n
-    theta = list(theta)
-    if len(theta) != n or not all(math.isfinite(t) for t in theta):
-        raise ValueError(f"theta must have {n} finite entries, got {theta}")
-    tilde = [theta[j] - theta[j + 1] for j in range(n - 1)] + [theta[n - 1]]
-    wt = _weights_over(P, m, window, weights)
-    phase = [cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha))) for alpha in window.cells]
-
-    deviation = 0.0
-    for j, weights_j in enumerate(wt._mult_floats(window)):
-        rotation = cmath.exp(1j * theta[j])
-        for at, row, w in weights_j:
-            conjugated = phase[at] * phase[row].conjugate() * w
-            deviation = max(deviation, abs(conjugated - rotation * w))
-    return deviation

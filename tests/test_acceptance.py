@@ -39,7 +39,6 @@ from hartogs.geometry import polydisc_radii, triangle_contains
 from hartogs.polytuple import box, from_polys, hartogs_tuple, unit_index
 from hartogs.shiftops import (
     build_window,
-    circularity_check,
     det_commutator_and_trace,
     det_diagonal_sum,
     factorization_and_commutation_probe,
@@ -261,10 +260,8 @@ def test_criterion_07_doubly_commuting_dichotomy():
 def test_criterion_08_circularity():
     window = build_window((6, 6))
     rng = random.Random(88)
-    worst = 0.0
-    for _ in range(20):
-        theta = [rng.uniform(0, 2 * math.pi) for _ in range(2)]
-        worst = max(worst, circularity_check(P1_2, (1, 2), window, theta))
+    thetas = [[rng.uniform(0, 2 * math.pi) for _ in range(2)] for _ in range(20)]
+    worst = factorization_and_commutation_probe(P1_2, (1, 2), window, thetas).circularity_max_deviation
     ok = worst <= 1e-12
     _report(8, ok, f"max deviation over 20 angle draws = {worst:.2e} (tol 1e-12)")
     assert ok

@@ -422,6 +422,23 @@ def test_traced_all_shift_certify_times_subnormality(monkeypatch):
     assert tracer.metrics()["subnormality.self_s"] > 0
 
 
+def test_traced_probes_counts_one_weight_table_per_run(monkeypatch):
+    # probes makes one probe call, which builds the one weight table and runs
+    # every circularity trial on it, so the run counts one window of weights.
+    config = SHIFTOPS_JOBS[1]
+    assert config["theta_trials"] == 3
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer(time.perf_counter)
+    with tracer.installed():
+        code, rendered = cli.run(config)
+    assert code == 0
+    metrics = tracer.metrics()
+    assert [name for layer, name, *_ in tracer.spans if layer == "shiftops"] == [
+        "build_window", "factorization_and_commutation_probe"]
+    assert metrics["shiftops.cells_checked"] == json.loads(rendered)["cells_checked"]
+    assert metrics["shiftops.weights"] == math.prod(b + 1 for b in config["window"]) * 2
+
+
 NUMPY_COMMANDS = ("hereditary", "pick-verify", "quadrature", "radius")
 SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
@@ -941,6 +958,8 @@ PROBES = {
     # exited 3 or was read as 0.0, and a point was called outside for it
     "probes-linear-tiny": {"command": "probes", "poly_tuple": TINY, "m": [1, 1], "window": [2, 2]},
     "probes-linear-huge": {"command": "probes", "poly_tuple": HUGE, "m": [1, 1], "window": [2, 2]},
+    # an empty m raised MalformedInput about a tuple the config does not hold
+    "subnormality-m-empty": {"command": "subnormality", "m": [], "gamma_bound": []},
     "weights-linear-huge": {"command": "weights", "poly_tuple": HUGE, "m": [1, 1], "window": [1, 1]},
     "domain-linear-huge": {"command": "domain", "poly_tuple": HUGE, "points": [[[0, 0], [0.5, 0]]]},
     "kernel-coefficient-overflow": {"command": "kernel", "poly_tuple": MILLION, "m": [1, 1],
@@ -977,6 +996,23 @@ def test_weights_without_a_float_value_name_the_first_weight_in_row_order(tmp_pa
     # omega_1 at alpha = 0 is the first weight of the rows; it has no float value.
     assert _main_exit(tmp_path, PROBES[name], "--format", fmt) == (
         2, {"error": "MalformedInput", "message": "a squared weight omega^2 has no float value"})
+
+
+def test_all_shift_subnormality_names_an_empty_m(tmp_path):
+    assert _main_exit(tmp_path, PROBES["subnormality-m-empty"]) == (
+        2, {"error": "InvalidConfig", "message": "'m' must be a list of 1 or more integers >= 1, got []"})
+
+
+def test_probes_divide_the_weights_into_floats_only_for_circularity(tmp_path):
+    # The weights of (z_1/10^400, z_2) have no float value; the exact probes
+    # never divide them, and only a circularity trial does.
+    config = {**PROBES["probes-linear-tiny"], "theta_trials": 0}
+    code, report = _main_exit(tmp_path, config)
+    assert code == 0
+    assert report["factorization_exact"] and report["noncommuting_witness"] is not None
+    assert report["circularity_max_deviation"] == 0.0
+    assert _main_exit(tmp_path, {**config, "theta_trials": 1}) == (
+        2, {"error": "MalformedInput", "message": "a squared weight has no float value"})
 
 
 @pytest.mark.parametrize("a1", [[[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]],

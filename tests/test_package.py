@@ -20,10 +20,9 @@ EXPORTS = {
     "geometry": ["polydisc_radii", "triangle_contains"],
     "kernel": ["KernelContext", "basis_eval", "bergman_norm_check", "beta_integral_check", "gram_psd_check",
                "hardy_norm_check", "kernel_eval", "kernel_series_eval", "make_context"],
-    "shiftops": ["LatticeWindow", "WeightTable", "build_window", "circularity_check",
-                 "det_commutator_and_trace", "factorization_and_commutation_probe",
-                 "norm_bounds", "op_weights", "polydisc_intertwining_check",
-                 "spectral_radius_estimate"],
+    "shiftops": ["LatticeWindow", "WeightTable", "build_window", "det_commutator_and_trace",
+                 "factorization_and_commutation_probe", "norm_bounds", "op_weights",
+                 "polydisc_intertwining_check", "spectral_radius_estimate"],
     "subnormality": ["complete_monotonicity_check", "hartogs_certify", "shift_check"],
     "hereditary": ["HereditaryPoly", "MatrixTuple", "hereditary_eval", "ordering_check", "pick_verify",
                    "reciprocal_kernel_polynomial", "toral_lift", "triangle_defect_classify"],
@@ -41,7 +40,7 @@ def fresh_python(code: str) -> str:
 
 
 def test_all_is_the_export_list():
-    assert len(NAMES) == 44
+    assert len(NAMES) == 43
     assert sorted(hartogs.__all__) == NAMES
     assert hartogs.__version__ == "0.1.0"
 

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hartogs import cli, shiftops
-from hartogs.errors import EmptyWindow, MalformedInput, NotAdmissible, WindowTooSmall, WrongDimension
+from hartogs.errors import EmptyWindow, MalformedInput, NotAdmissible, WrongDimension
 from hartogs.coeff import coeff_function, reciprocal_power_coeffs
 from hartogs.polytuple import (
     _offset,
+    _to_float,
     add_index,
     box,
     from_polys,
@@ -27,7 +29,6 @@ from hartogs.polytuple import (
 from hartogs.shiftops import (
     WeightTable,
     build_window,
-    circularity_check,
     det_commutator_and_trace,
     det_diagonal_sum,
     factorization_and_commutation_probe,
@@ -95,12 +96,15 @@ def univariate_coeffs(p, k, kmax):
 
 def mult_matrix(wt, j):
     """Truncated matrix of multiplication by z_j over the window enumeration,
-    from the float weights that circularity_check reads; a column whose image
-    leaves the window is zero.  Its transpose is the adjoint matrix, entry for
-    entry."""
-    out = np.zeros((wt.window.size, wt.window.size))
-    for col, row, w in wt._mult_floats(wt.window)[j]:
-        out[row, col] = w
+    its entries the float square roots of the quotient columns of wt.quotients;
+    a column whose image leaves the window is zero.  Its transpose is the
+    adjoint matrix, entry for entry."""
+    window, tail = wt.window, tail_index(wt.P.n, j)
+    cells = [alpha for alpha in window.cells if inside(window, alpha, tail)]
+    out = np.zeros((window.size, window.size))
+    for alpha, num, den in zip(cells, *wt.quotients(wt.walk(tail), *wt.mult_steps[j])):
+        row, col = _offset(add_index(alpha, tail), window.bounds), _offset(alpha, window.bounds)
+        out[row, col] = math.sqrt(_to_float(num, "a squared weight", den))
     return out
 
 
@@ -176,34 +180,8 @@ def test_weight_table_reads_the_coefficient_table_in_place(P, pad, monkeypatch):
     [table] = tables
     assert table.pad == pad
     assert wt.B is table.B
-    assert wt.walk(window) == table.walk(window.bounds)
-    assert [wt._cell(off) for off in wt.walk(window)] == list(window.cells)
-
-
-def test_passed_weights_must_cover_the_window():
-    P, m, window = hartogs_tuple(2, 1), (1, 2), build_window((3, 3))
-    larger = op_weights(P, m, build_window((4, 3)))
-    assert (factorization_and_commutation_probe(P, m, window, weights=larger)
-            == factorization_and_commutation_probe(P, m, window))
-    smaller = op_weights(P, m, build_window((3, 2)))
-    with pytest.raises(WindowTooSmall):
-        factorization_and_commutation_probe(P, m, window, weights=smaller)
-    with pytest.raises(WindowTooSmall):
-        circularity_check(P, m, window, [0.0, 0.0], weights=smaller)
-
-
-@pytest.mark.parametrize("P, m", [(hartogs_tuple(2), (1, 2)), (hartogs_tuple(2, 1), (2, 1))],
-                         ids=["other-tuple", "other-m"])
-def test_passed_weights_must_belong_to_the_tuple(P, m):
-    # the weights of another (P, m) gave that pair's probes silently
-    window = build_window((3, 3))
-    other = op_weights(hartogs_tuple(2, 1), (1, 2), window)
-    with pytest.raises(ValueError):
-        factorization_and_commutation_probe(P, m, window, weights=other)
-    with pytest.raises(ValueError):
-        circularity_check(P, m, window, [0.0, 0.0], weights=other)
-    assert factorization_and_commutation_probe(P, list(m), window, weights=op_weights(P, m, window)) == (
-        factorization_and_commutation_probe(P, m, window))
+    assert wt.walk() == table.walk(window.bounds)
+    assert [wt._cell(off) for off in wt.walk()] == list(window.cells)
 
 
 def scaled_triple():
@@ -428,11 +406,11 @@ def test_commutator_scan_finds_a_witness_on_weights_that_do_not_factor():
     window = build_window((4, 4))
     e1, e2 = unit_index(2, 0), unit_index(2, 1)
     mixed = WeightTable(hartogs_tuple(2, 1), (1, 2), window)
-    assert shiftops._commutator_witness(mixed, window, e1, e2) == (0, 1)
+    assert shiftops._commutator_witness(mixed, e1, e2) == (0, 1)
     assert oracle_commutator_witness(window, mixed.shift_sq[0], e1, mixed.shift_sq[1], e2) == (0, 1)
     axes = WeightTable(hartogs_tuple(2), (1, 2), window)
-    assert shiftops._commutator_witness(axes, window, e1, e2) is None
-    assert shiftops._commutator_witness(axes, window, e2, e1) is None
+    assert shiftops._commutator_witness(axes, e1, e2) is None
+    assert shiftops._commutator_witness(axes, e2, e1) is None
 
 
 FRACTIONAL = [F(1, 2), F(2, 3), F(3, 4), F(5, 2)]
@@ -476,7 +454,7 @@ def test_quotient_columns_are_the_per_cell_quotients(data):
         tail, e = tail_index(n, j), unit_index(n, j)
         for increment in (None, tail):
             cells = [alpha for alpha in wt.window.cells if increment is None or inside(wt.window, alpha, tail)]
-            walk = wt.walk(wt.window, increment)
+            walk = wt.walk(increment)
             assert wt.quotients(walk, *wt.mult_steps[j]) == (
                 [wt.d ** (n - j) * scaled_cell(wt, alpha) for alpha in cells],
                 [scaled_cell(wt, add_index(alpha, tail)) for alpha in cells])
@@ -484,25 +462,25 @@ def test_quotient_columns_are_the_per_cell_quotients(data):
                 [wt.d * scaled_cell(wt, alpha) for alpha in cells],
                 [scaled_cell(wt, add_index(alpha, e)) for alpha in cells])
         step = wt.mult_steps[j][0]
-        below = wt.quotients([off - step for off in wt.walk(wt.window)], *wt.mult_steps[j])
+        below = wt.quotients([off - step for off in wt.walk()], *wt.mult_steps[j])
         assert below == ([wt.d ** (n - j) * scaled_cell(wt, sub_index(alpha, tail)) for alpha in wt.window.cells],
                          [scaled_cell(wt, alpha) for alpha in wt.window.cells])
 
 
-def assert_scans_match_oracles(wt, window):
-    n = wt.P.n
+def assert_scans_match_oracles(wt):
+    n, window = wt.P.n, wt.window
     for j in range(n):
         for k in range(n):
             if j != k:
                 e_j, e_k = unit_index(n, j), unit_index(n, k)
-                assert shiftops._commutator_witness(wt, window, e_j, e_k) == oracle_commutator_witness(
+                assert shiftops._commutator_witness(wt, e_j, e_k) == oracle_commutator_witness(
                     window, wt.shift_sq[j], e_j, wt.shift_sq[k], e_k)
     a, b = unit_index(n, n - 1), tail_index(n, n - 2)
-    assert shiftops._commutator_witness(wt, window, a, b) == oracle_commutator_witness(
+    assert shiftops._commutator_witness(wt, a, b) == oracle_commutator_witness(
         window, wt.shift_sq[n - 1], a, wt.mult_sq[n - 2], b)
     dB = [wt.d * v for v in wt.B]
     steps = [(dB, wt.B[s:]) for s in wt._strides]
-    assert shiftops._telescoping_mismatches(wt, window, steps) == oracle_telescoping_mismatches(
+    assert shiftops._telescoping_mismatches(wt, steps) == oracle_telescoping_mismatches(
         wt, window, lambda k, cur: wt.shift_sq[k][cur])
 
 
@@ -511,18 +489,16 @@ def assert_scans_match_oracles(wt, window):
 def test_flat_scans_equal_the_tuple_oracles(data):
     # The flat scans read B at offsets, with the zero pad for a cell off the
     # lattice; the oracles key Fraction squares by index tuples.  Windows may
-    # have a 0 bound, and the table may be built over a larger window.
+    # have a 0 bound.
     P = data.draw(probe_tuples(), label="P")
     n = P.n
     m = tuple(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n), label="m"))
     bounds = tuple(data.draw(st.lists(st.integers(0, 6 - n), min_size=n, max_size=n), label="window"))
-    extra = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="extra"))
     window = build_window(bounds)
-    wt = WeightTable(P, m, build_window(add_index(bounds, extra)))
+    wt = WeightTable(P, m, window)
     assert wt.d != 1
-    assert_scans_match_oracles(wt, window)
-    probe = factorization_and_commutation_probe(P, m, window, weights=wt)
-    assert probe == factorization_and_commutation_probe(P, m, window)
+    assert_scans_match_oracles(wt)
+    probe = factorization_and_commutation_probe(P, m, window)
     a, b = unit_index(n, n - 1), tail_index(n, n - 2)
     checked, mismatches = oracle_telescoping_mismatches(wt, window, lambda k, cur: wt.shift_sq[k][cur])
     assert probe.cells_checked == checked
@@ -546,11 +522,11 @@ def test_flat_scans_on_a_perturbed_table_agree_at_the_lattice_edge(P, m, bounds,
     n = P.n
     window = build_window(bounds)
     wt = WeightTable(P, m, window)
-    wt.B[wt.walk(window)[_offset(cell, window.bounds)]] += 1
-    witnesses = [shiftops._commutator_witness(wt, window, unit_index(n, j), unit_index(n, k))
+    wt.B[wt.walk()[_offset(cell, window.bounds)]] += 1
+    witnesses = [shiftops._commutator_witness(wt, unit_index(n, j), unit_index(n, k))
                  for j in range(n) for k in range(n) if j != k]
     assert any(w is not None and 0 in w for w in witnesses)
-    assert_scans_match_oracles(wt, window)
+    assert_scans_match_oracles(wt)
 
 
 @settings(max_examples=30, deadline=None)
@@ -828,29 +804,73 @@ def test_intertwining_requires_admissible():
         polydisc_intertwining_check(hartogs_tuple(2, 1), (1, 1), build_window((3, 3)))
 
 
+def circularity(P, m, window, thetas):
+    return factorization_and_commutation_probe(P, m, window, thetas).circularity_max_deviation
+
+
 def test_circularity_zero_angles():
-    assert circularity_check(hartogs_tuple(2), (1, 1), build_window((4, 4)), [0.0, 0.0]) == 0.0
+    assert circularity(hartogs_tuple(2), (1, 1), build_window((4, 4)), [[0.0, 0.0]]) == 0.0
+    assert circularity(hartogs_tuple(2), (1, 1), build_window((4, 4)), []) == 0.0
 
 
 @pytest.mark.parametrize("theta", [[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]])
 def test_circularity_rejects_non_finite_angles(theta):
     # a nan angle made every deviation nan, and max() kept 0.0: a pass
     with pytest.raises(ValueError):
-        circularity_check(hartogs_tuple(2), (1, 1), build_window((2, 2)), theta)
+        circularity(hartogs_tuple(2), (1, 1), build_window((2, 2)), [[0.0, 0.0], theta])
+
+
+@pytest.mark.parametrize("theta", [[0.5], [0.5, 1.0, 1.5]], ids=["short", "long"])
+def test_circularity_rejects_angle_tuples_of_another_length(theta):
+    with pytest.raises(ValueError, match="must have 2 finite entries"):
+        circularity(hartogs_tuple(2), (1, 1), build_window((2, 2)), [theta])
 
 
 def test_circularity_pi_zero():
-    dev = circularity_check(hartogs_tuple(2, 1), (1, 2), build_window((4, 4)), [math.pi, 0.0])
-    assert dev <= 1e-12
+    assert circularity(hartogs_tuple(2, 1), (1, 2), build_window((4, 4)), [[math.pi, 0.0]]) <= 1e-12
 
 
 def test_circularity_random_angles():
     rng = random.Random(5)
     window = build_window((5, 5))
     for P, m in [(hartogs_tuple(2, 1), (1, 2)), (fib_tuple(), (2, 1))]:
-        for _ in range(5):
-            theta = [rng.uniform(0, 2 * math.pi) for _ in range(2)]
-            assert circularity_check(P, m, window, theta) <= 1e-12
+        thetas = [[rng.uniform(0, 2 * math.pi) for _ in range(2)] for _ in range(5)]
+        assert circularity(P, m, window, thetas) <= 1e-12
+
+
+def circularity_oracle(P, m, window, theta):
+    """The per-trial circularity loop over index tuples: the largest deviation
+    of phase(alpha) conj(phase(alpha + tail_j)) w from e^{i theta_j} w, with w
+    the float square root of the exact squared weight of z_j at alpha."""
+    n = P.n
+    wt = WeightTable(P, m, window)
+    tilde = [theta[j] - theta[j + 1] for j in range(n - 1)] + [theta[n - 1]]
+    phase = {alpha: cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha))) for alpha in window.cells}
+    deviation = 0.0
+    for j in range(n):
+        rotation, tail = cmath.exp(1j * theta[j]), tail_index(n, j)
+        for alpha in window.cells:
+            if inside(window, alpha, tail):
+                w = math.sqrt(float(wt.mult_sq[j][alpha]))
+                conjugated = phase[alpha] * phase[add_index(alpha, tail)].conjugate() * w
+                deviation = max(deviation, abs(conjugated - rotation * w))
+    return deviation
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_circularity_over_angle_tuples_is_the_largest_one_angle_deviation(data):
+    # One probe call over k angle tuples gives the largest deviation of the k
+    # one-tuple calls, float for float, and each is the per-trial loop's.
+    P = data.draw(probe_tuples(), label="P")
+    n = P.n
+    m = tuple(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n), label="m"))
+    window = build_window(data.draw(st.lists(st.integers(0, 6 - n), min_size=n, max_size=n), label="window"))
+    angle = st.floats(0.0, 2.0 * math.pi)
+    thetas = data.draw(st.lists(st.lists(angle, min_size=n, max_size=n), min_size=1, max_size=4), label="thetas")
+    singles = [circularity(P, m, window, [theta]) for theta in thetas]
+    assert singles == [circularity_oracle(P, m, window, theta) for theta in thetas]
+    assert circularity(P, m, window, thetas) == max(singles) <= 1e-12
 
 
 def test_self_commutator_ray_constancy():
@@ -911,7 +931,7 @@ def test_float_views_of_values_without_a_float_raise_malformed_input(a):
     window = build_window((2, 2))
     calls = [lambda: norm_bounds(P, (1, 1), 0), lambda: spectral_radius_estimate(P, (1, 1), 0, 3, 5),
              lambda: mult_matrix(WeightTable(P, (1, 1), window), 0),
-             lambda: circularity_check(P, (1, 1), window, [0.5, 1.0]),
+             lambda: factorization_and_commutation_probe(P, (1, 1), window, [[0.5, 1.0]]),
              lambda: det_commutator_and_trace(P, (1, 1), 3)]
     for call in calls:
         with pytest.raises(MalformedInput, match="has no float value"):
