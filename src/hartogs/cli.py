@@ -12,6 +12,9 @@ format_rationals call, a few C-level maps over the cells; weights maps its
 float columns as well and turns each distinct weight into text once.
 A command imports the modules it runs inside its function, so a run loads
 only those: numpy only for radius, quadrature, hereditary and pick-verify.
+Each command gets the run's seed, and only probes, the one command that draws
+random numbers, builds a generator from it.  A config field's check puts its
+error message into text only when the value fails it.
 One C JSON encoder, built once at import, renders every other JSON line and
 every JSON cell of a CSV row.  Exit codes: 0 success, 1
 mathematically negative verdict (failed monotonicity, failed certificate,
@@ -42,7 +45,9 @@ CSV_COMMANDS = {"coeffs", "kernel", "weights", "domain", "quadrature"}
 # A field is a pair (check, default).  check(value, parsed, where) returns the
 # parsed value or raises InvalidConfig; parsed holds the fields read before it
 # in table order, and a callable default or bound is computed from them.  A
-# field whose default is _REQUIRED must be given.
+# field whose default is _REQUIRED must be given.  where is the field's name
+# or, for entry i of a list, the pair (the list's where, i); it and the rest
+# of a message are put into text only when a check fails.
 
 _REQUIRED = object()
 
@@ -62,9 +67,12 @@ def _at(spec, parsed):
     return spec(parsed) if callable(spec) else spec
 
 
-def _must(ok, where: str, what: str, value) -> None:
-    if not ok:
-        raise InvalidConfig(f"{where!r} must be {what}, got {value!r:.80}")
+def _invalid(where, what: str, value) -> InvalidConfig:
+    return InvalidConfig(f"{_name(where)!r} must be {what}, got {value!r:.80}")
+
+
+def _name(where) -> str:
+    return where if type(where) is str else f"{_name(where[0])}[{where[1]}]"
 
 
 def _n(parsed) -> int:
@@ -84,7 +92,8 @@ def _is_pairs(value, size=None) -> bool:
 def _int(lo: int, hi=math.inf, default=_REQUIRED):
     def check(value, parsed, where):
         top = _at(hi, parsed)
-        _must(type(value) is int and lo <= value <= top, where, f"an integer in [{lo}, {top}]", value)
+        if not (type(value) is int and lo <= value <= top):
+            raise _invalid(where, f"an integer in [{lo}, {top}]", value)
         return value
     return check, default
 
@@ -92,10 +101,10 @@ def _int(lo: int, hi=math.inf, default=_REQUIRED):
 def _ints(lo: int, length=None, default=_REQUIRED, least=0):
     def check(value, parsed, where):
         size = _at(length, parsed)
-        count = f"{size} " if size is not None else f"{least} or more " if least else ""
-        _must(isinstance(value, list) and size in (None, len(value)) and len(value) >= least
-              and all(type(x) is int and x >= lo for x in value),
-              where, f"a list of {count}integers >= {lo}", value)
+        if not (isinstance(value, list) and size in (None, len(value)) and len(value) >= least
+                and all(type(x) is int and x >= lo for x in value)):
+            count = f"{size} " if size is not None else f"{least} or more " if least else ""
+            raise _invalid(where, f"a list of {count}integers >= {lo}", value)
         return tuple(value)
     return check, default
 
@@ -103,8 +112,8 @@ def _ints(lo: int, length=None, default=_REQUIRED, least=0):
 def _number(default):
     """A finite number >= 0, such as a tolerance."""
     def check(value, parsed, where):
-        _must(type(value) in (int, float) and 0 <= value <= sys.float_info.max, where,
-              "a finite number >= 0", value)
+        if not (type(value) in (int, float) and 0 <= value <= sys.float_info.max):
+            raise _invalid(where, "a finite number >= 0", value)
         return value
     return check, default
 
@@ -112,7 +121,8 @@ def _number(default):
 def _rational(default):
     """A rational > 0, an int or a "p/q" string (parse_rational rejects floats)."""
     def check(value, parsed, where):
-        _must((q := parse_rational(value, where)) > 0, where, "> 0", value)
+        if (q := parse_rational(value, _name(where))) <= 0:
+            raise _invalid(where, "> 0", value)
         return q
     return check, default
 
@@ -120,7 +130,8 @@ def _rational(default):
 def _choice(*options):
     """One of the options; the first is the default."""
     def check(value, parsed, where):
-        _must(value in options, where, f"one of {', '.join(map(repr, options))}", value)
+        if value not in options:
+            raise _invalid(where, f"one of {', '.join(map(repr, options))}", value)
         return value
     return check, options[0]
 
@@ -129,8 +140,9 @@ def _point(length):
     """A point of length coordinates, each an [re, im] pair."""
     def check(value, parsed, where):
         size = _at(length, parsed)
-        _must(_is_pairs(value, size), where,
-              f"a list of {'' if size is None else f'{size} '}[re, im] pairs of finite numbers", value)
+        if not _is_pairs(value, size):
+            count = "" if size is None else f"{size} "
+            raise _invalid(where, f"a list of {count}[re, im] pairs of finite numbers", value)
         return tuple(complex(float(re), float(im)) for re, im in value)
     return check, _REQUIRED
 
@@ -139,9 +151,9 @@ def _matrix():
     """A rectangular matrix of [re, im] pairs, as a complex array."""
     def check(value, parsed, where):
         width = len(value[0]) if isinstance(value, list) and value and type(value[0]) is list else 0
-        _must(width and all(type(row) is list and len(row) == width for row in value)
-              and _is_pairs(list(itertools.chain.from_iterable(value))),
-              where, "a rectangular matrix of [re, im] pairs of finite numbers", value)
+        if not (width and all(type(row) is list and len(row) == width for row in value)
+                and _is_pairs(list(itertools.chain.from_iterable(value)))):
+            raise _invalid(where, "a rectangular matrix of [re, im] pairs of finite numbers", value)
         from . import hereditary
         return hereditary.matrix_from_json(value)
     return check, _REQUIRED
@@ -150,17 +162,18 @@ def _matrix():
 def _list(kind, length=None):
     """A list of values of one kind, of the given length or of any length."""
     def check(value, parsed, where):
-        _must(isinstance(value, list) and length in (None, len(value)), where,
-              f"a list of {'' if length is None else f'{length} '}entries", value)
-        return [kind[0](v, parsed, f"{where}[{i}]") for i, v in enumerate(value)]
+        if not (isinstance(value, list) and length in (None, len(value))):
+            raise _invalid(where, f"a list of {'' if length is None else f'{length} '}entries", value)
+        return [kind[0](v, parsed, (where, i)) for i, v in enumerate(value)]
     return check, _REQUIRED
 
 
 def _object(**table):
     """A nested object with its own table; absent means None."""
     def check(value, parsed, where):
-        _must(isinstance(value, dict), where, "an object", value)
-        return _parse(value, table, where + ".")
+        if not isinstance(value, dict):
+            raise _invalid(where, "an object", value)
+        return _parse(value, table, _name(where) + ".")
     return check, None
 
 
@@ -186,7 +199,7 @@ _P, _M, _WINDOW = (_tuple, _REQUIRED), _ints(1, _n), _ints(0, _n)
 
 
 @_command("validate", poly_tuple=_P)
-def _cmd_validate(c: dict, rng) -> tuple[bool | None, dict, None]:
+def _cmd_validate(c: dict, seed) -> tuple[bool | None, dict, None]:
     from . import geometry
     P = c["poly_tuple"]
     adm = admissibility_degree(P)
@@ -197,7 +210,7 @@ def _cmd_validate(c: dict, rng) -> tuple[bool | None, dict, None]:
 
 
 @_command("coeffs", poly_tuple=_P, m=_M, window=_WINDOW)
-def _cmd_coeffs(c: dict, rng):
+def _cmd_coeffs(c: dict, seed):
     from .coeff import coeff_function
     P, bounds = c["poly_tuple"], c["window"]
     table = coeff_function(P, c["m"], bounds)
@@ -211,7 +224,7 @@ def _cmd_coeffs(c: dict, rng):
 
 
 @_command("domain", poly_tuple=_P, points=_list(_point(_n)))
-def _cmd_domain(c: dict, rng):
+def _cmd_domain(c: dict, seed):
     from . import geometry
     entries = [{"point": [[z.real, z.imag] for z in p],
                 "inside": geometry.triangle_contains(c["poly_tuple"], p)} for p in c["points"]]
@@ -222,7 +235,7 @@ def _cmd_domain(c: dict, rng):
 @_command("kernel", poly_tuple=_P, m=_M, window=_WINDOW,
           cutoff=_int(0, lambda c: min(c["window"]), default=lambda c: min(c["window"])),
           pairs=_list(_list(_point(_n), 2)))
-def _cmd_kernel(c: dict, rng):
+def _cmd_kernel(c: dict, seed):
     from . import kernel
     ctx = kernel.make_context(c["poly_tuple"], c["m"], c["window"])
     entries = []
@@ -241,7 +254,7 @@ def _cmd_kernel(c: dict, rng):
 
 
 @_command("weights", poly_tuple=_P, m=_M, window=_WINDOW)
-def _cmd_weights(c: dict, rng):
+def _cmd_weights(c: dict, seed):
     from . import shiftops
     P, m = c["poly_tuple"], c["m"]
     window = shiftops.build_window(c["window"])
@@ -285,11 +298,13 @@ def _cmd_weights(c: dict, rng):
 
 @_command("probes", poly_tuple=_P, m=_M, window=_WINDOW, theta_trials=_int(0, default=5),
           circularity_tolerance=_number(1e-12))
-def _cmd_probes(c: dict, rng):
+def _cmd_probes(c: dict, seed):
     from . import shiftops
     P, m = c["poly_tuple"], c["m"]
     # A noncommuting witness needs a step along each of the last two axes.
-    _must(min(c["window"][-2:]) >= 1, "window", "integers >= 0 whose last two are >= 1", list(c["window"]))
+    if min(c["window"][-2:]) < 1:
+        raise _invalid("window", "integers >= 0 whose last two are >= 1", list(c["window"]))
+    rng = random.Random(seed)
     thetas = [[rng.uniform(0.0, 2.0 * math.pi) for _ in range(P.n)] for _ in range(c["theta_trials"])]
     probe = shiftops.factorization_and_commutation_probe(P, m, shiftops.build_window(c["window"]), thetas)
     max_dev = probe.circularity_max_deviation
@@ -304,7 +319,7 @@ def _cmd_probes(c: dict, rng):
 
 
 @_command("dettrace", poly_tuple=_P, m=_M, K=_int(1))
-def _cmd_dettrace(c: dict, rng):
+def _cmd_dettrace(c: dict, seed):
     from . import shiftops
     rep = shiftops.det_commutator_and_trace(c["poly_tuple"], c["m"], c["K"])
     report = {"K": c["K"], "increasing": list(rep.increasing), "positive": rep.positive,
@@ -318,7 +333,7 @@ def _cmd_dettrace(c: dict, rng):
 
 @_command("radius", poly_tuple=_P, m=_M, j=_int(1, _n, default=1), K=_int(0, default=30),
           N=_int(1, default=400))
-def _cmd_radius(c: dict, rng):
+def _cmd_radius(c: dict, seed):
     from . import geometry, shiftops
     P = c["poly_tuple"]
     radii = geometry.polydisc_radii(P)
@@ -336,7 +351,7 @@ def _cmd_radius(c: dict, rng):
                             default=lambda c: None if c["poly_tuple"] else _REQUIRED),
           window=_ints(0, lambda c: len(c["m"]), default=lambda c: (2,) * len(c["m"])),
           order=_int(1, default=4), scale=_rational(1))
-def _cmd_subnormality(c: dict, rng):
+def _cmd_subnormality(c: dict, seed):
     from . import subnormality
     order, window = c["order"], c["window"]
     if c["poly_tuple"] is not None:
@@ -356,7 +371,7 @@ def _cmd_subnormality(c: dict, rng):
 
 @_command("hereditary", matrices=_list(_matrix()), tolerance=_number(1e-10),
           commutation_tolerance=_number(1e-12), mode=_choice("classify", "lift", "ordering"))
-def _cmd_hereditary(c: dict, rng):
+def _cmd_hereditary(c: dict, seed):
     from . import hereditary
     T = hereditary.MatrixTuple(tuple(c["matrices"]), tolerance=c["commutation_tolerance"])
     mode = c["mode"]
@@ -376,7 +391,7 @@ def _cmd_hereditary(c: dict, rng):
 
 @_command("pick-verify", points=_list(_point(None)), targets=_point(lambda c: len(c["points"])),
           a1=_matrix(), a2=_matrix(), tolerance=_number(1e-10))
-def _cmd_pick_verify(c: dict, rng):
+def _cmd_pick_verify(c: dict, seed):
     from . import hereditary
     ok = hereditary.pick_verify(c["points"], c["targets"], c["a1"], c["a2"], tol=c["tolerance"])
     return ok, {"verified": ok}, None
@@ -385,8 +400,8 @@ def _cmd_pick_verify(c: dict, rng):
 @_command("quadrature", l_max=_int(0, default=5), k_max=_int(0, default=5),
           radial_nodes=_int(1, default=32),
           hardy=_object(n=_int(1), alpha=_ints(0, lambda s: s["n"])),
-          bergman=_object(m=_ints(1), alpha=_ints(0, lambda s: len(s["m"]))))
-def _cmd_quadrature(c: dict, rng):
+          bergman=_object(m=_ints(1, least=1), alpha=_ints(0, lambda s: len(s["m"]))))
+def _cmd_quadrature(c: dict, seed):
     from . import kernel
     entries = []
     for l in range(c["l_max"] + 1):
@@ -414,8 +429,10 @@ def run(config: dict, seed: int = 0, fmt: str = "json") -> tuple[int, str]:
         raise InvalidConfig(f"format must be 'json' or 'csv', got {fmt!r}")
     if fmt == "csv" and command not in CSV_COMMANDS:
         raise InvalidConfig(f"command {command!r} has no CSV form")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InvalidConfig(f"seed must be an integer, got {seed!r:.80}")
     function, fields = _COMMANDS[command]
-    verdict, report, table = function(_parse(config, fields), random.Random(seed))
+    verdict, report, table = function(_parse(config, fields), seed)
     report = {"command": command, "seed": seed, **report}
     if fmt == "csv":
         header, rows = table

@@ -5,8 +5,11 @@ positive rational coefficients (zero terms are never stored).  A tuple
 ``P = (P_1, ..., P_n)`` is valid when no component has a constant term and
 each ``P_j`` carries a strictly positive coefficient ``a_j`` on ``z_j``;
 ``PolyTuple`` checks this when it is constructed, so every ``PolyTuple`` is
-valid.  ``poly_eval`` is the one evaluator and ``poly_mul`` the one product of
-term maps.  All arithmetic is exact; ``_to_float`` is the one way to a float.
+valid.  ``parse_and_validate`` reads a tuple document in one pass: each term
+is checked once as it is read, each coefficient is built once, and a term's
+location is put into text only for its error message.  ``poly_eval`` is the
+one evaluator and ``poly_mul`` the one product of term maps.  All arithmetic
+is exact; ``_to_float`` is the one way to a float.
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ def sub_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 
 def index_leq(a: MultiIndex, b: MultiIndex) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def is_nonnegative(a: MultiIndex) -> bool:
-    return all(x >= 0 for x in a)
 
 
 def total_degree(a: MultiIndex) -> int:
@@ -137,21 +136,30 @@ def normalize_terms(terms: Mapping[MultiIndex, Fraction]) -> TermMap:
 
 # --- rationals in documents ---------------------------------------------------
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(value: object, where: str = "coeff") -> Fraction:
     """Parse an int, or a "p" or "p/q" string of decimal digits.  Floats are
     rejected because they lose exactness, and so are the other string forms
     Fraction accepts (decimals, exponents, underscores)."""
+    try:
+        return _rational(value)
+    except MalformedInput as exc:
+        raise MalformedInput(f"{where}: {exc}") from None
+
+
+def _rational(value: object) -> Fraction:
+    """parse_rational without the location in its error message."""
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
-        try:
-            return Fraction(value.strip())
+    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value.strip())):
+        p, q = match.groups()
+        try:  # int() and Fraction(p, 0) raise as Fraction("p/q") does
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except (ValueError, ZeroDivisionError) as exc:  # more digits than int() reads, or q = 0
-            raise MalformedInput(f"{where}: cannot parse rational {value!r:.80}: {exc}") from None
-    raise MalformedInput(f"{where}: rational must be an integer or 'p/q' string, got {value!r:.80}")
+            raise MalformedInput(f"cannot parse rational {value!r:.80}: {exc}") from None
+    raise MalformedInput(f"rational must be an integer or 'p/q' string, got {value!r:.80}")
 
 
 def format_rational(value: Fraction | int, denominator: int = 1) -> str:
@@ -224,13 +232,13 @@ class PolyTuple:
             for alpha, coeff in p.items():
                 if type(coeff) not in (int, Fraction):
                     raise MalformedInput(f"polys[{j}] term {alpha}: {coeff!r} is not an int or a Fraction")
-                if len(alpha) != n or not is_nonnegative(alpha):
+                if len(alpha) != n or min(alpha) < 0:
                     raise MalformedInput(f"polys[{j}]: bad exponent {alpha}")
-                if coeff < 0:
+                if coeff.numerator < 0:
                     raise NegativeCoefficient(f"polys[{j}] term {alpha}: coefficient {coeff} < 0")
             if p.get(zero):
                 raise ConstantTerm(f"polys[{j}]: constant term {p[zero]} present")
-            if p.get(unit_index(n, j), Fraction(0)) <= 0:
+            if not p.get(unit_index(n, j)):  # the coefficients of p are >= 0
                 raise MissingLinearTerm(f"polys[{j}]: linear self-coefficient a_{j + 1} absent or zero")
 
     @property
@@ -272,15 +280,17 @@ def hartogs_tuple(n: int, a: Fraction | int = 0) -> PolyTuple:
 def parse_and_validate(document: str | Mapping) -> PolyTuple:
     """Parse the JSON document ``{"n": ..., "polys": [{"terms": [...]}, ...]}``.
 
-    Errors in a single term carry its path; the checks on whole components
-    (such as a missing linear self-coefficient) are those of ``from_polys``.
+    One pass over the terms: each is checked once, and an error in a term
+    carries its path.  Duplicate terms are summed and zero terms dropped, as
+    ``from_polys`` does.  The checks on whole components (such as a missing
+    linear self-coefficient) are those of ``PolyTuple``, after every term.
     """
     if isinstance(document, str):
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"not valid JSON: {exc}") from None
-    if not isinstance(document, Mapping):
+    if type(document) is not dict and not isinstance(document, Mapping):
         raise MalformedInput("document must be a JSON object")
     n = document.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -291,29 +301,39 @@ def parse_and_validate(document: str | Mapping) -> PolyTuple:
 
     polys: list[TermMap] = []
     for j, poly_doc in enumerate(polys_doc):
-        where = f"polys[{j}]"
-        if not isinstance(poly_doc, Mapping) or not isinstance(poly_doc.get("terms"), list):
-            raise MalformedInput(f"{where}: expected an object with a 'terms' list")
+        if ((type(poly_doc) is not dict and not isinstance(poly_doc, Mapping))
+                or not isinstance(terms_doc := poly_doc.get("terms"), list)):
+            raise MalformedInput(f"polys[{j}]: expected an object with a 'terms' list")
         terms: TermMap = {}
-        for t, term in enumerate(poly_doc["terms"]):
-            twhere = f"{where}.terms[{t}]"
-            if not isinstance(term, Mapping):
-                raise MalformedInput(f"{twhere}: expected an object")
+        zeros = False
+        for t, term in enumerate(terms_doc):
+            if type(term) is not dict and not isinstance(term, Mapping):
+                raise MalformedInput(f"polys[{j}].terms[{t}]: expected an object")
             alpha = term.get("alpha")
-            if (not isinstance(alpha, list) or len(alpha) != n
-                    or not all(isinstance(e, int) and not isinstance(e, bool) for e in alpha)):
-                raise MalformedInput(f"{twhere}.alpha: expected a list of {n} integers")
-            if any(e < 0 for e in alpha):
-                raise MalformedInput(f"{twhere}.alpha: negative exponent in {alpha}")
-            coeff = parse_rational(term.get("coeff"), where=f"{twhere}.coeff")
-            if coeff < 0:
-                raise NegativeCoefficient(f"{twhere}: coefficient {coeff} < 0")
+            if not (isinstance(alpha, list) and len(alpha) == n
+                    and all(type(e) is int or isinstance(e, int) and not isinstance(e, bool) for e in alpha)):
+                raise MalformedInput(f"polys[{j}].terms[{t}].alpha: expected a list of {n} integers")
+            if min(alpha) < 0:
+                raise MalformedInput(f"polys[{j}].terms[{t}].alpha: negative exponent in {alpha}")
+            try:
+                coeff = _rational(term.get("coeff"))
+            except MalformedInput as exc:
+                raise MalformedInput(f"polys[{j}].terms[{t}].coeff: {exc}") from None
+            if (num := coeff.numerator) < 0:
+                raise NegativeCoefficient(f"polys[{j}].terms[{t}]: coefficient {coeff} < 0")
             key = tuple(alpha)
-            if sum(key) == 0 and coeff != 0:
-                raise ConstantTerm(f"{twhere}: constant term {coeff} not allowed")
-            terms[key] = terms[key] + coeff if key in terms else coeff
-        polys.append(terms)
-    return from_polys(polys)
+            if not num:
+                zeros = True
+            elif not any(key):
+                raise ConstantTerm(f"polys[{j}].terms[{t}]: constant term {coeff} not allowed")
+            if key in terms:
+                terms[key] += coeff
+            else:
+                terms[key] = coeff
+        # A zero term keeps its monomial's place, as from_polys does, and then drops
+        # out unless another term of that monomial follows: coefficients are >= 0.
+        polys.append({key: c for key, c in terms.items() if c} if zeros else terms)
+    return PolyTuple(tuple(polys))
 
 
 def serialize(P: PolyTuple) -> dict:

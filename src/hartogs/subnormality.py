@@ -185,9 +185,13 @@ def _shift_witnesses(P: PolyTuple, m: Sequence[int], lo: MultiIndex, hi: MultiIn
             values = [v * x for v in values for x in axis]
     else:
         table = _divided(top, zip(P.polys, m))
-        B, d = table.B, table.d
-        pairs = [(d ** sum(alpha) * sd ** alpha[-1], B[off] * sn ** alpha[-1])
-                 for alpha, off in zip(itertools.product(*ranges), table.walk(shape, lo))]
+        B, powers = table.B, [table.d ** k for k in range(sum(top) + 1)]
+        cells = zip(itertools.product(*ranges), table.walk(shape, lo))
+        if scale == 1:
+            pairs = [(powers[sum(alpha)], B[off]) for alpha, off in cells]
+        else:
+            pairs = [(powers[sum(alpha)] * sd ** alpha[-1], B[off] * sn ** alpha[-1])
+                     for alpha, off in cells]
         values = _over_lcm(pairs)
     strides = _strides(shape)
     steps = [sum(strides[j:]) for j in range(n)]

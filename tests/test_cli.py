@@ -1003,6 +1003,29 @@ def test_all_shift_subnormality_names_an_empty_m(tmp_path):
         2, {"error": "InvalidConfig", "message": "'m' must be a list of 1 or more integers >= 1, got []"})
 
 
+def test_bergman_names_an_empty_m(tmp_path):
+    # An empty m made the Bergman norm an empty product, a vacuous 1.0.
+    config = {"command": "quadrature", "l_max": 0, "k_max": 0, "bergman": {"m": [], "alpha": []}}
+    assert _main_exit(tmp_path, config) == (
+        2, {"error": "InvalidConfig", "message": "'bergman.m' must be a list of 1 or more integers >= 1, got []"})
+
+
+def test_every_command_rejects_a_seed_that_is_not_an_int(monkeypatch):
+    # Only probes builds a generator from the seed, and every command checks it:
+    # a seed that random.Random refuses ([1]) or takes (1.5, "1", None, True)
+    # is never echoed into a report.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    jobs = importlib.import_module("jobs")
+    smallest = jobs.smallest_of_each(random.Random("smallest:1"), ())
+    assert sorted(job.config["command"] for job in smallest) == sorted(cli._COMMANDS)
+    for job in smallest:
+        code, report = run_json(job.config, seed=7)
+        assert code in (0, 1) and report["seed"] == 7
+        for seed in ([1], 1.5, "1", None, True):
+            with pytest.raises(InvalidConfig, match="seed must be an integer"):
+                cli.run(job.config, seed=seed)
+
+
 def test_probes_divide_the_weights_into_floats_only_for_circularity(tmp_path):
     # The weights of (z_1/10^400, z_2) have no float value; the exact probes
     # never divide them, and only a circularity trial does.

@@ -1,5 +1,12 @@
+import collections
+import copy
+import enum
 import json
+import random
+import re
 import sys
+import types
+from collections.abc import Mapping
 from fractions import Fraction as F
 
 import pytest
@@ -219,3 +226,203 @@ def test_to_float_rejects_only_values_without_a_float():
     kept = [(F(0), 0.0), (0, 0.0), (7, 7.0), (F(-3, 4), -0.75), (F(1, 10 ** 320), 1e-320)]
     assert [(value, _to_float(value, "x")) for value, _ in kept] == kept
     assert 0.0 < _to_float(F(1, 10 ** 320), "x") < sys.float_info.min  # subnormal, kept
+
+
+# --- one-pass parser against the two-pass reference ------------------------------
+# The reference reads the document as the parser once did: each term is
+# checked while it is read, then from_polys sums duplicates, drops zeros and
+# builds every coefficient again, and the tuple's checks run on each term.
+
+_REF_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _ref_rational(value, where):
+    if type(value) is int:
+        return F(value)
+    if isinstance(value, str) and _REF_RATIONAL.fullmatch(value.strip()):
+        try:
+            return F(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedInput(f"{where}: cannot parse rational {value!r:.80}: {exc}") from None
+    raise MalformedInput(f"{where}: rational must be an integer or 'p/q' string, got {value!r:.80}")
+
+
+def _ref_from_polys(polys):
+    normalized = []
+    for p in polys:
+        out = {}
+        for alpha, coeff in {alpha: F(c) for alpha, c in p.items()}.items():
+            c = out[alpha] + coeff if alpha in out else coeff
+            if c:
+                out[alpha] = c
+            else:
+                out.pop(alpha, None)
+        normalized.append(out)
+    n, zero = len(normalized), (0,) * len(normalized)
+    for j, p in enumerate(normalized):
+        for alpha, coeff in p.items():
+            if type(coeff) not in (int, F):
+                raise MalformedInput(f"polys[{j}] term {alpha}: {coeff!r} is not an int or a Fraction")
+            if len(alpha) != n or not all(x >= 0 for x in alpha):
+                raise MalformedInput(f"polys[{j}]: bad exponent {alpha}")
+            if coeff < 0:
+                raise NegativeCoefficient(f"polys[{j}] term {alpha}: coefficient {coeff} < 0")
+        if p.get(zero):
+            raise ConstantTerm(f"polys[{j}]: constant term {p[zero]} present")
+        if p.get(unit_index(n, j), F(0)) <= 0:
+            raise MissingLinearTerm(f"polys[{j}]: linear self-coefficient a_{j + 1} absent or zero")
+    return PolyTuple(tuple(normalized))
+
+
+def _ref_parse(document):
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"not valid JSON: {exc}") from None
+    if not isinstance(document, Mapping):
+        raise MalformedInput("document must be a JSON object")
+    n = document.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise MalformedInput(f"'n' must be a positive integer, got {n!r}")
+    polys_doc = document.get("polys")
+    if not isinstance(polys_doc, list) or len(polys_doc) != n:
+        raise MalformedInput(f"'polys' must be a list of {n} polynomials")
+    polys = []
+    for j, poly_doc in enumerate(polys_doc):
+        where = f"polys[{j}]"
+        if not isinstance(poly_doc, Mapping) or not isinstance(poly_doc.get("terms"), list):
+            raise MalformedInput(f"{where}: expected an object with a 'terms' list")
+        terms = {}
+        for t, term in enumerate(poly_doc["terms"]):
+            twhere = f"{where}.terms[{t}]"
+            if not isinstance(term, Mapping):
+                raise MalformedInput(f"{twhere}: expected an object")
+            alpha = term.get("alpha")
+            if (not isinstance(alpha, list) or len(alpha) != n
+                    or not all(isinstance(e, int) and not isinstance(e, bool) for e in alpha)):
+                raise MalformedInput(f"{twhere}.alpha: expected a list of {n} integers")
+            if any(e < 0 for e in alpha):
+                raise MalformedInput(f"{twhere}.alpha: negative exponent in {alpha}")
+            coeff = _ref_rational(term.get("coeff"), f"{twhere}.coeff")
+            if coeff < 0:
+                raise NegativeCoefficient(f"{twhere}: coefficient {coeff} < 0")
+            key = tuple(alpha)
+            if sum(key) == 0 and coeff != 0:
+                raise ConstantTerm(f"{twhere}: constant term {coeff} not allowed")
+            terms[key] = terms[key] + coeff if key in terms else coeff
+        polys.append(terms)
+    return _ref_from_polys(polys)
+
+
+class _ListOf(list):
+    pass
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+_COEFFS = ["1", "0", "-0", "2/3", " 7 ", "+2", "0/5", "6/4", "-1", "-1/2", "1/0", "-0/0", "9" * 5000,
+           "1/" + "9" * 5000, "1e3", "0.5", "1_0", "", "3 / 4", 0, 1, 5, -2, 10 ** 30, 0.5, 1.0, True, None,
+           [1], _Level.ONE]
+_EXPONENTS = [0, 1, 2, -1, True, False, 1.0, "1", None, _Level.ONE]
+
+
+def _as_mapping(value):
+    return types.MappingProxyType(value) if type(value) is dict else value
+
+
+def _mutate(rng, document):
+    """One random edit of a copy of a tuple document, or the document itself
+    when an earlier edit left it out of shape for this one."""
+    try:
+        return _edit(rng, copy.deepcopy(document))
+    except (TypeError, KeyError, IndexError, AttributeError, ValueError):
+        return document
+
+
+def _edit(rng, document):
+    polys = document["polys"]
+    j = rng.randrange(len(polys))
+    terms = polys[j]["terms"]
+    t = rng.randrange(len(terms))
+    term = terms[t]
+    n = len(term["alpha"])
+    edit = rng.randrange(14)
+    if edit < 3:
+        term["coeff"] = rng.choice(_COEFFS)
+    elif edit == 3:
+        term["alpha"][rng.randrange(n)] = rng.choice(_EXPONENTS)
+    elif edit == 4:
+        term["alpha"] = rng.choice([[0] * n, [0] * (n + 1), [1] * max(n - 1, 0), tuple(term["alpha"]),
+                                    _ListOf(term["alpha"]), None])
+    elif edit == 5:  # a duplicate, first or last
+        terms.insert(rng.choice([t, len(terms)]), {"alpha": list(term["alpha"]), "coeff": rng.choice(_COEFFS[:9])})
+    elif edit == 6:  # the linear term made zero or taken out
+        linear = [k for k, x in enumerate(terms) if x["alpha"] == list(unit_index(n, j))]
+        if linear:
+            if rng.random() < 0.5:
+                del terms[linear[0]]
+            else:
+                terms[linear[0]]["coeff"] = rng.choice(["0", "0/7", 0])
+    elif edit == 7:
+        del term[rng.choice(["alpha", "coeff"])]
+    elif edit == 8:
+        terms[t] = rng.choice([_as_mapping(term), [term], None, "term"])
+    elif edit == 9:
+        polys[j] = rng.choice([_as_mapping(polys[j]), {"terms": _ListOf(terms)}, {"terms": tuple(terms)},
+                               {}, []])
+    elif edit == 10:
+        document["n"] = rng.choice([0, -1, True, "2", 2.0, None, n + 1, _Level.ONE])
+    elif edit == 11:
+        document["polys"] = rng.choice([_ListOf(polys), tuple(polys), polys[:-1], polys + polys[:1], None])
+    elif edit == 12:
+        terms.append({"alpha": [0] * n, "coeff": rng.choice(["0", "1", "0/2"])})
+    else:
+        document = rng.choice([_as_mapping(document), [document], "not json {", None])
+    return document
+
+
+def _outcome(parse, document):
+    try:
+        P = parse(document)
+    except Exception as exc:
+        return type(exc), str(exc)
+    # the terms in their order, and the type of each coefficient
+    return [[(alpha, c, type(c)) for alpha, c in p.items()] for p in P.polys]
+
+
+def test_one_pass_parser_matches_the_two_pass_reference():
+    bases = [doc(2, [[((1, 0), "1"), ((1, 1), "2/3")], [((0, 1), "1"), ((1, 1), "2/3")]]),
+             doc(3, [[(unit_index(3, j), 1), ((1, 1, 1), "2")] for j in range(3)]),
+             doc(2, [[((1, 0), "4/3"), ((2, 0), "1/5")], [((0, 1), "3/2"), ((0, 3), 7)]]),
+             doc(1, [[((2,), "0"), ((1,), "1/2"), ((2,), "1/3"), ((3,), "0"), ((3,), "-0")]])]
+    rng = random.Random(20211)
+    reached = collections.Counter()
+    for i in range(3000):
+        document = bases[i % len(bases)]
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            document = _mutate(rng, document)
+        if rng.random() < 0.1:
+            try:
+                document = json.dumps(document)
+            except (TypeError, ValueError):
+                pass
+        expected = _outcome(_ref_parse, document)
+        assert _outcome(parse_and_validate, document) == expected, document
+        reached[expected[0].__name__ if type(expected) is tuple else "PolyTuple"] += 1
+        if type(expected) is tuple:
+            reached.update(key for key in ("Exceeds the limit", "Fraction(", "got '1e3'", "rational must")
+                           if key in expected[1])
+    assert set(reached) >= {"PolyTuple", "MalformedInput", "NegativeCoefficient", "ConstantTerm",
+                            "MissingLinearTerm", "Exceeds the limit", "Fraction(", "got '1e3'", "rational must"}
+
+
+def test_zero_terms_drop_out_in_the_order_of_first_appearance():
+    # a zero term keeps its monomial's place when a nonzero term of it follows
+    P = parse_and_validate(doc(1, [[((2,), "0"), ((1,), "1"), ((3,), "0"), ((2,), "1/2"), ((3,), "0/4")]]))
+    assert list(P.polys[0].items()) == [((2,), F(1, 2)), ((1,), F(1))]
+    # duplicates that sum to zero drop out, as a zero constant term does
+    P = parse_and_validate(doc(1, [[((1,), "1"), ((2,), "0"), ((0,), "0"), ((2,), "-0")]]))
+    assert list(P.polys[0].items()) == [((1,), F(1))]

@@ -78,6 +78,9 @@ def test_mixed_terms_sequence_matches_coeff_function():
     P = hartogs_tuple(2, 1)
     for m, gamma in [((1, 1), (0, 0)), ((2, 1), (1, 2))]:
         _assert_shift_checks_match_general_route(P, m, [(gamma, 1), (gamma, F(1, 2)), (gamma, F(3, 2))])
+    # d = 3 > 1, shifts off the origin, and both the unscaled and the scaled cells
+    cases = [(gamma, scale) for gamma in [(1, 2), (2, 1)] for scale in (1, F(1, 2), F(3, 2))]
+    _assert_shift_checks_match_general_route(hartogs_tuple(2, F(2, 3)), (2, 1), cases)
 
 
 def test_sequence_rejects_short_gamma_and_window():
