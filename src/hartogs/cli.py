@@ -4,10 +4,10 @@ One run executes exactly one sub-command and writes one deterministic report
 (JSON, or CSV for tabular commands).  Each command declares its config fields
 in one table, next to its implementation, and returns its JSON entries with
 its CSV rows as a generator over them, so only a CSV run builds the rows.
-coeffs and weights, the large tables, instead build one list of flat rows in
-CSV column order, whose cells are ints and text: CSV writes each row through
-one printf-style line, and JSON through one str.format template per job, with
-its keys in sorted order.  coeffs and weights format each exact column in one
+coeffs and weights, the large tables, instead hand over their cells as text
+columns (_Table), from which each JSON line, with its keys in sorted order,
+and each CSV line is one join of column texts and constant separators, with
+no Python-level call per row.  They format each exact column in one
 format_rationals call, a few C-level maps over the cells; weights maps its
 float columns as well and turns each distinct weight into text once.
 A command imports the modules it runs inside its function, so a run loads
@@ -30,13 +30,14 @@ import io
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 import traceback
-from typing import Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import HartogsError, InvalidConfig, MalformedInput, UnknownCommand
-from .polytuple import (_box_walk, _to_float, admissibility_degree, box, format_rational, format_rationals,
+from .polytuple import (_box_walk, _to_float, admissibility_degree, format_rational, format_rationals,
                         parse_and_validate, parse_rational)
 
 CSV_COMMANDS = {"coeffs", "kernel", "weights", "domain", "quadrature"}
@@ -217,10 +218,8 @@ def _cmd_coeffs(c: dict, seed):
     cells = map(table.B.__getitem__, table.walk(bounds))
     # A(alpha) = B(alpha) / d^|alpha|, and the unit strides walk the box as |alpha|.
     scales = None if table.d == 1 else map(table.scales.__getitem__, _box_walk(bounds, (1,) * P.n))
-    rows = _Rows(_template(P.n, value='"{}"'),
-                 map(tuple.__add__, box(bounds), zip(format_rationals(cells, scales))))
-    header = [f"alpha_{j + 1}" for j in range(P.n)] + ["value"]
-    return None, {"bounds": list(bounds), "entries": rows}, (header, rows)
+    rows = _Table(bounds, [{"value": format_rationals(cells, scales)}], quoted={"value"})
+    return None, {"bounds": list(bounds), "entries": rows}, rows
 
 
 @_command("domain", poly_tuple=_P, points=_list(_point(_n)))
@@ -260,7 +259,7 @@ def _cmd_weights(c: dict, seed):
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
     n, walk = P.n, wt.walk()
-    # Per j, int columns of the scaled table; _to_float's int division rounds as float(Fraction) does.
+    # Per j, int columns of the scaled table; their int true division rounds as float(Fraction) does.
     squares, hypos = [], []
     for j, ((step, scale), shift) in enumerate(zip(wt.mult_steps, wt.shift_steps)):
         w_num, w_den = wt.quotients(walk, step, scale)  # omega^2 at alpha
@@ -270,30 +269,28 @@ def _cmd_weights(c: dict, seed):
         # hypo_diag = omega^2(alpha) - omega^2(alpha - tail_j), where low_den is B(alpha)
         hypos.append(([p * q - r * s for p, q, r, s in zip(w_num, low_den, low_num, w_den)],
                       [p * q for p, q in zip(w_den, low_den)]))
-    # Every float first, in row order (omega, sigma of j = 1, ..., n per cell).
+    # Every float first.  On an overflow, or a 0.0 (no quotient is 0), replay the rows
+    # up to the weight without a float value as the per-row build ran them, so a
+    # hypo_diag of an earlier row too long to print fails first.
     try:
-        floats = list(itertools.chain.from_iterable(zip(*[
-            map(math.sqrt, map(_to_float, num, itertools.repeat(what), den)) for num, den, what in squares])))
-    except MalformedInput:
-        # Replay the rows up to the weight without a float value as the per-row build
-        # ran them, so a hypo_diag of an earlier row too long to print fails first.
+        roots = [list(map(math.sqrt, map(operator.truediv, num, den))) for num, den, _ in squares]
+    except OverflowError:
+        roots = None
+    if roots is None or any(0.0 in column for column in roots):
         for cell, j in itertools.product(range(len(walk)), range(n)):
             for num, den, what in squares[2 * j:2 * j + 2]:
                 _to_float(num[cell], what, den[cell])
             format_rational(hypos[j][0][cell], hypos[j][1][cell])
-        raise
-    # Each distinct weight turned into text once, by the float.__repr__ that "{!r}"
-    # and csv.writer call.  Equal floats have one text but for +-0.0, and no weight
-    # is -0.0: each is the square root of a quotient of nonnegative ints.
-    distinct = set(floats)
-    texts = list(map(dict(zip(distinct, map(repr, distinct))).__getitem__, floats))
-    columns = [map(tuple.__add__, window.cells, zip(itertools.repeat(j + 1), texts[2 * j::2 * n],
-                                                    texts[2 * j + 1::2 * n], format_rationals(*hypo)))
-               for j, hypo in enumerate(hypos)]
-    rows = _Rows(_template(n, j="{}", omega="{}", sigma="{}", hypo_diag='"{}"'),
-                 itertools.chain.from_iterable(zip(*columns)))
-    header = [f"alpha_{i + 1}" for i in range(n)] + ["j", "omega", "sigma", "hypo_diag"]
-    return None, {"window": list(window.bounds), "weights": rows}, (header, rows)
+    # Each distinct weight turned into text once, by the float.__repr__ that the
+    # C encoder and csv.writer call.  Equal floats have one text but for +-0.0,
+    # and no weight is -0.0: each is the square root of a positive quotient.
+    distinct = set(itertools.chain.from_iterable(roots))
+    text = dict(zip(distinct, map(repr, distinct))).__getitem__
+    rows = _Table(window.bounds, [{"j": str(j + 1), "omega": list(map(text, roots[2 * j])),
+                                   "sigma": list(map(text, roots[2 * j + 1])),
+                                   "hypo_diag": format_rationals(*hypo)} for j, hypo in enumerate(hypos)],
+                  quoted={"hypo_diag"})
+    return None, {"window": list(window.bounds), "weights": rows}, rows
 
 
 @_command("probes", poly_tuple=_P, m=_M, window=_WINDOW, theta_trials=_int(0, default=5),
@@ -435,11 +432,10 @@ def run(config: dict, seed: int = 0, fmt: str = "json") -> tuple[int, str]:
     verdict, report, table = function(_parse(config, fields), seed)
     report = {"command": command, "seed": seed, **report}
     if fmt == "csv":
-        header, rows = table
-        if type(rows) is _Rows:  # no cell holds a comma, a quote or a line break to quote
-            line = ",".join(["%s"] * len(header)) + "\n"
-            rendered = ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
+        if type(table) is _Table:  # no cell holds a comma, a quote or a line break to quote
+            rendered = table.csv()
         else:
+            header, rows = table
             buf = io.StringIO()  # point cells are JSON text with commas, which csv quotes
             csv.writer(buf, lineterminator="\n").writerows(itertools.chain([header], rows))
             rendered = buf.getvalue()
@@ -462,45 +458,70 @@ def _encode(value) -> str:
     return "".join(_chunks(value, 0))
 
 
-def _template(n: int, **columns: str) -> str:
-    """A str.format template that writes a row (*alpha, *columns) as a compact
-    JSON object with the keys alpha and columns in sorted order.  A column's
-    text is its JSON form around one {} field: "{}" for an int or a float's
-    repr text, '"{}"' for a format_rational string."""
-    fields = {"alpha": "[" + ", ".join(f"{{{i}}}" for i in range(n)) + "]"}
-    for i, (key, text) in enumerate(columns.items(), start=n):
-        fields[key] = text.replace("{", f"{{{i}", 1)  # '"{}"' -> '"{5}"': the row's field i
-    return "{{" + ", ".join(f'"{key}": {fields[key]}' for key in sorted(fields)) + "}}"
+class _Table:
+    """A coeffs or weights table as text columns.  Its rows run over the box
+    0 <= alpha <= bounds in row-major order, one per group at each alpha
+    (weights has a group per j).  A group maps each key after alpha, in CSV
+    order, to a column (one text per alpha) or to one text for all its rows.
+    A text is an int's str, a float's repr (as the C encoder and csv.writer
+    write it) or a format_rational string, which JSON quotes (its key is in
+    quoted).  None holds a comma, a quote, a backslash or a line break, so
+    no text needs JSON escaping or CSV quoting."""
 
+    def __init__(self, bounds, groups: list[dict], quoted: set):
+        self.bounds, self.groups, self.quoted = bounds, groups, quoted
 
-class _Rows(list):
-    """Table rows as flat tuples in CSV column order, with the _template that
-    writes one row as its JSON line.  A cell is an int (int.__repr__, as in
-    JSON and CSV), the repr text of a float (as the C encoder and csv.writer
-    write it) or a format_rational string.  None holds a comma, a quote, a
-    backslash or a line break, so no cell needs JSON escaping or CSV quoting."""
+    def _lines(self, alpha: tuple[str, str, str], fields) -> Iterator[str]:
+        """Each line one join: the text of its alpha, whose entries alpha =
+        (start, sep, close) surround, then the columns and constant texts that
+        fields(group) yields for its group."""
+        start, sep, close = alpha
+        axes = [[(sep if i else "") + str(a) for a in range(b + 1)] for i, b in enumerate(self.bounds)]
+        labels = list(map("".join, itertools.product([start], *axes, [close])))
+        lines = []
+        for group in self.groups:
+            parts = [labels]
+            for part in fields(group):
+                if type(part) is str and type(parts[-1]) is str:  # adjacent constants as one text
+                    parts[-1] += part
+                else:
+                    parts.append(part)
+            lines.append(map("".join, zip(*(itertools.repeat(p) if type(p) is str else p for p in parts))))
+        # The rows of one alpha, group by group; one group needs no interleaving.
+        return lines[0] if len(lines) == 1 else itertools.chain.from_iterable(zip(*lines))
 
-    def __init__(self, template: str, rows):
-        super().__init__(rows)
-        self.template = template
+    def json(self) -> str:
+        """The JSON lines, joined as _render joins list elements, or ValueError
+        for a non-finite float; every key of a group sorts after alpha."""
+        def fields(group):
+            for key in sorted(group):
+                quote = '"' if key in self.quoted else ""
+                yield from (f', "{key}": {quote}', group[key], quote)
+            yield "}"
+        text = ",\n    ".join(self._lines(('{"alpha": [', ", ", "]"), fields))
+        # repr writes a non-finite float as nan, inf or -inf, which no other text and no key holds.
+        if "nan" in text or "inf" in text:
+            raise ValueError("Out of range float values are not JSON compliant")
+        return text
+
+    def csv(self) -> str:
+        def fields(group):
+            for column in group.values():
+                yield from (",", column)
+            yield "\n"
+        header = [f"alpha_{i + 1}" for i in range(len(self.bounds))] + list(self.groups[0])
+        return ",".join(header) + "\n" + "".join(self._lines(("", ",", ""), fields))
 
 
 def _render(report: dict) -> str:
     """A non-empty report as strict JSON with sorted keys: one line per top-level
-    key and, for a non-empty list value, one compact line per element, each
-    rendered by the one C encoder or, for _Rows, by the rows' template.  A
+    key and, for a non-empty list value or a _Table, one compact line per
+    element, each rendered by the one C encoder or by the _Table.  A
     report of scalars and lists of scalars renders as with indent=2."""
     lines = []
     for key, value in sorted(report.items()):
-        if isinstance(value, list) and value:
-            if type(value) is _Rows:
-                elements = ",\n    ".join(itertools.starmap(value.template.format, value))
-                # repr writes a non-finite float as nan, inf or -inf, which no
-                # other cell and no template key holds.
-                if "nan" in elements or "inf" in elements:
-                    raise ValueError("Out of range float values are not JSON compliant")
-            else:
-                elements = ",\n    ".join(map(_encode, value))
+        if type(value) is _Table or isinstance(value, list) and value:
+            elements = value.json() if type(value) is _Table else ",\n    ".join(map(_encode, value))
             lines.append(f"  {_encode(key)}: [\n    {elements}\n  ]")
         else:
             lines.append(f"  {_encode(key)}: {_encode(value)}")

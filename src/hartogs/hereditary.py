@@ -264,15 +264,16 @@ def ordering_check(T: MatrixTuple, tol: float = 1e-10) -> OrderingReport:
         margins.append(_finite(float(np.linalg.eigvalsh(diff)[0]), f"margin {j + 1}"))
     chain_holds = all(mu >= -tol for mu in margins)
 
-    if not all(_is_upper_triangular(m, tol) for m in mats):
+    if not all(_is_upper_triangular(m, tol, norm) for m, norm in zip(mats, T.norms)):
         return OrderingReport(chain_holds, tuple(margins), False, None)
     P0 = hartogs_tuple(n)
     inside = all(triangle_contains(P0, tuple(m[i, i] for m in mats)) for i in range(T.dim))
     return OrderingReport(chain_holds, tuple(margins), True, inside)
 
 
-def _is_upper_triangular(m: np.ndarray, tol: float) -> bool:
-    scale = max(1.0, _opnorm(m))
+def _is_upper_triangular(m: np.ndarray, tol: float, norm: float) -> bool:
+    """m is upper triangular up to tol relative to its spectral norm, norm."""
+    scale = max(1.0, norm)
     return float(np.max(np.abs(np.tril(m, -1)))) <= tol * scale
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .coeff import CoeffTable, coeff_function, hartogs_coeff_closed
-from .errors import InvalidMultiplicity, OutsideDomain, WindowTooSmall, ZeroCoordinate
+from .errors import InvalidMultiplicity, MalformedInput, OutsideDomain, WindowTooSmall, ZeroCoordinate
 from .geometry import forward, triangle_contains
 from .polytuple import MultiIndex, PolyTuple, _to_float, hartogs_tuple, poly_eval
 
@@ -94,13 +94,14 @@ def kernel_series_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[com
                     for off, prod, deg in prefixes for a in range(cutoff - deg + 1)]
     last = powers[n - 1]
     total = 0j
-    for off, prod, deg in prefixes:
-        for a in range(cutoff - deg + 1):
-            if b := B[off + a]:
-                s = scales[deg + a]
-                # an A(alpha) < 1 that rounds to 0.0 lies below the resolution of the sum
-                x = b / s if b < s else _to_float(b, "a coefficient A(alpha)", s)
-                total += x * (prod * last[a])
+    try:
+        for off, prod, deg in prefixes:
+            for a in range(cutoff - deg + 1):
+                if b := B[off + a]:
+                    # an A(alpha) < 1 that rounds to 0.0 lies below the resolution of the sum
+                    total += b / scales[deg + a] * (prod * last[a])
+    except OverflowError:  # an A(alpha) >= 1 beyond the float range
+        raise MalformedInput("a coefficient A(alpha) has no float value") from None
     return prefactor * total
 
 

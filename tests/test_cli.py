@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -549,28 +550,27 @@ def _scalars_only(report):
 
 
 # The keys of a coeffs or weights row after its multi-index, in CSV column order,
-# and the keys whose cells hold the text of a float.
-ROW_KEYS = {"coeffs": ("value",), "weights": ("j", "omega", "sigma", "hypo_diag")}
-FLOAT_TEXT_KEYS = {"omega", "sigma"}
+# each with the type that reads its text as the value of the dict entry.
+ROW_KEYS = {"coeffs": {"value": str}, "weights": {"j": int, "omega": float, "sigma": float, "hypo_diag": str}}
 
 
 def _expanded(report):
-    """report with each table of rows written out as the dict entries it stands for."""
-    keys = ROW_KEYS.get(report["command"], ())
-
-    def entry(row):
-        return {"alpha": list(row[:-len(keys)]),
-                **{key: float(cell) if key in FLOAT_TEXT_KEYS else cell
-                   for key, cell in zip(keys, row[-len(keys):])}}
-    return {key: [entry(row) for row in value] if type(value) is cli._Rows else value
-            for key, value in report.items()}
+    """report with each table of text columns written out as the dict entries it stands for."""
+    def entries(table):
+        keys = ROW_KEYS[report["command"]]
+        assert all(list(group) == list(keys) for group in table.groups)
+        return [{"alpha": list(alpha),
+                 **{key: kind(column if type(column) is str else column[i])
+                    for (key, kind), column in zip(keys.items(), group.values())}}
+                for i, alpha in enumerate(box(table.bounds)) for group in table.groups]
+    return {key: entries(value) if type(value) is cli._Table else value for key, value in report.items()}
 
 
 def test_report_layout_on_the_smallest_job_of_each_command(monkeypatch):
     # Every JSON body has one line per top-level key and one compact line per
     # element of a list value; reports of scalars and lists of scalars keep
     # the bytes they had with indent=2.  coeffs and weights hand their rows
-    # over as tuples, which read as the dict entries they stand for.
+    # over as text columns, which read as the dict entries they stand for.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     jobs = importlib.import_module("jobs")
     rendered_reports, render = [], cli._render
@@ -585,7 +585,7 @@ def test_report_layout_on_the_smallest_job_of_each_command(monkeypatch):
     assert [rendered for _, rendered in rendered_reports] == outputs
     assert sorted(report["command"] for report, _ in rendered_reports) == sorted(cli._COMMANDS)
     assert sorted(report["command"] for report, _ in rendered_reports
-                  if any(type(v) is cli._Rows for v in report.values())) == sorted(ROW_KEYS)
+                  if any(type(v) is cli._Table for v in report.values())) == sorted(ROW_KEYS)
     for report, rendered in rendered_reports:
         report = _expanded(report)
         assert json.loads(rendered) == report
@@ -599,10 +599,9 @@ def test_report_layout_on_the_smallest_job_of_each_command(monkeypatch):
                                     {"command": "x", "values": [1.0, float("inf")]},
                                     {"command": "x", "rows": [{"value": -float("inf")}]},
                                     {"command": "x", "table": {"nested": [float("nan")]}},
-                                    {"command": "x", "rows": cli._Rows(cli._template(1, y="{!r}"),
-                                                                        [(1, 0.5), (2, float("nan"))])},
-                                    {"command": "x", "rows": cli._Rows(cli._template(0, y="{!r}"),
-                                                                        [(-float("inf"),)])}],
+                                    {"command": "x", "rows": cli._Table((1,), [{"y": [repr(0.5), repr(float("nan"))]}],
+                                                                         set())},
+                                    {"command": "x", "rows": cli._Table((), [{"y": [repr(-float("inf"))]}], set())}],
                          ids=["scalar", "list", "list-element", "dict", "row-nan", "row-inf"])
 def test_render_rejects_nan_and_infinity(report):
     with pytest.raises(ValueError):
@@ -808,18 +807,18 @@ def test_weights_turns_each_distinct_weight_into_text_once(monkeypatch, fmt):
     expected = cli.run(config, fmt=fmt)
     tables = []
 
-    class Recorded(cli._Rows):
-        def __init__(self, *args):
-            super().__init__(*args)
+    class Recorded(cli._Table):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             tables.append(self)
 
-    monkeypatch.setattr(cli, "_Rows", Recorded)
+    monkeypatch.setattr(cli, "_Table", Recorded)
     assert cli.run(config, fmt=fmt) == expected
-    [rows] = tables
-    texts = [cell for row in rows for cell in row[3:5]]
+    [table] = tables
+    texts = [cell for group in table.groups for key in ("omega", "sigma") for cell in group[key]]
     assert {type(cell) for cell in texts} == {str}
     assert len({id(cell) for cell in texts}) == len(set(map(float, texts))) < len(texts)
-    assert all(omega is sigma for _, _, j, omega, sigma, _ in rows if j == 2)
+    assert all(map(operator.is_, table.groups[1]["omega"], table.groups[1]["sigma"]))  # j = 2
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

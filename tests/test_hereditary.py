@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from hartogs import hereditary
 from hartogs.errors import (
     DuplicatePoints,
     MalformedInput,
@@ -239,6 +240,21 @@ def test_ordering_check_unverified_spectrum():
     T = MatrixTuple((s, np.eye(2, dtype=complex) * 0.9))
     rep = ordering_check(T)
     assert not rep.spectrum_checked and rep.spectrum_in_triangle is None
+
+
+def test_ordering_check_scales_the_triangle_test_by_the_stored_norms(monkeypatch):
+    # The strictly lower entry 2e-10 passes as 0 only against the norm 3 of
+    # its matrix, which ordering_check reads off T.norms: no SVD runs again.
+    m = np.array([[3.0, 0.0], [2e-10, 1.0]], dtype=complex)
+    T = MatrixTuple((m,))
+    assert T.norms[0] == _opnorm(m) > 2
+
+    def refuse(m):
+        raise AssertionError("a norm was computed again")
+
+    monkeypatch.setattr(hereditary, "_opnorm", refuse)
+    rep = ordering_check(T)
+    assert rep.spectrum_checked and not rep.spectrum_in_triangle and not rep.chain_holds
 
 
 def test_pick_verify_certificate_examples():

@@ -268,9 +268,13 @@ def test_coefficients_beyond_the_float_range_raise_malformed_input():
     ctx = make_context(hartogs_tuple(2), (520, 2), (520, 0))
     with pytest.raises(MalformedInput, match="has no float value"):
         basis_eval(ctx, (520, 0), (0.5, 0.5))
-    ctx = make_context(hartogs_tuple(1), (520,), (520,))
-    with pytest.raises(MalformedInput, match="has no float value"):
-        kernel_series_eval(ctx, (0.5,), (0.5,), 520)
+    # The series names the coefficient alike with d = 1 and with d = 7, where
+    # A(60, 0) = (10^6 / 7)^60 > 10^309.
+    for ctx, z in ((make_context(hartogs_tuple(1), (520,), (520,)), (0.5,)),
+                   (make_context(from_polys([{(1, 0): F(10 ** 6, 7)}, {(0, 1): 1}]), (1, 1), (60, 60)), (0, 0.5))):
+        assert ctx.table.d in (1, 7)
+        with pytest.raises(MalformedInput, match=r"^a coefficient A\(alpha\) has no float value$"):
+            kernel_series_eval(ctx, z, z, ctx.bounds[0])
 
 
 def _box_series(ctx, z, w, cutoff):

@@ -211,6 +211,36 @@ def test_format_rational_over_a_denominator_is_the_reduced_fraction():
     assert format_rationals(v for v, _ in ints) == [format_rational(v) for v, _ in ints]
 
 
+def test_format_rationals_over_denominators_with_any_sign_and_shared_denominators():
+    # A hypo_diag column holds zero and negative numerators; its denominators
+    # repeat, and some reduce to 1 (or are 1), which prints no "/1".
+    nums = [0, 0, -6, 6, -7, 5, 10, -10, 3 ** 40, -(3 ** 40), 4, -4]
+    dens = [1, 9, 4, 4, 1, 1, 5, 5, 6 ** 25, 6 ** 25, 6, 6]
+    texts = format_rationals(nums, dens)
+    assert texts == [format_rational(v, d) for v, d in zip(nums, dens)] == [
+        format_rational(F(v, d)) for v, d in zip(nums, dens)]
+    assert texts[:8] + texts[10:] == ["0", "0", "-3/2", "3/2", "-7", "5", "2", "-2", "2/3", "-2/3"]
+    assert format_rationals([], []) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 12) | st.integers(1, 10 ** 30))))
+def test_format_rationals_is_format_rational_per_cell(cells):
+    nums, dens = [v for v, _ in cells], [d for _, d in cells]
+    assert format_rationals(nums, dens) == [format_rational(F(v, d)) for v, d in cells]
+
+
+def test_format_rationals_digit_limit_applies_to_the_reduced_denominator():
+    # 3^10000 has more digits than the int-to-string limit: as a reduced
+    # denominator it raises ResultTooLarge (never ValueError), also when it
+    # repeats; over a numerator it divides, it never prints.
+    big = 3 ** 10000
+    assert format_rationals([big, 2 * big, 0], [big, big, big]) == ["1", "2", "0"]
+    for nums in ([1], [2, 1], [1, 1, 1]):
+        with pytest.raises(ResultTooLarge, match=f"{sys.get_int_max_str_digits()} digits"):
+            format_rationals(nums, [big] * len(nums))
+
+
 @pytest.mark.parametrize("coeff", [0.5, 1.0, True], ids=["float", "integral-float", "bool"])
 def test_polytuple_rejects_inexact_coefficients(coeff):
     # A float coefficient once made a valid tuple that serialize could not print.
