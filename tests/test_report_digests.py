@@ -1,7 +1,9 @@
 """Byte-identity and value-identity of the CLI reports on the benchmark's jobs of seeds 1-3.
 
 tests/data/report_digests.json holds two SHA-256 per seed, workload and
-sub-command, over the exit code and report of each of its jobs in job order:
+sub-command, over the exit code and report of each of its jobs in job order,
+and, for a sub-command with a CSV form, a second pair over the same jobs in
+the format each job does not name, under ``workload/command@format``:
 a byte digest over the rendered report, and a value digest over its canonical
 parsed value (``json.dumps(json.loads(report), sort_keys=True)`` for JSON, the
 text itself for CSV).  A change that alters any report byte changes a byte
@@ -34,6 +36,7 @@ DIGESTS = ROOT / "tests" / "data" / "report_digests.json"
 SEEDS = (1, 2, 3)
 WORKLOADS = ("tables", "certify", "operators")
 EXACT_COMMANDS = {"coeffs", "weights", "dettrace", "subnormality"}
+FORMATS = ("csv", "json")
 
 
 def _environment() -> dict:
@@ -45,16 +48,25 @@ def _value(rendered: str, fmt: str) -> str:
     return json.dumps(json.loads(rendered), sort_keys=True) if fmt == "json" else rendered
 
 
+def _command(key: str) -> str:
+    """The sub-command of a 'workload/command' or 'workload/command@format' key."""
+    return key.split("/")[1].split("@")[0]
+
+
 def report_digests(jobs, seed: int) -> dict[str, dict[str, str]]:
     """'digests' and 'value_digests': 'workload/command' -> SHA-256 over the
-    (code, rendered) and over the (code, canonical value) of its jobs of the seed."""
+    (code, rendered) and over the (code, canonical value) of its jobs of the seed,
+    each in its own format.  A job of a command with a CSV form is also run in
+    the other format, under 'workload/command@format'."""
     hashers: dict[str, dict[str, hashlib._Hash]] = {"digests": {}, "value_digests": {}}
     for workload in WORKLOADS:
         for job in jobs.generate(workload, seed):
-            code, rendered = cli.run(job.config, seed=job.seed, fmt=job.fmt)
-            key = f"{workload}/{job.config['command']}"
-            for kind, text in (("digests", rendered), ("value_digests", _value(rendered, job.fmt))):
-                hashers[kind].setdefault(key, hashlib.sha256()).update(f"{code}\0{text}\0".encode())
+            command = job.config["command"]
+            for fmt in FORMATS if command in cli.CSV_COMMANDS else (job.fmt,):
+                code, rendered = cli.run(job.config, seed=job.seed, fmt=fmt)
+                key = f"{workload}/{command}" + ("" if fmt == job.fmt else f"@{fmt}")
+                for kind, text in (("digests", rendered), ("value_digests", _value(rendered, fmt))):
+                    hashers[kind].setdefault(key, hashlib.sha256()).update(f"{code}\0{text}\0".encode())
     return {kind: {key: h.hexdigest() for key, h in sorted(by_key.items())}
             for kind, by_key in hashers.items()}
 
@@ -77,8 +89,8 @@ def test_reports_match_recorded_digests(monkeypatch):
         for seed, digests in by_seed.items():
             expected = recorded[kind][seed]
             assert sorted(digests) == sorted(expected)
-            compared = [key for key in digests if same_platform or key.split("/")[1] in EXACT_COMMANDS]
-            assert any(key.split("/")[1] in EXACT_COMMANDS for key in compared)
+            compared = [key for key in digests if same_platform or _command(key) in EXACT_COMMANDS]
+            assert any(_command(key) in EXACT_COMMANDS for key in compared)
             assert {key: digests[key] for key in compared} == {key: expected[key] for key in compared}
 
 
