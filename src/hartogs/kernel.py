@@ -60,10 +60,19 @@ def _hadamard_phi(ctx: KernelContext, z: Sequence[complex], w: Sequence[complex]
 
 
 def kernel_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[complex]) -> complex:
-    """Closed-form kernel value; both points must lie in the triangle."""
+    """Closed-form kernel value; both points must lie in the triangle.  A
+    factor (1 - P_j(u))^m_j that rounds to 0 or leaves the float range, as it
+    may at a point the triangle test admits, raises MalformedInput."""
     u, value = _hadamard_phi(ctx, z, w)
     for j, poly in enumerate(ctx.P.polys):
-        value /= (1 - poly_eval(poly, u)) ** ctx.m[j]
+        try:
+            factor = (1 - poly_eval(poly, u)) ** ctx.m[j]
+        except OverflowError:
+            factor = 0
+        if not factor:
+            raise MalformedInput(f"the kernel at z={tuple(z)}, w={tuple(w)} has a factor "
+                                 f"(1 - P_{j + 1}(u))^m_{j + 1} of 0 or beyond the float range")
+        value /= factor
     return value
 
 

@@ -10,8 +10,9 @@ that coeff_function fills, whose per-axis pad holds at least one zero cell,
 and a cell is reached only through that table's offset rule, from one walk
 over the table's one window.  One reader, WeightTable.quotients, gives
 every weight view those quotients as two int columns over a walk.  The
-probes decide each identity on integer cross-products of B read at fixed
-offsets, where the zero pad stands for a cell off the lattice.  A report
+probes decide the factorization on the offset rule of the views, and each
+commutator identity on integer cross-products of B read at fixed offsets,
+where the zero pad stands for a cell off the lattice.  A report
 divides the columns into floats by ``polytuple._to_float`` or formats them,
 and a ``Fraction`` is made only where a caller asks for an exact value, as
 ``mult_sq``/``shift_sq`` do.
@@ -190,8 +191,8 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     """Exact checks of the shift factorization and the commuting dichotomy,
     and the circularity of the multiplication tuple, over one weight table.
 
-    Verifies the telescoping identity between multiplication and shift
-    weights on interior cells, exhibits a cell where the cross commutator
+    Verifies that multiplication by z_j factors into the single shifts along
+    alpha -> alpha + tail_j, exhibits a cell where the cross commutator
     of the adjoint of z_{n-1} with z_n is nonzero, and checks that every
     cross commutator of a single shift with the adjoint of another vanishes
     for the polydisc counterpart: the tuple of the restrictions of each P_j
@@ -201,6 +202,15 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     squares, as integer cross-products of the scaled table.  The table of
     (P, m) also serves as the counterpart's table when each P_j depends on
     z_j alone.
+
+    The single shift in z_k at a cell has square d B(cur)/B(cur + e_k), so
+    along alpha -> alpha + tail_j, k from n - 1 down to j, each B between the
+    ends cancels and the product is d^(n-j) B(alpha)/B(alpha + tail_j): the
+    squared multiplication weight exactly when mult_steps[j] steps by the sum
+    of the strides from j on and scales by d^(n-j).  factorization_exact
+    decides that rule, which a per-cell scan of the cross-products only
+    re-proves, since B is positive on the lattice; cells_checked counts the
+    cells alpha with alpha + tail_j in the window that the rule covers.
 
     circularity_max_deviation is the largest entrywise deviation, over the
     angle tuples theta in thetas (each of n finite angles, else ValueError),
@@ -217,9 +227,6 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     if n < 2:
         raise WrongDimension("commutation probe needs at least two variables")
     wt = WeightTable(P, m, window)
-    # The single shift in z_k at the cell of offset o has square d B[o] / B[o + stride_k].
-    dB = [wt.d * b for b in wt.B]
-    cells_checked, mismatches = _telescoping_mismatches(wt, [(dB, wt.B[s:]) for s in wt._strides])
     witness = _commutator_witness(wt, unit_index(n, n - 1), tail_index(n, n - 2))
     counterpart = from_polys({tuple(e * u for u in unit_index(n, j)): c for e, c in r.items()}
                              for j, r in enumerate(tilde_restrictions(P)))
@@ -228,10 +235,11 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
         _commutator_witness(polydisc, unit_index(n, j), unit_index(n, k)) is None
         for j in range(n) for k in range(n) if j != k)
     return CommutationProbe(
-        factorization_exact=not mismatches,
+        factorization_exact=all(view == (sum(wt._strides[j:]), wt.d ** (n - j))
+                                for j, view in enumerate(wt.mult_steps)),
         noncommuting_witness=witness,
         polydisc_all_zero=polydisc_all_zero,
-        cells_checked=cells_checked,
+        cells_checked=sum(len(wt.walk(tail)) for tail in wt._tails),
         circularity_max_deviation=_circularity_deviation(wt, thetas),
     )
 
@@ -254,37 +262,6 @@ def _commutator_witness(wt: WeightTable, a: MultiIndex, b: MultiIndex) -> MultiI
         if B[off] * B[off + up - down] != B[off - down] * B[off + up]:
             return wt._cell(off)
     return None
-
-
-def _telescoping_mismatches(wt: WeightTable, steps: Sequence[tuple[list[int], list[int]]],
-                            ) -> tuple[int, list[tuple[int, MultiIndex]]]:
-    """The telescoping scan: over the cells alpha of the window with
-    alpha + tail_j in it, compare the product of the single-step squares
-    along alpha -> alpha + tail_j, k from n - 1 down to j, with the squared
-    multiplication weight d^(n-j) B(alpha) / B(alpha + tail_j).
-
-    steps[k] = (nums, dens) gives the single-step square in z_k at the cell
-    of offset o in wt.B as nums[o] / dens[o], with dens positive on the
-    lattice; the comparison is the integer cross-product
-    prod nums * B(alpha + tail_j) == d^(n-j) B(alpha) * prod dens.  Returns
-    the cells checked and the mismatching (j, alpha) in scan order."""
-    n = wt.P.n
-    mismatches = []
-    checked = 0
-    for j in range(n):
-        path = [(*steps[k], wt._strides[k]) for k in range(n - 1, j - 1, -1)]
-        offsets = wt.walk(wt._tails[j])
-        checked += len(offsets)
-        for off, scaled, up in zip(offsets, *wt.quotients(offsets, *wt.mult_steps[j])):
-            num = den = 1
-            cur = off
-            for nums, dens, stride in path:
-                num *= nums[cur]
-                den *= dens[cur]
-                cur += stride
-            if num * up != scaled * den:
-                mismatches.append((j, wt._cell(off)))
-    return checked, mismatches
 
 
 def _circularity_deviation(wt: WeightTable, thetas: Sequence[Sequence[float]]) -> float:
@@ -479,26 +456,26 @@ def polydisc_intertwining_check(P: PolyTuple, m: Sequence[int],
     division by (1-P_j) over the whole box, and the single shifts from the
     scaled univariate axis tables (_axis_scaled), so the identity genuinely
     cross-checks the factorization of the coefficient function for admissible
-    tuples.  The scan is that of the factorization probe, with the polydisc
-    single shifts in place of the triangle ones.
+    tuples.  Along alpha -> alpha + tail_j the single shift in z_k reads
+    d_k B_k(alpha_k) over B_k(alpha_k + 1), and the product over k >= j is
+    compared with the squared multiplication weight at alpha as the integer
+    cross-product; mismatches lists the first 16 failing (j, alpha) in scan
+    order, j ascending and alpha row-major.
     """
     if not admissibility_degree(P).admissible:
         raise NotAdmissible("intertwining needs each P_j to depend on z_j alone")
     wt = WeightTable(P, m, window)
-
-    def along(k: int, values: list[int]) -> list[int]:
-        # values[p] at every cell of B whose k-th padded coordinate is p.
-        stride = wt._strides[k]
-        return [v for v in values for _ in range(stride)] * (len(wt.B) // (stride * len(values)))
-
-    # The polydisc shift in z_k at every cell whose k-th entry is i has square
-    # A_k(i)/A_k(i + 1) = d_k B_k(i) / B_k(i + 1); 0 fills the pad and the margin.
-    steps = []
-    for k, r in enumerate(window.bounds):
-        scaled, d = _axis_scaled(P, m, k, r + 1)
-        pad = [0] * wt._table.pad[k]
-        steps.append((along(k, [*pad, *(d * b for b in scaled[:-1]), 0]), along(k, [*pad, *scaled[1:], 0])))
-    checked, mismatches = _telescoping_mismatches(wt, steps)
-    return IntertwiningReport(ok=not mismatches, cells_checked=checked,
-                              mismatches=mismatches[:16])
-
+    axes = [_axis_scaled(P, m, k, r) for k, r in enumerate(window.bounds)]
+    checked, mismatches = 0, []
+    for j, (tail, view) in enumerate(zip(wt._tails, wt.mult_steps)):
+        offsets = wt.walk(tail)
+        checked += len(offsets)
+        inside = [b - t for b, t in zip(window.bounds, tail)]
+        for alpha, scaled, up in zip(box(inside), *wt.quotients(offsets, *view)):
+            num = den = 1
+            for (B_k, d_k), a in zip(axes[j:], alpha[j:]):
+                num *= d_k * B_k[a]
+                den *= B_k[a + 1]
+            if num * up != scaled * den:
+                mismatches.append((j, alpha))
+    return IntertwiningReport(ok=not mismatches, cells_checked=checked, mismatches=mismatches[:16])

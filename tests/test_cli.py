@@ -1087,6 +1087,25 @@ def test_kernel_coefficients_below_the_float_range_add_nothing():
                                 "series": [8 / 7, 0.0], "abs_err": 0.0}]
 
 
+# z_2 conj(z_2) rounds to 1.0 at a point whose |z_2|^2 stays below 1, so the
+# triangle admits it and 1 - P_2(u) is 0; (1 - P_1(u))^2000 overflows the complex power.
+EDGE_POINT = [[0, 0], [-0.8615152973515641, -0.5077316145654572]]
+KERNEL_FACTOR_LEAVES_THE_FLOATS = {
+    "factor-rounds-to-0": {"m": [1, 1], "window": [2, 2], "pairs": [[EDGE_POINT, EDGE_POINT]]},
+    "factor-overflows": {"m": [2000, 1], "window": [1, 1],
+                         "pairs": [[[[0.475, 0], [0.5, 0]], [[-0.475, 0], [0.5, 0]]]]},
+}
+
+
+@pytest.mark.parametrize("fields", KERNEL_FACTOR_LEAVES_THE_FLOATS.values(), ids=KERNEL_FACTOR_LEAVES_THE_FLOATS)
+def test_main_kernel_factor_beyond_the_float_range_exit_2(tmp_path, capsys, fields):
+    code, report = _main_exit(tmp_path, {"command": "kernel", "poly_tuple": P0, **fields})
+    assert code == 2
+    assert report["error"] == "MalformedInput"
+    assert "of 0 or beyond the float range" in report["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_module_entry_point_malformed_config_exit_2(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(PROBES["radius-N-0"]))

@@ -159,6 +159,14 @@ def test_gram_random_points(ctx0):
     assert gram_psd_check(ctx0, points) >= -1e-10 * diag
 
 
+def test_gram_of_a_point_whose_kernel_factor_rounds_to_0_raises_malformed_input(ctx0):
+    # The triangle admits the point, but z_2 conj(z_2) rounds to 1.0.
+    point = (0j, complex(-0.8615152973515641, -0.5077316145654572))
+    assert triangle_contains(hartogs_tuple(2), point)
+    with pytest.raises(MalformedInput, match=r"\(1 - P_2\(u\)\)\^m_2 of 0 or beyond the float range"):
+        gram_psd_check(ctx0, [(0.1, 0.4), point])
+
+
 def test_beta_integral_small_cases():
     numeric, closed = beta_integral_check(0, 0)
     assert closed == pytest.approx(math.pi)

@@ -467,21 +467,27 @@ def test_quotient_columns_are_the_per_cell_quotients(data):
                          [scaled_cell(wt, alpha) for alpha in wt.window.cells])
 
 
-def assert_scans_match_oracles(wt):
-    n, window = wt.P.n, wt.window
+def assert_probe_matches_oracles(P, m, window):
+    """The flat commutator scans, and the three verdicts of the probe, against
+    the Fraction oracles over the weight table the probe builds; returns that
+    table."""
+    n = P.n
+    wt = WeightTable(P, m, window)
     for j in range(n):
         for k in range(n):
             if j != k:
                 e_j, e_k = unit_index(n, j), unit_index(n, k)
                 assert shiftops._commutator_witness(wt, e_j, e_k) == oracle_commutator_witness(
                     window, wt.shift_sq[j], e_j, wt.shift_sq[k], e_k)
+    probe = factorization_and_commutation_probe(P, m, window)
+    checked, mismatches = oracle_telescoping_mismatches(wt, window, lambda k, cur: wt.shift_sq[k][cur])
+    assert probe.cells_checked == checked
+    assert probe.factorization_exact == (not mismatches)
     a, b = unit_index(n, n - 1), tail_index(n, n - 2)
-    assert shiftops._commutator_witness(wt, a, b) == oracle_commutator_witness(
+    assert probe.noncommuting_witness == oracle_commutator_witness(
         window, wt.shift_sq[n - 1], a, wt.mult_sq[n - 2], b)
-    dB = [wt.d * v for v in wt.B]
-    steps = [(dB, wt.B[s:]) for s in wt._strides]
-    assert shiftops._telescoping_mismatches(wt, steps) == oracle_telescoping_mismatches(
-        wt, window, lambda k, cur: wt.shift_sq[k][cur])
+    assert probe.polydisc_all_zero == oracle_polydisc_all_zero(P, m, window)
+    return wt
 
 
 @settings(max_examples=60, deadline=None)
@@ -494,18 +500,8 @@ def test_flat_scans_equal_the_tuple_oracles(data):
     n = P.n
     m = tuple(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n), label="m"))
     bounds = tuple(data.draw(st.lists(st.integers(0, 6 - n), min_size=n, max_size=n), label="window"))
-    window = build_window(bounds)
-    wt = WeightTable(P, m, window)
+    wt = assert_probe_matches_oracles(P, m, build_window(bounds))
     assert wt.d != 1
-    assert_scans_match_oracles(wt)
-    probe = factorization_and_commutation_probe(P, m, window)
-    a, b = unit_index(n, n - 1), tail_index(n, n - 2)
-    checked, mismatches = oracle_telescoping_mismatches(wt, window, lambda k, cur: wt.shift_sq[k][cur])
-    assert probe.cells_checked == checked
-    assert probe.factorization_exact == (not mismatches)
-    assert probe.noncommuting_witness == oracle_commutator_witness(
-        window, wt.shift_sq[n - 1], a, wt.mult_sq[n - 2], b)
-    assert probe.polydisc_all_zero == oracle_polydisc_all_zero(P, m, window)
 
 
 @pytest.mark.parametrize("P, m, bounds, cell", [
@@ -514,19 +510,54 @@ def test_flat_scans_equal_the_tuple_oracles(data):
     (hartogs_tuple(3), (1, 1, 2), (2, 2, 2), (0, 1, 0)),
     (hartogs_tuple(3), (2, 1, 1), (2, 2, 2), (1, 0, 1)),
 ])
-def test_flat_scans_on_a_perturbed_table_agree_at_the_lattice_edge(P, m, bounds, cell):
+def test_flat_scans_on_a_perturbed_table_agree_at_the_lattice_edge(monkeypatch, P, m, bounds, cell):
     # The table of a tuple whose weights factor, with one cell on a face
-    # alpha_k = 0 raised by 1: the commutators now fail first at a cell on
-    # that face, where one read of each identity steps off the lattice.  The
-    # Fraction squares of the oracles are built from the perturbed table.
+    # alpha_k = 0 raised by 1, handed to the probe and to the oracles alike:
+    # the commutators now fail first at a cell on that face, where one read
+    # of each identity steps off the lattice.  The Fraction squares of the
+    # oracles are built from the perturbed table.
     n = P.n
-    window = build_window(bounds)
-    wt = WeightTable(P, m, window)
-    wt.B[wt.walk()[_offset(cell, window.bounds)]] += 1
+    build = shiftops.coeff_function
+
+    def perturbed(Q, m, table_bounds):
+        table = build(Q, m, table_bounds)
+        table.B[table.offset(cell)] += 1
+        return table
+
+    monkeypatch.setattr(shiftops, "coeff_function", perturbed)
+    wt = assert_probe_matches_oracles(P, m, build_window(bounds))
     witnesses = [shiftops._commutator_witness(wt, unit_index(n, j), unit_index(n, k))
                  for j in range(n) for k in range(n) if j != k]
     assert any(w is not None and 0 in w for w in witnesses)
-    assert_scans_match_oracles(wt)
+
+
+@pytest.mark.parametrize("P, m, bounds", [
+    (from_polys([{(1, 0): F(4, 3), (2, 0): F(1, 5)}, {(0, 1): F(3, 2)}]), (1, 2), (3, 3)),
+    (from_polys([{(1, 0): F(4, 3), (1, 1): F(2, 5)}, {(0, 1): F(1), (1, 1): F(1, 3)}]), (2, 1), (3, 2)),
+    (from_polys([{(1, 0, 0): F(1, 2), (0, 2, 0): F(1, 3)}, {(0, 1, 0): F(2)}, {(0, 0, 1): F(3, 2)}]),
+     (1, 1, 2), (2, 1, 2)),
+], ids=["admissible-2", "mixed-2", "mixed-pure-3"])
+@pytest.mark.parametrize("broken", ["step", "scale"])
+def test_factorization_verdict_fails_on_a_broken_mult_view(monkeypatch, P, m, bounds, broken):
+    # A mult view that steps one stride short, or scales by one factor d too
+    # many, is not the product of the single shifts: the verdict must say so,
+    # as the per-cell oracle over the squares of that view does.
+    n, window = P.n, build_window(bounds)
+    for j in range(n):
+        class Broken(WeightTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                step, scale = self.mult_steps[j]
+                self.mult_steps[j] = (step - self._strides[j], scale) if broken == "step" else (step, scale * self.d)
+
+        monkeypatch.setattr(shiftops, "WeightTable", Broken)
+        probe = factorization_and_commutation_probe(P, m, window)
+        wt = Broken(P, m, window)
+        assert wt.d != 1
+        checked, mismatches = oracle_telescoping_mismatches(wt, window, lambda k, cur: wt.shift_sq[k][cur])
+        assert not probe.factorization_exact
+        assert probe.factorization_exact == (not mismatches)
+        assert probe.cells_checked == checked
 
 
 @settings(max_examples=30, deadline=None)
