@@ -37,7 +37,7 @@ import traceback
 from collections.abc import Iterator, Sequence
 
 from .errors import HartogsError, InvalidConfig, MalformedInput, UnknownCommand
-from .polytuple import (_box_walk, _to_float, admissibility_degree, format_rational, format_rationals,
+from .polytuple import (_to_float, admissibility_degree, format_rational, format_rationals,
                         parse_and_validate, parse_rational)
 
 CSV_COMMANDS = {"coeffs", "kernel", "weights", "domain", "quadrature"}
@@ -213,12 +213,9 @@ def _cmd_validate(c: dict, seed) -> tuple[bool | None, dict, None]:
 @_command("coeffs", poly_tuple=_P, m=_M, window=_WINDOW)
 def _cmd_coeffs(c: dict, seed):
     from .coeff import coeff_function
-    P, bounds = c["poly_tuple"], c["window"]
-    table = coeff_function(P, c["m"], bounds)
-    cells = map(table.B.__getitem__, table.walk(bounds))
-    # A(alpha) = B(alpha) / d^|alpha|, and the unit strides walk the box as |alpha|.
-    scales = None if table.d == 1 else map(table.scales.__getitem__, _box_walk(bounds, (1,) * P.n))
-    rows = _Table(bounds, [{"value": format_rationals(cells, scales)}], quoted={"value"})
+    bounds = c["window"]
+    columns = coeff_function(c["poly_tuple"], c["m"], bounds).columns(bounds)
+    rows = _Table(bounds, [{"value": format_rationals(*columns)}], quoted={"value"})
     return None, {"bounds": list(bounds), "entries": rows}, rows
 
 
@@ -258,17 +255,16 @@ def _cmd_weights(c: dict, seed):
     P, m = c["poly_tuple"], c["m"]
     window = shiftops.build_window(c["window"])
     wt = shiftops.op_weights(P, m, window)
-    n, walk = P.n, wt.walk()
+    n, walk, B = P.n, wt.walk(), wt.B
     # Per j, int columns of the scaled table; their int true division rounds as float(Fraction) does.
     squares, hypos = [], []
     for j, ((step, scale), shift) in enumerate(zip(wt.mult_steps, wt.shift_steps)):
         w_num, w_den = wt.quotients(walk, step, scale)  # omega^2 at alpha
-        low_num, low_den = wt.quotients([off - step for off in walk], step, scale)  # and at alpha - tail_j
         squares += ((w_num, w_den, "a squared weight omega^2"),
                     (*wt.quotients(walk, *shift), "a squared weight sigma^2"))  # sigma^2 at alpha
-        # hypo_diag = omega^2(alpha) - omega^2(alpha - tail_j), where low_den is B(alpha)
-        hypos.append(([p * q - r * s for p, q, r, s in zip(w_num, low_den, low_num, w_den)],
-                      [p * q for p, q in zip(w_den, low_den)]))
+        # hypo_diag = omega^2(alpha) - omega^2(alpha - tail_j) = p/q - scale B[off - step] / B[off]
+        hypos.append(([p * B[off] - scale * B[off - step] * q for p, q, off in zip(w_num, w_den, walk)],
+                      [q * B[off] for q, off in zip(w_den, walk)]))
     # Every float first.  On an overflow, or a 0.0 (no quotient is 0), replay the rows
     # up to the weight without a float value as the per-row build ran them, so a
     # hypo_diag of an earlier row too long to print fails first.

@@ -25,11 +25,11 @@ instead.
 The division kernel works in int: it yields the scaled table
 B(alpha) = d^|alpha| A(alpha) and the common denominator d.  A CoeffTable
 holds that scaled form and reduces a cell to a Fraction only when a consumer
-asks for one: coeffs reduces and formats its whole value column at once,
-with one gcd map over the cells B(alpha) and the scales d^|alpha| and two
-floordiv maps, and the kernel series divides them into floats.  The oracle
-route builds the same table with pad 0, the compact layout.  The axis tables
-have one builder, _axis_scaled, and stay scaled integers: their consumers
+asks for one: values and coeffs reduce the columns of the cells B(alpha)
+and their scales d^|alpha| at once (coeffs by one gcd map and two floordiv
+maps), and the kernel series divides them into floats.  The oracle route
+builds the same table with pad 0, the compact layout.  The axis tables have
+one builder, _axis_scaled, and stay scaled integers: their consumers
 compare them, take logs, divide neighbouring cells or put their reciprocals
 over one denominator.
 """
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,6 +104,12 @@ class CoeffTable:
     def scales(self) -> tuple[int, ...]:
         """d^k for k = 0..|bounds|: A(alpha) = B[offset(alpha)] / scales[|alpha|]."""
         return tuple(self.d ** k for k in range(sum(self.bounds) + 1))
+
+    def columns(self, bounds: MultiIndex) -> tuple[Iterator[int], Iterator[int] | None]:
+        """The cells B(alpha) of the sub-box 0 <= alpha <= bounds in row-major order, and
+        their scales d^|alpha| (the unit strides walk the box as |alpha|), None when d = 1."""
+        cells, ones = map(self.B.__getitem__, self.walk(bounds)), (1,) * len(bounds)
+        return cells, None if self.d == 1 else map(self.scales.__getitem__, _box_walk(bounds, ones))
 
     @functools.cached_property
     def values(self) -> tuple[Fraction, ...]:
@@ -219,13 +225,9 @@ def _divided(bounds: MultiIndex,
 
 
 def _reduced(table: CoeffTable) -> tuple[Fraction, ...]:
-    """A(alpha) = B(alpha) / d^|alpha| as reduced Fractions: the whole table,
-    which CoeffTable.values builds once."""
-    cells = map(table.B.__getitem__, table.walk(table.bounds))
-    if table.d == 1:
-        return tuple(map(Fraction, cells))
-    scales = table.scales
-    return tuple(Fraction(b, scales[sum(alpha)]) for alpha, b in zip(box(table.bounds), cells))
+    """A(alpha) = B(alpha) / d^|alpha| as Fractions over the table, which CoeffTable.values builds once."""
+    cells, scales = table.columns(table.bounds)
+    return tuple(map(Fraction, cells) if scales is None else map(Fraction, cells, scales))
 
 
 def _scaled(bounds: MultiIndex, values: list[Fraction], d: int) -> list[int]:

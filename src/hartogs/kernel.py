@@ -14,7 +14,9 @@ the expansion and for kernels without a hand-simplified form.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -90,10 +92,7 @@ def kernel_series_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[com
     if any(cutoff > b for b in ctx.bounds):
         raise WindowTooSmall(f"cutoff {cutoff} exceeds table bounds {ctx.bounds}")
     n = ctx.P.n
-    powers = [[1 + 0j] for _ in range(n)]
-    for j in range(n):
-        for _ in range(cutoff):
-            powers[j].append(powers[j][-1] * u[j])
+    powers = [list(itertools.accumulate([u_j] * cutoff, operator.mul, initial=1 + 0j)) for u_j in u]
     B, scales, strides = ctx.table.B, ctx.table.scales, ctx.table.strides
     # (offset, product of powers, degree) of each prefix alpha_1..alpha_j, j < n;
     # the last axis has stride 1
@@ -106,9 +105,8 @@ def kernel_series_eval(ctx: KernelContext, z: Sequence[complex], w: Sequence[com
     try:
         for off, prod, deg in prefixes:
             for a in range(cutoff - deg + 1):
-                if b := B[off + a]:
-                    # an A(alpha) < 1 that rounds to 0.0 lies below the resolution of the sum
-                    total += b / scales[deg + a] * (prod * last[a])
+                # B > 0 on the lattice; an A(alpha) < 1 that rounds to 0.0 is below the sum's resolution
+                total += B[off + a] / scales[deg + a] * (prod * last[a])
     except OverflowError:  # an A(alpha) >= 1 beyond the float range
         raise MalformedInput("a coefficient A(alpha) has no float value") from None
     return prefactor * total

@@ -7,9 +7,9 @@ each ``P_j`` carries a strictly positive coefficient ``a_j`` on ``z_j``;
 ``PolyTuple`` checks this when it is constructed, so every ``PolyTuple`` is
 valid.  ``parse_and_validate`` reads a tuple document in one pass: each term
 is checked once as it is read, each coefficient is built once, and a term's
-location is put into text only for its error message.  ``poly_eval`` is the
-one evaluator and ``poly_mul`` the one product of term maps.  All arithmetic
-is exact; ``_to_float`` is the one way to a float.
+location is put into text only for its error message.  ``poly_eval`` and
+``geometry._eval_terms`` evaluate in floats, and ``poly_mul`` is the one product
+of term maps; all else is exact, and ``_to_float`` is the one way to a float.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _offset(alpha: MultiIndex, bounds: MultiIndex) -> int:
 # --- polynomial helpers -------------------------------------------------------
 
 def poly_eval(p: Mapping[MultiIndex, Fraction], point: Iterable[complex]) -> complex:
-    """Evaluate a term map at a point (complex, float, or Fraction entries)."""
+    """Evaluate a term map in floats at a point of float or complex entries."""
     pt = tuple(point)
     total = 0
     for alpha, coeff in p.items():
@@ -106,7 +106,7 @@ def poly_eval(p: Mapping[MultiIndex, Fraction], point: Iterable[complex]) -> com
         for z, k in zip(pt, alpha):
             if k:
                 mono *= z ** k
-        total += coeff * mono if isinstance(mono, Fraction) else _to_float(coeff, "a coefficient") * mono
+        total += _to_float(coeff, "a coefficient") * mono
     return total
 
 

@@ -11,8 +11,8 @@ and a cell is reached only through that table's offset rule, from one walk
 over the table's one window.  One reader, WeightTable.quotients, gives
 every weight view those quotients as two int columns over a walk.  The
 probes decide the factorization on the offset rule of the views, and each
-commutator identity on integer cross-products of B read at fixed offsets,
-where the zero pad stands for a cell off the lattice.  A report
+commutator identity once, on integer cross-products of B read at fixed
+offsets, where the zero pad stands for a cell off the lattice.  A report
 divides the columns into floats by ``polytuple._to_float`` or formats them,
 and a ``Fraction`` is made only where a caller asks for an exact value, as
 ``mult_sq``/``shift_sq`` do.
@@ -37,15 +37,11 @@ from .errors import EmptyWindow, MalformedInput, NotAdmissible, WrongDimension
 from .polytuple import (
     MultiIndex,
     PolyTuple,
-    _box_walk,
-    _offset,
-    _strides,
     _to_float,
     admissibility_degree,
     box,
-    from_polys,
+    is_pure_term,
     tail_index,
-    tilde_restrictions,
     unit_index,
 )
 
@@ -195,13 +191,12 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     alpha -> alpha + tail_j, exhibits a cell where the cross commutator
     of the adjoint of z_{n-1} with z_n is nonzero, and checks that every
     cross commutator of a single shift with the adjoint of another vanishes
-    for the polydisc counterpart: the tuple of the restrictions of each P_j
-    to its own axis, whose weight table is built whole, so a table that does
-    not factor fails the check.  Coefficients of the compositions are square
-    roots of rationals, so equality and vanishing are decided exactly on the
-    squares, as integer cross-products of the scaled table.  The table of
-    (P, m) also serves as the counterpart's table when each P_j depends on
-    z_j alone.
+    for the polydisc counterpart: the tuple of the pure terms of each P_j,
+    whose weight table is built whole, so a table that does not factor fails
+    the check.  Coefficients of the compositions are square roots of
+    rationals, so equality and vanishing are decided exactly on the squares,
+    as integer cross-products of the scaled table.  The table of (P, m) also
+    serves as the counterpart's table when each P_j depends on z_j alone.
 
     The single shift in z_k at a cell has square d B(cur)/B(cur + e_k), so
     along alpha -> alpha + tail_j, k from n - 1 down to j, each B between the
@@ -211,6 +206,11 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     decides that rule, which a per-cell scan of the cross-products only
     re-proves, since B is positive on the lattice; cells_checked counts the
     cells alpha with alpha + tail_j in the window that the rule covers.
+
+    The polydisc verdict scans each pair j < k once: at alpha' = alpha + e_j - e_k the
+    (k, j) scan tests B(alpha') B(alpha) = B(alpha - e_k) B(alpha + e_j), as the (j, k) scan
+    does at alpha, and alpha -> alpha' maps the non-trivial cells of one scan (alpha_k >= 1,
+    alpha + e_j in the window) onto the other's; elsewhere both sides read the zero pad.
 
     circularity_max_deviation is the largest entrywise deviation, over the
     angle tuples theta in thetas (each of n finite angles, else ValueError),
@@ -227,26 +227,25 @@ def factorization_and_commutation_probe(P: PolyTuple, m: Sequence[int], window: 
     if n < 2:
         raise WrongDimension("commutation probe needs at least two variables")
     wt = WeightTable(P, m, window)
-    witness = _commutator_witness(wt, unit_index(n, n - 1), tail_index(n, n - 2))
-    counterpart = from_polys({tuple(e * u for u in unit_index(n, j)): c for e, c in r.items()}
-                             for j, r in enumerate(tilde_restrictions(P)))
+    walks = [wt.walk(tail) for tail in wt._tails]
+    counterpart = PolyTuple(tuple({alpha: c for alpha, c in p.items() if is_pure_term(alpha, j)}
+                                  for j, p in enumerate(P.polys)))
     polydisc = wt if counterpart == P else WeightTable(counterpart, m, window)
-    polydisc_all_zero = all(
-        _commutator_witness(polydisc, unit_index(n, j), unit_index(n, k)) is None
-        for j in range(n) for k in range(n) if j != k)
     return CommutationProbe(
         factorization_exact=all(view == (sum(wt._strides[j:]), wt.d ** (n - j))
                                 for j, view in enumerate(wt.mult_steps)),
-        noncommuting_witness=witness,
-        polydisc_all_zero=polydisc_all_zero,
-        cells_checked=sum(len(wt.walk(tail)) for tail in wt._tails),
-        circularity_max_deviation=_circularity_deviation(wt, thetas),
+        noncommuting_witness=_commutator_witness(wt, unit_index(n, n - 1), tail_index(n, n - 2), walks[-1]),
+        polydisc_all_zero=all(_commutator_witness(polydisc, unit_index(n, j), unit_index(n, k)) is None
+                              for j, k in itertools.combinations(range(n), 2)),
+        cells_checked=sum(map(len, walks)),
+        circularity_max_deviation=_circularity_deviation(wt, thetas, walks),
     )
 
 
-def _commutator_witness(wt: WeightTable, a: MultiIndex, b: MultiIndex) -> MultiIndex | None:
-    """The first cell alpha of the window in row-major order, with alpha + a
-    in the window, at which S_b* S_a and S_a S_b* differ, or None.
+def _commutator_witness(wt: WeightTable, a: MultiIndex, b: MultiIndex,
+                        walk: Sequence[int] | None = None) -> MultiIndex | None:
+    """The first cell alpha of the window in row-major order, with alpha + a in the
+    window, at which S_b* S_a and S_a S_b* differ, or None; walk, if given, is wt.walk(a).
 
     S_a moves alpha to alpha + a with squared weight d^|a| B(alpha)/B(alpha + a),
     and S_b* moves beta to beta - b with the squared weight of S_b at beta - b.
@@ -258,35 +257,35 @@ def _commutator_witness(wt: WeightTable, a: MultiIndex, b: MultiIndex) -> MultiI
     lattice reads the zero pad at gamma or at alpha - b, and has weight 0.
     """
     B, up, down = wt.B, wt._step(a), wt._step(b)
-    for off in wt.walk(a):
+    for off in wt.walk(a) if walk is None else walk:
         if B[off] * B[off + up - down] != B[off - down] * B[off + up]:
             return wt._cell(off)
     return None
 
 
-def _circularity_deviation(wt: WeightTable, thetas: Sequence[Sequence[float]]) -> float:
+def _circularity_deviation(wt: WeightTable, thetas: Sequence[Sequence[float]],
+                           walks: Sequence[Sequence[int]]) -> float:
     """The circularity scan: the largest |phase(alpha) conj(phase(alpha + tail_j)) w
     - e^{i theta_j} w| over the angle tuples theta and the cells alpha of the
-    window with alpha + tail_j in it, w the float weight of z_j at alpha.
-    Phases and weights are read by window offset; the weights are divided
-    once, and only when there is an angle tuple."""
-    n, window = wt.P.n, wt.window
-    thetas = [list(theta) for theta in thetas]
+    window with alpha + tail_j in it, w the float weight of z_j at alpha.  The
+    weights zip with walks[j] = wt.walk(tail_j) and the phases fill one list at the
+    offsets of wt.walk(); the weights are divided once, and only when there is an angle tuple."""
+    n, thetas = wt.P.n, [list(theta) for theta in thetas]
     for theta in thetas:
         if len(theta) != n or not all(math.isfinite(t) for t in theta):
             raise ValueError(f"theta must have {n} finite entries, got {theta}")
     if not thetas:
         return 0.0
-    strides, floats = _strides(window.bounds), []
-    for tail, (step, scale) in zip(wt._tails, wt.mult_steps):
-        inside, rise = [b - t for b, t in zip(window.bounds, tail)], _offset(tail, window.bounds)
-        nums, dens = wt.quotients(wt.walk(tail), step, scale)
+    floats, deviation = [], 0.0
+    for walk, (step, scale) in zip(walks, wt.mult_steps):
+        nums, dens = wt.quotients(walk, step, scale)
         weights = map(math.sqrt, map(_to_float, nums, itertools.repeat("a squared weight"), dens))
-        floats.append([(at, at + rise, w) for at, w in zip(_box_walk(inside, strides), weights)])
-    deviation = 0.0
+        floats.append([(off, off + step, w) for off, w in zip(walk, weights)])
+    cells, phase = list(zip(wt.walk(), wt.window.cells)), [0j] * len(wt.B)
     for theta in thetas:
         tilde = [theta[j] - theta[j + 1] for j in range(n - 1)] + [theta[n - 1]]
-        phase = [cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha))) for alpha in window.cells]
+        for off, alpha in cells:
+            phase[off] = cmath.exp(-1j * sum(t * a for t, a in zip(tilde, alpha)))
         for j, weights_j in enumerate(floats):
             rotation = cmath.exp(1j * theta[j])
             for at, row, w in weights_j:

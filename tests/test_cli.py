@@ -1,3 +1,4 @@
+import cmath
 import csv
 import importlib
 import io
@@ -515,6 +516,99 @@ def test_second_routes_pass_on_the_smallest_job_of_each_command(monkeypatch):
         checks.check(job, code, rendered)
 
 
+def _perfbench(*names):
+    """The benchmark's modules, imported from perfbench/ without a fixture."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        return [importlib.import_module(name) for name in names]
+
+
+GENERATED_COEFF = st.builds(F, st.integers(1, 3), st.integers(1, 4))
+
+
+@st.composite
+def generated_tuples(draw, n, admissible):
+    """c_j z_j plus up to two terms of degree 2 or 3 with small rational
+    coefficients; unless the tuple must be admissible, a term may be mixed."""
+    polys = []
+    for j in range(n):
+        terms = {tuple(int(i == j) for i in range(n)): draw(GENERATED_COEFF)}
+        for _ in range(draw(st.integers(0, 2))):
+            degree = draw(st.integers(2, 3))
+            if admissible or n == 1 or draw(st.booleans()):
+                alpha = tuple(degree if i == j else 0 for i in range(n))
+            else:
+                alpha = tuple(draw(st.lists(st.integers(0, degree), min_size=n, max_size=n)
+                                   .filter(lambda a: sum(a) >= 2 and sum(map(bool, a)) >= 2)))
+            terms[alpha] = terms.get(alpha, 0) + draw(GENERATED_COEFF)
+        polys.append(terms)
+    return serialize(from_polys(polys))
+
+
+def _generated_point(draw, n, lo, hi):
+    """A point with quotient coordinates of modulus in [lo, hi], as [re, im] pairs."""
+    z, tail = [], 1 + 0j
+    for _ in range(n):
+        tail *= cmath.rect(draw(st.floats(lo, hi)), draw(st.floats(0, 2 * math.pi)))
+        z.append(tail)
+    return [[c.real, c.imag] for c in reversed(z)]
+
+
+def _ints(draw, n, lo, hi):
+    return draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+
+@st.composite
+def generated_configs(draw, command):
+    """A small config of command on a drawn tuple, n = 1 to 3: windows <= 4, K <= 40."""
+    n = draw(st.integers(2 if command in ("probes", "dettrace") else 1, 2 if command == "dettrace" else 3))
+    admissible = command in ("dettrace", "radius") or draw(st.booleans())
+    config = {"command": command, "poly_tuple": draw(generated_tuples(n, admissible))}
+    if command not in ("validate", "domain"):
+        config["m"] = _ints(draw, n, 1, 2 if n == 3 else 3)
+    if command in ("coeffs", "weights"):
+        config["window"] = _ints(draw, n, 0, 4 if n < 3 else 2)
+    elif command == "probes":
+        config["window"] = _ints(draw, n - 2, 0, 3) + _ints(draw, 2, 1, 3 if n < 3 else 2)
+        config["theta_trials"] = draw(st.integers(0, 3))
+    elif command == "subnormality":
+        config.update(gamma=_ints(draw, n, 0, 2), window=_ints(draw, n, 0, 2 if n < 3 else 1),
+                      order=draw(st.integers(1, 3 if n < 3 else 1)))
+    elif command == "dettrace":
+        config["K"] = draw(st.integers(1, 40))
+    elif command == "radius":
+        config.update(j=draw(st.integers(1, n)), K=draw(st.integers(0, 10)), N=draw(st.integers(1, 30)))
+    elif command == "kernel":
+        # Quotient coordinates below 10^-2, so that the series truncated at
+        # total degree 3 or 4 meets the closed form within the check's 1e-8.
+        config["window"] = _ints(draw, n, 3, 4)
+        config["pairs"] = [[_generated_point(draw, n, 1e-3, 1e-2) for _ in "zw"]
+                           for _ in range(draw(st.integers(1, 2)))]
+    elif command == "domain":
+        config["points"] = [_generated_point(draw, n, 0.05, 1.5) for _ in range(draw(st.integers(1, 3)))]
+    return config
+
+
+@pytest.mark.parametrize("command", ["validate", "coeffs", "weights", "probes", "subnormality", "dettrace",
+                                     "kernel", "domain", "radius"])
+def test_second_routes_pass_on_generated_configs(command):
+    # The benchmark's independent checks on configs drawn beyond its job lists:
+    # admissible and mixed tuples with n = 1 to 3, and either format where the
+    # check reads both (coeffs and weights).  hereditary and pick-verify are
+    # left out: their checks read facts the job generator fixed.
+    jobs, checks = _perfbench("jobs", "checks")
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(config=generated_configs(command), seed=st.integers(0, 10 ** 6),
+           fmt=st.sampled_from(["json", "csv"] if command in checks.RENDERED else ["json"]))
+    def second_routes_agree(config, seed, fmt):
+        job = jobs.Job(config, fmt=fmt, seed=seed)
+        code, rendered = cli.run(config, seed=seed, fmt=fmt)
+        checks.check(job, code, rendered)
+
+    second_routes_agree()
+
+
 def _indent_2(report):
     """The rendering of every JSON body before the line layout."""
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -883,6 +977,24 @@ def test_dettrace_ratio_without_a_float_still_exits_2(tmp_path):
     P = serialize(from_polys([{(1, 0): F(10 ** 400)}, {(0, 1): 1}]))
     assert _main_exit(tmp_path, {"command": "dettrace", "poly_tuple": P, "m": [1, 1], "K": 5}) == (
         2, {"error": "MalformedInput", "message": "a_1(5) has no float value"})
+
+
+@pytest.mark.parametrize("c", [(F(1, 10 ** 200), F(1, 10 ** 200)), (F(1, 10 ** 300), F(1, 10 ** 5))],
+                         ids=["square", "product"])
+def test_dettrace_float_trace_beyond_the_float_range_exits_2(tmp_path, c):
+    # a_j(K) = 1/c_j for c_j z_j: (10^200)^2 overflows in the float square, and
+    # 10^300 (10^5)^2 in the float product, where no OverflowError is raised.
+    P = serialize(from_polys([{(1, 0): c[0]}, {(0, 1): c[1]}]))
+    assert _main_exit(tmp_path, {"command": "dettrace", "poly_tuple": P, "m": [1, 1], "K": 5}) == (
+        2, {"error": "MalformedInput",
+            "message": "the float product a_1(K) a_2(K)^2 at K=5 is beyond the float range"})
+
+
+def test_domain_point_whose_squared_modulus_overflows_is_outside(tmp_path):
+    point = [[1e200, 0], [0.5, 0]]
+    code, report = _main_exit(tmp_path, {"command": "domain", "poly_tuple": P0, "points": [point]})
+    assert code == 0
+    assert report["points"] == [{"point": point, "inside": False}]
 
 
 # (a z_1, z_2) for a linear coefficient a, or a weight of M_z, beyond the float range

@@ -71,6 +71,14 @@ def test_hartogs_membership_boundary_is_outside():
     assert not triangle_contains(P0, (0.2, 1.0))
 
 
+def test_membership_of_a_point_whose_squared_moduli_overflow():
+    # |1e200|^2 overflows as a modulus, and 0.1^2 / |1e200|^2 is never formed:
+    # the point is far outside.
+    P0 = hartogs_tuple(2)
+    assert not triangle_contains(P0, (1e200, 1))
+    assert not triangle_contains(P0, (0.1, 1e200))
+
+
 def test_a1_membership():
     P1 = hartogs_tuple(2, 1)
     assert triangle_contains(P1, (0.61, 0.78))
