@@ -4,14 +4,16 @@ One run executes exactly one sub-command and writes one deterministic report
 (JSON, or CSV for tabular commands).  Each command declares its config fields
 in one table, next to its implementation, and returns its JSON entries with
 its CSV rows as a generator over them, so only a CSV run builds the rows.
-coeffs and weights, the large tables, instead hand over their cells as text
-columns (_Table), from which each JSON line, with its keys in sorted order,
-and each CSV line is one join of column texts and constant separators, with
-no Python-level call per row.  They format each exact column in one
-format_rationals call, a few C-level maps over the cells; weights maps its
-float columns as well and turns each distinct weight into text once.
-A command imports the modules it runs inside its function, so a run loads
-only those: numpy only for radius, quadrature, hereditary and pick-verify.
+coeffs and weights, the large tables, and the dettrace diagonal instead hand
+over their cells as text columns (_Table), from which each JSON line, with its
+keys in sorted order, and each CSV line is one join of column texts and
+constant separators, with no Python-level call per row.  They format each
+exact column in one format_rationals call, a few C-level maps over the cells;
+weights maps its float columns as well and turns each distinct weight into
+text once.  A command imports the modules it runs inside its function, so a
+run loads only those: numpy only for radius, quadrature, hereditary and
+pick-verify; traceback only on exit 3, and csv only for a CSV run of a
+command without text columns.
 Each command gets the run's seed, and only probes, the one command that draws
 random numbers, builds a generator from it.  A config field's check puts its
 error message into text only when the value fails it.
@@ -25,15 +27,12 @@ program, never a verdict).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
 import operator
 import random
 import sys
-import traceback
 from collections.abc import Iterator, Sequence
 
 from .errors import HartogsError, InvalidConfig, MalformedInput, UnknownCommand
@@ -319,8 +318,7 @@ def _cmd_dettrace(c: dict, seed):
               "partial_trace": format_rational(rep.partial_trace),
               "partial_trace_float": _to_float(rep.partial_trace, "the partial trace"),
               "limit_trace": rep.limit_trace,
-              "diagonal": [{"alpha": list(a), "value": format_rational(v)}
-                           for a, v in sorted(rep.diagonal.items())]}
+              "diagonal": _Table(rep.corner, [{"value": format_rationals(*rep.columns)}], quoted={"value"})}
     return None, report, None
 
 
@@ -431,6 +429,8 @@ def run(config: dict, seed: int = 0, fmt: str = "json") -> tuple[int, str]:
         if type(table) is _Table:  # no cell holds a comma, a quote or a line break to quote
             rendered = table.csv()
         else:
+            import csv
+            import io
             header, rows = table
             buf = io.StringIO()  # point cells are JSON text with commas, which csv quotes
             csv.writer(buf, lineterminator="\n").writerows(itertools.chain([header], rows))
@@ -455,14 +455,14 @@ def _encode(value) -> str:
 
 
 class _Table:
-    """A coeffs or weights table as text columns.  Its rows run over the box
-    0 <= alpha <= bounds in row-major order, one per group at each alpha
-    (weights has a group per j).  A group maps each key after alpha, in CSV
-    order, to a column (one text per alpha) or to one text for all its rows.
-    A text is an int's str, a float's repr (as the C encoder and csv.writer
-    write it) or a format_rational string, which JSON quotes (its key is in
-    quoted).  None holds a comma, a quote, a backslash or a line break, so
-    no text needs JSON escaping or CSV quoting."""
+    """A coeffs or weights table, or the dettrace diagonal over its corner, as
+    text columns.  Its rows run over the box 0 <= alpha <= bounds in row-major
+    order, one per group at each alpha (weights has a group per j).  A group
+    maps each key after alpha, in CSV order, to a column (one text per alpha)
+    or to one text for all its rows.  A text is an int's str, a float's repr
+    (as the C encoder and csv.writer write it) or a format_rational string,
+    which JSON quotes (its key is in quoted).  None holds a comma, a quote, a
+    backslash or a line break, so no text needs JSON escaping or CSV quoting."""
 
     def __init__(self, bounds, groups: list[dict], quoted: set):
         self.bounds, self.groups, self.quoted = bounds, groups, quoted
@@ -548,6 +548,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HartogsError as exc:
         code, rendered = 2, _error(type(exc).__name__, str(exc))
     except Exception as exc:  # a defect, so never exit 1, which means a negative verdict
+        import traceback
         traceback.print_exc()
         code, rendered = 3, _error("InternalError", f"{type(exc).__name__}: {exc}")
     if args.out:

@@ -9,7 +9,7 @@ inequalities: the domains are open, boundary points are outside.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import MalformedInput, WrongDimension, ZeroCoordinate
 from .polytuple import PolyTuple, _to_float, poly_eval, tilde_restrictions

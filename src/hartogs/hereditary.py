@@ -10,9 +10,11 @@ defect recursion, which pins the left-adjoint convention.
 
 from __future__ import annotations
 
+import cmath
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +46,18 @@ def _finite(value, what: str):
 @dataclass(frozen=True)
 class MatrixTuple:
     """n commuting d x d complex matrices; commutation is enforced up to a
-    relative tolerance at construction time."""
+    relative tolerance at construction time.
+
+    The norms come from one SVD call over the stacked matrices.  The
+    commutator C of a pair passes when ||C||_2 <= bound = tolerance *
+    max(1, product of the two norms).  Its SVD runs only when the Frobenius
+    norm sqrt(vdot(C, C)) exceeds bound/2: below it ||C||_2 <= ||C||_F, and
+    the factor 1/2 covers the rounding of both norms, so the verdict is the
+    SVD's.  vdot's squares can underflow, and then only a bound below
+    2^-498 could fall between the true and the computed norm, so such a
+    bound always takes the SVD.  A commutator above the bound raises
+    NonCommuting with the residual the SVD gives.
+    """
 
     matrices: tuple[np.ndarray, ...]
     tolerance: float = 1e-12
@@ -59,20 +72,22 @@ class MatrixTuple:
         for m in mats:
             if m.shape != (d, d):
                 raise WrongDimension("all matrices must be square of equal size")
-        norms = tuple(_opnorm(m) for m in mats)
+        norms = tuple(np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0].tolist())
         object.__setattr__(self, "norms", norms)
-        if not np.isfinite(norms).all():
+        if not all(map(math.isfinite, norms)):
             raise MalformedInput("matrix norms overflow the float range")
-        for j in range(len(mats)):
-            for k in range(j + 1, len(mats)):
-                with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(len(mats)):
+                for k in range(j + 1, len(mats)):
                     commutator = mats[j] @ mats[k] - mats[k] @ mats[j]
-                if not np.isfinite(commutator).all():
-                    raise MalformedInput(f"products of matrices {j} and {k} overflow the float range")
-                gap = _opnorm(commutator)
-                if gap > self.tolerance * max(1.0, norms[j] * norms[k]):
-                    raise NonCommuting(
-                        f"matrices {j} and {k} do not commute (residual {gap:.3e})")
+                    if not np.isfinite(commutator).all():
+                        raise MalformedInput(f"products of matrices {j} and {k} overflow the float range")
+                    bound = self.tolerance * max(1.0, norms[j] * norms[k])
+                    if bound < 2.0 ** -498 or math.sqrt(np.vdot(commutator, commutator).real) > 0.5 * bound:
+                        gap = _opnorm(commutator)
+                        if gap > bound:
+                            raise NonCommuting(
+                                f"matrices {j} and {k} do not commute (residual {gap:.3e})")
 
     @property
     def n(self) -> int:
@@ -255,13 +270,22 @@ def ordering_check(T: MatrixTuple, tol: float = 1e-10) -> OrderingReport:
     """
     mats = T.matrices
     n = T.n
-    margins = []
-    for j in range(n):
-        with np.errstate(over="ignore", invalid="ignore"):
-            upper = mats[j + 1].conj().T @ mats[j + 1] if j + 1 < n else np.eye(T.dim)
-            diff = upper - mats[j].conj().T @ mats[j]
-            diff = _finite(0.5 * (diff + diff.conj().T), f"difference {j + 1} of the chain")
-        margins.append(_finite(float(np.linalg.eigvalsh(diff)[0]), f"margin {j + 1}"))
+    diffs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = [m.conj().T @ m for m in mats] + [np.eye(T.dim)]
+        for j in range(n):
+            diff = grams[j + 1] - grams[j]
+            diff = 0.5 * (diff + diff.conj().T)
+            if not np.isfinite(diff).all():
+                break
+            diffs.append(diff)
+    # One eigvalsh call over the finite differences; the errors keep the order of the chain.
+    margins = np.linalg.eigvalsh(np.stack(diffs))[:, 0].tolist() if diffs else []
+    for j, mu in enumerate(margins):
+        if not math.isfinite(mu):
+            raise MalformedInput(f"margin {j + 1} overflows the float range")
+    if len(diffs) < n:
+        raise MalformedInput(f"difference {len(diffs) + 1} of the chain overflows the float range")
     chain_holds = all(mu >= -tol for mu in margins)
 
     if not all(_is_upper_triangular(m, tol, norm) for m, norm in zip(mats, T.norms)):
@@ -313,20 +337,24 @@ def pick_verify(points: Sequence[Sequence[complex]], targets: Sequence[complex],
         # finite a; only the norms and the spectrum can still overflow.
         half, half_adjoint = 0.5 * a, 0.5 * a.conj().T
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = _finite([_opnorm(half - half_adjoint), _opnorm(a)], "a certificate norm")
+            stacked = np.stack([half - half_adjoint, a])  # the two spectral norms from one SVD call
+            norms = _finite(np.linalg.svd(stacked, compute_uv=False)[:, 0].tolist(), "a certificate norm")
             if norms[0] > 0.5 * tol * max(1.0, norms[1]):
                 return False
             spectrum = _finite(np.linalg.eigvalsh(half + half_adjoint), "a certificate spectrum")
         if spectrum[0] < -tol:
             return False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(k):
-            for j in range(k):
-                lhs = 1.0 - z[i].conjugate() * z[j]
-                cross2 = pts[i][1].conjugate() * pts[j][1]
-                cross1 = pts[i][0].conjugate() * pts[j][0]
-                rhs = _finite((cross2 - cross1) * a1[i, j] + (1.0 - cross2) * a2[i, j],
-                              "the certificate identity")
-                if abs(lhs - rhs) > tol:
+    # The identity in Python complex arithmetic, which rounds as numpy's scalars do.
+    conjugates = [(zi.conjugate(), l1.conjugate(), l2.conjugate()) for zi, (l1, l2) in zip(z, pts)]
+    for (zi, l1i, l2i), row1, row2 in zip(conjugates, a1.tolist(), a2.tolist()):
+        for zj, (l1j, l2j), x1, x2 in zip(z, pts, row1, row2):
+            cross2 = l2i * l2j
+            rhs = (cross2 - l1i * l1j) * x1 + (1.0 - cross2) * x2
+            if not cmath.isfinite(rhs):
+                raise MalformedInput("the certificate identity overflows the float range")
+            try:
+                if abs(1.0 - zi * zj - rhs) > tol:
                     return False
+            except OverflowError:  # a finite difference whose modulus is beyond the float range
+                return False
     return True

@@ -27,10 +27,10 @@ import cmath
 import itertools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
 
 from .coeff import _axis_scaled, _check_m, coeff_function
 from .errors import EmptyWindow, MalformedInput, NotAdmissible, WrongDimension
@@ -294,45 +294,68 @@ def _circularity_deviation(wt: WeightTable, thetas: Sequence[Sequence[float]],
     return deviation
 
 
-def _scaled_ratios(scaled: list[int], d: int, ks) -> dict[int, Fraction]:
-    """a(k) = A(k)/A(k+1) = d B(k)/B(k+1) over the scaled axis table, for k in ks."""
-    return {k: Fraction(d * scaled[k], scaled[k + 1]) for k in ks}
-
-
 # --- determinant operator diagonal and trace -------------------------------------
 
 def _log_concave(B: list[int], K: int) -> bool:
     """B(k+1)^2 >= B(k) B(k+2) for k = 0..K-1, over positive ints, decided on the
     ratios r_k = B(k+1)/B(k) as floats.  The int true division rounds correctly
     and rounding is monotone, so r_k > r_{k+1} or r_k < r_{k+1} as floats holds
-    exactly too; only a float tie is settled by the exact products, and a ratio
-    beyond the float range (OverflowError) by the exact product scan."""
+    exactly too.  A float tie r_k == r_{k+1} = p/q is first tested for an exact
+    geometric step, B(k+1) q = p B(k) and B(k+2) q = p B(k+1), where the pair
+    holds with equality: two products by small ints, linear in the size of B,
+    so an axis of ties such as (c d)^k costs O(K) such tests.  Only a tie that
+    is not exact compares the products B(k+1)^2 and B(k) B(k+2), and a ratio
+    beyond the float range (OverflowError) sends the whole axis to the exact
+    product scan."""
     try:
         ratios = map(operator.truediv, B[1:K + 2], B[:K + 1])
         for k, (r, s) in enumerate(itertools.pairwise(ratios)):
-            if r < s or (r == s and B[k + 1] * B[k + 1] < B[k] * B[k + 2]):
+            if r < s:
                 return False
+            if r == s:
+                p, q = r.as_integer_ratio()
+                if ((B[k + 1] * q != p * B[k] or B[k + 2] * q != p * B[k + 1])
+                        and B[k + 1] * B[k + 1] < B[k] * B[k + 2]):
+                    return False
         return True
     except OverflowError:
         return all(B[k + 1] * B[k + 1] >= B[k] * B[k + 2] for k in range(K))
+
+
+def _corner_factors(B: list[int], d: int, corner: int, power: int) -> tuple[list[int], list[int]]:
+    """The differences a(i)^power - a(i-1)^power, i = 0..corner, of the ratios
+    a(k) = d B(k)/B(k+1) (a(-1) = 0), as int numerators and denominators:
+    d^power (B(i)^(2 power) - (B(i-1) B(i+1))^power) over (B(i) B(i+1))^power."""
+    below = [0, *B[:corner]]
+    nums = [d ** power * ((b * b) ** power - (lo * hi) ** power)
+            for lo, b, hi in zip(below, B, B[1:corner + 2])]
+    return nums, [(b * hi) ** power for b, hi in zip(B, B[1:corner + 2])]
 
 
 @dataclass
 class DetTraceReport:
     """axes holds the scaled axis tables (B_j, d_j) with B_j(k) = d_j^k A_j(k)
     for k = 0..K+1; ratios(j) divides the exact ratio sequence a_j(k),
-    k = 0..K, out of axis j (0-based) when it is read."""
+    k = 0..K, out of axis j (0-based) when it is read.  corner bounds the box
+    of the diagonal's entries, and columns holds their numerators and
+    denominators in its row-major order; diagonal reduces them to Fractions
+    when it is first read."""
 
     increasing: tuple[bool, bool]
     positive: bool
-    diagonal: dict[MultiIndex, Fraction]
     partial_trace: Fraction
     limit_trace: float
+    corner: MultiIndex
+    columns: tuple[list[int], list[int]] = field(repr=False, compare=False)
     axes: tuple[tuple[list[int], int], tuple[list[int], int]] = field(repr=False, compare=False)
 
+    @cached_property
+    def diagonal(self) -> dict[MultiIndex, Fraction]:
+        return dict(zip(box(self.corner), map(Fraction, *self.columns)))
+
     def ratios(self, j: int) -> list[Fraction]:
-        scaled, d = self.axes[j]
-        return list(_scaled_ratios(scaled, d, range(len(scaled) - 1)).values())
+        scaled, d = self.axes[j]  # a(k) = A(k)/A(k+1) = d B(k)/B(k+1)
+        return [Fraction(d * b, after) for b, after in itertools.pairwise(scaled)]
 
 
 def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTraceReport:
@@ -350,10 +373,12 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
     The axis tables stay scaled integers B_j(k) = d_j^k A_j(k), never reduced
     to Fractions: a_j(k) = d_j B_j(k)/B_j(k+1), so a_j(k) <= a_j(k+1) exactly
     when B_j(k+1)/B_j(k) >= B_j(k+2)/B_j(k+1), which ``_log_concave`` decides
-    on the correctly rounded float ratios and, at a float tie, on the exact
-    products.  a_j(k) itself is divided out only for the diagonal, over the
-    corner [0, min(K, 6)]^2, where each entry is the product of one factor
-    per axis, and for k = K.
+    on the correctly rounded float ratios and, at a float tie, by an exact
+    geometric test or the exact products.  The diagonal over the corner
+    [0, min(K, 6)]^2 has the entries f_1(i) f_2(j), with
+    f_1(i) = a_1(i) - a_1(i-1) and f_2(j) = a_2(j)^2 - a_2(j-1)^2; each factor
+    is one int pair over B, and the entries are two int columns of their
+    products, unreduced.  a_j(K) is divided out as a Fraction for the trace.
     """
     if P.n != 2:
         raise WrongDimension(f"determinant operator needs n = 2, got n = {P.n}")
@@ -365,21 +390,19 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
     axes = (_axis_scaled(P, m, 0, K + 1), _axis_scaled(P, m, 1, K + 1))
     increasing = tuple(_log_concave(B, K) for B, _ in axes)
     corner = min(K, 6)
-    a1, a2 = (_scaled_ratios(B, d, [*range(corner + 1), K]) for B, d in axes)
-    sq2 = [a2[j] ** 2 for j in range(corner + 1)]
-    f1 = [a1[0], *(a1[i] - a1[i - 1] for i in range(1, corner + 1))]
-    f2 = [sq2[0], *(sq2[j] - sq2[j - 1] for j in range(1, corner + 1))]
-    diagonal = {alpha: f1[alpha[0]] * f2[alpha[1]] for alpha in box((corner, corner))}
+    (p1, q1), (p2, q2) = (_corner_factors(B, d, corner, power) for (B, d), power in zip(axes, (1, 2)))
+    columns = [x * y for x in p1 for y in p2], [x * y for x in q1 for y in q2]
 
-    partial = a1[K] * a2[K] ** 2
+    a1, a2 = (Fraction(d * B[K], B[K + 1]) for B, d in axes)
+    partial = a1 * a2 ** 2
     try:
-        limit_trace = _to_float(a1[K], f"a_1({K})") * _to_float(a2[K], f"a_2({K})") ** 2
+        limit_trace = _to_float(a1, f"a_1({K})") * _to_float(a2, f"a_2({K})") ** 2
     except OverflowError:  # the float square
         limit_trace = math.inf
     if limit_trace == math.inf:  # or the float product
         raise MalformedInput(f"the float product a_1(K) a_2(K)^2 at K={K} is beyond the float range")
-    return DetTraceReport(increasing=increasing, positive=all(increasing), diagonal=diagonal,
-                          partial_trace=partial, limit_trace=limit_trace, axes=axes)
+    return DetTraceReport(increasing=increasing, positive=all(increasing), partial_trace=partial,
+                          limit_trace=limit_trace, corner=(corner, corner), columns=columns, axes=axes)
 
 
 def det_diagonal_sum(report: DetTraceReport, K: int) -> Fraction:

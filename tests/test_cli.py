@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from hartogs import cli, coeff, geometry, shiftops, subnormality
 from hartogs.errors import HartogsError, InvalidConfig, UnknownCommand
-from hartogs.polytuple import (_to_float, add_index, box, format_rational, from_polys, hartogs_tuple, serialize,
-                               sub_index, tail_index, unit_index)
+from hartogs.polytuple import (_to_float, add_index, box, format_rational, from_polys, hartogs_tuple,
+                               parse_and_validate, serialize, sub_index, tail_index, unit_index)
 
 P0 = serialize(hartogs_tuple(2))
 P1 = serialize(hartogs_tuple(2, 1))
@@ -503,6 +503,35 @@ def test_module_entry_point_imports_neither_numpy_nor_shiftops_for_coeffs(tmp_pa
     assert proc.stdout == cli.run(config)[1]
 
 
+def test_one_shot_validate_imports_neither_traceback_nor_csv(tmp_path):
+    # traceback loads only on exit 3, and csv only for a CSV run without text columns.
+    config = TRACED_JOBS["validate"][1][0]
+    path = tmp_path / "validate.json"
+    path.write_text(json.dumps(config))
+    code = ("import runpy, sys\n"
+            "sys.argv = ['hartogs', '--config', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('hartogs.cli', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0\n"
+            "print(sorted({'traceback', 'csv'} & set(sys.modules)), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+                          env=SRC_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+    assert proc.stdout == cli.run(config)[1]
+
+
+def test_internal_error_prints_its_traceback(tmp_path, monkeypatch, capsys):
+    def broken(config, rng):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", (broken, {}))
+    assert _main_exit(tmp_path, {"command": "validate"})[0] == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: boom\n")
+
+
 def test_second_routes_pass_on_the_smallest_job_of_each_command(monkeypatch):
     # The benchmark's independent checks, on one small job of every command.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -643,9 +672,11 @@ def _scalars_only(report):
                for v in report.values())
 
 
-# The keys of a coeffs or weights row after its multi-index, in CSV column order,
-# each with the type that reads its text as the value of the dict entry.
-ROW_KEYS = {"coeffs": {"value": str}, "weights": {"j": int, "omega": float, "sigma": float, "hypo_diag": str}}
+# The keys of a coeffs or weights row, or of a dettrace diagonal entry, after its
+# multi-index, in CSV column order, each with the type that reads its text as the
+# value of the dict entry.
+ROW_KEYS = {"coeffs": {"value": str}, "dettrace": {"value": str},
+            "weights": {"j": int, "omega": float, "sigma": float, "hypo_diag": str}}
 
 
 def _expanded(report):
@@ -663,8 +694,8 @@ def _expanded(report):
 def test_report_layout_on_the_smallest_job_of_each_command(monkeypatch):
     # Every JSON body has one line per top-level key and one compact line per
     # element of a list value; reports of scalars and lists of scalars keep
-    # the bytes they had with indent=2.  coeffs and weights hand their rows
-    # over as text columns, which read as the dict entries they stand for.
+    # the bytes they had with indent=2.  coeffs, weights and the dettrace diagonal
+    # hand their rows over as text columns, which read as the dict entries they stand for.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     jobs = importlib.import_module("jobs")
     rendered_reports, render = [], cli._render
@@ -970,6 +1001,29 @@ def test_dettrace_decides_ratios_beyond_the_float_range_exactly(tmp_path, m):
     rep = shiftops.det_commutator_and_trace(P, m, 40)
     increasing = [all(a[k + 1] >= a[k] for k in range(40)) for a in (rep.ratios(0), rep.ratios(1))]
     assert report["increasing"] == increasing == list(rep.increasing)
+
+
+def _list_of_dicts_dettrace(config, seed):
+    """The dettrace report as the list-of-dicts route renders it: one dict per
+    diagonal entry, in sorted order, each encoded by the C encoder."""
+    P, m, K = parse_and_validate(config["poly_tuple"]), config["m"], config["K"]
+    rep = shiftops.det_commutator_and_trace(P, m, K)
+    return cli._render({"command": "dettrace", "seed": seed, "K": K, "increasing": list(rep.increasing),
+                        "positive": rep.positive, "partial_trace": format_rational(rep.partial_trace),
+                        "partial_trace_float": _to_float(rep.partial_trace, "the partial trace"),
+                        "limit_trace": rep.limit_trace,
+                        "diagonal": [{"alpha": list(a), "value": format_rational(v)}
+                                     for a, v in sorted(rep.diagonal.items())]})
+
+
+@pytest.mark.parametrize("P", [P0, FIB, SCALED, serialize(from_polys([{(1, 0): F(4, 3)}, {(0, 1): F(5, 4)}]))],
+                         ids=["hartogs", "fibonacci", "scaled-quadratic", "scaled"])
+@pytest.mark.parametrize("m", [(1, 1), (2, 3), (3, 1)])
+def test_dettrace_report_bytes_are_the_list_of_dicts_rendering(P, m):
+    # The corner's text columns render the bytes of one dict per entry.
+    for K in [*range(1, 9), 40]:
+        config = {"command": "dettrace", "poly_tuple": P, "m": list(m), "K": K}
+        assert cli.run(config, seed=K) == (0, _list_of_dicts_dettrace(config, K))
 
 
 def test_dettrace_ratio_without_a_float_still_exits_2(tmp_path):

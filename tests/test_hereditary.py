@@ -1,9 +1,12 @@
 import cmath
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartogs import hereditary
 from hartogs.errors import (
@@ -324,3 +327,139 @@ def test_matrix_tuple_keeps_its_norms():
     assert T.max_norm == max(T.norms)
     lifted = toral_lift(T)
     assert lifted.norms == tuple(_opnorm(m) for m in lifted.matrices)
+
+
+def _polynomial_tuple(rng, n, d, scale):
+    """n polynomials in one random d x d matrix of norm about scale: a commuting tuple."""
+    s = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return [c0 * np.eye(d) + c1 * s + c2 * (s @ s) / scale for c0, c1, c2 in rng.uniform(-1, 1, (n, 3))]
+
+
+def test_stacked_norms_are_the_opnorms_to_the_bit():
+    rng = np.random.default_rng(11)
+    for n, d in itertools.product(range(1, 4), range(1, 6)):
+        for scale in (1e-150, 1.0, 1e150):
+            for _ in range(8):
+                T = MatrixTuple(tuple(_polynomial_tuple(rng, n, d, scale)), tolerance=1.0)
+                assert T.norms == tuple(_opnorm(m) for m in T.matrices)
+
+
+def _counting_opnorm(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return _opnorm(a)
+
+    monkeypatch.setattr(hereditary, "_opnorm", counting)
+    return calls
+
+
+def _diagonal_commutator_pair(x):
+    """Two matrices of norms x and 1 whose commutator is diag(x, -x): spectral
+    norm x, Frobenius norm sqrt(2) x."""
+    return (np.array([[0, x], [0, 0]], dtype=complex), np.array([[0, 0], [1, 0]], dtype=complex))
+
+
+def _frobenius(pair):
+    a, b = pair
+    commutator = a @ b - b @ a
+    return math.sqrt(np.vdot(commutator, commutator).real)
+
+
+def test_commutator_just_above_half_the_bound_takes_the_svd_and_passes(monkeypatch):
+    # Both norms are at most 1, so the bound is the tolerance.  At the last x whose
+    # Frobenius norm is within half of it no SVD runs; at the next float one does,
+    # and the spectral norm, about 0.35 of the bound, passes.
+    tol = 1e-12
+    below = 0.5 * tol / math.sqrt(2.0)
+    while _frobenius(_diagonal_commutator_pair(below)) > 0.5 * tol:
+        below = math.nextafter(below, 0.0)
+    while _frobenius(_diagonal_commutator_pair(math.nextafter(below, 1.0))) <= 0.5 * tol:
+        below = math.nextafter(below, 1.0)
+    calls = _counting_opnorm(monkeypatch)
+    for x, svds in ((below, 0), (math.nextafter(below, 1.0), 1)):
+        calls.clear()
+        T = MatrixTuple(_diagonal_commutator_pair(x), tolerance=tol)
+        assert len(calls) == svds
+        assert T.norms == (x, 1.0)
+    assert _opnorm(calls[0]) == pytest.approx(0.5 / math.sqrt(2.0) * tol, rel=1e-12)
+
+
+def test_commutator_above_the_bound_reports_the_svd_residual():
+    # T_1 = T_0^2 commutes with T_0; T_2 commutes with neither, and (0, 2) is the first pair.
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 5):
+        t0, t2 = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+        residual = _opnorm(t0 @ t2 - t2 @ t0)
+        with pytest.raises(NonCommuting) as raised:
+            MatrixTuple((t0, t0 @ t0, t2))
+        assert str(raised.value) == f"matrices 0 and 2 do not commute (residual {residual:.3e})"
+
+
+@pytest.mark.parametrize("tol, verdict", [(0.0, False), (1e-171, False), (1e-160, True), (1e-12, True)])
+def test_commutator_whose_squares_underflow_is_judged_by_its_svd(tol, verdict):
+    # The commutator diag(1e-170, -1e-170) has a Frobenius norm of 0.0 in floats,
+    # so a bound below 2^-498 takes the SVD, which sees the residual 1e-170.
+    pair = _diagonal_commutator_pair(1e-85)
+    pair = (pair[0], 1e-85 * pair[1])
+    assert _frobenius(pair) == 0.0
+    if verdict:
+        MatrixTuple(pair, tolerance=tol)
+    else:
+        with pytest.raises(NonCommuting, match=r"residual 1\.000e-170"):
+            MatrixTuple(pair, tolerance=tol)
+
+
+def _chain_tuple(first, third):
+    """T_0 with first in row 0 over the first three columns, T_1 = 0, and T_2 with
+    third at (3, 3): the products across the pairs are 0, so the tuple commutes."""
+    t0, t1, t2 = (np.zeros((4, 4), dtype=complex) for _ in range(3))
+    t0[0, :3], t2[3, 3] = first, third
+    return MatrixTuple((t0, t1, t2))
+
+
+@pytest.mark.parametrize("first, third, message", [
+    # Difference 1 is finite with an eigenvalue below -1.8e308, and difference 2 overflows.
+    (8.9e153, 1e200, "margin 1"),
+    (8.9e153, 0.5, "margin 1"),
+    (0.1, 1e200, "difference 2 of the chain"),
+])
+def test_ordering_check_raises_for_the_first_failure_along_the_chain(first, third, message):
+    with pytest.raises(MalformedInput, match=f"^{message} overflows the float range$"):
+        ordering_check(_chain_tuple(first, third))
+
+
+PICK_NODES = [(0.1, 0.5), (0.2, -0.9)]
+PICK_OFF = np.array([[0, 1e308], [1e308, 0]], dtype=complex)
+
+
+def test_pick_identity_false_before_a_later_overflow():
+    # The target 1.2e154 fails the identity at (0, 0); (0, 1) overflows later.
+    assert pick_verify(PICK_NODES, [1.2e154, 0.3], -PICK_OFF, PICK_OFF, tol=1e308) is False
+
+
+def test_pick_identity_overflow_before_a_later_false():
+    # (0, 1) overflows: 0.47e308 + 1.45e308; the target 1.2e154 would fail (1, 1) later.
+    with pytest.raises(MalformedInput, match="^the certificate identity overflows the float range$"):
+        pick_verify(PICK_NODES, [0.3, 1.2e154], -PICK_OFF, PICK_OFF, tol=1e308)
+
+
+def test_pick_identity_difference_whose_modulus_overflows_is_false():
+    # lhs - rhs is about -1.44e308 - 1.6e308j: finite parts, a modulus beyond the
+    # float range.  numpy's abs gave inf there, and inf > tol.
+    a = np.array([[1.6e308j]])
+    assert pick_verify([(0.01, 0.5)], [1.2e154], a, a, tol=1e300) is False
+
+
+def _float_key(z):
+    return [(math.isnan(v), 0.0 if math.isnan(v) else v, math.copysign(1.0, v)) for v in (z.real, z.imag)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.complex_numbers(allow_nan=False), min_size=4, max_size=4))
+def test_identity_terms_in_python_complex_round_as_numpy_scalars(values):
+    cross2, cross1, x1, x2 = values
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (cross2 - cross1) * np.complex128(x1) + (1.0 - cross2) * np.complex128(x2)
+    assert _float_key((cross2 - cross1) * x1 + (1.0 - cross2) * x2) == _float_key(want)

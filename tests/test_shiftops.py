@@ -789,6 +789,25 @@ def test_det_trace_matches_fraction_reference(data):
     assert rep.ratios(0) == a1 and rep.ratios(1) == a2
 
 
+@pytest.mark.parametrize("K", range(1, 9))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), m=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_det_corner_columns_are_the_ratio_products(K, seed, m):
+    # The int columns of the corner against f_1(i) f_2(j) from the Fraction
+    # ratios, on corners below 6 (K < 6) and at 6.
+    P = random_admissible_pair(random.Random(seed))
+    rep = det_commutator_and_trace(P, m, K)
+    a1, a2 = rep.ratios(0), rep.ratios(1)
+    f1 = [a1[i] - (a1[i - 1] if i else 0) for i in range(K + 1)]
+    f2 = [a2[j] ** 2 - (a2[j - 1] ** 2 if j else 0) for j in range(K + 1)]
+    assert rep.corner == (min(K, 6),) * 2
+    nums, dens = rep.columns
+    assert len(nums) == len(dens) == (min(K, 6) + 1) ** 2 and min(dens) > 0
+    entries = [f1[i] * f2[j] for i, j in box(rep.corner)]
+    assert list(map(F, nums, dens)) == entries
+    assert rep.diagonal == dict(zip(box(rep.corner), entries))
+
+
 def _reference_radius(axis, K, N):
     """The supremum loop over a reduced Fraction axis table, one log per cell."""
     logs = [math.log(v.numerator) - math.log(v.denominator) for v in axis[:K + N + 1]]
@@ -871,6 +890,22 @@ def _log_concave_cases(draw):
 def test_log_concave_matches_exact_products(B):
     K = len(B) - 2
     assert shiftops._log_concave(B, K) == all(B[k + 1] * B[k + 1] >= B[k] * B[k + 2] for k in range(K))
+
+
+@pytest.mark.parametrize("c", [F(5, 4), F(5, 3)])
+def test_log_concave_on_an_axis_of_ties_matches_exact_products(c):
+    # c z_1 with m_1 = 1 has B(k) = 5^k: every ratio is the float 5.0, so every k
+    # is a tie, and the cells pass 2000 bits at K = 998.  The exact geometric test
+    # settles each tie; 2^60 B(k) - 1, and B with one cell raised by 1, keep every
+    # float tie but are not geometric, so the products decide.
+    K = 998
+    B, _ = shiftops._axis_scaled(scaled_tuple(c, c), (1, 1), 0, K + 1)
+    assert B[-1].bit_length() > 2000
+    cases = [B, [(b << 60) - 1 for b in B]] + [B[:i] + [B[i] + 1] + B[i + 1:] for i in (K // 2, K + 1)]
+    for case, verdict in zip(cases, [True, True, False, False]):
+        assert {b / a for a, b in itertools.pairwise(case)} == {5.0}
+        exact = all(case[k + 1] * case[k + 1] >= case[k] * case[k + 2] for k in range(K))
+        assert shiftops._log_concave(case, K) == exact == verdict
 
 
 @pytest.mark.parametrize("call", [
