@@ -314,10 +314,11 @@ def _cmd_probes(c: dict, seed):
 def _cmd_dettrace(c: dict, seed):
     from . import shiftops
     rep = shiftops.det_commutator_and_trace(c["poly_tuple"], c["m"], c["K"])
+    trace = _to_float(rep.partial_trace, "the partial trace")
+    # limit_trace repeats partial_trace_float: perfbench's check_dettrace reads it until ROADMAP item 1.
     report = {"K": c["K"], "increasing": list(rep.increasing), "positive": rep.positive,
               "partial_trace": format_rational(rep.partial_trace),
-              "partial_trace_float": _to_float(rep.partial_trace, "the partial trace"),
-              "limit_trace": rep.limit_trace,
+              "partial_trace_float": trace, "limit_trace": trace,
               "diagonal": _Table(rep.corner, [{"value": format_rationals(*rep.columns)}], quoted={"value"})}
     return None, report, None
 

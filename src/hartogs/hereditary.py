@@ -27,7 +27,7 @@ from .errors import (
     WrongDimension,
 )
 from .geometry import triangle_contains
-from .polytuple import MultiIndex, PolyTuple, hartogs_tuple, poly_mul
+from .polytuple import MultiIndex, PolyTuple, _to_float, hartogs_tuple, poly_mul
 
 
 def _opnorm(a: np.ndarray) -> float:
@@ -141,7 +141,8 @@ def reciprocal_kernel_polynomial(P: PolyTuple, m: Sequence[int]) -> HereditaryPo
 
     and the single power of each x_{j+1} in the prefactor clears the single
     denominator of the j-th factor.  Residual negative exponents (any m_j >= 2
-    before the last slot) are rejected.
+    before the last slot) are rejected, as is (MalformedInput) a coefficient
+    without a float value: each goes through ``polytuple._to_float``.
     """
     a = _detect_family(P)
     n = P.n
@@ -169,7 +170,7 @@ def reciprocal_kernel_polynomial(P: PolyTuple, m: Sequence[int]) -> HereditaryPo
     if negatives:
         raise NotHereditaryPolynomial(
             f"residual negative exponents remain, e.g. {sorted(negatives)[0]}")
-    terms = {(mono, mono): complex(c) for mono, c in poly.items()}
+    terms = {(mono, mono): complex(_to_float(c, "a cleared kernel coefficient")) for mono, c in poly.items()}
     return HereditaryPoly(n=n, terms=terms)
 
 

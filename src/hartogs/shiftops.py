@@ -33,7 +33,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .coeff import _axis_scaled, _check_m, coeff_function
-from .errors import EmptyWindow, MalformedInput, NotAdmissible, WrongDimension
+from .errors import EmptyWindow, NotAdmissible, WrongDimension
 from .polytuple import (
     MultiIndex,
     PolyTuple,
@@ -334,17 +334,17 @@ def _corner_factors(B: list[int], d: int, corner: int, power: int) -> tuple[list
 
 @dataclass
 class DetTraceReport:
-    """axes holds the scaled axis tables (B_j, d_j) with B_j(k) = d_j^k A_j(k)
-    for k = 0..K+1; ratios(j) divides the exact ratio sequence a_j(k),
-    k = 0..K, out of axis j (0-based) when it is read.  corner bounds the box
-    of the diagonal's entries, and columns holds their numerators and
-    denominators in its row-major order; diagonal reduces them to Fractions
-    when it is first read."""
+    """Exact values only: partial_trace is a_1(K) a_2(K)^2, which a report
+    rounds once by ``polytuple._to_float``.  axes holds the scaled axis tables
+    (B_j, d_j) with B_j(k) = d_j^k A_j(k) for k = 0..K+1; ratios(j) divides the
+    exact ratio sequence a_j(k), k = 0..K, out of axis j (0-based) when it is
+    read.  corner bounds the box of the diagonal's entries, and columns holds
+    their numerators and denominators in its row-major order; diagonal reduces
+    them to Fractions when it is first read."""
 
     increasing: tuple[bool, bool]
     positive: bool
     partial_trace: Fraction
-    limit_trace: float
     corner: MultiIndex
     columns: tuple[list[int], list[int]] = field(repr=False, compare=False)
     axes: tuple[tuple[list[int], int], tuple[list[int], int]] = field(repr=False, compare=False)
@@ -365,10 +365,7 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
     diagonal with entries built from the axis ratio sequences a_j(k); it is
     positive iff both sequences are nondecreasing, and the partial trace over
     the box [0,K]^2 telescopes to a_1(K) * a_2(K)^2.  The trace itself is the
-    limit (lim a_1) * (lim a_2)^2 and is not computed: the ``limit_trace`` field
-    is float(a_1(K)) * float(a_2(K))^2, the partial trace again in floats (equal
-    to it up to rounding), not an extrapolation; an a_j(K) without a float
-    value, or a product beyond the float range, raises MalformedInput.
+    limit (lim a_1) * (lim a_2)^2 and is not computed.  Every value is exact.
 
     The axis tables stay scaled integers B_j(k) = d_j^k A_j(k), never reduced
     to Fractions: a_j(k) = d_j B_j(k)/B_j(k+1), so a_j(k) <= a_j(k+1) exactly
@@ -394,15 +391,8 @@ def det_commutator_and_trace(P: PolyTuple, m: Sequence[int], K: int) -> DetTrace
     columns = [x * y for x in p1 for y in p2], [x * y for x in q1 for y in q2]
 
     a1, a2 = (Fraction(d * B[K], B[K + 1]) for B, d in axes)
-    partial = a1 * a2 ** 2
-    try:
-        limit_trace = _to_float(a1, f"a_1({K})") * _to_float(a2, f"a_2({K})") ** 2
-    except OverflowError:  # the float square
-        limit_trace = math.inf
-    if limit_trace == math.inf:  # or the float product
-        raise MalformedInput(f"the float product a_1(K) a_2(K)^2 at K={K} is beyond the float range")
-    return DetTraceReport(increasing=increasing, positive=all(increasing), partial_trace=partial,
-                          limit_trace=limit_trace, corner=(corner, corner), columns=columns, axes=axes)
+    return DetTraceReport(increasing=increasing, positive=all(increasing), partial_trace=a1 * a2 ** 2,
+                          corner=(corner, corner), columns=columns, axes=axes)
 
 
 def det_diagonal_sum(report: DetTraceReport, K: int) -> Fraction:

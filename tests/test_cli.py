@@ -210,6 +210,19 @@ def test_hereditary_classify_and_lift():
     assert code == 1 and not report["chain_holds"]
 
 
+def test_hereditary_unknown_mode_exits_2(tmp_path):
+    config = {"command": "hereditary", "mode": "bogus", "matrices": [[[[0.5, 0]]], [[[0.8, 0]]]]}
+    assert _main_exit(tmp_path, config) == (2, {
+        "error": "InvalidConfig", "message": "'mode' must be one of 'classify', 'lift', 'ordering', got 'bogus'"})
+
+
+@pytest.mark.parametrize("mode", ["classify", "lift"])
+def test_hereditary_classification_of_one_matrix_exits_2(tmp_path, mode):
+    config = {"command": "hereditary", "mode": mode, "matrices": [[[[0.5, 0]]]]}
+    assert _main_exit(tmp_path, config) == (
+        2, {"error": "WrongDimension", "message": "classification needs at least two matrices"})
+
+
 def test_pick_verify_exit_codes():
     base = {"command": "pick-verify", "points": [[[0, 0], [0.5, 0]]],
             "a1": [[[0, 0]]], "a2": [[[4 / 3, 0]]]}
@@ -1011,7 +1024,7 @@ def _list_of_dicts_dettrace(config, seed):
     return cli._render({"command": "dettrace", "seed": seed, "K": K, "increasing": list(rep.increasing),
                         "positive": rep.positive, "partial_trace": format_rational(rep.partial_trace),
                         "partial_trace_float": _to_float(rep.partial_trace, "the partial trace"),
-                        "limit_trace": rep.limit_trace,
+                        "limit_trace": _to_float(rep.partial_trace, "the partial trace"),
                         "diagonal": [{"alpha": list(a), "value": format_rational(v)}
                                      for a, v in sorted(rep.diagonal.items())]})
 
@@ -1027,21 +1040,49 @@ def test_dettrace_report_bytes_are_the_list_of_dicts_rendering(P, m):
 
 
 def test_dettrace_ratio_without_a_float_still_exits_2(tmp_path):
-    # The ratios of 10^400 z_1 overflow in the scan, and a_1(K) has no float value.
-    P = serialize(from_polys([{(1, 0): F(10 ** 400)}, {(0, 1): 1}]))
-    assert _main_exit(tmp_path, {"command": "dettrace", "poly_tuple": P, "m": [1, 1], "K": 5}) == (
-        2, {"error": "MalformedInput", "message": "a_1(5) has no float value"})
+    # The ratios of 10^400 z_1 overflow in the scan; a_1(K) = 10^-400, and for
+    # 10^-400 z_1 a_1(K) = 10^400, so the partial trace has no float value.
+    for c in (F(10 ** 400), F(1, 10 ** 400)):
+        P = serialize(from_polys([{(1, 0): c}, {(0, 1): 1}]))
+        assert _main_exit(tmp_path, {"command": "dettrace", "poly_tuple": P, "m": [1, 1], "K": 5}) == (
+            2, {"error": "MalformedInput", "message": "the partial trace has no float value"})
 
 
 @pytest.mark.parametrize("c", [(F(1, 10 ** 200), F(1, 10 ** 200)), (F(1, 10 ** 300), F(1, 10 ** 5))],
                          ids=["square", "product"])
 def test_dettrace_float_trace_beyond_the_float_range_exits_2(tmp_path, c):
-    # a_j(K) = 1/c_j for c_j z_j: (10^200)^2 overflows in the float square, and
-    # 10^300 (10^5)^2 in the float product, where no OverflowError is raised.
+    # a_j(K) = 1/c_j for c_j z_j: the exact partial traces 10^600 and 10^310
+    # are beyond the float range.
     P = serialize(from_polys([{(1, 0): c[0]}, {(0, 1): c[1]}]))
     assert _main_exit(tmp_path, {"command": "dettrace", "poly_tuple": P, "m": [1, 1], "K": 5}) == (
-        2, {"error": "MalformedInput",
-            "message": "the float product a_1(K) a_2(K)^2 at K=5 is beyond the float range"})
+        2, {"error": "MalformedInput", "message": "the partial trace has no float value"})
+
+
+def _one_float_of_the_partial_trace(report):
+    assert report["limit_trace"] == report["partial_trace_float"] == float(F(report["partial_trace"]))
+    return report["limit_trace"]
+
+
+@pytest.mark.parametrize("c, trace", [((F(1, 10 ** 10), F(10 ** 160)), 1e-310),
+                                      ((F(10 ** 100), F(1, 10 ** 200)), 1e300)],
+                         ids=["subnormal-square", "product-beyond-the-float-range"])
+def test_dettrace_limit_trace_is_the_float_of_the_exact_partial_trace(tmp_path, c, trace):
+    # a_j(K) = 1/c_j for c_j z_j.  The float product a_1 a_2^2 lost five digits
+    # in the subnormal square 10^-320, and overflowed in the square 10^400,
+    # though the exact partial traces 10^-310 and 10^300 have floats.
+    P = serialize(from_polys([{(1, 0): c[0]}, {(0, 1): c[1]}]))
+    code, report = _main_exit(tmp_path, {"command": "dettrace", "poly_tuple": P, "m": [1, 1], "K": 5})
+    assert code == 0 and _one_float_of_the_partial_trace(report) == trace
+
+
+@pytest.mark.parametrize("P", [P0, FIB, SCALED, serialize(from_polys([{(1, 0): F(4, 3)}, {(0, 1): F(5, 4)}]))],
+                         ids=["hartogs", "fibonacci", "scaled-quadratic", "scaled"])
+@pytest.mark.parametrize("m", [(1, 1), (2, 3), (3, 1)])
+def test_dettrace_limit_trace_is_the_float_of_the_partial_trace_on_the_sweep(P, m):
+    for K in [*range(1, 9), 40]:
+        code, report = run_json({"command": "dettrace", "poly_tuple": P, "m": list(m), "K": K})
+        assert code == 0
+        _one_float_of_the_partial_trace(report)
 
 
 def test_domain_point_whose_squared_modulus_overflows_is_outside(tmp_path):

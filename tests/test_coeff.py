@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -186,6 +188,43 @@ def test_coeff_function_matches_closed_form_both_methods():
     closed = tuple(hartogs_coeff_closed((2, 3), alpha) for alpha in box((6, 6)))
     assert coeff_function(P, (2, 3), (6, 6)).values == closed
     assert oracle_axis_product(P, (2, 3), (6, 6)) == closed
+
+
+def family_closed_sum(a, m, alpha):
+    """A(alpha) of P_{j,a} = z_j + a z_1...z_n, from expanding each factor
+    1/(1 - z_j - t)^{m_j} in t = a z_1...z_n: the sum over s <= min(alpha) of
+    a^s times the sum over s_1 + ... + s_n = s of
+    prod_j C(alpha_j - s + s_j + m_j - 1, m_j - 1) C(alpha_j - s + s_j, s_j)."""
+    total = F(0)
+    for s in range(min(alpha) + 1):
+        inner = 0
+        for head in itertools.product(range(s + 1), repeat=len(alpha) - 1):
+            if (last := s - sum(head)) >= 0:
+                inner += math.prod(math.comb(aj - s + sj + mj - 1, mj - 1) * math.comb(aj - s + sj, sj)
+                                   for aj, sj, mj in zip(alpha, (*head, last), m))
+        total += a ** s * inner
+    return total
+
+
+FAMILY_BOUNDS = {1: 20, 2: 14, 3: 6, 4: 4}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), p=st.integers(0, 6), q=st.integers(1, 4), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_family_closed_sum_matches_the_general_route(n, p, q, seed, data):
+    # A seeded sample of cells, with the far corner and a cell on each face of
+    # the box, where a fault of the padding or of the margin would show.
+    a = F(p, q)
+    m = data.draw(st.tuples(*[st.integers(1, 3)] * n))
+    bounds = tuple(data.draw(st.integers(1, FAMILY_BOUNDS[n])) for _ in range(n))
+    rng = random.Random(seed)
+    cells = {bounds} | {tuple(rng.randint(0, b) for b in bounds) for _ in range(10)}
+    for j in range(n):
+        for face in (0, bounds[j]):
+            cells.add(tuple(face if i == j else rng.randint(0, b) for i, b in enumerate(bounds)))
+    table = coeff_function(hartogs_tuple(n, a), m, bounds)
+    for alpha in cells:
+        assert table.value(alpha) == family_closed_sum(a, m, alpha), (a, m, alpha)
 
 
 def test_convolution_equals_product_for_admissible():

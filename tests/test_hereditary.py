@@ -126,6 +126,14 @@ def test_reciprocal_polynomial_rejects_other_tuples():
         reciprocal_kernel_polynomial(P, (1, 1))
 
 
+@pytest.mark.parametrize("exponent", [-400, 400], ids=["tiny", "huge"])
+def test_reciprocal_polynomial_coefficient_without_a_float_raises_malformed_input(exponent):
+    # complex() of the exact coefficient read 10^-400 as 0j and raised OverflowError on 10^400.
+    from fractions import Fraction as F
+    with pytest.raises(MalformedInput, match="a cleared kernel coefficient has no float value"):
+        reciprocal_kernel_polynomial(hartogs_tuple(2, F(10) ** exponent), (1, 1))
+
+
 def test_hereditary_eval_jordan_cell():
     p = reciprocal_kernel_polynomial(hartogs_tuple(2), (1, 1))
     T = MatrixTuple((np.zeros((2, 2), dtype=complex), LOWER_JORDAN))
